@@ -343,7 +343,10 @@ CompareResult compareToggle(sim::NodeId n, int trials, sim::Round rounds,
 
 /// arena-vs-heap: identical adversary handling on both legs (periodic
 /// pre-warmed stars + deltas), only DeliveryPhase's storage differs —
-/// heap per-node inbox vectors vs. the workspace bump arena.
+/// heap per-node inbox vectors vs. the workspace bump arena.  Both legs
+/// run the Process-object path: max_flood has a SoA model, and with
+/// soa_state on DeliveryPhase takes the SoA branch, which never reads
+/// arena_delivery.
 CompareResult compareArenaVsHeap(sim::NodeId n, int trials, sim::Round rounds,
                                  std::uint64_t base_seed,
                                  const std::vector<net::GraphPtr>& stars) {
@@ -353,7 +356,8 @@ CompareResult compareArenaVsHeap(sim::NodeId n, int trials, sim::Round rounds,
         return runWorkloadTrial(n, rounds, seed,
                                 std::make_unique<adv::PeriodicAdversary>(stars),
                                 &ws, /*arena_delivery=*/leg == 1,
-                                /*topology_deltas=*/true);
+                                /*topology_deltas=*/true,
+                                /*soa_state=*/false);
       });
 }
 

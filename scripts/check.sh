@@ -16,6 +16,15 @@ echo "=== tests ==="
 # --timeout: a wedged test (e.g. a supervision bug leaving a worker
 # hanging) must fail the suite, not stall it forever.
 ctest --test-dir build -j"$(nproc)" --output-on-failure --timeout 300
+echo "=== hermeticity (trace_cli, campaign, dataset suites, parallel x5) ==="
+# Each discovered test is its own process; run them concurrently and
+# repeatedly so a scratch path shared between tests shows up as a failure.
+trace_cli_suites='TraceCli'
+campaign_suites='Campaign|CampaignSpec|CheckpointStore|RetryPolicy|ShardExec|Telemetry|Worker'
+dataset_suites='EventList|SnapshotDir|Compile|CompiledCache|TraceAdversary|TraceCampaign'
+ctest --test-dir build -j"$(nproc)" --output-on-failure --timeout 300 \
+  --repeat until-fail:5 \
+  -R "^(${trace_cli_suites}|${campaign_suites}|${dataset_suites})\\."
 echo "=== benches (--quick smoke run, failures are fatal) ==="
 for b in build/bench/*; do
   echo "--- $b --quick"
@@ -75,6 +84,9 @@ build/tools/dynet_cli --protocol diam_exact --adversary ach_gadget \
 
 echo "=== campaign kill-and-resume smoke ==="
 scripts/campaign_smoke.sh build/tools/dynet_cli
+
+echo "=== repository benchmark smoke (gates + output digests) ==="
+bash benchmark/run.sh --smoke
 
 echo "=== sanitizer build (ASan + UBSan) ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DDYNET_SANITIZE=ON

@@ -115,15 +115,6 @@ const dataset::RoundDelta& TraceAdversary::deltaInto(sim::Round pos) const {
   return deltas_[static_cast<std::size_t>(pos) - 2];
 }
 
-void TraceAdversary::resetToPosition(sim::Round pos) {
-  cur_edges_ = initial_;
-  for (sim::Round p = 2; p <= pos; ++p) {
-    const dataset::RoundDelta& d = deltaInto(p);
-    dataset::applyPositionalPatch(cur_edges_, d.removed, d.added,
-                                  trace_->source, p);
-  }
-}
-
 TraceAdversary::Step TraceAdversary::stepTo(sim::Round round) {
   DYNET_CHECK(round == last_round_ + 1)
       << "TraceAdversary must be stepped one round at a time (got round "
@@ -132,7 +123,6 @@ TraceAdversary::Step TraceAdversary::stepTo(sim::Round round) {
   const sim::Round target = tracePosition(round);
   Step step;
   if (pos_ == target) {
-    pos_ = target;
     return step;  // clamp (or T == 1): same topology again
   }
   step.moved = true;
@@ -149,16 +139,27 @@ TraceAdversary::Step TraceAdversary::stepTo(sim::Round round) {
     step.added = d.removed;
     step.patched = true;
   }
-  if (step.patched) {
-    dataset::applyPositionalPatch(cur_edges_, step.removed, step.added,
-                                  trace_->source, target);
-  } else {
-    // First round, or a jump (wrap-around, seeded offset): rebuild from
-    // the start of the timeline.
-    resetToPosition(target);
-  }
   pos_ = target;
   return step;
+}
+
+std::vector<net::Edge> TraceAdversary::edgesAfter(const Step& step) const {
+  if (step.patched) {
+    std::vector<net::Edge> edges(current_->edges().begin(),
+                                 current_->edges().end());
+    dataset::applyPositionalPatch(edges, step.removed, step.added,
+                                  trace_->source, pos_);
+    return edges;
+  }
+  // First round, or a jump (wrap-around, seeded offset): replay from the
+  // start of the timeline.
+  std::vector<net::Edge> edges = initial_;
+  for (sim::Round p = 2; p <= pos_; ++p) {
+    const dataset::RoundDelta& d = deltaInto(p);
+    dataset::applyPositionalPatch(edges, d.removed, d.added, trace_->source,
+                                  p);
+  }
+  return edges;
 }
 
 net::GraphPtr TraceAdversary::topology(sim::Round round,
@@ -168,7 +169,7 @@ net::GraphPtr TraceAdversary::topology(sim::Round round,
   if (!step.moved && current_ != nullptr) {
     return current_;
   }
-  current_ = std::make_shared<net::Graph>(trace_->num_nodes, cur_edges_);
+  current_ = std::make_shared<net::Graph>(trace_->num_nodes, edgesAfter(step));
   current_->warm();
   return current_;
 }
@@ -178,24 +179,31 @@ bool TraceAdversary::topologyUpdate(sim::Round round,
                                     const net::GraphPtr& prev,
                                     sim::TopologyUpdate& out) {
   (void)obs;
+  (void)prev;  // current_ is the graph this adversary returned last round
   const Step step = stepTo(round);
   if (!step.moved && current_ != nullptr) {
     out.graph = current_;
     out.is_delta = true;
     return true;
   }
-  if (step.patched && prev != nullptr) {
-    // applyPositionalPatch mirrors Graph::applyDelta, so this graph's
-    // edges() sequence equals cur_edges_ — the byte-identity invariant.
-    out.graph = prev->applyDelta(step.removed, step.added,
-                                 /*same_components=*/options_.spine);
+  if (step.patched) {
+    // The round's one positional patch.
+    try {
+      current_ = current_->applyDelta(step.removed, step.added,
+                                      /*same_components=*/options_.spine);
+    } catch (const util::CheckError&) {
+      // A removed edge missing from the trace fails as on the edge-list
+      // path, naming the trace and round; any other error passes through.
+      edgesAfter(step);
+      throw;
+    }
+    out.graph = current_;
     out.is_delta = true;
     out.edges_added = step.added.size();
     out.edges_removed = step.removed.size();
-    current_ = out.graph;
     return true;
   }
-  current_ = std::make_shared<net::Graph>(trace_->num_nodes, cur_edges_);
+  current_ = std::make_shared<net::Graph>(trace_->num_nodes, edgesAfter(step));
   current_->warm();
   out.graph = current_;
   out.is_delta = false;

@@ -2,12 +2,15 @@
 // (src/dataset/) as the per-round topology.
 //
 // The adversary is a small state machine over the trace's edge-delta
-// timeline.  Both entry points — topology() and the delta-native
-// topologyUpdate() — advance the same internal edge list with the exact
-// positional-patch semantics of Graph::applyDelta, so the two engine
-// paths emit value-identical edges() sequences and runs stay
-// byte-identical across the flag matrix (the same contract every
-// synthetic adversary honors).
+// timeline.  The delta-native topologyUpdate() applies each round's delta
+// once, with Graph::applyDelta on the previous round's graph; topology()
+// patches a copy of that graph's edge list with
+// dataset::applyPositionalPatch and builds the graph from it.  A jump
+// (first round, wrap, seeded offset) replays the timeline from round 1 the
+// same way.  Both run the one positional-patch rule
+// (net::patchEdges), so the two engine paths emit value-identical edges()
+// sequences and runs stay byte-identical across the flag matrix (the same
+// contract every synthetic adversary honors).
 //
 // Real traces are finite and usually disconnected in places, so two
 // knobs adapt them to the model:
@@ -23,6 +26,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "dataset/trace.h"
@@ -62,15 +66,17 @@ class TraceAdversary : public sim::Adversary {
  private:
   struct Step {
     bool moved = false;    // position changed since the last engine round
-    bool patched = false;  // moved by ±1 via a positional patch
-    std::vector<net::Edge> removed;
-    std::vector<net::Edge> added;
+    bool patched = false;  // moved by ±1: apply removed/added positionally
+    std::span<const net::Edge> removed;
+    std::span<const net::Edge> added;
   };
 
-  /// Advances cur_edges_ to the trace position of `round`; engine rounds
-  /// must arrive sequentially from 1.
+  /// Moves pos_ to the trace position of `round` and says how to get
+  /// there; engine rounds must arrive sequentially from 1.
   Step stepTo(sim::Round round);
-  void resetToPosition(sim::Round pos);
+  /// The edge list at pos_ after `step`: current_'s edges patched
+  /// positionally, or a seek from the start of the timeline.
+  std::vector<net::Edge> edgesAfter(const Step& step) const;
   const dataset::RoundDelta& deltaInto(sim::Round pos) const;
 
   std::shared_ptr<const dataset::CompiledTrace> trace_;
@@ -82,8 +88,7 @@ class TraceAdversary : public sim::Adversary {
 
   sim::Round last_round_ = 0;  // last engine round served
   sim::Round pos_ = 0;         // current trace position (0 = not started)
-  std::vector<net::Edge> cur_edges_;
-  net::GraphPtr current_;
+  net::GraphPtr current_;      // topology at pos_, the base of the next patch
 };
 
 }  // namespace dynet::adv

@@ -82,6 +82,13 @@ class ByteReader {
 
   std::vector<net::Edge> edges(net::NodeId n, const char* what) {
     const std::uint32_t count = u32(what);
+    // An untrusted count must fit in the bytes left before it sizes an
+    // allocation: 8 bytes per edge.
+    DYNET_CHECK(count <= remaining() / 8)
+        << "trace cache " << name_ << ": " << what << " count " << count
+        << " at byte " << offset_ - 4 << " needs "
+        << std::uint64_t{count} * 8 << " byte(s), only " << remaining()
+        << " left";
     std::vector<net::Edge> out;
     out.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -183,13 +190,26 @@ CompiledTrace parseCompiled(const std::string& bytes,
               label_count == static_cast<std::uint32_t>(trace.num_nodes))
       << "trace cache " << name << ": label count " << label_count
       << " disagrees with node count " << trace.num_nodes;
+  DYNET_CHECK(label_count <= r.remaining() / 4)
+      << "trace cache " << name << ": label count " << label_count
+      << " needs at least " << std::uint64_t{label_count} * 4
+      << " byte(s) at byte " << r.offset() << ", only " << r.remaining()
+      << " left";
   trace.labels.reserve(label_count);
   for (std::uint32_t i = 0; i < label_count; ++i) {
     const std::uint32_t len = r.u32("label length");
     trace.labels.push_back(r.str(len, "label bytes"));
   }
   trace.initial = r.edges(trace.num_nodes, "initial edges");
-  trace.deltas.reserve(static_cast<std::size_t>(trace.rounds) - 1);
+  // Every delta carries two 4-byte counts, so the round count is bounded
+  // by the bytes left before it sizes an allocation.
+  const auto delta_count = static_cast<std::size_t>(trace.rounds) - 1;
+  DYNET_CHECK(delta_count <= r.remaining() / 8)
+      << "trace cache " << name << ": round count " << trace.rounds
+      << " needs at least " << delta_count * 8
+      << " byte(s) of delta counts at byte " << r.offset() << ", only "
+      << r.remaining() << " left";
+  trace.deltas.reserve(delta_count);
   for (sim::Round round = 2; round <= trace.rounds; ++round) {
     RoundDelta d;
     d.removed = r.edges(trace.num_nodes, "removed edges");

@@ -234,51 +234,13 @@ CompiledTrace randomTrace(net::NodeId n, sim::Round rounds, int churn,
 }
 
 void applyPositionalPatch(std::vector<net::Edge>& edges,
-                          const std::vector<net::Edge>& removed,
-                          const std::vector<net::Edge>& added,
+                          std::span<const net::Edge> removed,
+                          std::span<const net::Edge> added,
                           const std::string& source, sim::Round round) {
-  // Mirrors Graph::applyDelta exactly (net/graph.cpp): the edge *sequence*
-  // this produces must match what the engine's delta path computes, or the
-  // TraceAdversary's topology()/topologyUpdate() contract breaks.
-  std::vector<std::size_t> removed_at(removed.size());
-  for (std::size_t i = 0; i < removed.size(); ++i) {
-    std::size_t pos = edges.size();
-    for (std::size_t j = 0; j < edges.size(); ++j) {
-      if (edges[j] == removed[i] &&
-          std::find(removed_at.begin(), removed_at.begin() + i, j) ==
-              removed_at.begin() + i) {
-        pos = j;
-        break;
-      }
-    }
-    DYNET_CHECK(pos < edges.size())
-        << "trace " << source << " round " << round << ": removed edge ("
-        << removed[i].a << "," << removed[i].b << ") not present";
-    removed_at[i] = pos;
-  }
-  const std::size_t paired = std::min(removed.size(), added.size());
-  for (std::size_t i = 0; i < paired; ++i) {
-    edges[removed_at[i]] = added[i];
-  }
-  for (std::size_t i = paired; i < added.size(); ++i) {
-    edges.push_back(added[i]);
-  }
-  if (removed.size() > paired) {
-    std::vector<std::size_t> holes(
-        removed_at.begin() + static_cast<std::ptrdiff_t>(paired),
-        removed_at.end());
-    std::sort(holes.begin(), holes.end());
-    std::size_t out = holes.front();
-    std::size_t next_hole = 0;
-    for (std::size_t j = holes.front(); j < edges.size(); ++j) {
-      if (next_hole < holes.size() && j == holes[next_hole]) {
-        ++next_hole;
-        continue;
-      }
-      edges[out++] = edges[j];
-    }
-    edges.resize(out);
-  }
+  const std::size_t missing = net::patchEdges(edges, removed, added);
+  DYNET_CHECK(missing == removed.size())
+      << "trace " << source << " round " << round << ": removed edge ("
+      << removed[missing].a << "," << removed[missing].b << ") not present";
 }
 
 }  // namespace dynet::dataset

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -108,14 +109,16 @@ CompiledTrace randomTrace(net::NodeId n, sim::Round rounds, int churn,
 std::uint64_t fnv1a64(std::string_view data);
 std::uint64_t fnv1a64(std::string_view data, std::uint64_t state);
 
-/// Applies one delta to an edge list with the exact positional-patch
-/// semantics of Graph::applyDelta: removed slots are found by first-match
-/// scan, paired with added edges in order, extra adds append, extra
-/// removal holes compact by a stable shift.  TraceAdversary uses this to
-/// keep its full-topology path value-identical to the engine's delta path.
+/// Applies one delta to an edge list by net::patchEdges, the positional-
+/// patch rule Graph::applyDelta runs too: removed slots are found by
+/// first match, paired with added edges in order, extra adds append,
+/// extra removal holes compact by a stable shift.  TraceAdversary seeks
+/// and serves topology() with it, so its full-topology path stays
+/// value-identical to the engine's delta path.  Fails loudly, naming
+/// `source` and `round`, on a removed edge that is not present.
 void applyPositionalPatch(std::vector<net::Edge>& edges,
-                          const std::vector<net::Edge>& removed,
-                          const std::vector<net::Edge>& added,
+                          std::span<const net::Edge> removed,
+                          std::span<const net::Edge> added,
                           const std::string& source, sim::Round round);
 
 }  // namespace dynet::dataset

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <tuple>
 
 #include "util/check.h"
 
@@ -38,7 +39,116 @@ class UnionFind {
   std::vector<NodeId> parent_;
 };
 
+constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+/// Finds every removed edge's slot in one pass over `edges`: slot[i] is
+/// the first slot equal to removed[i] that no lower equal index claimed
+/// (kNoSlot when there is none).  A bit filter of at least 64 bits per
+/// removed edge rejects almost every other slot with one well-predicted
+/// branch; the rest probe an open-addressing table of the distinct
+/// removed edges, at most half full.  Each table entry holds the lowest
+/// equal removed index still waiting for a slot, and the others queue
+/// behind it in index order.
+std::vector<std::size_t> locateRemoved(std::span<const Edge> edges,
+                                       std::span<const Edge> removed) {
+  std::vector<std::size_t> slot(removed.size(), kNoSlot);
+  if (removed.empty()) {
+    return slot;
+  }
+  constexpr std::int32_t kEmpty = -2;      // table entry unused
+  constexpr std::int32_t kExhausted = -1;  // every equal removed edge placed
+  struct Entry {
+    Edge key;
+    std::int32_t head = kEmpty;  // lowest equal removed index still waiting
+  };
+  int table_bits = 4;
+  while ((std::size_t{1} << table_bits) < 2 * removed.size()) {
+    ++table_bits;
+  }
+  const int filter_bits = std::max(12, table_bits + 5);
+  const std::size_t mask = (std::size_t{1} << table_bits) - 1;
+  const auto mix = [](const Edge& e) {
+    const std::uint64_t key =
+        (std::uint64_t{static_cast<std::uint32_t>(e.a)} << 32) |
+        static_cast<std::uint32_t>(e.b);
+    return key * 0x9e3779b97f4a7c15ULL;
+  };
+  std::vector<Entry> table(mask + 1);
+  std::vector<std::uint64_t> filter(std::size_t{1} << (filter_bits - 6));
+  std::vector<std::int32_t> next_equal(removed.size(), kExhausted);
+  // Inserting from the back leaves each queue in ascending index order.
+  for (std::size_t i = removed.size(); i-- > 0;) {
+    const std::uint64_t h = mix(removed[i]);
+    const std::uint64_t f = h >> (64 - filter_bits);
+    filter[f >> 6] |= std::uint64_t{1} << (f & 63);
+    auto t = static_cast<std::size_t>(h >> (64 - table_bits));
+    while (table[t].head != kEmpty && !(table[t].key == removed[i])) {
+      t = (t + 1) & mask;
+    }
+    if (table[t].head != kEmpty) {
+      next_equal[i] = table[t].head;
+    }
+    table[t] = {removed[i], static_cast<std::int32_t>(i)};
+  }
+  std::size_t waiting = removed.size();
+  for (std::size_t j = 0; j < edges.size(); ++j) {
+    const Edge e = edges[j];
+    const std::uint64_t h = mix(e);
+    const std::uint64_t f = h >> (64 - filter_bits);
+    if (((filter[f >> 6] >> (f & 63)) & 1) == 0) {
+      continue;
+    }
+    for (auto t = static_cast<std::size_t>(h >> (64 - table_bits));
+         table[t].head != kEmpty; t = (t + 1) & mask) {
+      Entry& entry = table[t];
+      if (entry.key == e) {
+        if (entry.head != kExhausted) {
+          const auto i = static_cast<std::size_t>(entry.head);
+          slot[i] = j;
+          entry.head = next_equal[i];
+          if (--waiting == 0) {
+            return slot;
+          }
+        }
+        break;
+      }
+    }
+  }
+  return slot;
+}
+
 }  // namespace
+
+std::size_t patchEdges(std::vector<Edge>& edges, std::span<const Edge> removed,
+                       std::span<const Edge> added) {
+  const std::vector<std::size_t> slot = locateRemoved(edges, removed);
+  const auto missing = std::find(slot.begin(), slot.end(), kNoSlot);
+  if (missing != slot.end()) {
+    return static_cast<std::size_t>(missing - slot.begin());
+  }
+  const std::size_t paired = std::min(removed.size(), added.size());
+  for (std::size_t i = 0; i < paired; ++i) {
+    edges[slot[i]] = added[i];
+  }
+  edges.insert(edges.end(), added.begin() + static_cast<std::ptrdiff_t>(paired),
+               added.end());
+  if (removed.size() > paired) {
+    std::vector<std::size_t> holes(
+        slot.begin() + static_cast<std::ptrdiff_t>(paired), slot.end());
+    std::sort(holes.begin(), holes.end());
+    std::size_t out = holes.front();
+    std::size_t next_hole = 0;
+    for (std::size_t j = holes.front(); j < edges.size(); ++j) {
+      if (next_hole < holes.size() && j == holes[next_hole]) {
+        ++next_hole;
+        continue;
+      }
+      edges[out++] = edges[j];
+    }
+    edges.resize(out);
+  }
+  return removed.size();
+}
 
 Graph::Graph(NodeId num_nodes, std::vector<Edge> edges)
     : num_nodes_(num_nodes), edges_(std::move(edges)) {
@@ -131,44 +241,10 @@ GraphPtr Graph::applyDelta(std::span<const Edge> removed,
   // sequence matches what a from-scratch rebuild in the same stable order
   // would emit (trace byte-identity depends on edges() order).
   std::vector<Edge> edges = edges_;
-  std::vector<std::size_t> removed_at(removed.size());
-  for (std::size_t i = 0; i < removed.size(); ++i) {
-    std::size_t pos = edges.size();
-    for (std::size_t j = 0; j < edges.size(); ++j) {
-      if (edges[j] == removed[i] &&
-          std::find(removed_at.begin(), removed_at.begin() + i, j) ==
-              removed_at.begin() + i) {
-        pos = j;
-        break;
-      }
-    }
-    DYNET_CHECK(pos < edges.size()) << "removed edge (" << removed[i].a << ","
-                                    << removed[i].b << ") not present";
-    removed_at[i] = pos;
-  }
-  const std::size_t paired = std::min(removed.size(), added.size());
-  for (std::size_t i = 0; i < paired; ++i) {
-    edges[removed_at[i]] = added[i];
-  }
-  for (std::size_t i = paired; i < added.size(); ++i) {
-    edges.push_back(added[i]);
-  }
-  if (removed.size() > paired) {
-    std::vector<std::size_t> holes(removed_at.begin() +
-                                       static_cast<std::ptrdiff_t>(paired),
-                                   removed_at.end());
-    std::sort(holes.begin(), holes.end());
-    std::size_t out = holes.front();
-    std::size_t next_hole = 0;
-    for (std::size_t j = holes.front(); j < edges.size(); ++j) {
-      if (next_hole < holes.size() && j == holes[next_hole]) {
-        ++next_hole;
-        continue;
-      }
-      edges[out++] = edges[j];
-    }
-    edges.resize(out);
-  }
+  const std::size_t missing = patchEdges(edges, removed, added);
+  DYNET_CHECK(missing == removed.size())
+      << "removed edge (" << removed[missing].a << "," << removed[missing].b
+      << ") not present";
 
   auto result = std::shared_ptr<Graph>(
       new Graph(num_nodes_, std::move(edges), Unvalidated{}));
@@ -179,67 +255,86 @@ GraphPtr Graph::applyDelta(std::span<const Edge> removed,
     return result;
   }
 
-  // Patch the CSR adjacency: untouched nodes copy their (sorted) slice,
-  // touched nodes re-merge theirs.
-  std::vector<char> touched(static_cast<std::size_t>(num_nodes_), 0);
+  // Patch the CSR adjacency.  Each endpoint of a delta edge edits its
+  // node's row; sorted, the edits group by node with the removed
+  // neighbors first, each group ascending.
+  struct RowEdit {
+    NodeId v;
+    bool add;
+    NodeId u;
+  };
+  std::vector<RowEdit> edits;
+  edits.reserve(2 * (removed.size() + added.size()));
   for (const Edge& e : removed) {
-    touched[static_cast<std::size_t>(e.a)] = 1;
-    touched[static_cast<std::size_t>(e.b)] = 1;
+    edits.push_back({e.a, false, e.b});
+    edits.push_back({e.b, false, e.a});
   }
   for (const Edge& e : added) {
-    touched[static_cast<std::size_t>(e.a)] = 1;
-    touched[static_cast<std::size_t>(e.b)] = 1;
+    edits.push_back({e.a, true, e.b});
+    edits.push_back({e.b, true, e.a});
   }
-  result->adj_offsets_.assign(static_cast<std::size_t>(num_nodes_) + 1, 0);
-  result->adj_list_.resize(result->edges_.size() * 2);
-  std::vector<NodeId> scratch;
-  std::vector<NodeId> gone;  // removed neighbors of v, one entry per edge
-  std::int32_t out = 0;
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    const auto idx = static_cast<std::size_t>(v);
-    result->adj_offsets_[idx] = out;
-    const std::size_t begin = static_cast<std::size_t>(adj_offsets_[idx]);
-    const std::size_t end = static_cast<std::size_t>(adj_offsets_[idx + 1]);
-    if (touched[idx] == 0) {
-      std::copy(adj_list_.begin() + static_cast<std::ptrdiff_t>(begin),
-                adj_list_.begin() + static_cast<std::ptrdiff_t>(end),
-                result->adj_list_.begin() + out);
-      out += static_cast<std::int32_t>(end - begin);
-      continue;
-    }
-    scratch.clear();
-    gone.clear();
-    for (const Edge& e : removed) {
-      if (e.a == v) {
-        gone.push_back(e.b);
-      } else if (e.b == v) {
-        gone.push_back(e.a);
+  std::sort(edits.begin(), edits.end(), [](const RowEdit& x, const RowEdit& y) {
+    return std::tie(x.v, x.add, x.u) < std::tie(y.v, y.add, y.u);
+  });
+
+  std::vector<std::int32_t>& offsets = result->adj_offsets_;
+  std::vector<NodeId>& list = result->adj_list_;
+  offsets.reserve(static_cast<std::size_t>(num_nodes_) + 1);
+  list.reserve(result->edges_.size() * 2);
+  // Untouched rows [from, to) keep their (sorted) slices verbatim: one bulk
+  // copy of the run, offsets shifted by the degree change so far.
+  const auto copy_run = [&](NodeId from, NodeId to) {
+    const auto begin = adj_offsets_.begin() + from;
+    const auto end = adj_offsets_.begin() + to;
+    const std::int32_t shift = static_cast<std::int32_t>(list.size()) - *begin;
+    const std::size_t at = offsets.size();
+    offsets.insert(offsets.end(), begin, end);
+    if (shift != 0) {
+      for (std::size_t k = at; k < offsets.size(); ++k) {
+        offsets[k] += shift;
       }
     }
-    for (std::size_t j = begin; j < end; ++j) {
-      const NodeId u = adj_list_[j];
-      const auto it = std::find(gone.begin(), gone.end(), u);
-      if (it != gone.end()) {
-        gone.erase(it);
+    list.insert(list.end(), adj_list_.begin() + *begin,
+                adj_list_.begin() + *end);
+  };
+  NodeId next = 0;
+  for (std::size_t k = 0; k < edits.size();) {
+    const NodeId v = edits[k].v;
+    copy_run(next, v);
+    next = v + 1;
+    std::size_t added_at = k;
+    while (added_at < edits.size() && edits[added_at].v == v &&
+           !edits[added_at].add) {
+      ++added_at;
+    }
+    std::size_t group_end = added_at;
+    while (group_end < edits.size() && edits[group_end].v == v) {
+      ++group_end;
+    }
+    // Touched row: the old row minus its removed neighbors (one per
+    // edge), merged with the added ones; both edit lists are ascending.
+    offsets.push_back(static_cast<std::int32_t>(list.size()));
+    std::size_t gone = k;
+    std::size_t add = added_at;
+    for (const NodeId u : neighbors(v)) {
+      if (gone < added_at && edits[gone].u == u) {
+        ++gone;
         continue;
       }
-      scratch.push_back(u);
-    }
-    DYNET_CHECK(gone.empty()) << "removed edge missing from node " << v
-                              << "'s adjacency";
-    for (const Edge& e : added) {
-      if (e.a == v) {
-        scratch.push_back(e.b);
-      } else if (e.b == v) {
-        scratch.push_back(e.a);
+      for (; add < group_end && edits[add].u < u; ++add) {
+        list.push_back(edits[add].u);
       }
+      list.push_back(u);
     }
-    std::sort(scratch.begin(), scratch.end());
-    std::copy(scratch.begin(), scratch.end(),
-              result->adj_list_.begin() + out);
-    out += static_cast<std::int32_t>(scratch.size());
+    for (; add < group_end; ++add) {
+      list.push_back(edits[add].u);
+    }
+    DYNET_CHECK(gone == added_at) << "removed edge missing from node " << v
+                                  << "'s adjacency";
+    k = group_end;
   }
-  result->adj_offsets_[static_cast<std::size_t>(num_nodes_)] = out;
+  copy_run(next, num_nodes_);
+  offsets.push_back(static_cast<std::int32_t>(list.size()));
   result->adj_built_.store(true, std::memory_order_release);
 
   // Components: adding edges to a connected graph keeps it connected; any

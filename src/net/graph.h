@@ -78,11 +78,12 @@ class Graph {
   }
 
   /// New graph equal to this one with `removed` deleted and `added`
-  /// inserted, derived incrementally: the edge list is patched in place
-  /// (removed[i]'s slot is overwritten by added[i] while both lists last,
-  /// extras appended or compacted), so an adversary whose rebuild emits
-  /// edges in a stable order gets a byte-identical edges() sequence from
-  /// the delta path.  The CSR adjacency is patched per touched node and
+  /// inserted, derived incrementally: the edge list is patched by
+  /// patchEdges() below (removed[i]'s slot is overwritten by added[i]
+  /// while both lists last, extras appended or compacted), so an adversary
+  /// whose rebuild emits edges in a stable order gets a byte-identical
+  /// edges() sequence from the delta path.  The CSR adjacency bulk-copies
+  /// every run of untouched rows and re-merges only the touched ones, and
   /// the component cache is carried over when no edge was removed from a
   /// connected graph; a removal forces a full component recompute (lazily,
   /// on the next connected() call) and a delta larger than half the edge
@@ -141,6 +142,18 @@ class Graph {
   mutable std::vector<NodeId> adj_list_;
   mutable std::optional<int> component_count_;
 };
+
+/// The positional-patch rule, the one implementation behind
+/// Graph::applyDelta and trace replay (dataset::applyPositionalPatch).
+/// Each removed[i] claims the first slot of `edges` equal to it (exact
+/// (a,b) match) that no removed[j], j < i, claimed; added[i] overwrites
+/// removed[i]'s slot while both lists last, extra adds append in order,
+/// and extra removal holes close by a stable shift.  One pass over the
+/// slots locates every removed edge.  Returns removed.size() on success;
+/// otherwise the index of the first removed edge without a slot, with
+/// `edges` left untouched.
+std::size_t patchEdges(std::vector<Edge>& edges, std::span<const Edge> removed,
+                       std::span<const Edge> added);
 
 /// Connectivity of the subgraph induced by nodes with alive[v] != 0 (edges
 /// with a dead endpoint are unusable).  Vacuously true for zero or one live

@@ -24,6 +24,7 @@
 #include "campaign/store.h"
 #include "campaign/worker.h"
 #include "obs/json.h"
+#include "test_support.h"
 #include "util/check.h"
 
 #ifndef DYNET_TOOLS_DIR
@@ -36,7 +37,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string freshDir(const std::string& name) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = testsupport::testDir() + name;
   fs::remove_all(path);
   return path;
 }
@@ -404,7 +405,7 @@ TEST(Campaign, FlakyWorkerSucceedsOnRetry) {
   spec.retry.backoff_ms = 1;
   spec.retry.backoff_max_ms = 2;
   spec.retry.timeout_ms = 30'000;
-  const std::string marker = ::testing::TempDir() + "campaign_flaky_marker";
+  const std::string marker = testsupport::testDir() + "campaign_flaky_marker";
   fs::remove(marker);
   ShardFault flaky;
   flaky.name = "flaky";
@@ -601,7 +602,7 @@ TEST(Telemetry, FlakyShardAttemptHistorySurvivesInStatus) {
   spec.retry.backoff_ms = 1;
   spec.retry.backoff_max_ms = 2;
   const std::string marker =
-      ::testing::TempDir() + "telemetry_flaky_marker";
+      testsupport::testDir() + "telemetry_flaky_marker";
   fs::remove(marker);
   ShardFault flaky;
   flaky.name = "flaky";

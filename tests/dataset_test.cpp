@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -35,6 +36,7 @@
 #include "obs/json.h"
 #include "protocols/flood.h"
 #include "sim/engine.h"
+#include "test_support.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -44,7 +46,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string freshDir(const std::string& name) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = testsupport::testDir() + name;
   fs::remove_all(path);
   fs::create_directories(path);
   return path;
@@ -254,21 +256,27 @@ TEST(Compile, RoundTripsThroughWriteEventList) {
 }
 
 TEST(Compile, PositionalPatchMatchesGraphApplyDelta) {
+  // Both sides run net::patchEdges, so each is held to the first-match
+  // reference scan as well as to the other.
   const CompiledTrace trace = randomTrace(16, 40, 4, 7);
+  std::vector<net::Edge> want = trace.initial;
   std::vector<net::Edge> edges = trace.initial;
   auto base = std::make_shared<net::Graph>(trace.num_nodes, edges);
   base->warm();
   net::GraphPtr graph = base;
   for (std::size_t i = 0; i < trace.deltas.size(); ++i) {
     const RoundDelta& d = trace.deltas[i];
+    ASSERT_EQ(testsupport::referencePositionalPatch(want, d.removed, d.added),
+              d.removed.size());
     applyPositionalPatch(edges, d.removed, d.added, "trace",
                          static_cast<sim::Round>(i + 2));
+    ASSERT_EQ(edges, want) << "diverged at delta " << i;
     graph = graph->applyDelta(d.removed, d.added);
     // A delta with removals leaves the component cache cold; warm it the
     // way the engine warms each round's topology before the next patch.
     graph->warm();
     const std::span<const net::Edge> got = graph->edges();
-    ASSERT_TRUE(std::equal(got.begin(), got.end(), edges.begin(), edges.end()))
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
         << "diverged at delta " << i;
   }
 }
@@ -310,6 +318,61 @@ TEST(CompiledCache, TornTailAndCorruptionFailLoudly) {
   expectLoudFailure([&] { readCompiledFile(path + ".nope"); }, "");
   writeFile(path, "DEFINITELYNOTATRACE");
   expectLoudFailure([&] { readCompiledFile(path); }, "magic");
+}
+
+/// A .dtc file around `payload`: magic, payload, valid FNV-1a trailer.
+std::string sealedCache(const std::string& payload) {
+  std::string bytes(kCompiledMagic, sizeof(kCompiledMagic));
+  bytes += payload;
+  const std::uint64_t hash = fnv1a64(payload);
+  for (int i = 0; i < 8; ++i) {
+    bytes.push_back(static_cast<char>((hash >> (8 * i)) & 0xff));
+  }
+  return bytes;
+}
+
+/// Payload header: version, bucket 1.0, source hash 0, n, rounds, labels.
+std::string cacheHeader(std::uint32_t n, std::uint32_t rounds,
+                        std::uint32_t labels) {
+  std::string out;
+  const auto u32 = [&out](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  const auto u64 = [&u32](std::uint64_t v) {
+    u32(static_cast<std::uint32_t>(v));
+    u32(static_cast<std::uint32_t>(v >> 32));
+  };
+  u32(kCompiledVersion);
+  u64(std::bit_cast<std::uint64_t>(1.0));
+  u64(0);
+  u32(n);
+  u32(rounds);
+  u32(labels);
+  return out;
+}
+
+TEST(CompiledCache, HostileCountsFailBeforeAllocating) {
+  // Each file is well-formed up to one count that claims far more records
+  // than the bytes left could hold; the loader must refuse it with a
+  // located error instead of reserving gigabytes.
+  const std::string dir = freshDir("dtc_hostile");
+  const std::string path = dir + "/t.dtc";
+  const std::string kNoEdges("\0\0\0\0", 4);
+  const std::string kAllOnes("\xff\xff\xff\xff", 4);
+
+  writeFile(path, sealedCache(cacheHeader(4, 1, 0) + kAllOnes));
+  expectLoudFailure([&] { readCompiledFile(path); },
+                    "initial edges count 4294967295 at byte 32");
+
+  writeFile(path, sealedCache(cacheHeader(4, 0x7fffffff, 0) + kNoEdges));
+  expectLoudFailure([&] { readCompiledFile(path); },
+                    "round count 2147483647 needs at least");
+
+  writeFile(path, sealedCache(cacheHeader(0x7fffffff, 1, 0x7fffffff)));
+  expectLoudFailure([&] { readCompiledFile(path); },
+                    "label count 2147483647 needs at least");
 }
 
 TEST(CompiledCache, SidecarHitsSkipTextAndStaleSidecarsReparse) {
@@ -430,6 +493,65 @@ TEST(TraceAdversary, DeltaAndRebuildPathsAgreeUnderEveryPolicy) {
           << adv::endPolicyName(policy) << " seeded=" << seeded;
     }
   }
+}
+
+TEST(TraceAdversary, MixedEntryPointsServeTheSameTopologies) {
+  // One adversary alternates topologyUpdate() and topology(), so each
+  // entry point patches the graph the other one returned last round.  A
+  // topology()-only twin is the reference, round by round, through mirror
+  // descents and wraps.
+  const auto trace =
+      std::make_shared<const CompiledTrace>(randomTrace(14, 6, 3, 0xD1));
+  using EndPolicy = adv::TraceReplayOptions::EndPolicy;
+  for (const EndPolicy policy : {EndPolicy::kWrap, EndPolicy::kMirror}) {
+    adv::TraceAdversary mixed(trace, replayOptions(policy));
+    adv::TraceAdversary reference(trace, replayOptions(policy));
+    net::GraphPtr prev;
+    for (sim::Round r = 1; r <= 20; ++r) {
+      net::GraphPtr got;
+      if (r % 3 == 0) {
+        got = mixed.topology(r, {});
+      } else {
+        sim::TopologyUpdate update;
+        ASSERT_TRUE(mixed.topologyUpdate(r, {}, prev, update));
+        got = update.graph;
+        got->warm();
+      }
+      prev = got;
+      const net::GraphPtr want = reference.topology(r, {});
+      const std::span<const net::Edge> a = got->edges();
+      const std::span<const net::Edge> b = want->edges();
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << adv::endPolicyName(policy) << " round " << r;
+    }
+  }
+}
+
+TEST(TraceAdversary, MissingRemovedEdgeNamesTraceAndRoundOnBothPaths) {
+  // Round 3's delta removes (0,3), which round 2 never had: a corrupt
+  // timeline (a .dtc with a valid hash can carry one).  Both entry points
+  // must fail with the same located message.
+  CompiledTrace bad;
+  bad.num_nodes = 4;
+  bad.rounds = 3;
+  bad.source = "bad.dtc";
+  bad.initial = {{0, 2}};
+  bad.deltas = {{{}, {{1, 3}}}, {{{0, 3}}, {}}};
+  const auto trace = std::make_shared<const CompiledTrace>(bad);
+  const std::string want = "trace bad.dtc round 3: removed edge (0,3) not present";
+
+  adv::TraceAdversary full(trace, {});
+  full.topology(1, {});
+  full.topology(2, {});
+  expectLoudFailure([&] { full.topology(3, {}); }, want);
+
+  adv::TraceAdversary delta(trace, {});
+  sim::TopologyUpdate update;
+  ASSERT_TRUE(delta.topologyUpdate(1, {}, nullptr, update));
+  net::GraphPtr prev = update.graph;
+  ASSERT_TRUE(delta.topologyUpdate(2, {}, prev, update));
+  prev = update.graph;
+  expectLoudFailure([&] { delta.topologyUpdate(3, {}, prev, update); }, want);
 }
 
 TEST(TraceAdversary, SpineKeepsEveryRoundConnected) {

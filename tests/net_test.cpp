@@ -1,9 +1,15 @@
 // Tests for graphs, connectivity, and the causal (dynamic) diameter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "net/diameter.h"
 #include "net/graph.h"
+#include "test_support.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace dynet::net {
 namespace {
@@ -55,6 +61,220 @@ TEST(GraphBuilders, TorusTwoWideHasNoDuplicateEdges) {
     EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end())
         << "duplicate neighbor at " << v;
   }
+}
+
+// ------------------------------------------------- positional-patch kernel
+
+/// A random multigraph: edges in both orientations, some slots repeated
+/// (as given or flipped) so the positional rule meets parallel edges.
+std::vector<Edge> randomEdges(util::Rng& rng, NodeId n, std::size_t m) {
+  std::vector<Edge> edges;
+  while (edges.size() < m) {
+    if (!edges.empty() && rng.below(5) == 0) {
+      Edge e = edges[rng.below(edges.size())];
+      if (rng.coin()) {
+        std::swap(e.a, e.b);
+      }
+      edges.push_back(e);
+      continue;
+    }
+    const auto a = static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(n)));
+    const auto b = static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(n)));
+    if (a != b) {
+      edges.push_back({a, b});
+    }
+  }
+  return edges;
+}
+
+enum class DeltaShape { kPaired, kAddHeavy, kRemoveHeavy, kEmpty, kOverHalf };
+
+struct Delta {
+  std::vector<Edge> removed;
+  std::vector<Edge> added;
+};
+
+/// A valid delta of the given shape: removed edges are copies of distinct
+/// slots in random order (parallel slots make equal removed entries),
+/// added edges are random and may repeat present ones.
+Delta randomDelta(util::Rng& rng, NodeId n, const std::vector<Edge>& edges,
+                  DeltaShape shape) {
+  const std::size_t m = edges.size();
+  std::size_t removes = 0;
+  std::size_t adds = 0;
+  switch (shape) {
+    case DeltaShape::kPaired:
+      removes = adds = 1 + rng.below(std::max<std::size_t>(1, m / 4));
+      break;
+    case DeltaShape::kAddHeavy:
+      removes = rng.below(std::max<std::size_t>(1, m / 8));
+      adds = removes + 1 + rng.below(std::max<std::size_t>(1, m / 8));
+      break;
+    case DeltaShape::kRemoveHeavy:
+      adds = rng.below(std::max<std::size_t>(1, m / 8));
+      removes = std::min(m, adds + 1 + rng.below(std::max<std::size_t>(1, m / 8)));
+      break;
+    case DeltaShape::kEmpty:
+      break;
+    case DeltaShape::kOverHalf:
+      removes = m / 2 + rng.below(m / 2 + 1);
+      adds = m / 2 + 2 + rng.below(m / 2 + 1);
+      break;
+  }
+  std::vector<std::size_t> slots(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    slots[j] = j;
+  }
+  for (std::size_t j = m; j > 1; --j) {
+    std::swap(slots[j - 1], slots[rng.below(j)]);
+  }
+  Delta d;
+  for (std::size_t i = 0; i < removes; ++i) {
+    d.removed.push_back(edges[slots[i]]);
+  }
+  while (d.added.size() < adds) {
+    const auto a = static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(n)));
+    const auto b = static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(n)));
+    if (a != b) {
+      d.added.push_back({a, b});
+    }
+  }
+  return d;
+}
+
+void expectCheckError(const auto& fn, const std::string& needle) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected a CheckError mentioning '" << needle << "'";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PatchEdges, MatchesFirstMatchReferenceOnRandomDeltas) {
+  util::Rng rng(0x9a7c4);
+  const DeltaShape shapes[] = {DeltaShape::kPaired, DeltaShape::kAddHeavy,
+                               DeltaShape::kRemoveHeavy, DeltaShape::kEmpty,
+                               DeltaShape::kOverHalf};
+  int lazy_rebuilds = 0;
+  int compacting_patches = 0;
+  int empty_patches = 0;
+  int other_patches = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    // Mostly small graphs; every tenth is large enough for the kernel's
+    // slot table to grow past its minimum size.
+    const auto n = static_cast<NodeId>(trial % 10 == 9 ? 200 + rng.below(800)
+                                                       : 2 + rng.below(30));
+    const std::vector<Edge> base =
+        randomEdges(rng, n, 1 + rng.below(3 * static_cast<std::uint64_t>(n)));
+    const DeltaShape shape = shapes[trial % 5];
+    const Delta d = randomDelta(rng, n, base, shape);
+
+    std::vector<Edge> want = base;
+    ASSERT_EQ(testsupport::referencePositionalPatch(want, d.removed, d.added),
+              d.removed.size());
+    std::vector<Edge> got = base;
+    ASSERT_EQ(patchEdges(got, d.removed, d.added), d.removed.size());
+    ASSERT_EQ(got, want) << "trial " << trial;
+
+    // Graph::applyDelta: same edges() sequence, every CSR row equal to a
+    // from-scratch build, and the component-carry rule.
+    const auto graph = std::make_shared<Graph>(n, base);
+    graph->warm();
+    const bool same_components = rng.coin();
+    const GraphPtr patched =
+        graph->applyDelta(d.removed, d.added, same_components);
+    const std::span<const Edge> edges = patched->edges();
+    ASSERT_TRUE(std::equal(edges.begin(), edges.end(), want.begin(), want.end()))
+        << "trial " << trial;
+    const Graph fresh(n, want);
+    for (NodeId v = 0; v < n; ++v) {
+      const auto row = patched->neighbors(v);
+      const auto fresh_row = fresh.neighbors(v);
+      ASSERT_TRUE(std::equal(row.begin(), row.end(), fresh_row.begin(),
+                             fresh_row.end()))
+          << "trial " << trial << " node " << v;
+    }
+    const bool over_half =
+        (d.removed.size() + d.added.size()) * 2 > base.size() + 2;
+    if (shape == DeltaShape::kOverHalf) {
+      EXPECT_TRUE(over_half) << "trial " << trial;
+    }
+    ++(over_half                               ? lazy_rebuilds
+       : d.removed.size() > d.added.size()     ? compacting_patches
+       : d.removed.empty() && d.added.empty()  ? empty_patches
+                                               : other_patches);
+    const bool carry = !over_half &&
+                       (same_components ||
+                        (d.removed.empty() && graph->componentCount() == 1));
+    EXPECT_EQ(patched->warmed(), carry) << "trial " << trial;
+    // A carried count is the base's, asserted or not; otherwise it is
+    // recomputed from the patched edges.
+    EXPECT_EQ(patched->componentCount(),
+              carry ? graph->componentCount() : fresh.componentCount())
+        << "trial " << trial;
+  }
+  // Every branch of applyDelta ran: the lazy fallback, CSR patches that
+  // compact holes, empty deltas and the rest.
+  EXPECT_GE(lazy_rebuilds, 80);
+  EXPECT_GE(compacting_patches, 40);
+  EXPECT_GE(empty_patches, 40);
+  EXPECT_GE(other_patches, 80);
+}
+
+TEST(PatchEdges, ParallelEdgesGoToTheLowestEqualRemovedIndex) {
+  // Slots 0, 2 and 4 hold (1,2); the two removals take slots 0 and 2 in
+  // index order, so added[0] lands in slot 0 and added[1] in slot 2.
+  std::vector<Edge> edges = {{1, 2}, {0, 1}, {1, 2}, {2, 1}, {1, 2}};
+  const std::vector<Edge> removed = {{1, 2}, {1, 2}};
+  const std::vector<Edge> added = {{0, 3}, {2, 3}};
+  std::vector<Edge> want = edges;
+  ASSERT_EQ(testsupport::referencePositionalPatch(want, removed, added), 2u);
+  ASSERT_EQ(patchEdges(edges, removed, added), 2u);
+  EXPECT_EQ(edges, want);
+  EXPECT_EQ(edges, (std::vector<Edge>{{0, 3}, {0, 1}, {2, 3}, {2, 1}, {1, 2}}));
+}
+
+TEST(PatchEdges, MissingRemovalReportsFirstIndexAndLeavesEdgesUntouched) {
+  const std::vector<Edge> base = {{0, 1}, {1, 2}, {2, 3}};
+  // Present, orientation-flipped, then absent: index 1 is the first miss.
+  // A removal beyond an edge's multiplicity misses too.
+  const std::vector<std::vector<Edge>> cases = {
+      {{0, 1}, {2, 1}, {0, 3}}, {{2, 3}, {0, 3}}, {{1, 2}, {1, 2}}};
+  const std::size_t first_missing[] = {1, 1, 1};
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    std::vector<Edge> want = base;
+    EXPECT_EQ(testsupport::referencePositionalPatch(want, cases[c], {}),
+              first_missing[c]);
+    std::vector<Edge> got = base;
+    const std::vector<Edge> added = {{0, 2}};
+    EXPECT_EQ(patchEdges(got, cases[c], added), first_missing[c]);
+    EXPECT_EQ(got, base) << "a failed patch must not touch the list";
+  }
+}
+
+TEST(GraphApplyDelta, ErrorPathsFailLoudly) {
+  const auto g =
+      std::make_shared<Graph>(4, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}});
+  g->warm();
+  const auto apply = [&](const std::vector<Edge>& removed,
+                         const std::vector<Edge>& added) {
+    g->applyDelta(removed, added);
+  };
+  expectCheckError([&] { apply({{0, 2}}, {}); },
+                   "removed edge (0,2) not present");
+  expectCheckError([&] { apply({{1, 0}}, {}); },
+                   "removed edge (1,0) not present");
+  expectCheckError([&] { apply({}, {{0, 4}}); },
+                   "added edge (0,4) out of range, n=4");
+  expectCheckError([&] { apply({}, {{-1, 2}}); },
+                   "added edge (-1,2) out of range, n=4");
+  expectCheckError([&] { apply({}, {{3, 3}}); }, "added self-loop at 3");
+  const auto cold = std::make_shared<Graph>(4, std::vector<Edge>{{0, 1}});
+  const std::vector<Edge> added = {{1, 2}};
+  expectCheckError([&] { cold->applyDelta({}, added); },
+                   "applyDelta requires a warmed base graph");
 }
 
 TopologySeq repeat(GraphPtr g, int rounds) {

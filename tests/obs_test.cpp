@@ -27,6 +27,7 @@
 #include "protocols/resilient_flood.h"
 #include "sim/engine.h"
 #include "sim/trace.h"
+#include "test_support.h"
 #include "util/check.h"
 
 namespace dynet {
@@ -241,7 +242,7 @@ TEST(Events, SerializeIsOrderedTypedJson) {
 }
 
 TEST(Events, WriterAppendsAndContinuesSeqAcrossReopen) {
-  const std::string path = ::testing::TempDir() + "events_reopen.jsonl";
+  const std::string path = testsupport::testDir() + "events_reopen.jsonl";
   std::filesystem::remove(path);
   {
     obs::EventWriter writer(path);
@@ -267,7 +268,7 @@ TEST(Events, WriterAppendsAndContinuesSeqAcrossReopen) {
 }
 
 TEST(Events, WriterRepairsTornTailOnReopen) {
-  const std::string path = ::testing::TempDir() + "events_torn.jsonl";
+  const std::string path = testsupport::testDir() + "events_torn.jsonl";
   std::filesystem::remove(path);
   {
     obs::EventWriter writer(path);

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "obs/metrics.h"
+#include "test_support.h"
 
 #ifndef DYNET_TOOLS_DIR
 #error "DYNET_TOOLS_DIR must point at the build tree's tools directory"
@@ -49,7 +50,7 @@ ToolRun runStats(const std::string& args) {
 
 std::string writeFixture(const std::string& name,
                          const obs::MetricsRegistry& registry) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = testsupport::testDir() + name;
   std::ofstream out(path);
   registry.writeJson(out);
   return path;
@@ -177,7 +178,7 @@ TEST(StatsTool, MissingInputFlagExitsTwoWithUsage) {
 }
 
 TEST(StatsTool, RejectsNonMetricsJson) {
-  const std::string path = ::testing::TempDir() + "stats_not_metrics.json";
+  const std::string path = testsupport::testDir() + "stats_not_metrics.json";
   {
     std::ofstream out(path);
     out << "{\"unrelated\": true}\n";
@@ -201,7 +202,7 @@ TEST(StatsTool, TruncatedJsonDiagnosesFileAndOffset) {
     text = buffer.str();
   }
   ASSERT_GT(text.size(), 32u);
-  const std::string path = ::testing::TempDir() + "stats_truncated.json";
+  const std::string path = testsupport::testDir() + "stats_truncated.json";
   {
     std::ofstream out(path);
     out << text.substr(0, text.size() / 2);
@@ -216,7 +217,7 @@ TEST(StatsTool, TruncatedJsonDiagnosesFileAndOffset) {
 }
 
 TEST(StatsTool, GarbageJsonDiagnosesFileAndOffset) {
-  const std::string path = ::testing::TempDir() + "stats_garbage.json";
+  const std::string path = testsupport::testDir() + "stats_garbage.json";
   {
     std::ofstream out(path);
     out << "{\"dynet_metrics\": 1, \"counters\": {\"a\": ###}}\n";
@@ -230,7 +231,7 @@ TEST(StatsTool, GarbageJsonDiagnosesFileAndOffset) {
 
 TEST(StatsTool, RejectsMissingFile) {
   const ToolRun run =
-      runStats("--in " + ::testing::TempDir() + "does_not_exist.json");
+      runStats("--in " + testsupport::testDir() + "does_not_exist.json");
   EXPECT_EQ(run.exit_code, 1);
   EXPECT_NE(run.output.find("cannot open"), std::string::npos) << run.output;
 }

@@ -12,6 +12,7 @@
 
 #include "dataset/text_format.h"
 #include "dataset/trace.h"
+#include "test_support.h"
 
 #ifndef DYNET_TOOLS_DIR
 #error "DYNET_TOOLS_DIR must point at the build tree's tools directory"
@@ -54,7 +55,7 @@ std::string readBytes(const std::string& path) {
 /// A deterministic event-list fixture on disk (16 nodes, 20 rounds).
 std::string fixturePath() {
   static const std::string path = [] {
-    const std::string p = ::testing::TempDir() + "trace_cli_fixture.events";
+    const std::string p = testsupport::testDir() + "trace_cli_fixture.events";
     std::ofstream out(p);
     dataset::writeEventList(out, dataset::randomTrace(16, 20, 3, 0xC11));
     return p;
@@ -79,7 +80,7 @@ TEST(TraceCli, InfoFailsLoudlyOnMissingAndMalformedFiles) {
   EXPECT_NE(missing.output.find("cannot open"), std::string::npos)
       << missing.output;
 
-  const std::string bad = ::testing::TempDir() + "trace_cli_bad.events";
+  const std::string bad = testsupport::testDir() + "trace_cli_bad.events";
   {
     std::ofstream out(bad);
     out << "0 3 a b\n1 4 c\n";  // line 2 truncated
@@ -91,8 +92,8 @@ TEST(TraceCli, InfoFailsLoudlyOnMissingAndMalformedFiles) {
 }
 
 TEST(TraceCli, CompileWritesByteStableCache) {
-  const std::string out1 = ::testing::TempDir() + "trace_cli_a.dtc";
-  const std::string out2 = ::testing::TempDir() + "trace_cli_b.dtc";
+  const std::string out1 = testsupport::testDir() + "trace_cli_a.dtc";
+  const std::string out2 = testsupport::testDir() + "trace_cli_b.dtc";
   const ToolRun first =
       runCli("--trace-compile " + fixturePath() + " --out " + out1);
   ASSERT_EQ(first.exit_code, 0) << first.output;
