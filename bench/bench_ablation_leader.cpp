@@ -12,7 +12,7 @@
 
 #include "bench_common.h"
 #include "protocols/leader_unknown_d.h"
-#include "sim/runner.h"
+#include "sim/batch.h"
 #include "util/cli.h"
 #include "util/table.h"
 
@@ -32,7 +32,8 @@ struct Outcome {
 
 Outcome runCase(const std::string& adv_name, NodeId n, bool skip_precount,
                 int trials, std::uint64_t base_seed) {
-  auto summary = sim::runTrials(trials, base_seed, [&](std::uint64_t seed) {
+  const auto trial = [&](std::uint64_t seed, sim::EngineWorkspace& /*ws*/,
+                         sim::TrialRecorder& rec) {
     proto::LeaderConfig config;
     config.n_estimate = 1.1 * n;
     config.c = 0.25;
@@ -61,12 +62,12 @@ Outcome runCase(const std::string& adv_name, NodeId n, bool skip_precount,
       }
       ok = ok && engine.process(v).output() == leader;
     }
-    return std::map<std::string, double>{
-        {"rounds", static_cast<double>(result.all_done_round)},
-        {"locks", locks},
-        {"unlocks", unlocks},
-        {"ok", ok ? 1.0 : 0.0}};
-  });
+    rec.set("rounds", static_cast<double>(result.all_done_round));
+    rec.set("locks", locks);
+    rec.set("unlocks", unlocks);
+    rec.set("ok", ok ? 1.0 : 0.0);
+  };
+  auto summary = sim::BatchRunner().run(trials, base_seed, trial);
   return Outcome{summary.metrics.at("rounds").mean(),
                  summary.metrics.at("locks").mean(),
                  summary.metrics.at("unlocks").mean(),

@@ -81,9 +81,8 @@ inline std::vector<std::string> zooNames() {
 ///
 /// The registry is NOT thread-safe: attach the sink to ONE representative
 /// engine run on the bench's main thread, never to engines executed inside
-/// sim::runTrials workers or sim::BatchRunner bodies (unless the batch
-/// runs with BatchOptions{.threads = 1}).  Sequential engines may share
-/// the sink — the
+/// sim::BatchRunner bodies (unless the batch runs with
+/// BatchOptions{.threads = 1}).  Sequential engines may share the sink — the
 /// engine increments counters by per-round deltas, so totals aggregate;
 /// per-node series are overwritten by the last run.  DYNET_PROF timers are
 /// captured into the same registry while the session is alive.
@@ -145,25 +144,19 @@ class ObsSession {
 /// Builds an engine over `factory` and the named adversary.  Pass `ws` when
 /// running many engines back to back (sim::BatchRunner bodies) so the
 /// engine reuses the workspace's scratch capacity instead of allocating a
-/// fresh set of O(N) vectors per trial.  `arena_delivery` /
-/// `topology_deltas` / `soa_state` expose the EngineConfig hot-path
-/// toggles so A/B benches can pin one leg to the legacy (pre-arena,
-/// rebuild-every-round, per-node-object) engine; all paths produce
-/// byte-identical results.
+/// fresh set of O(N) vectors per trial.  `config` carries the hot-path
+/// toggles (`topology_deltas`, `soa_state`) so A/B benches can pin one leg
+/// to the reference path (rebuild-every-round, per-node objects); its
+/// max_rounds and record_topologies are overwritten from the arguments.
+/// All paths produce byte-identical results.
 inline sim::Engine makeEngine(const sim::ProcessFactory& factory,
                               std::unique_ptr<sim::Adversary> adversary,
                               sim::Round max_rounds, std::uint64_t seed,
                               bool record = false,
                               sim::EngineWorkspace* ws = nullptr,
-                              bool arena_delivery = true,
-                              bool topology_deltas = true,
-                              bool soa_state = true) {
-  sim::EngineConfig config;
+                              sim::EngineConfig config = {}) {
   config.max_rounds = max_rounds;
   config.record_topologies = record;
-  config.arena_delivery = arena_delivery;
-  config.topology_deltas = topology_deltas;
-  config.soa_state = soa_state;
   return sim::Engine(factory, std::move(adversary), config, seed, ws);
 }
 

@@ -15,7 +15,6 @@
 // baseline: it is cheaper than ResilientFlood when nothing fails and
 // useless the moment deliveries start disappearing (it never re-sends).
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -26,7 +25,7 @@
 #include "protocols/flood.h"
 #include "protocols/resilient_flood.h"
 #include "protocols/robust_leader.h"
-#include "sim/runner.h"
+#include "sim/batch.h"
 #include "util/cli.h"
 #include "util/table.h"
 
@@ -47,7 +46,8 @@ struct FloodCell {
 
 FloodCell runFloodCell(NodeId n, double edge_p, double drop, double corrupt,
                        double crash, int trials, std::uint64_t base_seed) {
-  const auto summary = sim::runTrials(trials, base_seed, [&](std::uint64_t seed) {
+  const auto trial = [&](std::uint64_t seed, sim::EngineWorkspace& /*ws*/,
+                         sim::TrialRecorder& rec) {
     proto::ResilientFloodConfig config;
     proto::ResilientFloodFactory factory(config);
     std::vector<std::unique_ptr<sim::Process>> ps;
@@ -88,14 +88,14 @@ FloodCell runFloodCell(NodeId n, double edge_p, double drop, double corrupt,
       violation = true;
     }
     const sim::RunResult& result = engine.result();
-    return std::map<std::string, double>{
-        {"success", ok ? 1.0 : 0.0},
-        {"violation", violation ? 1.0 : 0.0},
-        {"rounds", static_cast<double>(result.rounds_executed)},
-        {"bits", static_cast<double>(result.bits_sent)},
-        {"dropped", static_cast<double>(result.messages_dropped)},
-        {"corrupted", static_cast<double>(result.messages_corrupted)}};
-  });
+    rec.set("success", ok ? 1.0 : 0.0);
+    rec.set("violation", violation ? 1.0 : 0.0);
+    rec.set("rounds", static_cast<double>(result.rounds_executed));
+    rec.set("bits", static_cast<double>(result.bits_sent));
+    rec.set("dropped", static_cast<double>(result.messages_dropped));
+    rec.set("corrupted", static_cast<double>(result.messages_corrupted));
+  };
+  const auto summary = sim::BatchRunner().run(trials, base_seed, trial);
   FloodCell cell;
   cell.success = summary.metrics.at("success").mean();
   cell.violations = summary.metrics.at("violation").mean();
@@ -110,7 +110,8 @@ FloodCell runFloodCell(NodeId n, double edge_p, double drop, double corrupt,
 /// the token, and the bits spent getting there.
 void printDeterministicBaseline(NodeId n, double edge_p, int trials,
                                 std::uint64_t base_seed) {
-  const auto summary = sim::runTrials(trials, base_seed, [&](std::uint64_t seed) {
+  const auto trial = [&](std::uint64_t seed, sim::EngineWorkspace& /*ws*/,
+                         sim::TrialRecorder& rec) {
     proto::FloodFactory factory(0, 0x5a, 8, proto::FloodMode::kDeterministic,
                                 /*halt_round=*/n);
     std::vector<std::unique_ptr<sim::Process>> ps;
@@ -130,10 +131,10 @@ void printDeterministicBaseline(NodeId n, double edge_p, int trials,
           static_cast<const proto::FloodProcess&>(engine.process(v));
       spread = std::max(spread, p.tokenRound());
     }
-    return std::map<std::string, double>{
-        {"spread", static_cast<double>(spread)},
-        {"bits", static_cast<double>(result.bits_sent)}};
-  });
+    rec.set("spread", static_cast<double>(spread));
+    rec.set("bits", static_cast<double>(result.bits_sent));
+  };
+  const auto summary = sim::BatchRunner().run(trials, base_seed, trial);
   std::cout << "Fault-free deterministic FloodProcess reference (N = " << n
             << "): token spread in " << summary.metrics.at("spread").mean()
             << " rounds, " << summary.metrics.at("bits").mean()
@@ -188,29 +189,29 @@ void leaderSweep(NodeId n, const std::vector<double>& drops,
   std::uint64_t cell_seed = 0x1EAD;
   for (const double crash : crashes) {
     for (const double drop : drops) {
-      const auto summary =
-          sim::runTrials(trials, cell_seed, [&](std::uint64_t seed) {
-            proto::LeaderConfig config;
-            config.n_estimate = 1.1 * n;
-            faults::FaultConfig fc;
-            fc.drop_prob = drop;
-            fc.corrupt_prob = drop / 2;
-            fc.deliver_corrupted = true;
-            fc.crash_fraction = crash;
-            fc.crash_window = 64;
-            const proto::RobustLeaderOutcome outcome =
-                proto::runRobustLeaderElection(
-                    config,
-                    std::make_unique<adv::RandomGraphAdversary>(
-                        n, edge_p, util::hashCombine(seed, 1)),
-                    fc, /*max_rounds=*/2'000'000, seed);
-            return std::map<std::string, double>{
-                {"success", outcome.success ? 1.0 : 0.0},
-                {"completed", outcome.completed ? 1.0 : 0.0},
-                {"violation", outcome.model_violation ? 1.0 : 0.0},
-                {"live", outcome.live_fraction},
-                {"rounds", static_cast<double>(outcome.rounds)}};
-          });
+      const auto trial = [&](std::uint64_t seed, sim::EngineWorkspace& /*ws*/,
+                             sim::TrialRecorder& rec) {
+        proto::LeaderConfig config;
+        config.n_estimate = 1.1 * n;
+        faults::FaultConfig fc;
+        fc.drop_prob = drop;
+        fc.corrupt_prob = drop / 2;
+        fc.deliver_corrupted = true;
+        fc.crash_fraction = crash;
+        fc.crash_window = 64;
+        const proto::RobustLeaderOutcome outcome =
+            proto::runRobustLeaderElection(
+                config,
+                std::make_unique<adv::RandomGraphAdversary>(
+                    n, edge_p, util::hashCombine(seed, 1)),
+                fc, /*max_rounds=*/2'000'000, seed);
+        rec.set("success", outcome.success ? 1.0 : 0.0);
+        rec.set("completed", outcome.completed ? 1.0 : 0.0);
+        rec.set("violation", outcome.model_violation ? 1.0 : 0.0);
+        rec.set("live", outcome.live_fraction);
+        rec.set("rounds", static_cast<double>(outcome.rounds));
+      };
+      const auto summary = sim::BatchRunner().run(trials, cell_seed, trial);
       cell_seed = util::hashCombine(cell_seed, 1);
       table.row()
           .cell(drop, 2)
@@ -227,7 +228,8 @@ void leaderSweep(NodeId n, const std::vector<double>& drops,
 
 /// One instrumented fault-injected ResilientFlood run on the main thread
 /// when observability was requested (the sink cannot ride inside
-/// runTrials).  Captures the faults/* counters and retransmission metrics.
+/// BatchRunner workers).  Captures the faults/* counters and
+/// retransmission metrics.
 void instrumentedRun(bench::ObsSession& obs, NodeId n, std::uint64_t seed) {
   proto::ResilientFloodFactory factory{proto::ResilientFloodConfig{}};
   std::vector<std::unique_ptr<sim::Process>> ps;

@@ -15,7 +15,7 @@
 #include "bench_common.h"
 #include "protocols/consensus_known_d.h"
 #include "protocols/leader_unknown_d.h"
-#include "sim/runner.h"
+#include "sim/batch.h"
 #include "util/cli.h"
 #include "util/table.h"
 
@@ -29,21 +29,23 @@ using sim::Round;
 
 double knownDFloodingRounds(NodeId n, int diameter, int trials,
                             std::uint64_t base_seed) {
-  auto summary = sim::runTrials(trials, base_seed, [&](std::uint64_t seed) {
+  const auto trial = [&](std::uint64_t seed, sim::EngineWorkspace& /*ws*/,
+                         sim::TrialRecorder& rec) {
     proto::LeaderKnownDFactory factory(diameter);
     const Round budget = proto::knownDRounds(diameter, n) + 1;
     auto engine = makeEngine(factory, makeAdversary("anchored_star", n, seed),
                              budget, seed);
     const auto result = engine.run();
-    return std::map<std::string, double>{
-        {"rounds", static_cast<double>(result.all_done_round)}};
-  });
+    rec.set("rounds", static_cast<double>(result.all_done_round));
+  };
+  auto summary = sim::BatchRunner().run(trials, base_seed, trial);
   return summary.metrics.at("rounds").mean() / diameter;
 }
 
 double unknownDFloodingRounds(NodeId n, int diameter, int trials,
                               std::uint64_t base_seed) {
-  auto summary = sim::runTrials(trials, base_seed, [&](std::uint64_t seed) {
+  const auto trial = [&](std::uint64_t seed, sim::EngineWorkspace& /*ws*/,
+                         sim::TrialRecorder& rec) {
     proto::LeaderConfig config;
     config.n_estimate = 1.1 * n;
     config.c = 0.25;
@@ -58,9 +60,9 @@ double unknownDFloodingRounds(NodeId n, int diameter, int trials,
     sim::Engine engine(std::move(ps), makeAdversary("anchored_star", n, seed),
                        engine_config, seed);
     const auto result = engine.run();
-    return std::map<std::string, double>{
-        {"rounds", static_cast<double>(result.all_done_round)}};
-  });
+    rec.set("rounds", static_cast<double>(result.all_done_round));
+  };
+  auto summary = sim::BatchRunner().run(trials, base_seed, trial);
   return summary.metrics.at("rounds").mean() / diameter;
 }
 

@@ -9,7 +9,7 @@
 
 #include "bench_common.h"
 #include "protocols/gossip.h"
-#include "sim/runner.h"
+#include "sim/batch.h"
 #include "util/cli.h"
 #include "util/table.h"
 
@@ -40,14 +40,15 @@ int run(int argc, char** argv) {
       for (const int k : ks) {
         const Round budget_d = proto::gossipRounds(k, diameter, n);
         const Round budget_n = proto::gossipRounds(k, n, n);
-        auto summary = sim::runTrials(trials, 600 + n + k, [&](std::uint64_t seed) {
+        const auto trial = [&](std::uint64_t seed, sim::EngineWorkspace& /*ws*/,
+                               sim::TrialRecorder& rec) {
           proto::GossipFactory factory(k, budget_d);
           // Object path: the loop below introspects GossipProcess members.
+          sim::EngineConfig objects;
+          objects.soa_state = false;
           auto engine = makeEngine(factory, makeAdversary(adv_name, n, seed),
                                    budget_d + 1, seed, /*record=*/false,
-                                   /*ws=*/nullptr, /*arena_delivery=*/true,
-                                   /*topology_deltas=*/true,
-                                   /*soa_state=*/false);
+                                   /*ws=*/nullptr, objects);
           engine.run();
           Round completed = -1;
           bool all = true;
@@ -59,10 +60,10 @@ int run(int argc, char** argv) {
               completed = std::max(completed, p->completeRound());
             }
           }
-          return std::map<std::string, double>{
-              {"completed", static_cast<double>(completed)},
-              {"ok", all ? 1.0 : 0.0}};
-        });
+          rec.set("completed", static_cast<double>(completed));
+          rec.set("ok", all ? 1.0 : 0.0);
+        };
+        auto summary = sim::BatchRunner().run(trials, 600 + n + k, trial);
         table.row()
             .cell(adv_name)
             .cell(static_cast<std::int64_t>(n))

@@ -12,7 +12,7 @@
 #include "protocols/consensus_known_d.h"
 #include "protocols/counting.h"
 #include "protocols/max_flood.h"
-#include "sim/runner.h"
+#include "sim/batch.h"
 #include "util/cli.h"
 #include "util/table.h"
 
@@ -36,28 +36,28 @@ struct Row {
 
 Row runProblem(const std::string& problem, const std::string& adv_name,
                NodeId n, int diameter, int trials, std::uint64_t base_seed) {
-  auto summary = sim::runTrials(trials, base_seed, [&](std::uint64_t seed) {
-    std::map<std::string, double> metrics;
+  const auto trial = [&](std::uint64_t seed, sim::EngineWorkspace& /*ws*/,
+                         sim::TrialRecorder& rec) {
     if (problem == "CFLOOD") {
       proto::CFloodFactory factory(0, 0x2a, 8, proto::FloodMode::kDeterministic,
                                    diameter);
       auto engine =
           makeEngine(factory, makeAdversary(adv_name, n, seed), diameter + 1, seed);
       const auto result = engine.run();
-      metrics["rounds"] = result.done_round[0];
-      metrics["ok"] = proto::allHoldToken(engine) ? 1 : 0;
+      rec.set("rounds", result.done_round[0]);
+      rec.set("ok", proto::allHoldToken(engine) ? 1 : 0);
     } else if (problem == "LEADERELECT") {
       proto::LeaderKnownDFactory factory(diameter);
       const Round budget = proto::knownDRounds(diameter, n) + 1;
       auto engine =
           makeEngine(factory, makeAdversary(adv_name, n, seed), budget, seed);
       const auto result = engine.run();
-      metrics["rounds"] = result.all_done_round;
+      rec.set("rounds", result.all_done_round);
       bool ok = result.all_done;
       for (NodeId v = 0; v < n && ok; ++v) {
         ok = engine.process(v).output() == static_cast<std::uint64_t>(n);
       }
-      metrics["ok"] = ok ? 1 : 0;
+      rec.set("ok", ok ? 1 : 0);
     } else if (problem == "CONSENSUS") {
       std::vector<std::uint64_t> inputs;
       for (NodeId v = 0; v < n; ++v) {
@@ -68,13 +68,13 @@ Row runProblem(const std::string& problem, const std::string& adv_name,
       auto engine =
           makeEngine(factory, makeAdversary(adv_name, n, seed), budget, seed);
       const auto result = engine.run();
-      metrics["rounds"] = result.all_done_round;
+      rec.set("rounds", result.all_done_round);
       bool ok = result.all_done;
       const std::uint64_t expected = static_cast<std::uint64_t>((n - 1) % 2);
       for (NodeId v = 0; v < n && ok; ++v) {
         ok = engine.process(v).output() == expected;
       }
-      metrics["ok"] = ok ? 1 : 0;
+      rec.set("ok", ok ? 1 : 0);
     } else if (problem == "MAX") {
       std::vector<std::uint64_t> values;
       std::uint64_t max_value = 0;
@@ -88,12 +88,13 @@ Row runProblem(const std::string& problem, const std::string& adv_name,
                                      proto::knownDRounds(diameter, n));
       const Round budget = proto::knownDRounds(diameter, n) + 1;
       // Object path: the loop below introspects MaxFloodProcess members.
+      sim::EngineConfig objects;
+      objects.soa_state = false;
       auto engine =
           makeEngine(factory, makeAdversary(adv_name, n, seed), budget, seed,
-                     /*record=*/false, /*ws=*/nullptr, /*arena_delivery=*/true,
-                     /*topology_deltas=*/true, /*soa_state=*/false);
+                     /*record=*/false, /*ws=*/nullptr, objects);
       const auto result = engine.run();
-      metrics["rounds"] = result.all_done_round;
+      rec.set("rounds", result.all_done_round);
       bool ok = result.all_done;
       for (NodeId v = 0; v < n && ok; ++v) {
         const auto* p =
@@ -101,7 +102,7 @@ Row runProblem(const std::string& problem, const std::string& adv_name,
         ok = p != nullptr && p->bestValue() == values[static_cast<std::size_t>(
                                   p->bestKey() - 1)];
       }
-      metrics["ok"] = ok ? 1 : 0;
+      rec.set("ok", ok ? 1 : 0);
     } else {  // COUNT (estimate N / HEAR-FROM-N)
       const int k = 128;
       const Round rounds = proto::countingRounds(k, diameter, n, 3);
@@ -109,17 +110,17 @@ Row runProblem(const std::string& problem, const std::string& adv_name,
       auto engine =
           makeEngine(factory, makeAdversary(adv_name, n, seed), rounds + 1, seed);
       const auto result = engine.run();
-      metrics["rounds"] = result.all_done_round;
+      rec.set("rounds", result.all_done_round);
       bool ok = result.all_done;
       for (NodeId v = 0; v < n && ok; v += std::max(1, n / 7)) {
         const auto* p =
             dynamic_cast<const proto::CountingProcess*>(&engine.process(v));
         ok = p != nullptr && std::abs(p->estimate() - n) < n / 3.0;
       }
-      metrics["ok"] = ok ? 1 : 0;
+      rec.set("ok", ok ? 1 : 0);
     }
-    return metrics;
-  });
+  };
+  auto summary = sim::BatchRunner().run(trials, base_seed, trial);
   Row row;
   row.problem = problem;
   row.adversary = adv_name;

@@ -8,7 +8,7 @@
 
 #include "bench_common.h"
 #include "protocols/leader_unknown_d.h"
-#include "sim/runner.h"
+#include "sim/batch.h"
 #include "util/cli.h"
 #include "util/table.h"
 
@@ -29,7 +29,8 @@ struct Outcome {
 Outcome runCase(const std::string& adv_name, NodeId n,
                 const proto::LeaderConfig& config, int trials,
                 std::uint64_t base_seed, int diameter) {
-  auto summary = sim::runTrials(trials, base_seed, [&](std::uint64_t seed) {
+  const auto trial = [&](std::uint64_t seed, sim::EngineWorkspace& /*ws*/,
+                         sim::TrialRecorder& rec) {
     proto::LeaderElectFactory factory(config, util::hashCombine(seed, 17));
     std::vector<std::unique_ptr<sim::Process>> ps;
     for (NodeId v = 0; v < n; ++v) {
@@ -53,11 +54,11 @@ Outcome runCase(const std::string& adv_name, NodeId n,
         }
       }
     }
-    return std::map<std::string, double>{
-        {"rounds", static_cast<double>(result.all_done_round)},
-        {"ok", ok ? 1.0 : 0.0},
-        {"phase", static_cast<double>(declared)}};
-  });
+    rec.set("rounds", static_cast<double>(result.all_done_round));
+    rec.set("ok", ok ? 1.0 : 0.0);
+    rec.set("phase", static_cast<double>(declared));
+  };
+  auto summary = sim::BatchRunner().run(trials, base_seed, trial);
   Outcome outcome;
   outcome.rounds = summary.metrics.at("rounds").mean();
   outcome.flooding_rounds = outcome.rounds / diameter;
@@ -67,7 +68,8 @@ Outcome runCase(const std::string& adv_name, NodeId n,
 }
 
 /// One instrumented LEADERELECT run on the bench's main thread when
-/// observability was requested (the sink cannot ride inside runTrials).
+/// observability was requested (the sink cannot ride inside BatchRunner
+/// workers).
 void instrumentedRun(bench::ObsSession& obs, NodeId n, int trials_seed) {
   proto::LeaderConfig config;
   config.n_estimate = 1.1 * n;

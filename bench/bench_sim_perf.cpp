@@ -10,13 +10,11 @@
 // gauges the lane dispatch records — see docs/OBSERVABILITY.md):
 //
 //   batch-vs-sequential  trials/sec of the historical sequential loop
-//                        (fresh Engine per seed, legacy heap delivery,
-//                        per-round topology rebuild, map-merged metrics,
-//                        one thread) against sim::BatchRunner on the
-//                        current defaults (arena delivery + topology
-//                        deltas, pooled workspaces, dense TrialRecorder).
-//   arena-vs-heap        BatchRunner vs BatchRunner, only
-//                        EngineConfig::arena_delivery differs.
+//                        (fresh Engine per seed, per-round topology
+//                        rebuild, map-merged metrics, one thread) against
+//                        sim::BatchRunner on the current defaults
+//                        (topology deltas, pooled workspaces, dense
+//                        TrialRecorder).
 //   delta-vs-rebuild     EdgeChurn workload, only
 //                        EngineConfig::topology_deltas differs.
 //   soa-vs-objects       single-core BatchRunner vs BatchRunner, only
@@ -138,20 +136,17 @@ double nowSeconds() {
 /// Θ(N)-causal-diameter adversary, so runs go the full horizon).  The
 /// caller supplies the adversary so the two runners can differ in *how*
 /// the topologies are produced while the topology values stay identical,
-/// and the engine toggles so the legs can differ in *how* rounds execute
-/// while the results stay identical.
+/// and the engine toggles in `config` so the legs can differ in *how*
+/// rounds execute while the results stay identical.
 sim::RunResult runWorkloadTrial(sim::NodeId n, sim::Round rounds,
                                 std::uint64_t seed,
                                 std::unique_ptr<sim::Adversary> adversary,
                                 sim::EngineWorkspace* ws = nullptr,
-                                bool arena_delivery = true,
-                                bool topology_deltas = true,
-                                bool soa_state = true) {
+                                const sim::EngineConfig& config = {}) {
   std::vector<std::uint64_t> values(static_cast<std::size_t>(n), 1);
   proto::MaxFloodFactory factory(values, 8, 1 << 20);
   auto engine = bench::makeEngine(factory, std::move(adversary), rounds, seed,
-                                  /*record=*/false, ws, arena_delivery,
-                                  topology_deltas, soa_state);
+                                  /*record=*/false, ws, config);
   return engine.run();
 }
 
@@ -229,17 +224,18 @@ CompareResult compareBatchVsSequential(sim::NodeId n, int trials,
   std::map<std::string, util::Summary> sequential;
   std::map<std::string, util::Summary> batch_metrics;
   for (int rep = 0; rep < kReps; ++rep) {
-    // Baseline: the pre-BatchRunner, pre-arena shape — one thread, a
-    // fresh Engine (own workspace) per trial, heap inbox delivery,
-    // per-round topology construction, and a fresh metric map per trial,
-    // merged map-by-map.
+    // Baseline: the pre-BatchRunner shape — one thread, a fresh Engine
+    // (own workspace) per trial, per-round topology construction, and a
+    // fresh metric map per trial, merged map-by-map.
+    sim::EngineConfig rebuild;
+    rebuild.topology_deltas = false;
     const double seq_start = nowSeconds();
     std::map<std::string, util::Summary> seq;
     for (int i = 0; i < trials; ++i) {
       const sim::RunResult r = runWorkloadTrial(
           n, rounds, util::hashCombine(base_seed, static_cast<std::size_t>(i)),
           bench::makeAdversary("rotating_star", n, 42), /*ws=*/nullptr,
-          /*arena_delivery=*/false, /*topology_deltas=*/false);
+          rebuild);
       for (const auto& [name, value] : trialMetrics(r)) {
         seq[name].add(value);
       }
@@ -341,49 +337,31 @@ CompareResult compareToggle(sim::NodeId n, int trials, sim::Round rounds,
   return out;
 }
 
-/// arena-vs-heap: identical adversary handling on both legs (periodic
-/// pre-warmed stars + deltas), only DeliveryPhase's storage differs —
-/// heap per-node inbox vectors vs. the workspace bump arena.  Both legs
-/// run the Process-object path: max_flood has a SoA model, and with
-/// soa_state on DeliveryPhase takes the SoA branch, which never reads
-/// arena_delivery.
-CompareResult compareArenaVsHeap(sim::NodeId n, int trials, sim::Round rounds,
-                                 std::uint64_t base_seed,
-                                 const std::vector<net::GraphPtr>& stars) {
-  return compareToggle(
-      n, trials, rounds, base_seed, "arena-vs-heap",
-      [&](std::uint64_t seed, sim::EngineWorkspace& ws, int leg) {
-        return runWorkloadTrial(n, rounds, seed,
-                                std::make_unique<adv::PeriodicAdversary>(stars),
-                                &ws, /*arena_delivery=*/leg == 1,
-                                /*topology_deltas=*/true,
-                                /*soa_state=*/false);
-      });
-}
-
-/// delta-vs-rebuild: identical delivery on both legs (arena), only the
-/// topology pipeline differs — EdgeChurn rebuilding its spanning tree
-/// from scratch every round vs. patching the previous Graph with
-/// applyDelta.  Churn 4 edges/round so the delta is genuinely sparse.
+/// delta-vs-rebuild: identical delivery on both legs, only the topology
+/// pipeline differs — EdgeChurn rebuilding its spanning tree from scratch
+/// every round vs. patching the previous Graph with applyDelta.  Churn 4
+/// edges/round so the delta is genuinely sparse.
 CompareResult compareDeltaVsRebuild(sim::NodeId n, int trials,
                                     sim::Round rounds,
                                     std::uint64_t base_seed) {
   return compareToggle(
       n, trials, rounds, base_seed, "delta-vs-rebuild",
       [&](std::uint64_t seed, sim::EngineWorkspace& ws, int leg) {
+        sim::EngineConfig config;
+        config.topology_deltas = leg == 1;
         return runWorkloadTrial(
             n, rounds, seed,
             std::make_unique<adv::EdgeChurnAdversary>(n, /*churn_edges=*/4,
                                                       /*seed=*/42),
-            &ws, /*arena_delivery=*/true, /*topology_deltas=*/leg == 1);
+            &ws, config);
       });
 }
 
-/// soa-vs-objects: identical adversary handling and delivery on both legs
-/// (periodic pre-warmed stars, arena, deltas), only the state
-/// representation differs — per-node Process objects vs the flat column
-/// store.  Single-core (threads = 1): the acceptance criterion measures
-/// per-engine round throughput, not cross-trial parallelism.
+/// soa-vs-objects: identical adversary handling on both legs (periodic
+/// pre-warmed stars, deltas), only the state representation differs —
+/// per-node Process objects vs the flat column store.  Single-core
+/// (threads = 1): the acceptance criterion measures per-engine round
+/// throughput, not cross-trial parallelism.
 CompareResult compareSoAVsObjects(sim::NodeId n, int trials, sim::Round rounds,
                                   std::uint64_t base_seed,
                                   const std::vector<net::GraphPtr>& stars) {
@@ -392,11 +370,11 @@ CompareResult compareSoAVsObjects(sim::NodeId n, int trials, sim::Round rounds,
   return compareToggle(
       n, trials, rounds, base_seed, "soa-vs-objects",
       [&](std::uint64_t seed, sim::EngineWorkspace& ws, int leg) {
+        sim::EngineConfig config;
+        config.soa_state = leg == 1;
         return runWorkloadTrial(n, rounds, seed,
                                 std::make_unique<adv::PeriodicAdversary>(stars),
-                                &ws, /*arena_delivery=*/true,
-                                /*topology_deltas=*/true,
-                                /*soa_state=*/leg == 1);
+                                &ws, config);
       },
       options);
 }
@@ -544,13 +522,6 @@ int runCompareModes(const std::vector<std::string>& modes, bool quick,
         report.new_label = "batch_trials_per_sec";
         report.results.push_back(
             compareBatchVsSequential(c.n, c.trials, c.rounds, 0x51A7));
-      } else if (mode == "arena-vs-heap") {
-        report.workload = "max_flood/rotating_star";
-        report.baseline_label = "heap_trials_per_sec";
-        report.new_label = "arena_trials_per_sec";
-        const std::vector<net::GraphPtr> stars = rotatingStarCycle(c.n);
-        report.results.push_back(
-            compareArenaVsHeap(c.n, c.trials, c.rounds, 0x51A7, stars));
       } else if (mode == "delta-vs-rebuild") {
         report.workload = "max_flood/edge_churn4";
         report.baseline_label = "rebuild_trials_per_sec";
@@ -628,9 +599,9 @@ int runCompareModes(const std::vector<std::string>& modes, bool quick,
 // Custom main instead of BENCHMARK_MAIN(): google-benchmark rejects flags
 // it does not know, but scripts/check.sh runs every bench with --quick.
 // Translate --quick into a short --benchmark_min_time before Initialize.
-// Positional mode arguments (`batch-vs-sequential`, `arena-vs-heap`,
-// `delta-vs-rebuild`, any combination, in order) select the comparison
-// modes instead of the google-benchmark suites.
+// Positional mode arguments (`batch-vs-sequential`, `delta-vs-rebuild`,
+// `soa-vs-objects`, `manyworlds-vs-scalar`, any combination, in order)
+// select the comparison modes instead of the google-benchmark suites.
 int main(int argc, char** argv) {
   std::vector<char*> args;
   bool quick = false;
@@ -641,9 +612,8 @@ int main(int argc, char** argv) {
     const std::string_view arg(argv[i]);
     if (arg == "--quick") {
       quick = true;
-    } else if (arg == "batch-vs-sequential" || arg == "arena-vs-heap" ||
-               arg == "delta-vs-rebuild" || arg == "soa-vs-objects" ||
-               arg == "manyworlds-vs-scalar") {
+    } else if (arg == "batch-vs-sequential" || arg == "delta-vs-rebuild" ||
+               arg == "soa-vs-objects" || arg == "manyworlds-vs-scalar") {
       modes.emplace_back(arg);
     } else if (arg.rfind("--json-out=", 0) == 0) {
       json_path = std::string(arg.substr(std::string_view("--json-out=").size()));

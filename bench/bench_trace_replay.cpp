@@ -11,7 +11,7 @@
 // and reports the speedup (the number the BENCH JSON carries; check.sh and
 // CI treat it as the cache's existence proof).  It then replays the trace
 // through TraceAdversary twice — once from the text parse, once from the
-// cache — under both engine paths (arena+deltas and the legacy
+// cache — under both topology paths (delta-native and the reference
 // rebuild-every-round leg) and FAILS unless all four runs agree on rounds,
 // messages, bits, and the combined process state digest.  "The cache is
 // faster" is only interesting if it is also the same trace.
@@ -56,14 +56,13 @@ struct ReplayDigest {
 
 ReplayDigest replay(std::shared_ptr<const dataset::CompiledTrace> trace,
                     sim::Round max_rounds, std::uint64_t seed,
-                    bool arena_and_deltas) {
+                    bool topology_deltas) {
   const proto::FloodFactory factory(0, 0x2a, 8, proto::FloodMode::kDeterministic,
                                     0);
   adv::TraceReplayOptions options;  // wrap + spine defaults
   sim::EngineConfig config;
   config.max_rounds = max_rounds;
-  config.arena_delivery = arena_and_deltas;
-  config.topology_deltas = arena_and_deltas;
+  config.topology_deltas = topology_deltas;
   sim::Engine engine(factory,
                      std::make_unique<adv::TraceAdversary>(trace, options),
                      config, seed);
@@ -144,18 +143,22 @@ int run(int argc, char** argv) {
   DYNET_CHECK(*from_text == *from_cache)
       << "cache round-trip changed the compiled trace";
 
-  // Replay equality: text vs cache, across both engine paths.
+  // Replay equality: text vs cache, across both topology paths.
   const sim::Round max_rounds = 4 * static_cast<sim::Round>(n) + 64;
-  const ReplayDigest text_fast = replay(from_text, max_rounds, seed, true);
-  const ReplayDigest cache_fast = replay(from_cache, max_rounds, seed, true);
-  const ReplayDigest text_legacy = replay(from_text, max_rounds, seed, false);
-  const ReplayDigest cache_legacy = replay(from_cache, max_rounds, seed, false);
+  const ReplayDigest text_fast =
+      replay(from_text, max_rounds, seed, /*topology_deltas=*/true);
+  const ReplayDigest cache_fast =
+      replay(from_cache, max_rounds, seed, /*topology_deltas=*/true);
+  const ReplayDigest text_rebuild =
+      replay(from_text, max_rounds, seed, /*topology_deltas=*/false);
+  const ReplayDigest cache_rebuild =
+      replay(from_cache, max_rounds, seed, /*topology_deltas=*/false);
   DYNET_CHECK(text_fast == cache_fast)
-      << "cache replay diverged from text replay (arena+deltas path)";
-  DYNET_CHECK(text_legacy == cache_legacy)
-      << "cache replay diverged from text replay (legacy path)";
-  DYNET_CHECK(text_fast == text_legacy)
-      << "engine paths diverged on the same trace";
+      << "cache replay diverged from text replay (delta path)";
+  DYNET_CHECK(text_rebuild == cache_rebuild)
+      << "cache replay diverged from text replay (rebuild path)";
+  DYNET_CHECK(text_fast == text_rebuild)
+      << "topology paths diverged on the same trace";
 
   const dataset::TraceSummary summary = dataset::summarize(*from_cache);
   util::Table table({"metric", "value"});

@@ -46,7 +46,7 @@ build/tools/dynet_stats --in "$obs_dir/bench_metrics.json" > /dev/null
 
 echo "=== engine perf smoke (all comparison modes, equality + speedup) ==="
 build/bench/bench_sim_perf --quick \
-  batch-vs-sequential arena-vs-heap delta-vs-rebuild \
+  batch-vs-sequential delta-vs-rebuild \
   soa-vs-objects manyworlds-vs-scalar \
   --json-out="$obs_dir/BENCH_sim_perf.json" \
   --metrics-out="$obs_dir/bench_sim_metrics.json"

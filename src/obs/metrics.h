@@ -16,9 +16,9 @@
 //     are only present when a DYNET_PROF registry is installed).
 //
 // The registry is NOT thread-safe.  Attach it to one engine at a time; in
-// particular, never share one across sim::runTrials or sim::BatchRunner
-// worker threads — instrument a single representative run, or run the
-// batch with BatchOptions{.threads = 1} (docs/OBSERVABILITY.md).
+// particular, never share one across sim::BatchRunner worker threads —
+// instrument a single representative run, or run the batch with
+// BatchOptions{.threads = 1} (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstddef>

@@ -12,8 +12,8 @@
 //
 // Wall-clock values are inherently non-deterministic; everything under
 // prof/ is therefore excluded from the metrics.json determinism guarantee
-// (docs/OBSERVABILITY.md).  Installation is per-thread: runTrials workers
-// see no registry unless they install their own.
+// (docs/OBSERVABILITY.md).  Installation is per-thread: BatchRunner
+// workers see no registry unless they install their own.
 #pragma once
 
 #include <chrono>

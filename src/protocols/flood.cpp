@@ -53,20 +53,6 @@ void FloodProcess::onDeliver(sim::Round round, bool /*sent*/,
   }
 }
 
-void FloodProcess::onDeliverRefs(sim::Round round, bool /*sent*/,
-                                 std::span<const sim::MessageRef> received) {
-  if (!has_token_ && !received.empty()) {
-    sim::MessageReader reader(*received.front().payload);
-    const std::uint64_t value = reader.get(token_bits_);
-    DYNET_CHECK(value == token_) << "foreign token " << value;
-    has_token_ = true;
-    token_round_ = round;
-  }
-  if (halt_round_ > 0 && round >= halt_round_) {
-    done_ = true;
-  }
-}
-
 std::uint64_t FloodProcess::stateDigest() const {
   return floodStateDigest(node_, has_token_, token_round_);
 }

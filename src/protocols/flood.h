@@ -31,11 +31,6 @@ class FloodProcess : public sim::Process {
   sim::Action onRound(sim::Round round, util::CoinStream& coins) override;
   void onDeliver(sim::Round round, bool sent,
                  std::span<const sim::Message> received) override;
-  // Consumes MessageRef spans natively on the arena delivery path (no
-  // inbox materialization); identical state transitions to onDeliver.
-  bool wantsMessageRefs() const override { return true; }
-  void onDeliverRefs(sim::Round round, bool sent,
-                     std::span<const sim::MessageRef> received) override;
   bool done() const override { return done_; }
   std::uint64_t output() const override { return has_token_ ? token_ : 0; }
   std::uint64_t stateDigest() const override;

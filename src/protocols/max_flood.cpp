@@ -51,22 +51,6 @@ void MaxFloodProcess::onDeliver(sim::Round round, bool /*sent*/,
   }
 }
 
-void MaxFloodProcess::onDeliverRefs(sim::Round round, bool /*sent*/,
-                                    std::span<const sim::MessageRef> received) {
-  for (const sim::MessageRef& ref : received) {
-    sim::MessageReader reader(*ref.payload);
-    const std::uint64_t key = reader.get(key_bits_);
-    const std::uint64_t value = reader.get(value_bits_);
-    if (key > best_key_) {
-      best_key_ = key;
-      best_value_ = value;
-    }
-  }
-  if (round >= total_rounds_) {
-    done_ = true;
-  }
-}
-
 std::uint64_t MaxFloodProcess::stateDigest() const {
   return util::hashCombine(best_key_, best_value_);
 }

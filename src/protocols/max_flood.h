@@ -26,11 +26,6 @@ class MaxFloodProcess : public sim::Process {
   sim::Action onRound(sim::Round round, util::CoinStream& coins) override;
   void onDeliver(sim::Round round, bool sent,
                  std::span<const sim::Message> received) override;
-  // Consumes MessageRef spans natively on the arena delivery path (no
-  // inbox materialization); identical state transitions to onDeliver.
-  bool wantsMessageRefs() const override { return true; }
-  void onDeliverRefs(sim::Round round, bool sent,
-                     std::span<const sim::MessageRef> received) override;
   bool done() const override { return done_; }
   /// Output = value of the best key seen.
   std::uint64_t output() const override { return best_value_; }

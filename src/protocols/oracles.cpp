@@ -41,14 +41,6 @@ void RandomBabblerProcess::onDeliver(sim::Round /*round*/, bool /*sent*/,
   }
 }
 
-void RandomBabblerProcess::onDeliverRefs(
-    sim::Round /*round*/, bool /*sent*/,
-    std::span<const sim::MessageRef> received) {
-  for (const sim::MessageRef& ref : received) {
-    digest_ = util::hashCombine(digest_, ref.payload->digest());
-  }
-}
-
 std::unique_ptr<sim::Process> RandomBabblerFactory::create(
     sim::NodeId node, sim::NodeId /*num_nodes*/) const {
   return std::make_unique<RandomBabblerProcess>(node, payload_bits_);

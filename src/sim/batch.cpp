@@ -89,8 +89,8 @@ void BatchRunner::beginRun(std::size_t trials) {
 
 TrialSummary BatchRunner::mergeSummary(TrialSamples* samples) {
   // Merge in trial order: per metric, samples land in the Summary in the
-  // same sequence the legacy per-trial map path produced, so summaries are
-  // bit-for-bit comparable across both runners and any thread count.
+  // same sequence a sequential per-trial loop produces, so summaries are
+  // bit-for-bit identical across thread counts.
   TrialSummary summary;
   if (samples != nullptr) {
     samples->metrics.clear();

@@ -1,10 +1,11 @@
-// Flat batch-trial runner: zero-allocation-steady-state Monte Carlo.
+// Parallel Monte Carlo trial runner: zero-allocation-steady-state batches.
 //
-// sim::runTrials gives every trial a fresh std::map<std::string, double>
-// (one node allocation plus one string allocation per metric per trial) and
-// every trial-built Engine a fresh set of O(N) scratch vectors.  For the
-// paper's benchmark suite — thousands of seeded trials per sweep point —
-// that per-trial churn is pure overhead.  BatchRunner removes it:
+// Runs `trials` independent executions (distinct seeds) of an experiment
+// and aggregates per-trial scalar metrics — benches average over coin
+// flips this way, matching the paper's average-coin-flip complexity
+// definition.  A per-trial std::map<std::string, double> of results and a
+// fresh set of O(N) engine scratch vectors per trial would be pure
+// overhead at thousands of seeded trials per sweep point, so:
 //
 //   * Metric names are interned ONCE into dense MetricIds; trials record
 //     through a TrialRecorder that writes doubles into flat
@@ -16,8 +17,8 @@
 // Determinism contract: trial i always runs with seed
 // hashCombine(base_seed, i), and per-metric samples are merged in trial
 // order, so the resulting TrialSummary is identical to the sequential
-// per-trial loop (and to legacy runTrials) regardless of thread count —
-// pinned by tests/batch_runner_test.cpp.
+// per-trial loop regardless of thread count — pinned by
+// tests/batch_runner_test.cpp.
 //
 // Thread-safety: run() may be called from one thread at a time per runner.
 // TrialRecorder::set is safe from concurrent trials (distinct trials write
@@ -33,8 +34,8 @@
 #include <string>
 #include <vector>
 
-#include "sim/runner.h"
 #include "sim/workspace.h"
+#include "util/stats.h"
 
 namespace dynet::obs {
 struct MetricsSink;
@@ -46,6 +47,11 @@ class BatchRunner;
 
 /// Dense handle for one named metric; stable for the runner's lifetime.
 using MetricId = std::size_t;
+
+/// Per-metric summaries of one run, each filled in trial order.
+struct TrialSummary {
+  std::map<std::string, util::Summary> metrics;
+};
 
 /// Per-trial view handed to the trial body.  set() records one scalar for
 /// this trial; recording the same metric twice keeps the last value (maps

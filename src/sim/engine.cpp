@@ -172,19 +172,10 @@ void Engine::finalizeMetrics() {
       ->set(static_cast<double>(result_.all_done_round));
   reg.gauge("engine/max_bits_per_node")
       ->set(static_cast<double>(result_.max_bits_per_node));
-  // Arena high-water marks (zero on the legacy delivery path).  Like the
-  // topology/ counters, the arena/ prefix is reserved for metrics allowed
-  // to differ between the legacy and arena+delta engine paths.
-  reg.gauge("arena/refs_high_water")
-      ->set(static_cast<double>(ws_->arena.refsHighWater()));
-  reg.gauge("arena/payloads_high_water")
-      ->set(static_cast<double>(ws_->arena.payloadsHighWater()));
-  reg.gauge("arena/inbox_high_water")
-      ->set(static_cast<double>(ws_->arena.inboxHighWater()));
   // Execution-shape gauges (reserved soa// prefix, docs/OBSERVABILITY.md):
   // which state representation ran and how the strided worker loops were
   // shaped.  Allowed to differ between the object and SoA paths, exactly
-  // like topology/ and arena/.
+  // like topology/.
   const int stride_workers = soa_ != nullptr ? soaStrideWorkers(config_) : 1;
   reg.gauge("soa//active")->set(soa_ != nullptr ? 1.0 : 0.0);
   reg.gauge("soa//stride_workers")->set(static_cast<double>(stride_workers));

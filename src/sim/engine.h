@@ -55,14 +55,6 @@ struct EngineConfig {
   bool relax_connectivity_to_live = true;
   bool record_topologies = false;
   bool record_actions = false;
-  /// Round hot-path selection.  The default (true) delivers through the
-  /// workspace's RoundArena: zero-copy MessageRef spans for protocols that
-  /// opt in (Process::wantsMessageRefs), arena-materialized inboxes for the
-  /// rest.  False selects the legacy per-receiver std::vector<Message>
-  /// path — kept verbatim for differential testing
-  /// (tests/fuzz_diff_test.cpp) and the bench's arena-vs-heap mode.  Both
-  /// paths are byte-identical by contract.
-  bool arena_delivery = true;
   /// When true (the default) the engine offers each round to
   /// Adversary::topologyUpdate first, letting delta-native adversaries
   /// reuse or patch the previous round's graph instead of rebuilding;
@@ -86,10 +78,10 @@ struct EngineConfig {
   int node_threads = 1;
   /// Anonymous-network mode (Di Luna–Baldoni, docs/DATASETS.md): the
   /// engine stops exposing node identities through delivery order.  The
-  /// canonical ascending-sender inbox is re-numbered into ports by a
-  /// deterministic per-(receiver, round) permutation — ports are stable
-  /// within a round, unrelated across rounds — and MessageRef::sender
-  /// carries the port, not the node id.  Off (the default) is byte-
+  /// canonical ascending-sender inbox is reordered by a deterministic
+  /// per-(receiver, round) permutation, and a message's port is its index
+  /// in the inbox span onDeliver receives — ports are stable within a
+  /// round, unrelated across rounds.  Off (the default) is byte-
   /// identical to pre-anonymous behavior: the flag is never read outside
   /// delivery (pinned by tests/anon_test.cpp, --no-telemetry pattern).
   /// Anonymous runs force the object process path (SoA models index state

@@ -1,7 +1,7 @@
 #include "sim/phase.h"
 
-#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "faults/fault_injector.h"
 #include "obs/sink.h"
@@ -158,16 +158,6 @@ void ComputePhase::run(RoundContext& ctx) {
       ws.coin_keys[static_cast<std::size_t>(v)] =
           util::hashCombine(ctx.seed, static_cast<std::uint64_t>(v));
     }
-    if (ctx.soa == nullptr) {
-      auto& processes = *ctx.processes;
-      ws.wants_refs.resize(np);
-      for (NodeId v = 0; v < ctx.n; ++v) {
-        // Cached once per run: the answer is a class property, and the
-        // delivery loop asks for every receiver every round.
-        ws.wants_refs[static_cast<std::size_t>(v)] =
-            processes[static_cast<std::size_t>(v)]->wantsMessageRefs() ? 1 : 0;
-      }
-    }
   }
   if (ctx.soa != nullptr) {
     // The model fills every action slot and accounts its sends
@@ -266,11 +256,10 @@ void AdversaryPhase::run(RoundContext& ctx) {
 namespace {
 
 // Anonymous-mode port permutation (EngineConfig::anonymous): the inbox a
-// receiver sees is the canonical ascending-sender list reordered by a
-// Fisher-Yates shuffle keyed on (seed, receiver, round) — ports are stable
-// within a round and carry no identity across rounds.  Both delivery paths
-// build the same base order (the fuzz-diff contract), so applying the same
-// keyed shuffle keeps them byte-identical to each other.
+// receiver sees is the canonical ascending-sender list, after the fault
+// filter, reordered by a Fisher-Yates shuffle keyed on (seed, receiver,
+// round).  A port is the message's position in the shuffled inbox: stable
+// within a round, carrying no identity across rounds.
 std::uint64_t anonKey(const RoundContext& ctx, NodeId v) {
   return util::hashCombine(
       util::hashCombine(ctx.seed ^ 0x616e6f6e706f7274ULL,
@@ -278,185 +267,70 @@ std::uint64_t anonKey(const RoundContext& ctx, NodeId v) {
       static_cast<std::uint64_t>(ctx.round));
 }
 
-template <typename T>
-void anonShuffle(std::vector<T>& items, const RoundContext& ctx, NodeId v) {
+void anonShuffle(std::vector<Message>& inbox, const RoundContext& ctx,
+                 NodeId v) {
   util::Rng rng(anonKey(ctx, v));
-  for (std::size_t i = items.size(); i > 1; --i) {
+  for (std::size_t i = inbox.size(); i > 1; --i) {
     const auto j = static_cast<std::size_t>(rng.below(i));
-    std::swap(items[i - 1], items[j]);
+    std::swap(inbox[i - 1], inbox[j]);
   }
 }
 
-// Arena delivery: one bump arena owns every ref span, corrupted payload
-// copy, and shim inbox slot for the round; receivers that opted in via
-// wantsMessageRefs() get zero-copy MessageRef spans pointing straight at
-// the senders' Action payloads.  neighbors() is sorted ascending, so
-// walking it yields the canonical ascending-sender delivery order without
-// the legacy path's collect-and-sort step.  Semantically byte-identical to
-// the legacy path below (tests/fuzz_diff_test.cpp).
-void deliverThroughArena(RoundContext& ctx) {
+}  // namespace
+
+// Every receiving node gets the messages of its sending neighbors, in
+// ascending sender-id order: the model gives messages no arrival order, so
+// the engine defines a canonical one that any simulating party can
+// reproduce, and Graph::neighbors() already returns it (the sorted-CSR
+// invariant).  The fault filter (sim/soa_exec.h) sits between the send
+// decision and onDeliver: each (sender, receiver) delivery may be dropped
+// or corrupted; crashed receivers get nothing at all.
+void DeliveryPhase::run(RoundContext& ctx) {
+  if (ctx.soa != nullptr) {
+    // SoA path: the model walks the flat arrays itself (soaDeliverAll
+    // shares the fault filter and canonical order of the loop below).
+    ctx.soa->deliverAll(ctx);
+    closeSpan(ctx, "delivery");
+    return;
+  }
   auto& processes = *ctx.processes;
   EngineWorkspace& ws = *ctx.ws;
-  RunResult& result = *ctx.result;
-  RoundArena& arena = ws.arena;
   const net::Graph& g = *ctx.topology;
   const Action* const actions = ws.actions.data();
-  const char* const wants_refs = ws.wants_refs.data();
+  FaultTally tally;
   for (NodeId v = 0; v < ctx.n; ++v) {
     const auto vi = static_cast<std::size_t>(v);
     if (ctx.faulty && ws.alive[vi] == 0) {
       continue;  // crashed: no onDeliver
     }
-    Process& p = *processes[vi];
     const bool sent = actions[vi].send;
+    ws.inbox.clear();
     // Send-xor-receive (the paper's model): a sender hears nothing this
     // round.  Under EngineConfig::duplex (broadcast CONGEST for the
-    // distance-computation suite) a sender falls through and collects its
-    // sending neighbors' messages like any receiver, with sent=true.
-    if (sent && !ctx.config->duplex) {
-      if (wants_refs[vi] != 0) {
-        p.onDeliverRefs(ctx.round, true, {});
-      } else {
-        p.onDeliver(ctx.round, true, {});
-      }
-      continue;
-    }
-    const std::span<const NodeId> neighbors = g.neighbors(v);
-    arena.beginInbox(neighbors.size());
-    if (!ctx.faulty) {
-      for (const NodeId u : neighbors) {
-        const Action& a = actions[static_cast<std::size_t>(u)];
-        if (a.send) {
-          arena.pushRef(u, &a.msg);
-        }
-      }
-    } else {
-      for (const NodeId u : neighbors) {
+    // distance-computation suite) a sender collects its sending
+    // neighbors' messages like any receiver, with sent=true.
+    if (!sent || ctx.config->duplex) {
+      for (const NodeId u : g.neighbors(v)) {
         const Action& a = actions[static_cast<std::size_t>(u)];
         if (!a.send) {
           continue;
         }
-        const auto fate = ctx.injector->deliveryFate(u, v, ctx.round);
-        if (fate == faults::FaultPlan::Fate::kDrop) {
-          ++result.messages_dropped;
-          if (ctx.obs != nullptr) {
-            ctx.obs->messages_dropped->inc();
-          }
+        if (!ctx.faulty) {
+          ws.inbox.push_back(a.msg);
           continue;
         }
-        if (fate == faults::FaultPlan::Fate::kCorrupt) {
-          ++result.messages_corrupted;
-          if (ctx.obs != nullptr) {
-            ctx.obs->messages_corrupted->inc();
-          }
-          if (!ctx.injector->plan().config().deliver_corrupted) {
-            continue;  // link-layer CRC catches it
-          }
-          Message* slot = arena.allocPayload();
-          *slot = ctx.injector->corrupted(a.msg, u, v, ctx.round);
-          arena.pushRef(u, slot);
-          continue;
-        }
-        arena.pushRef(u, &a.msg);
+        filterDelivery(ctx, u, v, a.msg, tally,
+                       [&ws](const Message& msg, bool /*pristine*/) {
+                         ws.inbox.push_back(msg);
+                       });
+      }
+      if (ctx.config->anonymous) {
+        anonShuffle(ws.inbox, ctx, v);
       }
     }
-    std::span<const MessageRef> refs = arena.refs();
-    if (ctx.config->anonymous) {
-      ws.anon_refs.assign(refs.begin(), refs.end());
-      anonShuffle(ws.anon_refs, ctx, v);
-      for (std::size_t i = 0; i < ws.anon_refs.size(); ++i) {
-        // Re-number the sender field into the port index: the receiver
-        // learns "port i spoke", never which node sits behind it.
-        ws.anon_refs[i].sender = static_cast<NodeId>(i);
-      }
-      refs = ws.anon_refs;
-    }
-    if (wants_refs[vi] != 0) {
-      p.onDeliverRefs(ctx.round, sent, refs);
-    } else {
-      p.onDeliver(ctx.round, sent, arena.materialize(refs));
-    }
+    processes[vi]->onDeliver(ctx.round, sent, ws.inbox);
   }
-  arena.endRound();
-}
-
-}  // namespace
-
-// Every receiving node gets the messages of its sending neighbors.  The
-// fault injector sits between the send decision and onDeliver: each
-// individual (sender, receiver) delivery may be dropped or corrupted;
-// crashed receivers get nothing at all.  The arena path above is the
-// default; the else-branch is the legacy per-receiver-vector path, kept
-// verbatim as the differential-testing baseline.
-void DeliveryPhase::run(RoundContext& ctx) {
-  if (ctx.soa != nullptr) {
-    // SoA path: the model walks the flat arrays itself (sim/soa_exec.h
-    // reproduces the fault filter and canonical order of the loops below).
-    ctx.soa->deliverAll(ctx);
-    closeSpan(ctx, "delivery");
-    return;
-  }
-  if (ctx.config->arena_delivery) {
-    deliverThroughArena(ctx);
-    closeSpan(ctx, "delivery");
-    return;
-  }
-  auto& processes = *ctx.processes;
-  EngineWorkspace& ws = *ctx.ws;
-  RunResult& result = *ctx.result;
-  const net::Graph& g = *ctx.topology;
-  for (NodeId v = 0; v < ctx.n; ++v) {
-    if (ctx.faulty && ws.alive[static_cast<std::size_t>(v)] == 0) {
-      continue;  // crashed: no onDeliver
-    }
-    const Action& a = ws.actions[static_cast<std::size_t>(v)];
-    // Same duplex fall-through as the arena path above.
-    if (a.send && !ctx.config->duplex) {
-      processes[static_cast<std::size_t>(v)]->onDeliver(ctx.round, true, {});
-      continue;
-    }
-    // Deliver in ascending sender-id order: the model gives messages no
-    // arrival order, so the engine defines a canonical one that any
-    // simulating party can reproduce.
-    ws.inbox_senders.clear();
-    for (NodeId u : g.neighbors(v)) {
-      if (ws.actions[static_cast<std::size_t>(u)].send) {
-        ws.inbox_senders.push_back(u);
-      }
-    }
-    std::sort(ws.inbox_senders.begin(), ws.inbox_senders.end());
-    ws.inbox.clear();
-    for (NodeId u : ws.inbox_senders) {
-      const Message& msg = ws.actions[static_cast<std::size_t>(u)].msg;
-      if (ctx.faulty) {
-        const auto fate = ctx.injector->deliveryFate(u, v, ctx.round);
-        if (fate == faults::FaultPlan::Fate::kDrop) {
-          ++result.messages_dropped;
-          if (ctx.obs != nullptr) {
-            ctx.obs->messages_dropped->inc();
-          }
-          continue;
-        }
-        if (fate == faults::FaultPlan::Fate::kCorrupt) {
-          ++result.messages_corrupted;
-          if (ctx.obs != nullptr) {
-            ctx.obs->messages_corrupted->inc();
-          }
-          if (!ctx.injector->plan().config().deliver_corrupted) {
-            continue;  // link-layer CRC catches it
-          }
-          ws.inbox.push_back(ctx.injector->corrupted(msg, u, v, ctx.round));
-          continue;
-        }
-      }
-      ws.inbox.push_back(msg);
-    }
-    if (ctx.config->anonymous) {
-      anonShuffle(ws.inbox, ctx, v);
-    }
-    processes[static_cast<std::size_t>(v)]->onDeliver(ctx.round, a.send,
-                                                      ws.inbox);
-  }
+  addFaultTally(ctx, tally);
   closeSpan(ctx, "delivery");
 }
 

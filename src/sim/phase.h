@@ -6,7 +6,8 @@
 //   FaultPhase     apply scheduled restarts/crashes, build the live mask
 //   ComputePhase   flip coins, every live node decides its Action
 //   AdversaryPhase adversary fixes (and the engine checks) the topology
-//   DeliveryPhase  deliver sender messages through the fault filter
+//   DeliveryPhase  deliver sender messages, in ascending sender order,
+//                  through the fault filter
 //   ObservePhase   round accounting: done rounds, per-round series, sink
 //
 // The order is the model's round structure (paper §2, docs/MODEL.md): the
@@ -70,9 +71,9 @@ struct EngineObs {
   obs::Histogram* bits_per_send;
   obs::Series* round_bits;
   obs::Series* round_messages;
-  // Incremental-topology accounting (reserved topology/ prefix; these and
-  // the arena/ gauges are the only metrics allowed to differ between the
-  // legacy and arena+delta engine paths — docs/OBSERVABILITY.md).
+  // Incremental-topology accounting (reserved topology/ prefix; with the
+  // soa// gauges, the only metrics allowed to differ between engine
+  // paths — docs/OBSERVABILITY.md).
   obs::Counter* topo_incremental;
   obs::Counter* topo_full;
   obs::Counter* topo_cold_warms;

@@ -39,18 +39,6 @@ struct Action {
   }
 };
 
-/// Zero-copy view of one delivered message: the sender's id plus a pointer
-/// to a payload owned by the engine (the sender's Action, or the round
-/// arena for corrupted copies).  Valid only for the duration of the
-/// onDeliverRefs call that hands it over.
-struct MessageRef {
-  NodeId sender = -1;
-  const Message* payload = nullptr;
-
-  const Message& operator*() const { return *payload; }
-  const Message* operator->() const { return payload; }
-};
-
 class Process {
  public:
   virtual ~Process() = default;
@@ -62,30 +50,12 @@ class Process {
   /// `sent` is true.  A receiving node with no sending neighbor gets an
   /// empty span with `sent` false.  Under EngineConfig::duplex a sender
   /// also receives: `sent` is true AND `received` holds its sending
-  /// neighbors' messages.
+  /// neighbors' messages.  Messages arrive in ascending sender-id order;
+  /// under EngineConfig::anonymous they arrive permuted, and a message's
+  /// index in `received` is its port.  The span is engine scratch, valid
+  /// only until onDeliver returns.
   virtual void onDeliver(Round round, bool sent,
                          std::span<const Message> received) = 0;
-
-  /// True when the process consumes MessageRef spans natively, i.e. it
-  /// overrides onDeliverRefs.  The arena delivery path then skips
-  /// materializing a contiguous Message inbox for this node; otherwise it
-  /// copies the payloads into arena slots and calls onDeliver — the
-  /// compatibility shim that lets protocols migrate one at a time.  Keep
-  /// this in sync with the onDeliverRefs override: returning true without
-  /// overriding onDeliverRefs silently discards deliveries.
-  virtual bool wantsMessageRefs() const { return false; }
-
-  /// Zero-copy variant of onDeliver, called by the arena delivery path
-  /// instead of onDeliver when wantsMessageRefs() is true.  Refs (and the
-  /// payloads they point at) die with the call; a migrated protocol must
-  /// behave identically to its onDeliver on the same message sequence
-  /// (tests/fuzz_diff_test.cpp pins this differentially).
-  virtual void onDeliverRefs(Round round, bool sent,
-                             std::span<const MessageRef> received) {
-    (void)round;
-    (void)sent;
-    (void)received;
-  }
 
   /// Local termination: the node has produced its output.
   virtual bool done() const { return false; }

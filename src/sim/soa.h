@@ -2,12 +2,11 @@
 //
 // The object path gives every node a heap-allocated Process; at n = 10^5+
 // the per-node virtual dispatch and pointer-chasing layout dominate the
-// round loop (BENCH_sim_perf.json: arena delivery bought only 1.04x because
-// allocation stopped being the hot path — data layout is).  The SoA path
-// keeps protocol state in flat per-field arrays instead: one SoAModel per
-// engine owns columns like `has_token[n]` or `best_key[n]` that live inside
-// the EngineWorkspace's SoAStore, so BatchRunner trials reuse the capacity
-// exactly like every other workspace vector.
+// round loop (allocation is not the hot path — data layout is).  The SoA
+// path keeps protocol state in flat per-field arrays instead: one SoAModel
+// per engine owns columns like `has_token[n]` or `best_key[n]` that live
+// inside the EngineWorkspace's SoAStore, so BatchRunner trials reuse the
+// capacity exactly like every other workspace vector.
 //
 // Contract (docs/ARCHITECTURE.md "SoA state store & many-worlds lanes"):
 //   * A protocol opts in by overriding ProcessFactory::createSoA.  The

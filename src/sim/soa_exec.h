@@ -76,6 +76,43 @@ inline void accountSentAction(RoundContext& ctx, RunResult& result, NodeId v,
   }
 }
 
+/// Receive-side fault filter shared by the object and SoA delivery loops:
+/// draws the fate of sender u's message to receiver v, counts it into
+/// `tally`, and calls deliver(payload, pristine) with what v receives — the
+/// message itself, or its corrupted copy (pristine = false) when the plan
+/// delivers corrupted payloads.  A dropped message, or a corrupted one the
+/// link-layer CRC catches, reaches v not at all.
+template <typename Deliver>
+void filterDelivery(const RoundContext& ctx, NodeId u, NodeId v,
+                    const Message& msg, FaultTally& tally, Deliver&& deliver) {
+  switch (ctx.injector->deliveryFate(u, v, ctx.round)) {
+    case faults::FaultPlan::Fate::kDrop:
+      ++tally.dropped;
+      return;
+    case faults::FaultPlan::Fate::kCorrupt:
+      ++tally.corrupted;
+      if (ctx.injector->plan().config().deliver_corrupted) {
+        deliver(ctx.injector->corrupted(msg, u, v, ctx.round), false);
+      }
+      return;
+    case faults::FaultPlan::Fate::kDeliver:
+      deliver(msg, true);
+      return;
+  }
+}
+
+/// Adds a delivery loop's fault tally to the RunResult and the faults/
+/// counters.
+inline void addFaultTally(RoundContext& ctx, const FaultTally& tally) {
+  RunResult& result = *ctx.result;
+  result.messages_dropped += tally.dropped;
+  result.messages_corrupted += tally.corrupted;
+  if (ctx.obs != nullptr) {
+    ctx.obs->messages_dropped->inc(tally.dropped);
+    ctx.obs->messages_corrupted->inc(tally.corrupted);
+  }
+}
+
 /// ComputePhase body over a model providing
 ///   computeNode(RoundContext&, NodeId v, std::uint64_t node_key)
 /// which must fully assign ctx.ws->actions[v] (receivers included — a stale
@@ -158,7 +195,6 @@ void soaComputeAll(RoundContext& ctx, Model& model) {
 template <typename Model>
 void soaDeliverAll(RoundContext& ctx, Model& model) {
   EngineWorkspace& ws = *ctx.ws;
-  RunResult& result = *ctx.result;
   const net::Graph& g = *ctx.topology;
   const Action* const actions = ws.actions.data();
   const int workers = soaStrideWorkers(*ctx.config);
@@ -180,11 +216,9 @@ void soaDeliverAll(RoundContext& ctx, Model& model) {
     model.afterDeliverAllClean(ctx);
     return;
   }
-  ws.stride_dropped.assign(static_cast<std::size_t>(workers), 0);
-  ws.stride_corrupted.assign(static_cast<std::size_t>(workers), 0);
+  ws.stride_faults.assign(static_cast<std::size_t>(workers), FaultTally{});
   const auto worker = [&](std::size_t w) {
-    std::uint64_t dropped = 0;
-    std::uint64_t corrupted = 0;
+    FaultTally tally;  // local: workers must not share a cache line
     for (NodeId v = static_cast<NodeId>(w); v < ctx.n;
          v += static_cast<NodeId>(workers)) {
       const auto vi = static_cast<std::size_t>(v);
@@ -195,41 +229,23 @@ void soaDeliverAll(RoundContext& ctx, Model& model) {
         model.afterDeliver(ctx, v, true);
         continue;
       }
-      if (!ctx.faulty) {
-        for (const NodeId u : g.neighbors(v)) {
-          const Action& a = actions[static_cast<std::size_t>(u)];
-          if (a.send) {
-            model.onMessage(ctx, v, u, a.msg, /*pristine=*/true);
-          }
+      for (const NodeId u : g.neighbors(v)) {
+        const Action& a = actions[static_cast<std::size_t>(u)];
+        if (!a.send) {
+          continue;
         }
-      } else {
-        for (const NodeId u : g.neighbors(v)) {
-          const Action& a = actions[static_cast<std::size_t>(u)];
-          if (!a.send) {
-            continue;
-          }
-          const auto fate = ctx.injector->deliveryFate(u, v, ctx.round);
-          if (fate == faults::FaultPlan::Fate::kDrop) {
-            ++dropped;
-            continue;
-          }
-          if (fate == faults::FaultPlan::Fate::kCorrupt) {
-            ++corrupted;
-            if (!ctx.injector->plan().config().deliver_corrupted) {
-              continue;  // link-layer CRC catches it
-            }
-            const Message mangled =
-                ctx.injector->corrupted(a.msg, u, v, ctx.round);
-            model.onMessage(ctx, v, u, mangled, /*pristine=*/false);
-            continue;
-          }
+        if (!ctx.faulty) {
           model.onMessage(ctx, v, u, a.msg, /*pristine=*/true);
+          continue;
         }
+        filterDelivery(ctx, u, v, a.msg, tally,
+                       [&](const Message& msg, bool pristine) {
+                         model.onMessage(ctx, v, u, msg, pristine);
+                       });
       }
       model.afterDeliver(ctx, v, false);
     }
-    ws.stride_dropped[w] = dropped;
-    ws.stride_corrupted[w] = corrupted;
+    ws.stride_faults[w] = tally;
   };
   if (workers == 1) {
     worker(0);
@@ -237,23 +253,8 @@ void soaDeliverAll(RoundContext& ctx, Model& model) {
     util::ThreadPool::shared().parallelFor(static_cast<std::size_t>(workers),
                                            worker);
   }
-  std::uint64_t dropped = 0;
-  std::uint64_t corrupted = 0;
-  for (int w = 0; w < workers; ++w) {
-    dropped += ws.stride_dropped[static_cast<std::size_t>(w)];
-    corrupted += ws.stride_corrupted[static_cast<std::size_t>(w)];
-  }
-  if (dropped != 0) {
-    result.messages_dropped += dropped;
-    if (ctx.obs != nullptr) {
-      ctx.obs->messages_dropped->inc(dropped);
-    }
-  }
-  if (corrupted != 0) {
-    result.messages_corrupted += corrupted;
-    if (ctx.obs != nullptr) {
-      ctx.obs->messages_corrupted->inc(corrupted);
-    }
+  for (const FaultTally& tally : ws.stride_faults) {
+    addFaultTally(ctx, tally);
   }
 }
 

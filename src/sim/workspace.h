@@ -21,36 +21,33 @@
 #include <vector>
 
 #include "net/graph.h"
-#include "sim/arena.h"
 #include "sim/message.h"
 #include "sim/process.h"
 #include "sim/soa.h"
 
 namespace dynet::sim {
 
+/// Drop/corrupt counts of one delivery loop (or one strided worker),
+/// filled by filterDelivery and folded in by addFaultTally
+/// (sim/soa_exec.h).
+struct FaultTally {
+  std::uint64_t dropped = 0;
+  std::uint64_t corrupted = 0;
+};
+
 struct EngineWorkspace {
   /// This round's decided actions, [node].  Rebuilt every round.
   std::vector<Action> actions;
-  /// Legacy delivery scratch: the messages handed to the current receiver
-  /// (the arena path uses `arena` instead).
+  /// Object-path delivery scratch: the messages handed to the current
+  /// receiver's onDeliver, in delivery order.
   std::vector<Message> inbox;
-  /// Legacy delivery scratch: sending neighbors of the current receiver,
-  /// sorted.
-  std::vector<NodeId> inbox_senders;
   /// Fault scratch: this round's live mask (empty in clean runs).
   std::vector<char> alive;
   /// Fault scratch: down transitions already counted (empty in clean runs).
   std::vector<char> crash_counted;
-  /// Arena delivery path: per-round bump storage for refs, corrupted
-  /// payload copies, and shim inbox slots (sim/arena.h).
-  RoundArena arena;
   /// Per-node CoinStream key prefixes hashCombine(seed, v), computed once
   /// per run by ComputePhase; empty until the first round.
   std::vector<std::uint64_t> coin_keys;
-  /// Per-node Process::wantsMessageRefs() answers, cached once per run by
-  /// ComputePhase (it is a class property, but the delivery loop would
-  /// otherwise pay the virtual call for every receiver every round).
-  std::vector<char> wants_refs;
   /// Topology of the previous round, handed to Adversary::topologyUpdate
   /// so delta-native adversaries can patch instead of rebuild.  Null in
   /// round 1 and on the legacy (topology_deltas = false) path.
@@ -62,14 +59,9 @@ struct EngineWorkspace {
   /// engine's SoAModel binds its per-field columns here so their capacity
   /// is reused across trials like every other workspace vector.
   SoAStore soa;
-  /// Per-worker fault counters for the strided SoA delivery loop
+  /// Per-worker fault tallies for the strided SoA delivery loop
   /// (sim/soa_exec.h); merged into the RunResult after the join.
-  std::vector<std::uint64_t> stride_dropped;
-  std::vector<std::uint64_t> stride_corrupted;
-  /// Anonymous-mode delivery scratch (EngineConfig::anonymous): the
-  /// current receiver's refs, copied out of the arena so the port
-  /// permutation can reorder and re-number them.  Unused otherwise.
-  std::vector<MessageRef> anon_refs;
+  std::vector<FaultTally> stride_faults;
   /// This round's sending nodes in ascending order, collected by the serial
   /// SoA compute walk so fault-free delivery can iterate senders (push
   /// model) instead of scanning every node (sim/soa_exec.h).  Empty and
@@ -82,18 +74,13 @@ struct EngineWorkspace {
   void reset() {
     actions.clear();
     inbox.clear();
-    inbox_senders.clear();
     alive.clear();
     crash_counted.clear();
-    arena.reset();
     coin_keys.clear();
-    wants_refs.clear();
     prev_topology = nullptr;
     last_warmed = nullptr;
     soa.reset();
-    stride_dropped.clear();
-    stride_corrupted.clear();
-    anon_refs.clear();
+    stride_faults.clear();
     soa_senders.clear();
   }
 };

@@ -3,15 +3,13 @@
 //
 // The mode's contract:
 //
-//   * OFF — delivery order is the canonical ascending-sender order and
-//     MessageRef::sender carries real node ids: byte-identical to a build
-//     without the feature (the golden corpus pins this globally; the
-//     OrderProbe below pins the ordering locally);
+//   * OFF — delivery order is the canonical ascending-sender order:
+//     byte-identical to a build without the feature (the golden corpus
+//     pins this globally; the OrderProbe below pins the ordering locally);
 //   * ON — each receiver sees its inbox in a per-(receiver, round) seeded
-//     permutation and MessageRef::sender is just the port index 0..m-1;
-//     the payload MULTISET is untouched.  Both delivery paths (arena refs
-//     and the legacy copy-inbox) apply the same permutation, so the flag
-//     matrix stays byte-identical to itself.
+//     permutation, and a message's port is its index in that inbox; the
+//     payload MULTISET is untouched.  The golden corpus
+//     (babbler_anonymous_faulted_random_graph) pins the exact permutation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,13 +33,12 @@ namespace {
 // ------------------------------------------------------------- OrderProbe
 
 /// Sends its node id on even (id+round) parity, otherwise listens and
-/// records exactly what the engine delivered: the MessageRef sender fields
-/// and the node ids embedded in the payloads, in delivery order.
+/// records exactly what the engine delivered: the node ids embedded in the
+/// payloads, in delivery order.
 class OrderProbeProcess : public Process {
  public:
   struct Record {
     Round round;
-    std::vector<NodeId> senders;   // MessageRef::sender as delivered
     std::vector<NodeId> payloads;  // node id each payload claims
   };
 
@@ -58,26 +55,8 @@ class OrderProbeProcess : public Process {
     return action;
   }
 
-  bool wantsMessageRefs() const override { return true; }
-
-  void onDeliverRefs(Round round, bool sent,
-                     std::span<const MessageRef> received) override {
-    if (sent) {
-      return;
-    }
-    Record rec;
-    rec.round = round;
-    for (const MessageRef& ref : received) {
-      rec.senders.push_back(ref.sender);
-      MessageReader reader(*ref);
-      rec.payloads.push_back(static_cast<NodeId>(reader.get(16)));
-    }
-    records.push_back(std::move(rec));
-  }
-
   void onDeliver(Round round, bool sent,
                  std::span<const Message> received) override {
-    // Legacy path: senders are not visible, payloads still are.
     if (sent) {
       return;
     }
@@ -96,21 +75,11 @@ class OrderProbeProcess : public Process {
   NodeId self_;
 };
 
-class OrderProbeFactory : public ProcessFactory {
- public:
-  std::unique_ptr<Process> create(NodeId node,
-                                  NodeId /*num_nodes*/) const override {
-    return std::make_unique<OrderProbeProcess>(node);
-  }
-};
-
 struct ProbeRun {
   std::vector<std::vector<OrderProbeProcess::Record>> by_node;
 };
 
-ProbeRun runProbe(NodeId n, Round rounds, std::uint64_t seed, bool anonymous,
-                  bool arena) {
-  const OrderProbeFactory factory;
+ProbeRun runProbe(NodeId n, Round rounds, std::uint64_t seed, bool anonymous) {
   std::vector<std::unique_ptr<Process>> processes;
   std::vector<OrderProbeProcess*> probes;
   for (NodeId v = 0; v < n; ++v) {
@@ -122,7 +91,6 @@ ProbeRun runProbe(NodeId n, Round rounds, std::uint64_t seed, bool anonymous,
   config.max_rounds = rounds;
   config.stop_when_all_done = false;
   config.anonymous = anonymous;
-  config.arena_delivery = arena;
   Engine engine(std::move(processes),
                 std::make_unique<adv::StaticAdversary>(net::makeClique(n)),
                 config, seed);
@@ -135,24 +103,23 @@ ProbeRun runProbe(NodeId n, Round rounds, std::uint64_t seed, bool anonymous,
 }
 
 TEST(AnonymousMode, OffDeliversAscendingRealSenders) {
-  const ProbeRun run = runProbe(8, 12, 7, /*anonymous=*/false, /*arena=*/true);
+  const ProbeRun run = runProbe(8, 12, 7, /*anonymous=*/false);
   int checked = 0;
   for (const auto& records : run.by_node) {
     for (const auto& rec : records) {
-      ASSERT_EQ(rec.senders.size(), rec.payloads.size());
-      EXPECT_TRUE(std::is_sorted(rec.senders.begin(), rec.senders.end()))
+      // Each payload names its author, so ascending payloads are ascending
+      // senders.
+      EXPECT_TRUE(std::is_sorted(rec.payloads.begin(), rec.payloads.end()))
           << "round " << rec.round;
-      // Without anonymity the ref sender IS the payload's author.
-      EXPECT_EQ(rec.senders, rec.payloads) << "round " << rec.round;
-      checked += static_cast<int>(rec.senders.size());
+      checked += static_cast<int>(rec.payloads.size());
     }
   }
   EXPECT_GT(checked, 0);
 }
 
 TEST(AnonymousMode, OnDeliversPortNumbersAndPermutedPayloads) {
-  const ProbeRun plain = runProbe(8, 12, 7, false, true);
-  const ProbeRun anon = runProbe(8, 12, 7, true, true);
+  const ProbeRun plain = runProbe(8, 12, 7, false);
+  const ProbeRun anon = runProbe(8, 12, 7, true);
   ASSERT_EQ(plain.by_node.size(), anon.by_node.size());
   bool saw_permutation = false;
   for (std::size_t v = 0; v < anon.by_node.size(); ++v) {
@@ -160,11 +127,8 @@ TEST(AnonymousMode, OnDeliversPortNumbersAndPermutedPayloads) {
     for (std::size_t i = 0; i < anon.by_node[v].size(); ++i) {
       const auto& a = anon.by_node[v][i];
       const auto& p = plain.by_node[v][i];
-      // Senders are port indices 0..m-1, nothing else.
-      for (std::size_t j = 0; j < a.senders.size(); ++j) {
-        EXPECT_EQ(a.senders[j], static_cast<NodeId>(j));
-      }
-      // Same multiset of payloads as the non-anonymous run...
+      // Ports are inbox positions: the same multiset of payloads as the
+      // non-anonymous run...
       auto sorted_a = a.payloads;
       auto sorted_p = p.payloads;
       std::sort(sorted_a.begin(), sorted_a.end());
@@ -179,23 +143,10 @@ TEST(AnonymousMode, OnDeliversPortNumbersAndPermutedPayloads) {
          "leaking the canonical order";
 }
 
-TEST(AnonymousMode, ArenaAndLegacyPathsApplyTheSamePermutation) {
-  const ProbeRun arena = runProbe(8, 12, 21, true, true);
-  const ProbeRun legacy = runProbe(8, 12, 21, true, false);
-  ASSERT_EQ(arena.by_node.size(), legacy.by_node.size());
-  for (std::size_t v = 0; v < arena.by_node.size(); ++v) {
-    ASSERT_EQ(arena.by_node[v].size(), legacy.by_node[v].size());
-    for (std::size_t i = 0; i < arena.by_node[v].size(); ++i) {
-      EXPECT_EQ(arena.by_node[v][i].payloads, legacy.by_node[v][i].payloads)
-          << "node " << v << " record " << i;
-    }
-  }
-}
-
 TEST(AnonymousMode, PermutationIsSeededPerReceiverAndRound) {
-  const ProbeRun a = runProbe(8, 12, 100, true, true);
-  const ProbeRun b = runProbe(8, 12, 100, true, true);
-  const ProbeRun c = runProbe(8, 12, 101, true, true);
+  const ProbeRun a = runProbe(8, 12, 100, true);
+  const ProbeRun b = runProbe(8, 12, 100, true);
+  const ProbeRun c = runProbe(8, 12, 101, true);
   // Same seed: bit-for-bit reproducible.
   for (std::size_t v = 0; v < a.by_node.size(); ++v) {
     for (std::size_t i = 0; i < a.by_node[v].size(); ++i) {

@@ -4,9 +4,10 @@
 //     byte for byte on fixed seeds — every RunResult field, per-node state
 //     digests, serialized traces, and (with a MetricsSink) metrics.json —
 //     for clean runs, fault-injected runs, and sink-attached runs.
-//   * TrialRecorder aggregation equals the legacy std::map path of
-//     sim::runTrials on the same inputs, including metrics only present in
-//     some trials and metrics first registered mid-run.
+//   * TrialRecorder aggregation equals a hand-written sequential loop
+//     (seed hashCombine(base, i), one util::Summary per metric filled in
+//     trial order), including metrics only present in some trials and
+//     metrics first registered mid-run.
 //   * Workspace reuse leaks nothing across trials or runs.
 //   * util::parseThreadCount (the DYNET_THREADS override) parsing.
 #include <gtest/gtest.h>
@@ -26,7 +27,6 @@
 #include "protocols/flood.h"
 #include "sim/batch.h"
 #include "sim/engine.h"
-#include "sim/runner.h"
 #include "sim/trace.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -182,6 +182,8 @@ TEST(BatchRunner, ByteIdenticalOnDedicatedPool) {
 
 // ------------------------------------------------- TrialRecorder vs map
 
+/// One trial's metrics as a per-trial map: two in every trial, "sparse"
+/// in about a third of them.
 std::map<std::string, double> legacyBody(std::uint64_t seed) {
   std::map<std::string, double> metrics{
       {"seedmod", static_cast<double>(seed % 101)},
@@ -211,9 +213,19 @@ void expectSummariesEqual(const TrialSummary& a, const TrialSummary& b) {
 TEST(BatchRunner, TrialRecorderMatchesLegacyMapAggregation) {
   const int trials = 64;
   const std::uint64_t base_seed = 0x5EED;
-  const TrialSummary legacy = runTrials(trials, base_seed, legacyBody);
+  // The seeding and merge contract, written out: trial i runs with seed
+  // hashCombine(base_seed, i), and each metric's Summary takes the values
+  // of the trials that set it, in trial order.
+  TrialSummary legacy;
+  for (int i = 0; i < trials; ++i) {
+    const std::uint64_t seed =
+        util::hashCombine(base_seed, static_cast<std::uint64_t>(i));
+    for (const auto& [name, value] : legacyBody(seed)) {
+      legacy.metrics[name].add(value);
+    }
+  }
 
-  BatchRunner runner;
+  BatchRunner runner;  // default options: trials fan out over the shared pool
   const TrialSummary batch = runner.run(
       trials, base_seed,
       [](std::uint64_t seed, EngineWorkspace&, TrialRecorder& rec) {

@@ -458,7 +458,6 @@ ReplayArtifacts replayRun(std::shared_ptr<const CompiledTrace> trace,
   sim::EngineConfig config;
   config.max_rounds = rounds;
   config.topology_deltas = deltas;
-  config.arena_delivery = deltas;
   config.stop_when_all_done = false;
   sim::Engine engine(factory,
                      std::make_unique<adv::TraceAdversary>(trace, options),

@@ -1,7 +1,7 @@
 // Property-based round-bound layer for the diameter protocol suite
 // (docs/DIAMETER.md): on randomized connected static graphs, across seeds,
-// sizes, and the full {soa_state, arena_delivery, topology_deltas} engine
-// matrix (all under EngineConfig::duplex),
+// sizes, and the full {soa_state, topology_deltas} engine matrix (all
+// under EngineConfig::duplex),
 //
 //   diam_exact     reproduces the all-pairs BFS oracle exactly — diameter,
 //                  per-node eccentricities, per-source distances, and the
@@ -87,13 +87,12 @@ Oracle oracleFor(const net::Graph& g) {
 /// flags and hands the finished engine to `inspect`.
 template <typename Inspect>
 void runDiam(const sim::ProcessFactory& factory, net::GraphPtr g,
-             sim::Round max_rounds, std::uint64_t seed, bool soa, bool arena,
+             sim::Round max_rounds, std::uint64_t seed, bool soa,
              bool deltas, Inspect&& inspect) {
   sim::EngineConfig config;
   config.max_rounds = max_rounds;
   config.duplex = true;
   config.soa_state = soa;
-  config.arena_delivery = arena;
   config.topology_deltas = deltas;
   sim::Engine engine(factory,
                      std::make_unique<adv::StaticAdversary>(std::move(g)),
@@ -117,9 +116,9 @@ TEST(DiamExact, MatchesOracleAcrossSeedsSizesAndEngineMatrix) {
       for (sim::NodeId s = 0; s < n; ++s) {
         dist.push_back(net::bfsDistances(*g, s));
       }
-      for (int combo = 0; combo < 8; ++combo) {
-        runDiam(factory, g, bound + 4, seed, (combo & 4) != 0,
-                (combo & 2) != 0, (combo & 1) != 0,
+      for (int combo = 0; combo < 4; ++combo) {
+        runDiam(factory, g, bound + 4, seed, (combo & 2) != 0,
+                (combo & 1) != 0,
                 [&](sim::Engine& engine, const sim::RunResult& r) {
                   ASSERT_TRUE(r.all_done)
                       << "n=" << n << " seed=" << seed << " combo=" << combo;
@@ -156,9 +155,9 @@ TEST(Diam2Approx, EstimateIsSourceEccentricityAndBracketsDiameter) {
     for (const std::uint64_t seed : kSeeds) {
       const net::GraphPtr g = randomConnectedGraph(n, seed);
       const Oracle oracle = oracleFor(*g);
-      for (int combo = 0; combo < 8; ++combo) {
-        runDiam(factory, g, bound + 4, seed, (combo & 4) != 0,
-                (combo & 2) != 0, (combo & 1) != 0,
+      for (int combo = 0; combo < 4; ++combo) {
+        runDiam(factory, g, bound + 4, seed, (combo & 2) != 0,
+                (combo & 1) != 0,
                 [&](sim::Engine& engine, const sim::RunResult& r) {
                   ASSERT_TRUE(r.all_done)
                       << "n=" << n << " seed=" << seed << " combo=" << combo;
@@ -184,9 +183,9 @@ TEST(Diam32Approx, EstimateWithinTwoThirdsBracket) {
       proto::Diam32ApproxFactory factory(seed);
       const net::GraphPtr g = randomConnectedGraph(n, seed);
       const Oracle oracle = oracleFor(*g);
-      for (int combo = 0; combo < 8; ++combo) {
-        runDiam(factory, g, bound + 4, seed, (combo & 4) != 0,
-                (combo & 2) != 0, (combo & 1) != 0,
+      for (int combo = 0; combo < 4; ++combo) {
+        runDiam(factory, g, bound + 4, seed, (combo & 2) != 0,
+                (combo & 1) != 0,
                 [&](sim::Engine& engine, const sim::RunResult& r) {
                   ASSERT_TRUE(r.all_done)
                       << "n=" << n << " seed=" << seed << " combo=" << combo;
@@ -230,7 +229,7 @@ TEST(DiamExact, ReadsDisjointnessOffTheAchGadget) {
   for (const bool intersect : {false, true}) {
     const lb::AchBitGadget gadget(36, /*width=*/0, /*seed=*/5, intersect);
     const sim::Round bound = proto::DiamExactProcess::scheduleRounds(36);
-    runDiam(factory, gadget.graph(), bound + 4, 9, true, true, true,
+    runDiam(factory, gadget.graph(), bound + 4, 9, true, true,
             [&](sim::Engine& engine, const sim::RunResult& r) {
               ASSERT_TRUE(r.all_done);
               EXPECT_EQ(engine.process(0).output(),
@@ -246,7 +245,7 @@ TEST(DiamExact, ReadsOrthogonalityOffTheBkGadget) {
       const lb::BkApproxGadget gadget(36, /*width=*/0, stretch, /*seed=*/5,
                                       orthogonal);
       const sim::Round bound = proto::DiamExactProcess::scheduleRounds(36);
-      runDiam(factory, gadget.graph(), bound + 4, 9, true, true, true,
+      runDiam(factory, gadget.graph(), bound + 4, 9, true, true,
               [&](sim::Engine& engine, const sim::RunResult& r) {
                 ASSERT_TRUE(r.all_done);
                 EXPECT_EQ(engine.process(0).output(),

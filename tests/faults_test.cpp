@@ -20,7 +20,7 @@
 #include "protocols/resilient_flood.h"
 #include "protocols/robust_leader.h"
 #include "sim/engine.h"
-#include "sim/runner.h"
+#include "sim/batch.h"
 #include "sim/trace.h"
 #include "util/check.h"
 
@@ -543,14 +543,13 @@ TEST(ZeroPlanRegression, LeaderElectionIsByteIdentical) {
   }
 }
 
-// A node restarted mid-run must behave byte-identically on the arena
-// delivery + incremental-topology fast path and on the legacy
-// (vector-copy, full-rebuild) path: restart resets process state and
-// replays deliveries through whichever delivery buffers are active, which
-// is exactly where the two paths could drift.  Run the full flag matrix —
-// the same grid the fuzz-diff harness sweeps, pinned here on a scripted
-// restart so the coverage does not depend on the fuzzer's dice.
-TEST(ArenaPathRegression, RestartMidRunMatchesLegacyPathExactly) {
+// A node restarted mid-run must behave byte-identically on the
+// incremental-topology fast path and on the full-rebuild reference path:
+// restart re-creates process state while the adversary keeps patching the
+// previous round's graph, which is exactly where the two paths could
+// drift.  The fuzz-diff harness sweeps the same flag; this pins it on a
+// scripted restart so the coverage does not depend on the fuzzer's dice.
+TEST(RestartRegression, RestartMidRunMatchesRebuildPathExactly) {
   const sim::NodeId n = 10;
   const std::uint64_t seed = 2026;
   proto::FloodFactory factory(0, 0x33, 6, proto::FloodMode::kRandomized,
@@ -558,7 +557,7 @@ TEST(ArenaPathRegression, RestartMidRunMatchesLegacyPathExactly) {
   FaultConfig fc;
   fc.scripted_crashes = {{4, 3}, {7, 5}};
   fc.scripted_restarts = {{4, 7}, {7, 9}};
-  auto run = [&](bool arena, bool deltas) {
+  auto run = [&](bool deltas) {
     std::vector<std::unique_ptr<sim::Process>> processes;
     for (sim::NodeId v = 0; v < n; ++v) {
       processes.push_back(factory.create(v, n));
@@ -571,7 +570,6 @@ TEST(ArenaPathRegression, RestartMidRunMatchesLegacyPathExactly) {
     config.stop_when_all_done = false;
     config.record_actions = true;
     config.record_topologies = true;
-    config.arena_delivery = arena;
     config.topology_deltas = deltas;
     auto engine = std::make_unique<sim::Engine>(
         std::move(processes), std::move(adversary), config, seed);
@@ -579,34 +577,30 @@ TEST(ArenaPathRegression, RestartMidRunMatchesLegacyPathExactly) {
     engine->run();
     return engine;
   };
-  const auto reference = run(false, false);  // legacy everything
+  const auto reference = run(/*deltas=*/false);
   const sim::RunResult& want = reference->result();
   EXPECT_EQ(want.crashes, 2u);
   EXPECT_EQ(want.restarts, 2u);
+  const auto engine = run(/*deltas=*/true);
+  const sim::RunResult& got = engine->result();
+  EXPECT_EQ(got.rounds_executed, want.rounds_executed);
+  EXPECT_EQ(got.done_round, want.done_round);
+  EXPECT_EQ(got.messages_sent, want.messages_sent);
+  EXPECT_EQ(got.bits_sent, want.bits_sent);
+  EXPECT_EQ(got.bits_per_node, want.bits_per_node);
+  EXPECT_EQ(got.bits_per_round, want.bits_per_round);
+  EXPECT_EQ(got.crashes, want.crashes);
+  EXPECT_EQ(got.restarts, want.restarts);
+  for (sim::NodeId v = 0; v < n; ++v) {
+    EXPECT_EQ(engine->process(v).stateDigest(),
+              reference->process(v).stateDigest())
+        << "node " << v;
+  }
   std::ostringstream want_trace;
   sim::writeTrace(want_trace, sim::traceFromEngine(*reference));
-  for (const auto& [arena, deltas] :
-       {std::pair{true, true}, {true, false}, {false, true}}) {
-    const auto engine = run(arena, deltas);
-    const sim::RunResult& got = engine->result();
-    EXPECT_EQ(got.rounds_executed, want.rounds_executed);
-    EXPECT_EQ(got.done_round, want.done_round);
-    EXPECT_EQ(got.messages_sent, want.messages_sent);
-    EXPECT_EQ(got.bits_sent, want.bits_sent);
-    EXPECT_EQ(got.bits_per_node, want.bits_per_node);
-    EXPECT_EQ(got.bits_per_round, want.bits_per_round);
-    EXPECT_EQ(got.crashes, want.crashes);
-    EXPECT_EQ(got.restarts, want.restarts);
-    for (sim::NodeId v = 0; v < n; ++v) {
-      EXPECT_EQ(engine->process(v).stateDigest(),
-                reference->process(v).stateDigest())
-          << "node " << v << " arena=" << arena << " deltas=" << deltas;
-    }
-    std::ostringstream got_trace;
-    sim::writeTrace(got_trace, sim::traceFromEngine(*engine));
-    EXPECT_EQ(got_trace.str(), want_trace.str())
-        << "trace divergence at arena=" << arena << " deltas=" << deltas;
-  }
+  std::ostringstream got_trace;
+  sim::writeTrace(got_trace, sim::traceFromEngine(*engine));
+  EXPECT_EQ(got_trace.str(), want_trace.str());
 }
 
 // ---------------------------------------------------------------------------
@@ -688,8 +682,9 @@ TEST(ResilientFlood, CompletesOnCleanCliqueAndQuiesces) {
 
 TEST(ResilientFlood, SurvivesTenPercentDropAtN64) {
   const sim::NodeId n = 64;
-  const sim::TrialSummary summary =
-      sim::runTrials(30, /*base_seed=*/0xF100D, [&](std::uint64_t seed) {
+  const sim::TrialSummary summary = sim::BatchRunner().run(
+      30, /*base_seed=*/0xF100D,
+      [&](std::uint64_t seed, sim::EngineWorkspace&, sim::TrialRecorder& rec) {
         proto::ResilientFloodConfig config;
         proto::ResilientFloodFactory factory(config);
         std::vector<std::unique_ptr<sim::Process>> processes;
@@ -713,10 +708,9 @@ TEST(ResilientFlood, SurvivesTenPercentDropAtN64) {
                            engine.process(v))
                            .hasToken();
         }
-        return std::map<std::string, double>{
-            {"success", (result.all_done && all_tokens) ? 1.0 : 0.0},
-            {"rounds", static_cast<double>(result.rounds_executed)},
-            {"dropped", static_cast<double>(result.messages_dropped)}};
+        rec.set("success", (result.all_done && all_tokens) ? 1.0 : 0.0);
+        rec.set("rounds", static_cast<double>(result.rounds_executed));
+        rec.set("dropped", static_cast<double>(result.messages_dropped));
       });
   // ISSUE acceptance: >= 99% trial success at 10% per-delivery drop.
   EXPECT_GE(summary.metrics.at("success").mean(), 0.99);
@@ -725,8 +719,9 @@ TEST(ResilientFlood, SurvivesTenPercentDropAtN64) {
 
 TEST(ResilientFlood, SurvivesCrashesDropsAndCorruption) {
   const sim::NodeId n = 32;
-  const sim::TrialSummary summary =
-      sim::runTrials(10, /*base_seed=*/0xC4A5, [&](std::uint64_t seed) {
+  const sim::TrialSummary summary = sim::BatchRunner().run(
+      10, /*base_seed=*/0xC4A5,
+      [&](std::uint64_t seed, sim::EngineWorkspace&, sim::TrialRecorder& rec) {
         proto::ResilientFloodConfig config;
         proto::ResilientFloodFactory factory(config);
         std::vector<std::unique_ptr<sim::Process>> processes;
@@ -748,8 +743,9 @@ TEST(ResilientFlood, SurvivesCrashesDropsAndCorruption) {
         FaultPlan plan(n, fc, seed);
         // The source must survive or no trial can spread the token.
         if (plan.crashRound(config.source) != 0) {
-          return std::map<std::string, double>{{"success", 1.0},
-                                               {"skipped", 1.0}};
+          rec.set("success", 1.0);
+          rec.set("skipped", 1.0);
+          return;
         }
         auto injector =
             std::make_shared<const FaultInjector>(std::move(plan), &factory);
@@ -769,8 +765,8 @@ TEST(ResilientFlood, SurvivesCrashesDropsAndCorruption) {
         } catch (const util::CheckError&) {
           ok = false;  // live subgraph disconnected: a failed trial
         }
-        return std::map<std::string, double>{{"success", ok ? 1.0 : 0.0},
-                                             {"skipped", 0.0}};
+        rec.set("success", ok ? 1.0 : 0.0);
+        rec.set("skipped", 0.0);
       });
   EXPECT_GE(summary.metrics.at("success").mean(), 0.9);
 }

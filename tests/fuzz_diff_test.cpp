@@ -1,17 +1,16 @@
 // Differential fuzz over the engine's dual hot paths.
 //
-// The arena delivery path, the incremental topology cache (PR: arena hot
-// path + topology deltas) and the structure-of-arrays state store (PR: SoA
-// state + many-worlds lanes) are required to be BYTE-IDENTICAL to the
-// legacy engine: same RunResult fields, same per-node state digests, same
-// serialized traces, same metrics.json — modulo the reserved metric
-// prefixes (`topology/`, `arena/`, `soa/`) that report how the work was
-// done rather than what the protocol did.
+// The incremental topology cache (EngineConfig::topology_deltas) and the
+// structure-of-arrays state store (EngineConfig::soa_state) are required
+// to be BYTE-IDENTICAL to the reference engine: same RunResult fields,
+// same per-node state digests, same serialized traces, same metrics.json —
+// modulo the reserved metric prefixes (`topology/`, `soa/`) that report
+// how the work was done rather than what the protocol did.
 //
 // This test samples random (adversary, protocol, fault-plan) configs from
-// a fixed master seed and runs each through all eight flag combinations of
-// {soa_state, arena_delivery, topology_deltas}, asserting every
-// combination matches the legacy (false, false, false) artifacts exactly.
+// a fixed master seed and runs each through all four flag combinations of
+// {soa_state, topology_deltas}, asserting every combination matches the
+// reference (false, false) artifacts exactly.
 //
 // Budget: the default config count keeps the test inside the tier-1 ctest
 // `--quick` budget (a few seconds).  Set DYNET_FUZZ_CONFIGS=<count> to
@@ -182,10 +181,10 @@ FuzzConfig sampleConfig(std::uint64_t master_seed, int index) {
     c.fc.restart_downtime = 8;
   }
   // Guaranteed crash-restart coverage: every fourth config exercises
-  // mid-run restarts regardless of the random draws above, so the
-  // arena-delivery flag matrix always sees a node whose state machine is
-  // torn down and re-created while arena inboxes are live
-  // (tests/faults_test.cpp pins a scripted instance of the same scenario).
+  // mid-run restarts regardless of the random draws above, so the flag
+  // matrix always sees a node whose state is torn down and re-created
+  // mid-run (tests/faults_test.cpp pins a scripted instance of the same
+  // scenario).
   if (index % 4 == 1) {
     c.faulty = true;
     c.fc.crash_fraction = std::max(c.fc.crash_fraction, 0.25);
@@ -242,10 +241,10 @@ struct TrialArtifacts {
   }
 };
 
-/// Drops every line mentioning a reserved-prefix metric.  `topology/`,
-/// `arena/` and `soa/` report which hot path executed (delta hit rates,
-/// arena high water marks, stride-worker shape) and are the ONLY metrics
-/// allowed to differ between the legacy and optimized engines.  All paths
+/// Drops every line mentioning a reserved-prefix metric.  `topology/` and
+/// `soa/` report which hot path executed (delta hit rates, stride-worker
+/// shape) and are the ONLY metrics allowed to differ between the reference
+/// and optimized engines.  All paths
 /// register the same protocol-level names, so stripping is symmetric and
 /// the remainders stay comparable.
 std::string stripReservedMetrics(const std::string& json) {
@@ -254,7 +253,6 @@ std::string stripReservedMetrics(const std::string& json) {
   std::string line;
   while (std::getline(in, line)) {
     if (line.find("\"topology/") != std::string::npos ||
-        line.find("\"arena/") != std::string::npos ||
         line.find("\"soa/") != std::string::npos) {
       continue;
     }
@@ -264,7 +262,7 @@ std::string stripReservedMetrics(const std::string& json) {
 }
 
 TrialArtifacts runConfig(const FuzzConfig& c, bool soa_state,
-                         bool arena_delivery, bool topology_deltas) {
+                         bool topology_deltas) {
   const std::unique_ptr<ProcessFactory> factory = makeFactory(c);
   obs::MetricsSink sink;
   EngineConfig config;
@@ -282,7 +280,6 @@ TrialArtifacts runConfig(const FuzzConfig& c, bool soa_state,
   config.duplex = c.protocol >= 4;
   config.metrics = c.with_sink ? &sink : nullptr;
   config.soa_state = soa_state;
-  config.arena_delivery = arena_delivery;
   config.topology_deltas = topology_deltas;
   Engine engine(*factory, makeAdversary(c), config, c.run_seed);
   if (c.faulty) {
@@ -319,20 +316,17 @@ TEST(FuzzDiff, OptimizedPathsMatchLegacyByteForByte) {
   const int count = configCount();
   for (int i = 0; i < count; ++i) {
     const FuzzConfig c = sampleConfig(master_seed, i);
-    const TrialArtifacts legacy = runConfig(c, false, false, false);
-    // All seven non-legacy combinations of {soa_state, arena_delivery,
-    // topology_deltas} — the shipping default (true, true, true) plus every
-    // partial engine, so a regression in any subsystem is attributed to the
-    // right flag.
-    for (int combo = 1; combo < 8; ++combo) {
-      const bool soa = (combo & 4) != 0;
-      const bool arena = (combo & 2) != 0;
+    const TrialArtifacts reference = runConfig(c, false, false);
+    // All three non-reference combinations of {soa_state, topology_deltas}
+    // — the shipping default (true, true) plus each partial engine, so a
+    // regression in either subsystem is attributed to the right flag.
+    for (int combo = 1; combo < 4; ++combo) {
+      const bool soa = (combo & 2) != 0;
       const bool deltas = (combo & 1) != 0;
-      const TrialArtifacts other = runConfig(c, soa, arena, deltas);
-      EXPECT_TRUE(legacy == other)
+      const TrialArtifacts other = runConfig(c, soa, deltas);
+      EXPECT_TRUE(reference == other)
           << describeConfig(c, i) << " [soa_state=" << soa
-          << " arena_delivery=" << arena << " topology_deltas=" << deltas
-          << "]";
+          << " topology_deltas=" << deltas << "]";
     }
     if (HasFailure()) {
       break;  // one reproducible config is enough to debug
@@ -347,7 +341,6 @@ TEST(FuzzDiff, ReservedMetricStripping) {
       "{\n"
       "    \"engine/rounds\": 5,\n"
       "    \"topology/full_builds\": 5,\n"
-      "    \"arena/refs_high_water\": 12,\n"
       "    \"soa//active\": 1,\n"
       "    \"flood/has_token\": 1\n"
       "}\n";

@@ -123,13 +123,14 @@ std::string runCanonical(const sim::ProcessFactory& factory,
                          std::unique_ptr<sim::Adversary> adversary,
                          sim::Round rounds, std::uint64_t seed,
                          const faults::FaultConfig* fc = nullptr,
-                         bool duplex = false) {
+                         bool duplex = false, bool anonymous = false) {
   const sim::NodeId n = adversary->numNodes();
   // Factory construction takes the shipping default path (soa_state ON for
   // factories with an SoA model), so the .golden files pin the SoA engine
   // against the repository history, not just the legacy object path.
   sim::EngineConfig config = canonicalConfig(rounds);
   config.duplex = duplex;
+  config.anonymous = anonymous;
   sim::Engine engine(factory, std::move(adversary), config, seed);
   if (fc != nullptr) {
     engine.setFaultInjector(std::make_shared<const faults::FaultInjector>(
@@ -228,8 +229,7 @@ TEST(GoldenCorpus, GossipOnRandomTree) {
                             /*rounds=*/56, /*seed=*/0xA007));
 }
 
-TEST(GoldenCorpus, BabblerUnderFaults) {
-  proto::RandomBabblerFactory factory(20);
+faults::FaultConfig babblerFaults() {
   faults::FaultConfig fc;
   fc.drop_prob = 0.2;
   fc.corrupt_prob = 0.1;
@@ -238,11 +238,32 @@ TEST(GoldenCorpus, BabblerUnderFaults) {
   fc.crash_window = 24;
   fc.restart = true;
   fc.restart_downtime = 8;
+  return fc;
+}
+
+TEST(GoldenCorpus, BabblerUnderFaults) {
+  proto::RandomBabblerFactory factory(20);
+  const faults::FaultConfig fc = babblerFaults();
   expectGolden(
       "babbler_faulted_random_graph",
       runCanonical(factory,
                    std::make_unique<adv::RandomGraphAdversary>(16, 0.5, 9),
                    /*rounds=*/48, /*seed=*/0xA008, &fc));
+}
+
+// The same faulted run under anonymous port numbering.  RandomBabbler
+// folds its inbox into its state in delivery order, so this digest pins
+// the keyed port permutation and that it is applied after the drop/corrupt
+// filter (EngineConfig::anonymous).
+TEST(GoldenCorpus, BabblerAnonymousFaultedRandomGraph) {
+  proto::RandomBabblerFactory factory(20);
+  const faults::FaultConfig fc = babblerFaults();
+  expectGolden(
+      "babbler_anonymous_faulted_random_graph",
+      runCanonical(factory,
+                   std::make_unique<adv::RandomGraphAdversary>(16, 0.5, 9),
+                   /*rounds=*/48, /*seed=*/0xA008, &fc, /*duplex=*/false,
+                   /*anonymous=*/true));
 }
 
 // ------------------------------------------- distance protocols (duplex)

@@ -39,6 +39,19 @@ TEST(Graph, Connectivity) {
   EXPECT_EQ(split.componentCount(), 2);
 }
 
+/// The delivery loop hands each receiver its sending neighbors in
+/// neighbors(v) order as the canonical ascending-sender order, so every
+/// CSR row must come out sorted.
+bool rowsSorted(const Graph& g) {
+  for (NodeId v = 0; v < g.numNodes(); ++v) {
+    const auto row = g.neighbors(v);
+    if (!std::is_sorted(row.begin(), row.end())) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(GraphBuilders, Shapes) {
   EXPECT_TRUE(makePath(6)->connected());
   EXPECT_EQ(makePath(6)->numEdges(), 5u);
@@ -50,6 +63,12 @@ TEST(GraphBuilders, Shapes) {
   auto torus = makeTorus(4, 5);
   EXPECT_TRUE(torus->connected());
   EXPECT_EQ(torus->neighbors(0).size(), 4u);
+  for (const GraphPtr& g : {makePath(6), makeRing(6), makeStar(6, 2),
+                            makeClique(5), torus}) {
+    EXPECT_TRUE(rowsSorted(*g));
+  }
+  // Sorted whatever order the edge list arrives in.
+  EXPECT_TRUE(rowsSorted(Graph(5, {{3, 1}, {0, 4}, {4, 2}, {1, 0}, {2, 0}})));
 }
 
 TEST(GraphBuilders, TorusTwoWideHasNoDuplicateEdges) {
@@ -194,6 +213,8 @@ TEST(PatchEdges, MatchesFirstMatchReferenceOnRandomDeltas) {
       const auto fresh_row = fresh.neighbors(v);
       ASSERT_TRUE(std::equal(row.begin(), row.end(), fresh_row.begin(),
                              fresh_row.end()))
+          << "trial " << trial << " node " << v;
+      ASSERT_TRUE(std::is_sorted(row.begin(), row.end()))
           << "trial " << trial << " node " << v;
     }
     const bool over_half =

@@ -6,9 +6,9 @@
 
 #include "adversary/static_adversaries.h"
 #include "net/graph.h"
+#include "sim/batch.h"
 #include "sim/engine.h"
 #include "sim/message.h"
-#include "sim/runner.h"
 #include "util/check.h"
 
 namespace dynet::sim {
@@ -397,20 +397,21 @@ TEST(Engine, PerNodeBitAccounting) {
 }
 
 TEST(Runner, AggregatesMetrics) {
-  const TrialSummary summary = runTrials(16, 99, [](std::uint64_t seed) {
-    return std::map<std::string, double>{
-        {"seedmod", static_cast<double>(seed % 7)}, {"one", 1.0}};
-  });
+  const TrialSummary summary = BatchRunner().run(
+      16, 99, [](std::uint64_t seed, EngineWorkspace&, TrialRecorder& rec) {
+        rec.set("seedmod", static_cast<double>(seed % 7));
+        rec.set("one", 1.0);
+      });
   EXPECT_EQ(summary.metrics.at("one").count(), 16u);
   EXPECT_DOUBLE_EQ(summary.metrics.at("one").mean(), 1.0);
   EXPECT_EQ(summary.metrics.at("seedmod").count(), 16u);
 }
 
 TEST(Runner, DistinctSeedsPerTrial) {
-  const TrialSummary summary = runTrials(32, 5, [](std::uint64_t seed) {
-    return std::map<std::string, double>{
-        {"low32", static_cast<double>(seed & 0xffffffffu)}};
-  });
+  const TrialSummary summary = BatchRunner().run(
+      32, 5, [](std::uint64_t seed, EngineWorkspace&, TrialRecorder& rec) {
+        rec.set("low32", static_cast<double>(seed & 0xffffffffu));
+      });
   EXPECT_GT(summary.metrics.at("low32").stddev(), 0.0);
 }
 

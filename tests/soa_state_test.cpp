@@ -263,19 +263,28 @@ TEST(SoAState, NoLivenessFaultPlansAreByteIdentical) {
 }
 
 // The strided worker loop (node_threads > 1) must be byte-identical to the
-// serial loop.  CI runs this test under TSan to race-check the stride.
+// serial loop, fault-free and through the shared drop/corrupt filter with
+// its per-worker tallies.  CI runs this test under TSan to race-check the
+// stride.
 TEST(SoAState, StridedWorkersMatchSerial) {
+  faults::FaultConfig lossy;
+  lossy.drop_prob = 0.2;
+  lossy.corrupt_prob = 0.1;  // CRC-caught: no protocol sees a mangled payload
+  const faults::FaultConfig* const plans[] = {&lossy, nullptr};
   for (int protocol = 0; protocol < 4; ++protocol) {
     for (const int node_threads : {4, 0}) {
-      LockstepSpec s;
-      s.n = 48;
-      s.protocol = protocol;
-      s.adversary = 2;
-      s.seed = 0x81;
-      s.node_threads = node_threads;  // object leg stays serial
-      runLockstep(s);
-      if (HasFatalFailure()) {
-        return;
+      for (const faults::FaultConfig* fc : plans) {
+        LockstepSpec s;
+        s.n = 48;
+        s.protocol = protocol;
+        s.adversary = 2;
+        s.seed = 0x81;
+        s.fc = fc;
+        s.node_threads = node_threads;  // object leg stays serial
+        runLockstep(s);
+        if (HasFatalFailure()) {
+          return;
+        }
       }
     }
   }
