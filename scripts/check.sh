@@ -16,6 +16,11 @@ echo "=== tests ==="
 # --timeout: a wedged test (e.g. a supervision bug leaving a worker
 # hanging) must fail the suite, not stall it forever.
 ctest --test-dir build -j"$(nproc)" --output-on-failure --timeout 300
+echo "=== extended differential fuzz (2000 configs) ==="
+# The default 24 configs miss config 1639 (diam_32approx at n = 16 under
+# corrupting and crashing faults), which pins the relayed-distance range
+# check of the diameter protocols; about 5 s.
+DYNET_FUZZ_CONFIGS=2000 build/tests/fuzz_diff_test
 echo "=== hermeticity (trace_cli, campaign, dataset suites, parallel x5) ==="
 # Each discovered test is its own process; run them concurrently and
 # repeatedly so a scratch path shared between tests shows up as a failure.

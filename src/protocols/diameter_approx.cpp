@@ -198,6 +198,7 @@ void Diam32ApproxProcess::onDeliver(sim::Round round, bool /*sent*/,
     switch (phase_begun_) {
       case 1:
         if (decodeFields(msg, width_, 2, bound, f) &&
+            distanceExtends(f[1], n_) &&
             std::binary_search(sources_.begin(), sources_.end(),
                                static_cast<sim::NodeId>(f[0]))) {
           pipe_s_.relax(static_cast<sim::NodeId>(f[0]),
@@ -215,7 +216,8 @@ void Diam32ApproxProcess::onDeliver(sim::Round round, bool /*sent*/,
         }
         break;
       case 3:
-        if (decodeFields(msg, width_, 1, bound, f)) {
+        if (decodeFields(msg, width_, 1, bound, f) &&
+            distanceExtends(f[0], n_)) {
           const int nd = static_cast<int>(f[0]) + 1;
           if (dist_w_ < 0 || nd < dist_w_) {
             dist_w_ = nd;
@@ -237,7 +239,8 @@ void Diam32ApproxProcess::onDeliver(sim::Round round, bool /*sent*/,
         }
         break;
       case 5:
-        if (decodeFields(msg, width_, 2, bound, f)) {
+        if (decodeFields(msg, width_, 2, bound, f) &&
+            distanceExtends(f[1], n_)) {
           pipe_nw_.relax(static_cast<sim::NodeId>(f[0]),
                          static_cast<int>(f[1]) + 1);
         }

@@ -139,7 +139,8 @@ void DiamExactProcess::onDeliver(sim::Round round, bool /*sent*/,
   std::uint64_t f[2];
   if (round <= phase1Rounds(n_)) {
     for (const sim::Message& msg : received) {
-      if (!decodeFields(msg, width_, 2, static_cast<std::uint64_t>(n_), f)) {
+      if (!decodeFields(msg, width_, 2, static_cast<std::uint64_t>(n_), f) ||
+          !distanceExtends(f[1], n_)) {
         continue;
       }
       if (pipe_.relax(static_cast<sim::NodeId>(f[0]),
@@ -242,7 +243,8 @@ void Diam2ApproxProcess::onDeliver(sim::Round round, bool /*sent*/,
   if (round <= phase1Rounds(n_)) {
     std::uint64_t f[1];
     for (const sim::Message& msg : received) {
-      if (!decodeFields(msg, width_, 1, static_cast<std::uint64_t>(n_), f)) {
+      if (!decodeFields(msg, width_, 1, static_cast<std::uint64_t>(n_), f) ||
+          !distanceExtends(f[0], n_)) {
         continue;
       }
       const int nd = static_cast<int>(f[0]) + 1;

@@ -174,4 +174,13 @@ class Diam2ApproxFactory : public sim::ProcessFactory {
 bool decodeFields(const sim::Message& msg, int width, int fields,
                   std::uint64_t bound, std::uint64_t* out);
 
+/// True iff a decoded BFS distance d may be adopted as d + 1 at an n-node
+/// receiver: d + 1 < n, the longest shortest path of any connected n-node
+/// graph.  A larger d only arrives through corrupted deliveries or
+/// restart-reset chains, and storing d + 1 = n would overflow the
+/// bitWidthFor(n)-bit field on the next broadcast.
+inline bool distanceExtends(std::uint64_t d, sim::NodeId n) {
+  return d + 1 < static_cast<std::uint64_t>(n);
+}
+
 }  // namespace dynet::proto

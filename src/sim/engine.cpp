@@ -173,12 +173,14 @@ void Engine::finalizeMetrics() {
   reg.gauge("engine/max_bits_per_node")
       ->set(static_cast<double>(result_.max_bits_per_node));
   // Execution-shape gauges (reserved soa// prefix, docs/OBSERVABILITY.md):
-  // which state representation ran and how the strided worker loops were
-  // shaped.  Allowed to differ between the object and SoA paths, exactly
-  // like topology/.
+  // which state representation ran, how the strided worker loops were
+  // shaped and which way serial fault-free delivery walked.  Allowed to
+  // differ between the object and SoA paths, exactly like topology/.
   const int stride_workers = soa_ != nullptr ? soaStrideWorkers(config_) : 1;
   reg.gauge("soa//active")->set(soa_ != nullptr ? 1.0 : 0.0);
   reg.gauge("soa//stride_workers")->set(static_cast<double>(stride_workers));
+  reg.gauge("soa//pull_rounds")
+      ->set(static_cast<double>(ws_->soa_pull_rounds));
   std::uint64_t stride_imbalance = 0;
   if (stride_workers > 1) {
     // Live nodes per stride class (max - min): how uneven the last live

@@ -143,12 +143,15 @@ void FaultPhase::run(RoundContext& ctx) {
 
 // Coins flip, each live node decides its action; crashed nodes decide
 // nothing and emit nothing.  accountSentAction (sim/soa_exec.h) is shared
-// with the SoA compute loops, which fuse it into their serial walk.
+// with the SoA compute loops, which fuse it into their serial walk.  Every
+// Action write is paired with its send-column byte (EngineWorkspace::sending),
+// which the delivery loops probe instead of the Action array.
 void ComputePhase::run(RoundContext& ctx) {
   EngineWorkspace& ws = *ctx.ws;
   RunResult& result = *ctx.result;
   const auto np = static_cast<std::size_t>(ctx.n);
   ws.actions.resize(np);
+  ws.sending.resize(np);
   // Per-node coin-key prefixes, hashed once per run: fromNodeKey yields the
   // exact CoinStream(seed, node, round) streams at half the construction
   // hashing.
@@ -173,12 +176,14 @@ void ComputePhase::run(RoundContext& ctx) {
     const auto idx = static_cast<std::size_t>(v);
     if (ctx.faulty && ws.alive[idx] == 0) {
       ws.actions[idx] = Action{};
+      ws.sending[idx] = 0;
       continue;
     }
     util::CoinStream coins = util::CoinStream::fromNodeKey(
         ws.coin_keys[idx], static_cast<std::uint64_t>(ctx.round));
     ws.actions[idx] = processes[idx]->onRound(ctx.round, coins);
     const Action& a = ws.actions[idx];
+    ws.sending[idx] = a.send ? 1 : 0;
     if (a.send) {
       accountSentAction(ctx, result, v, a);
     }
@@ -297,13 +302,14 @@ void DeliveryPhase::run(RoundContext& ctx) {
   EngineWorkspace& ws = *ctx.ws;
   const net::Graph& g = *ctx.topology;
   const Action* const actions = ws.actions.data();
+  const char* const sending = ws.sending.data();
   FaultTally tally;
   for (NodeId v = 0; v < ctx.n; ++v) {
     const auto vi = static_cast<std::size_t>(v);
     if (ctx.faulty && ws.alive[vi] == 0) {
       continue;  // crashed: no onDeliver
     }
-    const bool sent = actions[vi].send;
+    const bool sent = sending[vi] != 0;
     ws.inbox.clear();
     // Send-xor-receive (the paper's model): a sender hears nothing this
     // round.  Under EngineConfig::duplex (broadcast CONGEST for the
@@ -311,15 +317,15 @@ void DeliveryPhase::run(RoundContext& ctx) {
     // neighbors' messages like any receiver, with sent=true.
     if (!sent || ctx.config->duplex) {
       for (const NodeId u : g.neighbors(v)) {
-        const Action& a = actions[static_cast<std::size_t>(u)];
-        if (!a.send) {
+        const auto ui = static_cast<std::size_t>(u);
+        if (sending[ui] == 0) {
           continue;
         }
         if (!ctx.faulty) {
-          ws.inbox.push_back(a.msg);
+          ws.inbox.push_back(actions[ui].msg);
           continue;
         }
-        filterDelivery(ctx, u, v, a.msg, tally,
+        filterDelivery(ctx, u, v, actions[ui].msg, tally,
                        [&ws](const Message& msg, bool /*pristine*/) {
                          ws.inbox.push_back(msg);
                        });

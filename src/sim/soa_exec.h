@@ -6,6 +6,13 @@
 // adjacent cache lines, no partitioning state is needed, and T == 1 (the
 // default) gets a dedicated serial loop with zero dispatch cost.
 //
+// Send column.  Every compute loop (these three branches and the object
+// ComputePhase) writes EngineWorkspace::sending[v] = actions[v].send right
+// where it writes the Action — crashed nodes get 0 next to their Action{} —
+// and nowhere else.  Every delivery loop then tests membership in those n
+// bytes instead of striding the 48-byte Action array; payloads are still
+// read from ws.actions, and only for actual senders.
+//
 // The serial (T == 1) specializations are where the SoA path earns its
 // keep against the object engine:
 //   * compute fuses send-side accounting into the walk instead of
@@ -14,28 +21,39 @@
 //   * models receive the per-node coin *key* and derive only the draws
 //     they actually make (util::CoinStream::firstCoin), so a flood
 //     non-holder pays zero hashing;
-//   * fault-free delivery flips to a *push* walk over that sender list —
-//     cost proportional to the senders' degree sum instead of a full
-//     neighbor scan per receiver.  Byte-identity holds because the outer
-//     loop is ascending in sender id, so any fixed receiver still sees its
+//   * fault-free delivery is direction-optimizing (Beamer, Asanović and
+//     Patterson, SC 2012): it walks whichever side of the round touches
+//     fewer items.  With S the senders, R = n - |S| the receivers and m
+//     the edges, the sender-major *push* walk visits |S| rows plus their
+//     entries, the receiver-major *pull* walk scans all n nodes, then |R|
+//     rows plus their entries.  Taking the mean degree 2m/n for every
+//     row's length, push costs |S|(1 + 2m/n) and pull n + (n - |S|)(1 +
+//     2m/n), so pull wins iff (2|S| - n)(n + 2m) > n^2 (pullWalkWins; a
+//     tie stays push).  A saturated flood, where nearly everyone sends,
+//     pulls; a sparse frontier pushes.  Both are byte-identical to the
+//     object path: push is the loop interchange of pull with the outer
+//     loop ascending in sender id, so any fixed receiver still sees its
 //     messages in ascending sender order (exactly the pull order: sorted
-//     neighbor lists filtered by send), and cross-node reads still touch
-//     only frozen sender state (send-xor-receive).  The per-node
-//     afterDeliver tail is replaced by the model's afterDeliverAllClean
-//     bulk hook, sound because every live node gets the hook in a
-//     fault-free round and no model hook reads what it writes.
+//     neighbor lists filtered by send), and cross-node reads in either
+//     direction touch only frozen sender state (send-xor-receive).  Push
+//     replaces the per-node afterDeliver tail by the model's
+//     afterDeliverAllClean bulk hook, sound because every live node gets
+//     the hook in a fault-free round and no model hook reads what it
+//     writes; pull is the receiver-major loop the strided and faulty
+//     branches run, per-node afterDeliver included.
 //
 // Race-freedom argument for T > 1 (checked under TSan by
 // tests/soa_state_test.cpp in CI):
 //   * compute: computeNode(v) writes only node v's columns, its action
 //     slot, and draws from node v's private coin stream — disjoint per
-//     worker by construction.  Send accounting stays a serial ascending
-//     pass after the join so counter updates land in the legacy order.
+//     worker by construction; the worker writes sending[v] beside it.
+//     Send accounting stays a serial ascending pass after the join so
+//     counter updates land in the legacy order.
 //   * delivery: a receiver mutates only its own columns; cross-node reads
-//     touch only *senders'* action payloads and state columns, and a sender
-//     receives nothing this round (send-xor-receive), so no worker writes
-//     what another reads.  Fault counters accumulate per worker and merge
-//     after the join.
+//     touch only *senders'* action payloads, send bytes and state columns,
+//     and a sender receives nothing this round (send-xor-receive), so no
+//     worker writes what another reads.  Fault counters accumulate per
+//     worker and merge after the join.
 //
 // The loops reproduce the object path exactly: same live-mask gating, same
 // CoinStream streams, same canonical ascending-sender delivery order (the
@@ -113,6 +131,20 @@ inline void addFaultTally(RoundContext& ctx, const FaultTally& tally) {
   }
 }
 
+/// Direction rule of the serial fault-free delivery walk: true iff the
+/// receiver-major pull walk touches fewer items than the sender-major push
+/// walk over `senders` of `n` nodes on an `edges`-edge topology, i.e. iff
+/// (2|S| - n)(n + 2m) > n^2 (derivation in the header comment).  The
+/// product is compared as n + 2m > floor(n^2 / (2|S| - n)), exact for
+/// positive integers, so no 64-bit intermediate can overflow.
+inline bool pullWalkWins(std::uint64_t n, std::uint64_t senders,
+                         std::uint64_t edges) {
+  if (2 * senders <= n) {
+    return false;
+  }
+  return n + 2 * edges > n * n / (2 * senders - n);
+}
+
 /// ComputePhase body over a model providing
 ///   computeNode(RoundContext&, NodeId v, std::uint64_t node_key)
 /// which must fully assign ctx.ws->actions[v] (receivers included — a stale
@@ -124,6 +156,7 @@ inline void addFaultTally(RoundContext& ctx, const FaultTally& tally) {
 ///
 /// Handles send accounting for every worker count: fused into the serial
 /// walk when T == 1, a separate ascending pass after the join otherwise.
+/// Every branch writes the send column beside the Action.
 template <typename Model>
 void soaComputeAll(RoundContext& ctx, Model& model) {
   EngineWorkspace& ws = *ctx.ws;
@@ -131,12 +164,15 @@ void soaComputeAll(RoundContext& ctx, Model& model) {
   const int workers = soaStrideWorkers(*ctx.config);
   const std::uint64_t* const keys = ws.coin_keys.data();
   Action* const actions = ws.actions.data();
+  char* const sending = ws.sending.data();
   if (workers == 1) {
     if (!ctx.faulty) {
       ws.soa_senders.clear();
       for (NodeId v = 0; v < ctx.n; ++v) {
-        model.computeNode(ctx, v, keys[static_cast<std::size_t>(v)]);
-        const Action& a = actions[static_cast<std::size_t>(v)];
+        const auto idx = static_cast<std::size_t>(v);
+        model.computeNode(ctx, v, keys[idx]);
+        const Action& a = actions[idx];
+        sending[idx] = a.send ? 1 : 0;
         if (a.send) {
           accountSentAction(ctx, result, v, a);
           ws.soa_senders.push_back(v);
@@ -147,9 +183,11 @@ void soaComputeAll(RoundContext& ctx, Model& model) {
         const auto idx = static_cast<std::size_t>(v);
         if (ws.alive[idx] == 0) {
           actions[idx] = Action{};
+          sending[idx] = 0;
           continue;
         }
         model.computeNode(ctx, v, keys[idx]);
+        sending[idx] = actions[idx].send ? 1 : 0;
         if (actions[idx].send) {
           accountSentAction(ctx, result, v, actions[idx]);
         }
@@ -163,17 +201,19 @@ void soaComputeAll(RoundContext& ctx, Model& model) {
       const auto idx = static_cast<std::size_t>(v);
       if (ctx.faulty && ws.alive[idx] == 0) {
         actions[idx] = Action{};
+        sending[idx] = 0;
         continue;
       }
       model.computeNode(ctx, v, keys[idx]);
+      sending[idx] = actions[idx].send ? 1 : 0;
     }
   };
   util::ThreadPool::shared().parallelFor(static_cast<std::size_t>(workers),
                                          worker);
   for (NodeId v = 0; v < ctx.n; ++v) {
-    const Action& a = actions[static_cast<std::size_t>(v)];
-    if (a.send) {
-      accountSentAction(ctx, result, v, a);
+    const auto idx = static_cast<std::size_t>(v);
+    if (sending[idx] != 0) {
+      accountSentAction(ctx, result, v, actions[idx]);
     }
   }
 }
@@ -187,34 +227,39 @@ void soaComputeAll(RoundContext& ctx, Model& model) {
 ///   afterDeliverAllClean(RoundContext&)
 ///                         — bulk equivalent of calling afterDeliver on
 ///                           every node after all messages landed; used only
-///                           on the fault-free serial (push) path, so it may
+///                           by the fault-free serial push walk, so it may
 ///                           assume every node is live.  Models whose
 ///                           afterDeliver depends on per-node interleaving
-///                           with onMessage must not take the push path.
+///                           with onMessage must not take the push walk.
 /// Crashed nodes get neither call, exactly like the object path.
 template <typename Model>
 void soaDeliverAll(RoundContext& ctx, Model& model) {
   EngineWorkspace& ws = *ctx.ws;
   const net::Graph& g = *ctx.topology;
   const Action* const actions = ws.actions.data();
+  const char* const sending = ws.sending.data();
   const int workers = soaStrideWorkers(*ctx.config);
   if (workers == 1 && !ctx.faulty) {
-    // Fault-free serial push walk over the sender list soaComputeAll
-    // collected this round.  Loop interchange from the pull scan: outer
-    // ascending senders, inner the sender's (sorted) neighbors, so every
-    // receiver still takes its onMessage calls in ascending sender order
-    // while non-senders' neighbor lists are never walked at all.  No
-    // drop/corrupt fates are possible fault-free.
-    for (const NodeId u : ws.soa_senders) {
-      const Message& msg = actions[static_cast<std::size_t>(u)].msg;
-      for (const NodeId v : g.neighbors(u)) {
-        if (!actions[static_cast<std::size_t>(v)].send) {
-          model.onMessage(ctx, v, u, msg, /*pristine=*/true);
+    if (!pullWalkWins(static_cast<std::uint64_t>(ctx.n),
+                      ws.soa_senders.size(), g.numEdges())) {
+      // Push walk over the sender list soaComputeAll collected this round.
+      // Loop interchange from the pull scan: outer ascending senders, inner
+      // the sender's (sorted) neighbors, so every receiver still takes its
+      // onMessage calls in ascending sender order while non-senders'
+      // neighbor lists are never walked at all.  No drop/corrupt fates are
+      // possible fault-free.
+      for (const NodeId u : ws.soa_senders) {
+        const Message& msg = actions[static_cast<std::size_t>(u)].msg;
+        for (const NodeId v : g.neighbors(u)) {
+          if (sending[static_cast<std::size_t>(v)] == 0) {
+            model.onMessage(ctx, v, u, msg, /*pristine=*/true);
+          }
         }
       }
+      model.afterDeliverAllClean(ctx);
+      return;
     }
-    model.afterDeliverAllClean(ctx);
-    return;
+    ++ws.soa_pull_rounds;  // senders dominate: the pull walk below
   }
   ws.stride_faults.assign(static_cast<std::size_t>(workers), FaultTally{});
   const auto worker = [&](std::size_t w) {
@@ -225,20 +270,20 @@ void soaDeliverAll(RoundContext& ctx, Model& model) {
       if (ctx.faulty && ws.alive[vi] == 0) {
         continue;  // crashed: no delivery
       }
-      if (actions[vi].send) {
+      if (sending[vi] != 0) {
         model.afterDeliver(ctx, v, true);
         continue;
       }
       for (const NodeId u : g.neighbors(v)) {
-        const Action& a = actions[static_cast<std::size_t>(u)];
-        if (!a.send) {
+        const auto ui = static_cast<std::size_t>(u);
+        if (sending[ui] == 0) {
           continue;
         }
         if (!ctx.faulty) {
-          model.onMessage(ctx, v, u, a.msg, /*pristine=*/true);
+          model.onMessage(ctx, v, u, actions[ui].msg, /*pristine=*/true);
           continue;
         }
-        filterDelivery(ctx, u, v, a.msg, tally,
+        filterDelivery(ctx, u, v, actions[ui].msg, tally,
                        [&](const Message& msg, bool pristine) {
                          model.onMessage(ctx, v, u, msg, pristine);
                        });

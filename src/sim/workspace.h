@@ -38,6 +38,11 @@ struct FaultTally {
 struct EngineWorkspace {
   /// This round's decided actions, [node].  Rebuilt every round.
   std::vector<Action> actions;
+  /// This round's send column, [node]: 1 iff actions[v].send.  Single
+  /// writer rule: written only where an Action is written (every compute
+  /// loop; a crashed node's 0 next to its Action{}), so every delivery loop
+  /// probes these n bytes instead of striding the Action array.
+  std::vector<char> sending;
   /// Object-path delivery scratch: the messages handed to the current
   /// receiver's onDeliver, in delivery order.
   std::vector<Message> inbox;
@@ -67,12 +72,16 @@ struct EngineWorkspace {
   /// model) instead of scanning every node (sim/soa_exec.h).  Empty and
   /// unused on the strided and faulty paths.
   std::vector<NodeId> soa_senders;
+  /// Serial fault-free SoA rounds whose delivery took the receiver-major
+  /// pull walk (sim/soa_exec.h); exported as the soa//pull_rounds gauge.
+  std::uint64_t soa_pull_rounds = 0;
 
   /// Drops all per-run state but keeps every vector's capacity.  The engine
   /// calls this on construction, so a reused workspace can never leak one
   /// trial's data into the next.
   void reset() {
     actions.clear();
+    sending.clear();
     inbox.clear();
     alive.clear();
     crash_counted.clear();
@@ -82,6 +91,7 @@ struct EngineWorkspace {
     soa.reset();
     stride_faults.clear();
     soa_senders.clear();
+    soa_pull_rounds = 0;
   }
 };
 

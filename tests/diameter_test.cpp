@@ -18,8 +18,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -275,6 +277,138 @@ TEST(DecodeFields, RejectsWrongShapeAndOutOfRange) {
   EXPECT_FALSE(proto::decodeFields(ok, width + 1, 2, 16, out));
   // Empty message: reject.
   EXPECT_FALSE(proto::decodeFields(sim::Message(), width, 2, 16, out));
+}
+
+// ------------------------------------------- relayed-distance range check
+//
+// A BFS distance d decoded off the wire is adopted as d + 1 only when
+// d + 1 < n (proto::distanceExtends).  Each test hands one process at
+// n = 16 a message carrying distance 15 in the phase under test, then a
+// valid distance 3 one round later (so the phase provably listened), and
+// drives it through its whole schedule with empty inboxes otherwise.  The
+// stored 16 used to overflow the 4-bit field on the next broadcast; now
+// nothing throws and no stored distance reaches n.
+
+constexpr sim::NodeId kRangeN = 16;  // bitWidthFor(16) = 4: values 0..15
+constexpr int kRangeWidth = 4;
+
+sim::Message fields(std::initializer_list<std::uint64_t> values) {
+  sim::MessageBuilder b;
+  for (const std::uint64_t v : values) {
+    b.put(v, kRangeWidth);
+  }
+  return b.build();
+}
+
+/// Runs a lone process through rounds 1..last as the engine would (onRound,
+/// then onDeliver), handing it each (round, message) of `deliveries` in its
+/// round; every other inbox is empty.
+void driveLone(
+    sim::Process& p, sim::Round last,
+    std::initializer_list<std::pair<sim::Round, sim::Message>> deliveries) {
+  for (sim::Round r = 1; r <= last; ++r) {
+    util::CoinStream coins(0, 0, static_cast<std::uint64_t>(r));
+    const sim::Action a = p.onRound(r, coins);
+    std::vector<sim::Message> inbox;
+    for (const auto& [at, msg] : deliveries) {
+      if (at == r) {
+        inbox.push_back(msg);
+      }
+    }
+    p.onDeliver(r, a.send, inbox);
+  }
+}
+
+TEST(DiamExact, RejectsRelayedDistanceReachingN) {
+  // Node 0 pops its own (0, 0) entry in round 1; the (15 + 1, 5) entry
+  // would pop next.
+  proto::DiamExactProcess p(0, kRangeN);
+  EXPECT_NO_THROW(driveLone(p, proto::DiamExactProcess::scheduleRounds(kRangeN),
+                            {{1, fields({5, 15})}, {2, fields({6, 3})}}));
+  for (sim::NodeId s = 0; s < kRangeN; ++s) {
+    EXPECT_LT(p.distanceTo(s), kRangeN) << "source " << s;
+  }
+  EXPECT_EQ(p.distanceTo(5), -1);
+  EXPECT_EQ(p.distanceTo(6), 4);
+  EXPECT_EQ(p.eccentricity(), 4);
+}
+
+TEST(Diam2Approx, RejectsRelayedDistanceReachingN) {
+  proto::Diam2ApproxProcess p(3, kRangeN, /*source=*/0);
+  EXPECT_NO_THROW(
+      driveLone(p, proto::Diam2ApproxProcess::scheduleRounds(kRangeN),
+                {{1, fields({15})}, {2, fields({3})}}));
+  EXPECT_EQ(p.distFromSource(), 4);
+  EXPECT_EQ(p.output(), 4u);
+}
+
+/// First round of Diam32ApproxProcess phase p (1..5) at kRangeN: phase p
+/// spans (e(p - 1), e(p)], with the phase end rounds e1..e4 of
+/// diameter_approx.h.
+sim::Round diam32PhaseStart(int phase) {
+  const sim::Round n = kRangeN;
+  const sim::Round k = proto::Diam32ApproxProcess::sampleSize(kRangeN);
+  const sim::Round ends[] = {0, k + n + 2, 2 * n + k + 3, 3 * n + k + 4,
+                             4 * n + 2 * k + 6};
+  return ends[phase - 1] + 1;
+}
+
+/// estimate() is the running maximum over every distance the process
+/// stored (phase-1 sources, d(w, v), phase-5 sources), so bounding it
+/// bounds them all.
+void expectDiam32Estimate(const proto::Diam32ApproxProcess& p,
+                          int expected) {
+  EXPECT_LT(p.estimate(), kRangeN);
+  EXPECT_EQ(p.estimate(), expected);
+}
+
+TEST(Diam32Approx, RejectsRelayedDistanceReachingNInPhase1) {
+  const std::vector<sim::NodeId> sources =
+      proto::Diam32ApproxProcess::sampleSources(kRangeN, 7);
+  ASSERT_GE(sources.size(), 2u);
+  // A non-source node: its phase-1 queue holds only what it is told.
+  sim::NodeId node = 0;
+  while (std::binary_search(sources.begin(), sources.end(), node)) {
+    ++node;
+  }
+  proto::Diam32ApproxProcess p(node, kRangeN, sources);
+  const auto s0 = static_cast<std::uint64_t>(sources[0]);
+  const auto s1 = static_cast<std::uint64_t>(sources[1]);
+  EXPECT_NO_THROW(
+      driveLone(p, proto::Diam32ApproxProcess::scheduleRounds(kRangeN),
+                {{1, fields({s0, 15})}, {2, fields({s1, 3})}}));
+  expectDiam32Estimate(p, 4);
+}
+
+TEST(Diam32Approx, RejectsRelayedDistanceReachingNInPhase3) {
+  const std::vector<sim::NodeId> sources =
+      proto::Diam32ApproxProcess::sampleSources(kRangeN, 7);
+  proto::Diam32ApproxProcess p(3, kRangeN, sources);
+  // Phase 2 elects w = 9 (farther from S than node 3 believes itself), so
+  // node 3 enters phase 3 without a distance to w.
+  const sim::Round p3 = diam32PhaseStart(3);
+  EXPECT_NO_THROW(
+      driveLone(p, proto::Diam32ApproxProcess::scheduleRounds(kRangeN),
+                {{diam32PhaseStart(2), fields({12, 9})},
+                 {p3, fields({15})},
+                 {p3 + 1, fields({3})}}));
+  std::vector<std::pair<std::string, double>> metrics;
+  p.exportMetrics(metrics);
+  EXPECT_EQ(metrics[2], std::make_pair(std::string("diam32/w"), 9.0));
+  EXPECT_EQ(metrics[3], std::make_pair(std::string("diam32/dist_w"), 4.0));
+  expectDiam32Estimate(p, 4);
+}
+
+TEST(Diam32Approx, RejectsRelayedDistanceReachingNInPhase5) {
+  // Node 3 is its own w, so phase 5 seeds (0, 3) and pops it first; the
+  // (15 + 1, 5) entry would pop next.
+  proto::Diam32ApproxProcess p(
+      3, kRangeN, proto::Diam32ApproxProcess::sampleSources(kRangeN, 7));
+  const sim::Round p5 = diam32PhaseStart(5);
+  EXPECT_NO_THROW(
+      driveLone(p, proto::Diam32ApproxProcess::scheduleRounds(kRangeN),
+                {{p5, fields({5, 15})}, {p5 + 1, fields({6, 3})}}));
+  expectDiam32Estimate(p, 4);
 }
 
 }  // namespace

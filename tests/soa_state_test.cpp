@@ -1,7 +1,7 @@
 // Structure-of-arrays state store: differential pins against the object
 // path (PR: SoA state + many-worlds lanes).
 //
-// Four layers of evidence that EngineConfig::soa_state changes HOW the
+// Five layers of evidence that EngineConfig::soa_state changes HOW the
 // engine executes a round, never WHAT it computes:
 //
 //   * per-round lockstep: object and SoA engines stepped side by side must
@@ -17,6 +17,10 @@
 //     must be byte-identical to their general/serial counterparts — the
 //     strided case is the designated TSan target (.github/workflows/ci.yml
 //     runs this binary with DYNET_THREADS=4 under -fsanitize=thread);
+//   * delivery direction: serial fault-free rounds push or pull by the
+//     work rule of sim/soa_exec.h, on schedules with rounds on both sides
+//     of it and on its tie, and soa//pull_rounds counts the pulled rounds
+//     exactly; faulty rounds never take the push walk;
 //   * many-worlds lanes: each of the 64 bit-packed flood trials of
 //     protocols/manyworlds.h must reproduce its scalar engine run bit for
 //     bit — RunResult, per-node token state, state digests — including a
@@ -44,6 +48,7 @@
 #include "protocols/max_flood.h"
 #include "sim/batch.h"
 #include "sim/engine.h"
+#include "sim/soa_exec.h"
 #include "util/rng.h"
 
 namespace dynet::sim {
@@ -79,8 +84,10 @@ std::unique_ptr<Adversary> makeAdversary(int kind, NodeId n,
       return std::make_unique<adv::RotatingStarAdversary>(n);
     case 1:
       return std::make_unique<adv::EdgeChurnAdversary>(n, 2, seed);
-    default:
+    case 2:
       return std::make_unique<adv::RandomGraphAdversary>(n, 0.4, seed);
+    default:
+      return std::make_unique<adv::StaticAdversary>(net::makeRing(n));
   }
 }
 
@@ -101,6 +108,27 @@ void expectSameResult(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.messages_corrupted, b.messages_corrupted) << what;
 }
 
+/// Rounds of a run classified by the direction rule of sim/soa_exec.h,
+/// restated here as the plain product: (2|S| - n)(n + 2m) against n^2.
+struct DirectionTally {
+  int push = 0;  // product below n^2
+  int tie = 0;   // product equal to n^2 (the rule pushes)
+  int pull = 0;  // product above n^2
+};
+
+/// Classifies the round `engine` (recording actions and topologies) just
+/// stepped.
+void tallyDirection(const Engine& engine, DirectionTally& tally) {
+  const std::vector<Action>& actions = engine.actionTrace().back();
+  const auto n = static_cast<std::int64_t>(actions.size());
+  const auto senders = static_cast<std::int64_t>(std::count_if(
+      actions.begin(), actions.end(), [](const Action& a) { return a.send; }));
+  const auto m =
+      static_cast<std::int64_t>(engine.topologies().back()->numEdges());
+  const std::int64_t work = (2 * senders - n) * (n + 2 * m);
+  ++(work > n * n ? tally.pull : work == n * n ? tally.tie : tally.push);
+}
+
 struct LockstepSpec {
   NodeId n = 14;
   Round rounds = 40;
@@ -109,6 +137,11 @@ struct LockstepSpec {
   std::uint64_t seed = 0;
   const faults::FaultConfig* fc = nullptr;
   int node_threads = 1;
+  /// Attached to the SoA engine, whose metrics are finalized after the
+  /// last round.
+  obs::MetricsSink* soa_sink = nullptr;
+  /// Filled with every round's direction-rule class.
+  DirectionTally* directions = nullptr;
 };
 
 /// Steps an object engine and an SoA engine through the same run, failing
@@ -124,6 +157,9 @@ void runLockstep(const LockstepSpec& s) {
   EngineConfig soa_cfg = object_cfg;
   soa_cfg.soa_state = true;
   soa_cfg.node_threads = s.node_threads;
+  soa_cfg.metrics = s.soa_sink;
+  object_cfg.record_actions = s.directions != nullptr;
+  object_cfg.record_topologies = s.directions != nullptr;
 
   Engine object_engine(*factory, makeAdversary(s.adversary, s.n, s.seed),
                        object_cfg, s.seed);
@@ -152,6 +188,12 @@ void runLockstep(const LockstepSpec& s) {
           << "round " << r << " node " << v;
     }
     ASSERT_EQ(object_engine.allDone(), soa_engine.allDone()) << "round " << r;
+    if (s.directions != nullptr) {
+      tallyDirection(object_engine, *s.directions);
+    }
+  }
+  if (s.soa_sink != nullptr) {
+    soa_engine.finalizeMetrics();
   }
   expectSameResult(object_engine.result(), soa_engine.result(),
                    "protocol " + std::to_string(s.protocol) + " adversary " +
@@ -287,6 +329,110 @@ TEST(SoAState, StridedWorkersMatchSerial) {
         }
       }
     }
+  }
+}
+
+// ------------------------------------------- direction-optimizing delivery
+
+TEST(SoAState, PullWalkRuleAndTie) {
+  // A ring has m = n, so (2|S| - n) * 3n > n^2 iff |S| > 2n/3.
+  EXPECT_FALSE(pullWalkWins(6, 3, 6));
+  EXPECT_FALSE(pullWalkWins(6, 4, 6));  // the tie: 2 * 18 == 36
+  EXPECT_TRUE(pullWalkWins(6, 5, 6));
+  EXPECT_TRUE(pullWalkWins(6, 6, 6));
+  EXPECT_FALSE(pullWalkWins(12, 8, 12));  // tie
+  EXPECT_TRUE(pullWalkWins(12, 9, 12));
+  // Without a sender majority pull never wins, however dense the graph.
+  EXPECT_FALSE(pullWalkWins(100, 50, 4950));
+  EXPECT_TRUE(pullWalkWins(100, 51, 4950));
+  // An edgeless graph never pulls: every node sending is a tie.
+  EXPECT_FALSE(pullWalkWins(1, 1, 0));
+  EXPECT_FALSE(pullWalkWins(4, 3, 0));
+  EXPECT_FALSE(pullWalkWins(4, 4, 0));
+  // (2|S| - n)(n + 2m) = 2^31 (2^31 + 2^41) wraps to exactly n^2 = 2^62 in
+  // 64 bits; the rule must still see pull win.
+  const std::uint64_t n = std::uint64_t{1} << 31;
+  EXPECT_TRUE(pullWalkWins(n, n, std::uint64_t{1} << 40));
+  EXPECT_FALSE(pullWalkWins(n, n / 2 + 1, std::uint64_t{1} << 40));
+}
+
+// The serial fault-free SoA delivery pushes or pulls each round by the
+// work rule.  On rings of n = 12 the rule's tie sits at exactly |S| = 8;
+// the dense random graphs pull just past a sender majority; edge churn
+// lies between.  Coin-flipping senders (and flood's growing frontier) put
+// rounds on both sides and on the tie.  Each run is a per-round digest
+// lockstep against the object path, and soa//pull_rounds must count
+// exactly the rounds the rule sends to pull — ties push — at one worker,
+// and none at four, whose strided walk always pulls.
+TEST(SoAState, DirectionOptimizingDeliveryMatchesObjectPath) {
+  DirectionTally all;
+  for (int protocol = 0; protocol < 4; ++protocol) {
+    for (const int node_threads : {1, 4}) {
+      DirectionTally seen;
+      for (const int adversary : {3, 1, 2}) {
+        for (const std::uint64_t seed : {0x91ull, 0x92ull}) {
+          obs::MetricsSink sink;
+          DirectionTally tally;
+          LockstepSpec s;
+          s.n = 12;
+          s.rounds = 48;
+          s.protocol = protocol;
+          s.adversary = adversary;
+          s.seed = seed;
+          s.node_threads = node_threads;
+          s.soa_sink = &sink;
+          s.directions = &tally;
+          runLockstep(s);
+          if (HasFatalFailure()) {
+            return;
+          }
+          EXPECT_DOUBLE_EQ(sink.registry.gauge("soa//pull_rounds")->value,
+                           node_threads == 1 ? tally.pull : 0)
+              << "protocol " << protocol << " adversary " << adversary
+              << " seed " << seed << " threads " << node_threads;
+          seen.push += tally.push;
+          seen.tie += tally.tie;
+          seen.pull += tally.pull;
+        }
+      }
+      EXPECT_GT(seen.push, 0) << "protocol " << protocol;
+      EXPECT_GT(seen.pull, 0) << "protocol " << protocol;
+      all.tie += seen.tie;
+    }
+  }
+  EXPECT_GT(all.tie, 0) << "no round landed on the rule's tie";
+}
+
+// Faulty rounds always take the receiver-major walk, which draws every
+// drop fate: a drop-only plan on schedules whose fault-free twins both
+// push and pull must never enter the direction choice (pull_rounds stays
+// 0, so the push walk, reachable only there, never ran) and must still
+// match the object path's drops exactly.
+TEST(SoAState, DropOnlyPlanNeverTakesThePushWalk) {
+  faults::FaultConfig drop_only;
+  drop_only.drop_prob = 0.2;
+  for (const int adversary : {3, 1}) {
+    obs::MetricsSink sink;
+    DirectionTally tally;
+    LockstepSpec s;
+    s.n = 12;
+    s.rounds = 48;
+    s.protocol = 2;  // max_flood
+    s.adversary = adversary;
+    s.seed = 0x93;
+    s.fc = &drop_only;
+    s.soa_sink = &sink;
+    s.directions = &tally;
+    runLockstep(s);
+    if (HasFatalFailure()) {
+      return;
+    }
+    EXPECT_GT(tally.push + tally.tie, 0) << "adversary " << adversary;
+    EXPECT_GT(tally.pull, 0) << "adversary " << adversary;
+    EXPECT_DOUBLE_EQ(sink.registry.gauge("soa//pull_rounds")->value, 0.0)
+        << "adversary " << adversary;
+    EXPECT_GT(sink.registry.counter("faults/messages_dropped")->value, 0u)
+        << "adversary " << adversary;
   }
 }
 
