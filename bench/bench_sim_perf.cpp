@@ -5,9 +5,7 @@
 // A second, non-google-benchmark family of modes compares engine
 // configurations pairwise (invoked as `bench_sim_perf [--quick] MODE...`,
 // any subset; results for all requested modes land in one
-// BENCH_sim_perf.json, override with --json-out=PATH; add
-// --metrics-out=PATH for a metrics.json with the soa// execution-shape
-// gauges the lane dispatch records — see docs/OBSERVABILITY.md):
+// BENCH_sim_perf.json, override with --json-out=PATH):
 //
 //   batch-vs-sequential  trials/sec of the historical sequential loop
 //                        (fresh Engine per seed, per-round topology
@@ -20,9 +18,6 @@
 //   soa-vs-objects       single-core BatchRunner vs BatchRunner, only
 //                        EngineConfig::soa_state differs — per-node Process
 //                        objects vs the flat column store (sim/soa.h).
-//   manyworlds-vs-scalar single-core scalar flood engines vs the
-//                        bit-parallel 64-trials-per-word lanes of
-//                        protocols/manyworlds.h via BatchRunner::runLanes.
 //
 // Every mode verifies the two legs agree metric for metric (exact summary
 // equality) before reporting — a mismatch means the new hot path changed
@@ -40,11 +35,8 @@
 
 #include "adversary/churn_adversaries.h"
 #include "bench_common.h"
-#include "obs/sink.h"
 #include "cc/disjointness_cp.h"
 #include "lowerbound/composition.h"
-#include "protocols/flood.h"
-#include "protocols/manyworlds.h"
 #include "protocols/max_flood.h"
 #include "protocols/oracles.h"
 #include "sim/batch.h"
@@ -379,106 +371,8 @@ CompareResult compareSoAVsObjects(sim::NodeId n, int trials, sim::Round rounds,
       options);
 }
 
-/// manyworlds-vs-scalar: a boolean-token flood sweep run trial-by-trial
-/// through scalar engines vs 64 trials per uint64 word through
-/// protocols/manyworlds.h and BatchRunner::runLanes.  Both legs are
-/// single-core and merge in trial order, so the summaries must agree
-/// exactly (the lanes reproduce the scalar coin streams bit for bit).
-CompareResult compareManyWorldsVsScalar(sim::NodeId n, int trials,
-                                        sim::Round rounds,
-                                        std::uint64_t base_seed,
-                                        const std::vector<net::GraphPtr>& stars,
-                                        obs::MetricsSink* sink) {
-  proto::ManyWorldsFloodSpec spec;
-  spec.num_nodes = n;
-  spec.source = 0;
-  spec.token = 0x2a;
-  spec.token_bits = 8;
-  spec.mode = proto::FloodMode::kRandomized;
-  spec.halt_round = rounds;
-  spec.max_rounds = rounds;
-
-  sim::BatchOptions options;
-  options.threads = 1;
-  // Lane-packing shape gauges (soa//lane_*) land in the metrics registry
-  // when --metrics-out is given; run() ignores the sink, so sharing the
-  // options between the legs is fine.
-  options.sink = sink;
-  std::map<std::string, util::Summary> legs[2];
-  double secs[2] = {0, 0};
-  for (int rep = 0; rep < kReps; ++rep) {
-    for (int leg = 0; leg < 2; ++leg) {
-      sim::BatchRunner runner(options);
-      const sim::MetricId m_rounds = runner.metricId("rounds");
-      const sim::MetricId m_bits = runner.metricId("bits");
-      const sim::MetricId m_messages = runner.metricId("messages");
-      const sim::MetricId m_max_node_bits = runner.metricId("max_node_bits");
-      const double start = nowSeconds();
-      sim::TrialSummary summary;
-      if (leg == 0) {
-        summary = runner.run(
-            trials, base_seed,
-            [&](std::uint64_t seed, sim::EngineWorkspace& ws,
-                sim::TrialRecorder& rec) {
-              proto::FloodFactory factory(spec.source, spec.token,
-                                          spec.token_bits, spec.mode,
-                                          spec.halt_round);
-              auto engine = bench::makeEngine(
-                  factory, std::make_unique<adv::PeriodicAdversary>(stars),
-                  rounds, seed, /*record=*/false, &ws);
-              const sim::RunResult r = engine.run();
-              rec.set(m_rounds, static_cast<double>(r.rounds_executed));
-              rec.set(m_bits, static_cast<double>(r.bits_sent));
-              rec.set(m_messages, static_cast<double>(r.messages_sent));
-              rec.set(m_max_node_bits,
-                      static_cast<double>(r.max_bits_per_node));
-            });
-      } else {
-        summary = runner.runLanes(
-            trials, /*lane_width=*/64,
-            [&](std::size_t first_trial, int lanes, sim::LaneRecorder& rec) {
-              const std::vector<proto::ManyWorldsLane> group =
-                  proto::runManyWorldsFlood(spec, stars, base_seed,
-                                            first_trial, lanes);
-              for (int l = 0; l < lanes; ++l) {
-                const sim::RunResult& r =
-                    group[static_cast<std::size_t>(l)].result;
-                rec.set(l, m_rounds, static_cast<double>(r.rounds_executed));
-                rec.set(l, m_bits, static_cast<double>(r.bits_sent));
-                rec.set(l, m_messages, static_cast<double>(r.messages_sent));
-                rec.set(l, m_max_node_bits,
-                        static_cast<double>(r.max_bits_per_node));
-              }
-            });
-      }
-      const double rep_secs = nowSeconds() - start;
-      if (rep == 0 || rep_secs < secs[leg]) {
-        secs[leg] = rep_secs;
-      }
-      legs[leg] = summary.metrics;
-    }
-  }
-
-  requireEqualSummaries(legs[0], legs[1], "manyworlds-vs-scalar");
-
-  CompareResult out;
-  out.n = n;
-  out.trials = trials;
-  out.rounds = rounds;
-  out.baseline_trials_per_sec = trials / secs[0];
-  out.new_trials_per_sec = trials / secs[1];
-  out.speedup = secs[0] / secs[1];
-  return out;
-}
-
 int runCompareModes(const std::vector<std::string>& modes, bool quick,
-                    const std::string& json_path,
-                    const std::string& metrics_path) {
-  // Registry for execution-shape gauges (the soa// reserved prefix): the
-  // lane-dispatch path records how trials packed into 64-wide words, and
-  // --metrics-out dumps the result for dynet_stats.
-  obs::MetricsSink sink;
-  obs::MetricsSink* const sink_ptr = metrics_path.empty() ? nullptr : &sink;
+                    const std::string& json_path) {
   struct Config {
     sim::NodeId n;
     int trials;
@@ -494,23 +388,13 @@ int runCompareModes(const std::vector<std::string>& modes, bool quick,
   if (!quick) {
     soa_configs.push_back({4096, 24, 96});
   }
-  // The many-worlds mode runs trial counts that are multiples of the
-  // 64-trial lane width: full words are the representation's design point,
-  // and the cost of a ragged tail group is already reported separately by
-  // the manyWorldsLaneOccupancy gauge rather than smeared into this
-  // throughput comparison.
-  const std::vector<Config> mw_configs =
-      quick ? base_configs
-            : std::vector<Config>{{256, 256, 128}, {1024, 128, 128}};
 
   std::vector<ModeReport> reports;
   for (const std::string& mode : modes) {
     ModeReport report;
     report.mode = mode;
     const std::vector<Config>& configs =
-        mode == "soa-vs-objects"
-            ? soa_configs
-            : (mode == "manyworlds-vs-scalar" ? mw_configs : base_configs);
+        mode == "soa-vs-objects" ? soa_configs : base_configs;
     for (const Config& c : configs) {
       // Warm-up trial outside the timed regions (first allocations, code
       // paging) so both paths are measured steady-state.
@@ -535,13 +419,6 @@ int runCompareModes(const std::vector<std::string>& modes, bool quick,
         const std::vector<net::GraphPtr> stars = rotatingStarCycle(c.n);
         report.results.push_back(
             compareSoAVsObjects(c.n, c.trials, c.rounds, 0x51A7, stars));
-      } else if (mode == "manyworlds-vs-scalar") {
-        report.workload = "flood_rand/rotating_star";
-        report.baseline_label = "scalar_trials_per_sec";
-        report.new_label = "manyworlds_trials_per_sec";
-        const std::vector<net::GraphPtr> stars = rotatingStarCycle(c.n);
-        report.results.push_back(compareManyWorldsVsScalar(
-            c.n, c.trials, c.rounds, 0x51A7, stars, sink_ptr));
       } else {
         std::cerr << "unknown mode " << mode << "\n";
         return 2;
@@ -583,13 +460,6 @@ int runCompareModes(const std::vector<std::string>& modes, bool quick,
     }
   }
   std::cout << "results written to " << json_path << "\n";
-
-  if (!metrics_path.empty()) {
-    std::ofstream metrics(metrics_path);
-    DYNET_CHECK(metrics.good()) << "cannot open " << metrics_path;
-    sink.registry.writeJson(metrics);
-    std::cout << "metrics written to " << metrics_path << "\n";
-  }
   return 0;
 }
 
@@ -600,32 +470,28 @@ int runCompareModes(const std::vector<std::string>& modes, bool quick,
 // it does not know, but scripts/check.sh runs every bench with --quick.
 // Translate --quick into a short --benchmark_min_time before Initialize.
 // Positional mode arguments (`batch-vs-sequential`, `delta-vs-rebuild`,
-// `soa-vs-objects`, `manyworlds-vs-scalar`, any combination, in order)
+// `soa-vs-objects`, any combination, in order)
 // select the comparison modes instead of the google-benchmark suites.
 int main(int argc, char** argv) {
   std::vector<char*> args;
   bool quick = false;
   std::vector<std::string> modes;
   std::string json_path = "BENCH_sim_perf.json";
-  std::string metrics_path;
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg(argv[i]);
     if (arg == "--quick") {
       quick = true;
     } else if (arg == "batch-vs-sequential" || arg == "delta-vs-rebuild" ||
-               arg == "soa-vs-objects" || arg == "manyworlds-vs-scalar") {
+               arg == "soa-vs-objects") {
       modes.emplace_back(arg);
     } else if (arg.rfind("--json-out=", 0) == 0) {
       json_path = std::string(arg.substr(std::string_view("--json-out=").size()));
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      metrics_path =
-          std::string(arg.substr(std::string_view("--metrics-out=").size()));
     } else {
       args.push_back(argv[i]);
     }
   }
   if (!modes.empty()) {
-    return dynet::runCompareModes(modes, quick, json_path, metrics_path);
+    return dynet::runCompareModes(modes, quick, json_path);
   }
   static char min_time[] = "--benchmark_min_time=0.02";
   if (quick) {

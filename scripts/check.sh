@@ -51,14 +51,26 @@ build/tools/dynet_stats --in "$obs_dir/bench_metrics.json" > /dev/null
 
 echo "=== engine perf smoke (all comparison modes, equality + speedup) ==="
 build/bench/bench_sim_perf --quick \
-  batch-vs-sequential delta-vs-rebuild \
-  soa-vs-objects manyworlds-vs-scalar \
-  --json-out="$obs_dir/BENCH_sim_perf.json" \
-  --metrics-out="$obs_dir/bench_sim_metrics.json"
-# Cross-shape diff: the CLI run's engine gauges vs the bench's lane-packing
-# gauges exercise dynet_stats' soa// execution-shape section.
-build/tools/dynet_stats --in "$obs_dir/bench_sim_metrics.json" \
-  --baseline "$obs_dir/metrics.json" > /dev/null
+  batch-vs-sequential delta-vs-rebuild soa-vs-objects \
+  --json-out="$obs_dir/BENCH_sim_perf.json"
+# Cross-shape diff: a bounded flood run on the SoA path against the leader
+# run on objects exercises dynet_stats' soa// execution-shape section.
+# Flood never reports done, so the CLI exits 1 by design.
+status=0
+build/tools/dynet_cli --protocol flood --adversary random_tree --nodes 32 \
+  --seed 7 --max-rounds 64 --metrics-out "$obs_dir/flood_metrics.json" \
+  > /dev/null || status=$?
+if [[ $status -ne 1 ]]; then
+  echo "bounded flood run exited $status, expected 1 (not all done)" >&2
+  exit 1
+fi
+build/tools/dynet_stats --in "$obs_dir/flood_metrics.json" \
+  --baseline "$obs_dir/metrics.json" > "$obs_dir/shape_diff.txt"
+grep -Eq '^\| +soa//active +\|.*\(differs: expected\)' \
+  "$obs_dir/shape_diff.txt" || {
+  echo "dynet_stats did not flag soa//active as (differs: expected)" >&2
+  exit 1
+}
 
 echo "=== dataset smoke (gen -> info -> compile -> byte-identical -> replay) ==="
 ds_dir="$(mktemp -d)"

@@ -210,6 +210,18 @@ std::unique_ptr<sim::Adversary> makeAdversary(const ShardConfig& shard,
   return nullptr;  // unreachable
 }
 
+sim::EngineConfig makeEngineConfig(const ShardConfig& shard) {
+  sim::EngineConfig config;
+  config.max_rounds = shard.max_rounds;
+  // The anon_* protocols are only meaningful under port numbering, so they
+  // force anonymous mode on regardless of the shard flag.
+  config.anonymous = shard.anonymous || shard.protocol.rfind("anon_", 0) == 0;
+  // The diam_* protocols are specified in full-duplex broadcast CONGEST (a
+  // sender still hears its neighbors that round).
+  config.duplex = shard.protocol.rfind("diam_", 0) == 0;
+  return config;
+}
+
 std::string ShardResult::toJson() const {
   std::ostringstream out;
   out << "{\"dynet_shard\":1,\"hash\":\"" << hash << "\",\"trials\":" << trials
@@ -265,26 +277,8 @@ ShardResult runShard(const ShardConfig& shard, obs::MetricsRegistry* prof) {
           sim::TrialRecorder& rec) {
         const std::unique_ptr<sim::ProcessFactory> factory =
             makeProtocolFactory(shard, seed);
-        std::vector<std::unique_ptr<sim::Process>> processes;
-        processes.reserve(static_cast<std::size_t>(shard.n));
-        for (sim::NodeId v = 0; v < shard.n; ++v) {
-          processes.push_back(factory->create(v, shard.n));
-        }
-        sim::EngineConfig config;
-        config.max_rounds = shard.max_rounds;
-        // The anon_* protocols are only meaningful under port numbering, so
-        // they force anonymous mode on regardless of the shard flag; the
-        // canonical JSON (and thus the shard hash) reflects only the
-        // explicit user choice.
-        config.anonymous =
-            shard.anonymous || shard.protocol.rfind("anon_", 0) == 0;
-        // The diam_* protocols are specified in full-duplex broadcast
-        // CONGEST (a sender still hears its neighbors that round); the
-        // flag lives outside the canonical JSON, so shard hashes are
-        // untouched.
-        config.duplex = shard.protocol.rfind("diam_", 0) == 0;
-        sim::Engine engine(std::move(processes), makeAdversary(shard, seed),
-                           config, seed, &ws);
+        sim::Engine engine(*factory, makeAdversary(shard, seed),
+                           makeEngineConfig(shard), seed, &ws);
         if (faulty) {
           engine.setFaultInjector(
               std::make_shared<const faults::FaultInjector>(

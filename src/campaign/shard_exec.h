@@ -18,6 +18,7 @@
 
 #include "campaign/spec.h"
 #include "sim/adversary.h"
+#include "sim/engine.h"
 #include "sim/process.h"
 
 namespace dynet::obs {
@@ -40,6 +41,12 @@ std::unique_ptr<sim::ProcessFactory> makeProtocolFactory(
 /// Builds the named adversary for one trial.  Unknown names throw.
 std::unique_ptr<sim::Adversary> makeAdversary(const ShardConfig& shard,
                                               std::uint64_t seed);
+
+/// The engine configuration the shard's protocol runs under: max_rounds,
+/// anonymous delivery for the anon_* protocols (or when the shard asks for
+/// it) and full-duplex delivery for the diam_* protocols.  Neither forced
+/// flag is part of the canonical JSON, so shard hashes do not see them.
+sim::EngineConfig makeEngineConfig(const ShardConfig& shard);
 
 /// One completed shard: per-trial metric samples in trial order.
 struct ShardResult {

@@ -160,9 +160,6 @@ class FloodSoA final : public sim::SoAModel {
     (*done_)[vi] = 0;
   }
 
-  bool done(sim::NodeId v) const override {
-    return (*done_)[static_cast<std::size_t>(v)] != 0;
-  }
   const char* doneData() const override { return done_->data(); }
   std::uint64_t output(sim::NodeId v) const override {
     return (*has_token_)[static_cast<std::size_t>(v)] != 0 ? token_ : 0;

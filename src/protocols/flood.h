@@ -79,9 +79,8 @@ class FloodFactory : public sim::ProcessFactory {
 };
 
 /// The flood state digest as a pure function of one node's state — the
-/// single source of truth shared by FloodProcess::stateDigest, the SoA
-/// model, and the many-worlds lanes (protocols/manyworlds.h), so the
-/// cross-representation digest checks compare like with like.
+/// single source of truth shared by FloodProcess::stateDigest and the SoA
+/// model, so the cross-representation digest checks compare like with like.
 std::uint64_t floodStateDigest(sim::NodeId node, bool has_token,
                                sim::Round token_round);
 

@@ -200,9 +200,6 @@ class GossipSoA final : public sim::SoAModel {
     (*done_)[vi] = 0;
   }
 
-  bool done(sim::NodeId v) const override {
-    return (*done_)[static_cast<std::size_t>(v)] != 0;
-  }
   const char* doneData() const override { return done_->data(); }
   std::uint64_t output(sim::NodeId v) const override {
     return static_cast<std::uint64_t>(

@@ -187,9 +187,6 @@ class MaxFloodSoA final : public sim::SoAModel {
     (*dirty_)[vi] = 1;
   }
 
-  bool done(sim::NodeId v) const override {
-    return (*done_)[static_cast<std::size_t>(v)] != 0;
-  }
   const char* doneData() const override { return done_->data(); }
   std::uint64_t output(sim::NodeId v) const override {
     return (*best_value_)[static_cast<std::size_t>(v)];

@@ -1,10 +1,8 @@
 #include "sim/batch.h"
 
-#include <algorithm>
 #include <mutex>
 #include <utility>
 
-#include "obs/sink.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -17,14 +15,6 @@ MetricId TrialRecorder::metric(const std::string& name) {
 
 void TrialRecorder::set(MetricId id, double value) {
   runner_->record(trial_, id, value);
-}
-
-MetricId LaneRecorder::metric(const std::string& name) {
-  return runner_->metricId(name);
-}
-
-void LaneRecorder::set(int lane, MetricId id, double value) {
-  runner_->record(first_trial_ + static_cast<std::size_t>(lane), id, value);
 }
 
 BatchRunner::BatchRunner(BatchOptions options) : options_(options) {}
@@ -136,48 +126,6 @@ TrialSummary BatchRunner::run(int trials, std::uint64_t base_seed,
   } else {
     util::ThreadPool pool(options_.threads);
     pool.parallelFor(n, run_trial);
-  }
-
-  return mergeSummary(samples);
-}
-
-TrialSummary BatchRunner::runLanes(int trials, int lane_width,
-                                   const BatchLaneFn& body,
-                                   TrialSamples* samples) {
-  DYNET_CHECK(trials >= 1) << "trials=" << trials;
-  DYNET_CHECK(lane_width >= 1) << "lane_width=" << lane_width;
-  const auto n = static_cast<std::size_t>(trials);
-  const auto width = static_cast<std::size_t>(lane_width);
-  beginRun(n);
-
-  const std::size_t groups = (n + width - 1) / width;
-  if (options_.sink != nullptr) {
-    auto& reg = options_.sink->registry;
-    reg.gauge("soa//lane_width")->set(static_cast<double>(lane_width));
-    reg.gauge("soa//lane_groups")->set(static_cast<double>(groups));
-    // Mean occupied fraction of the 64-bit lane word across groups (the
-    // word is a uint64 regardless of lane_width) — same definition as
-    // proto::manyWorldsLaneOccupancy, pinned equal by
-    // tests/soa_state_test.cpp.
-    reg.gauge("soa//lane_occupancy")
-        ->set(static_cast<double>(n) / (static_cast<double>(groups) * 64.0));
-  }
-  const auto run_group = [&](std::size_t g) {
-    const std::size_t first = g * width;
-    const int lanes = static_cast<int>(std::min(width, n - first));
-    LaneRecorder rec(this, first);
-    body(first, lanes, rec);
-  };
-
-  if (options_.threads == 1) {
-    for (std::size_t g = 0; g < groups; ++g) {
-      run_group(g);
-    }
-  } else if (options_.threads == 0) {
-    util::ThreadPool::shared().parallelFor(groups, run_group);
-  } else {
-    util::ThreadPool pool(options_.threads);
-    pool.parallelFor(groups, run_group);
   }
 
   return mergeSummary(samples);

@@ -37,10 +37,6 @@
 #include "sim/workspace.h"
 #include "util/stats.h"
 
-namespace dynet::obs {
-struct MetricsSink;
-}  // namespace dynet::obs
-
 namespace dynet::sim {
 
 class BatchRunner;
@@ -82,46 +78,12 @@ using BatchTrialFn =
     std::function<void(std::uint64_t seed, EngineWorkspace& ws,
                        TrialRecorder& rec)>;
 
-/// Per-lane-group view handed to a BatchLaneFn.  set(lane, ...) records one
-/// scalar for trial `first_trial + lane` of the current run; semantics
-/// otherwise match TrialRecorder.
-class LaneRecorder {
- public:
-  MetricId metric(const std::string& name);
-  void set(int lane, MetricId id, double value);
-  void set(int lane, const std::string& name, double value) {
-    set(lane, metric(name), value);
-  }
-
- private:
-  friend class BatchRunner;
-  LaneRecorder(BatchRunner* runner, std::size_t first_trial)
-      : runner_(runner), first_trial_(first_trial) {}
-
-  BatchRunner* runner_;
-  std::size_t first_trial_;
-};
-
-/// One lane group: advance trials [first_trial, first_trial + lanes) in a
-/// single pass (e.g. a bit-packed "many-worlds" execution — 64 seeds per
-/// uint64 word, protocols/manyworlds.h) and record each lane's metrics.
-/// The body owns seeding; to match BatchRunner::run it must give lane l the
-/// seed util::hashCombine(base_seed, first_trial + l).
-using BatchLaneFn =
-    std::function<void(std::size_t first_trial, int lanes, LaneRecorder& rec)>;
-
 struct BatchOptions {
   /// 0 = the process-wide util::ThreadPool::shared() (respects the
   /// DYNET_THREADS env override); 1 = run every trial inline on the
   /// calling thread (sequential, useful for tests and for bodies that
   /// attach a MetricsSink); k > 1 = a dedicated pool of k threads.
   unsigned threads = 0;
-  /// Optional registry for execution-shape gauges (the reserved `soa//`
-  /// prefix, docs/OBSERVABILITY.md).  runLanes() records how the trial
-  /// sweep packed into lane words — soa//lane_width, soa//lane_groups,
-  /// soa//lane_occupancy — before dispatching; run() ignores it.  Not
-  /// thread-safe to share with the trial bodies' own sinks.
-  obs::MetricsSink* sink = nullptr;
 };
 
 /// Raw per-trial samples of one run, in trial order (trials that did not
@@ -152,18 +114,8 @@ class BatchRunner {
   TrialSummary run(int trials, std::uint64_t base_seed,
                    const BatchTrialFn& body, TrialSamples* samples = nullptr);
 
-  /// Bit-parallel variant of run(): trials are dispatched to `body` in
-  /// groups of up to `lane_width` (the last group may be partial), with the
-  /// same thread dispatch (options_.threads over groups) and the same
-  /// trial-order merge — so a lane body that honors the seeding contract
-  /// produces a TrialSummary identical to run() with the equivalent scalar
-  /// trial body, regardless of thread count (tests/soa_state_test.cpp).
-  TrialSummary runLanes(int trials, int lane_width, const BatchLaneFn& body,
-                        TrialSamples* samples = nullptr);
-
  private:
   friend class TrialRecorder;
-  friend class LaneRecorder;
 
   struct Column {
     std::string name;
@@ -177,7 +129,7 @@ class BatchRunner {
   /// Resets every column for a run of `trials` trials.
   void beginRun(std::size_t trials);
   /// Merges recorded columns in trial order into a TrialSummary (and
-  /// `samples` when non-null) — shared by run() and runLanes().
+  /// `samples` when non-null).
   TrialSummary mergeSummary(TrialSamples* samples);
 
   BatchOptions options_;

@@ -91,8 +91,9 @@ const Process& Engine::process(NodeId v) const {
 }
 
 bool Engine::nodeDone(NodeId v) const {
-  return soa_ != nullptr ? soa_->done(v)
-                         : processes_[static_cast<std::size_t>(v)]->done();
+  const auto vi = static_cast<std::size_t>(v);
+  return soa_ != nullptr ? soa_->doneData()[vi] != 0
+                         : processes_[vi]->done();
 }
 
 std::uint64_t Engine::nodeOutput(NodeId v) const {

@@ -46,26 +46,15 @@ bool allLiveDone(const std::vector<std::unique_ptr<Process>>& processes,
 
 bool allLiveDone(const SoAModel& model, NodeId n,
                  const faults::FaultInjector* injector, Round round) {
-  // Models exposing their raw done column skip the per-node virtual calls.
-  if (const char* done = model.doneData(); done != nullptr) {
-    if (injector == nullptr) {
-      return std::memchr(done, 0, static_cast<std::size_t>(n)) == nullptr;
-    }
-    for (NodeId v = 0; v < n; ++v) {
-      if (injector->isCrashed(v, round)) {
-        continue;  // crashed nodes cannot hold the run open
-      }
-      if (done[static_cast<std::size_t>(v)] == 0) {
-        return false;
-      }
-    }
-    return true;
+  const char* const done = model.doneData();
+  if (injector == nullptr) {
+    return std::memchr(done, 0, static_cast<std::size_t>(n)) == nullptr;
   }
   for (NodeId v = 0; v < n; ++v) {
-    if (injector != nullptr && injector->isCrashed(v, round)) {
+    if (injector->isCrashed(v, round)) {
       continue;  // crashed nodes cannot hold the run open
     }
-    if (!model.done(v)) {
+    if (done[static_cast<std::size_t>(v)] == 0) {
       return false;
     }
   }
@@ -345,11 +334,9 @@ void DeliveryPhase::run(RoundContext& ctx) {
 void ObservePhase::run(RoundContext& ctx) {
   auto& processes = *ctx.processes;
   RunResult& result = *ctx.result;
-  const char* const soa_done =
-      ctx.soa != nullptr ? ctx.soa->doneData() : nullptr;
-  if (soa_done != nullptr) {
-    // Raw done-column scan: the SoA models mirror done() in a byte column,
-    // so the per-node virtual dispatch of the generic loop disappears.
+  if (ctx.soa != nullptr) {
+    // The SoA models keep done in a byte column: scan it directly.
+    const char* const soa_done = ctx.soa->doneData();
     for (NodeId v = 0; v < ctx.n; ++v) {
       const auto idx = static_cast<std::size_t>(v);
       if (result.done_round[idx] < 0 && soa_done[idx] != 0) {
@@ -359,8 +346,7 @@ void ObservePhase::run(RoundContext& ctx) {
   } else {
     for (NodeId v = 0; v < ctx.n; ++v) {
       const auto idx = static_cast<std::size_t>(v);
-      if (result.done_round[idx] < 0 &&
-          (ctx.soa != nullptr ? ctx.soa->done(v) : processes[idx]->done())) {
+      if (result.done_round[idx] < 0 && processes[idx]->done()) {
         result.done_round[idx] = ctx.round;
       }
     }

@@ -8,7 +8,7 @@
 // inside the EngineWorkspace's SoAStore, so BatchRunner trials reuse the
 // capacity exactly like every other workspace vector.
 //
-// Contract (docs/ARCHITECTURE.md "SoA state store & many-worlds lanes"):
+// Contract (docs/ARCHITECTURE.md "SoA state store"):
 //   * A protocol opts in by overriding ProcessFactory::createSoA.  The
 //     default returns null, which makes the engine fall back to the object
 //     path — soa_state is a no-op for protocols without a model.
@@ -115,16 +115,14 @@ class SoAModel {
   /// (the SoA analogue of FaultInjector::freshProcess).
   virtual void resetNode(NodeId v) = 0;
 
-  // Per-node read-side mirror of the Process API.
-  virtual bool done(NodeId v) const = 0;
+  /// The num_nodes-wide done byte column (nonzero == node v is done, the
+  /// mirror of Process::done), never null once bound.  ObservePhase,
+  /// allLiveDone and Engine::nodeDone all read it directly.
+  virtual const char* doneData() const = 0;
+
+  // Per-node read-side mirror of the rest of the Process API.
   virtual std::uint64_t output(NodeId v) const = 0;
   virtual std::uint64_t stateDigest(NodeId v) const = 0;
-
-  /// Raw num_nodes-wide done byte column (nonzero == done(v)), or null when
-  /// the model has no flat representation.  ObservePhase and allLiveDone
-  /// scan the bytes directly instead of making n virtual done() calls per
-  /// round; the default keeps exotic models correct, just slower.
-  virtual const char* doneData() const { return nullptr; }
 
   /// Mirror of Process::exportMetrics; must append the same (key, value)
   /// pairs the object path would for node v.

@@ -110,8 +110,8 @@ class CoinStream {
   }
 
   /// coin() of a fresh fromRoundKey(round_key) stream without constructing
-  /// it — one mix64 instead of two.  SoA compute loops and the many-worlds
-  /// lanes use this for protocols whose round draws start with a coin.
+  /// it — one mix64 instead of two.  SoA compute loops use this for
+  /// protocols whose round draws start with a coin.
   static bool firstCoin(std::uint64_t round_key) {
     return (mix64(round_key ^ kFirstDrawSalt) & 1) != 0;
   }

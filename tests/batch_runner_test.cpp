@@ -7,7 +7,8 @@
 //   * TrialRecorder aggregation equals a hand-written sequential loop
 //     (seed hashCombine(base, i), one util::Summary per metric filled in
 //     trial order), including metrics only present in some trials and
-//     metrics first registered mid-run.
+//     metrics first registered mid-run; the raw TrialSamples behind it are
+//     in trial order and identical across thread counts.
 //   * Workspace reuse leaks nothing across trials or runs.
 //   * util::parseThreadCount (the DYNET_THREADS override) parsing.
 #include <gtest/gtest.h>
@@ -263,6 +264,40 @@ TEST(BatchRunner, LastWriteWinsLikeMapSubscript) {
       });
   EXPECT_EQ(summary.metrics.at("x").count(), 4u);
   EXPECT_EQ(summary.metrics.at("x").mean(), 2.0);
+}
+
+TEST(BatchRunner, TrialSamplesInTrialOrderAcrossThreadCounts) {
+  // Campaign shards serialize these samples and merged reports redo their
+  // percentiles over the union of shards, so the samples carry the
+  // summary's contract: trial i's value is the i-th sample of each metric
+  // it set, whatever the thread count, and a metric set in only some
+  // trials has exactly those trials' samples.
+  const int trials = 64;
+  const std::uint64_t base_seed = 0x5A3F;
+  std::map<std::string, std::vector<double>> expected;
+  for (int i = 0; i < trials; ++i) {
+    const std::uint64_t seed =
+        util::hashCombine(base_seed, static_cast<std::uint64_t>(i));
+    for (const auto& [name, value] : legacyBody(seed)) {
+      expected[name].push_back(value);
+    }
+  }
+  ASSERT_GT(expected.at("sparse").size(), 0u);
+  ASSERT_LT(expected.at("sparse").size(), static_cast<std::size_t>(trials));
+
+  const auto body = [](std::uint64_t seed, EngineWorkspace&,
+                       TrialRecorder& rec) {
+    for (const auto& [name, value] : legacyBody(seed)) {
+      rec.set(name, value);
+    }
+  };
+  TrialSamples pooled;
+  BatchRunner(BatchOptions{.threads = 0}).run(trials, base_seed, body, &pooled);
+  TrialSamples inline_samples;
+  BatchRunner(BatchOptions{.threads = 1})
+      .run(trials, base_seed, body, &inline_samples);
+  EXPECT_EQ(pooled.metrics, expected);
+  EXPECT_EQ(inline_samples.metrics, pooled.metrics);
 }
 
 // ------------------------------------------------- cross-trial warm reuse

@@ -11,8 +11,10 @@
 // uninterrupted) are the determinism contract of docs/CAMPAIGNS.md.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -24,8 +26,10 @@
 #include "campaign/store.h"
 #include "campaign/worker.h"
 #include "obs/json.h"
+#include "sim/engine.h"
 #include "test_support.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 #ifndef DYNET_TOOLS_DIR
 #error "DYNET_TOOLS_DIR must point at the build tree's tools directory"
@@ -205,6 +209,60 @@ TEST(ShardExec, RunShardIsDeterministic) {
   EXPECT_EQ(parsed.hash, shard.hash());
   ASSERT_EQ(parsed.metrics.at("rounds").size(), 3u);
   EXPECT_GT(parsed.metrics.at("rounds")[0], 0);
+}
+
+TEST(ShardExec, EngineConfigForcesAnonymousAndDuplexByProtocol) {
+  ShardConfig shard;
+  shard.max_rounds = 77;
+  for (const std::string& protocol : protocolNames()) {
+    shard.protocol = protocol;
+    shard.anonymous = false;
+    const sim::EngineConfig config = makeEngineConfig(shard);
+    EXPECT_EQ(config.max_rounds, 77) << protocol;
+    EXPECT_EQ(config.anonymous, protocol.rfind("anon_", 0) == 0) << protocol;
+    EXPECT_EQ(config.duplex, protocol.rfind("diam_", 0) == 0) << protocol;
+    // The shard's own anonymous flag holds for every protocol.
+    shard.anonymous = true;
+    EXPECT_TRUE(makeEngineConfig(shard).anonymous) << protocol;
+  }
+}
+
+TEST(ShardExec, FloodShardRunsOnSoAAndMatchesTheObjectPath) {
+  // runShard builds each trial's engine from the protocol factory under
+  // makeEngineConfig, which puts flood trials on the SoA state store;
+  // every recorded sample must equal the same trial run on process
+  // objects.
+  ShardConfig shard;
+  shard.protocol = "flood";
+  shard.adversary = "random_tree";
+  shard.n = 24;
+  shard.trials = 3;
+  shard.seed_base = 7;
+  shard.max_rounds = 48;
+  const ShardResult result = runShard(shard);
+  for (int i = 0; i < shard.trials; ++i) {
+    const std::uint64_t seed =
+        util::hashCombine(shard.seed_base, static_cast<std::uint64_t>(i));
+    const std::unique_ptr<sim::ProcessFactory> factory =
+        makeProtocolFactory(shard, seed);
+    sim::EngineConfig config = makeEngineConfig(shard);
+    EXPECT_TRUE(sim::Engine(*factory, makeAdversary(shard, seed), config, seed)
+                    .soaActive());
+    config.soa_state = false;
+    sim::Engine objects(*factory, makeAdversary(shard, seed), config, seed);
+    ASSERT_FALSE(objects.soaActive());
+    const sim::RunResult& r = objects.run();
+    const auto sample = [&](const char* name) {
+      return result.metrics.at(name).at(static_cast<std::size_t>(i));
+    };
+    EXPECT_EQ(sample("rounds"), static_cast<double>(r.all_done_round)) << i;
+    EXPECT_EQ(sample("all_done"), r.all_done ? 1.0 : 0.0) << i;
+    EXPECT_EQ(sample("messages"), static_cast<double>(r.messages_sent)) << i;
+    EXPECT_EQ(sample("bits"), static_cast<double>(r.bits_sent)) << i;
+    EXPECT_EQ(sample("max_bits_per_node"),
+              static_cast<double>(r.max_bits_per_node))
+        << i;
+  }
 }
 
 TEST(ShardExec, FaultyShardRecordsFaultMetrics) {

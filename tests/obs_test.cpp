@@ -1,8 +1,9 @@
 // Observability layer: metrics registry semantics, JSON round trips,
 // trace-event output, DYNET_PROF, and — most importantly — the engine
 // integration contracts: a null sink is byte-identical to no sink, sink
-// metrics agree with RunResult, and metrics.json is deterministic for
-// identical seeds.
+// metrics agree with RunResult, metrics.json is deterministic for
+// identical seeds, and every metric an engine registers is documented in
+// the docs/OBSERVABILITY.md catalog.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,11 +11,13 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <thread>
 
 #include "adversary/churn_adversaries.h"
 #include "adversary/dynamic_adversaries.h"
+#include "campaign/shard_exec.h"
 #include "faults/fault_injector.h"
 #include "faults/fault_plan.h"
 #include "obs/events.h"
@@ -546,6 +549,108 @@ TEST(EngineObs, ResilientFloodExportsRetransmissions) {
     total_retx += r;
   }
   EXPECT_GT(total_retx, 0) << "30% loss must force re-sends";
+}
+
+// ---------------------------------------------------------- metric catalog
+
+/// Every `backticked` span of docs/OBSERVABILITY.md.
+std::set<std::string> catalogNames() {
+  const std::string path = std::string(DYNET_DOCS_DIR) + "/OBSERVABILITY.md";
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  const std::string doc = text.str();
+  std::set<std::string> names;
+  std::size_t open = doc.find('`');
+  while (open != std::string::npos) {
+    const std::size_t close = doc.find('`', open + 1);
+    if (close == std::string::npos) {
+      break;
+    }
+    names.insert(doc.substr(open + 1, close - open - 1));
+    open = doc.find('`', close + 1);
+  }
+  return names;
+}
+
+/// Adds every registered counter, gauge, histogram and series name of
+/// `reg`, except the wall-clock prof/ timers, to `names`.
+void collectNames(const obs::MetricsRegistry& reg,
+                  std::set<std::string>& names) {
+  const auto add = [&names](const std::string& name) {
+    if (name.rfind("prof/", 0) != 0) {
+      names.insert(name);
+    }
+  };
+  for (const auto& entry : reg.counters()) {
+    add(entry.first);
+  }
+  for (const auto& entry : reg.gauges()) {
+    add(entry.first);
+  }
+  for (const auto& entry : reg.histograms()) {
+    add(entry.first);
+  }
+  for (const auto& entry : reg.allSeries()) {
+    add(entry.first);
+  }
+}
+
+// The catalog cannot drift: one sink-attached engine per protocol of the
+// CLI/campaign zoo, built the way a campaign shard builds it, plus a
+// fault-injected ResilientFlood run, and every name they register must
+// appear spelled in full, in backticks, in docs/OBSERVABILITY.md.
+TEST(EngineObs, EveryRegisteredMetricIsInTheCatalog) {
+  const std::set<std::string> documented = catalogNames();
+  ASSERT_FALSE(documented.empty());
+  std::set<std::string> registered;
+  for (const std::string& protocol : campaign::protocolNames()) {
+    campaign::ShardConfig shard;
+    shard.protocol = protocol;
+    shard.adversary = "random_tree";
+    shard.n = 12;
+    shard.max_rounds = 48;
+    const std::uint64_t seed = 5;
+    const auto factory = campaign::makeProtocolFactory(shard, seed);
+    obs::MetricsSink sink;
+    sim::EngineConfig config = campaign::makeEngineConfig(shard);
+    config.metrics = &sink;
+    sim::Engine engine(*factory, campaign::makeAdversary(shard, seed), config,
+                       seed);
+    engine.run();
+    collectNames(sink.registry, registered);
+  }
+  {
+    const NodeId n = 12;
+    proto::ResilientFloodFactory factory{proto::ResilientFloodConfig{}};
+    obs::MetricsSink sink;
+    sim::EngineConfig config;
+    config.max_rounds = 200;
+    config.metrics = &sink;
+    sim::Engine engine(factory,
+                       std::make_unique<adv::RandomGraphAdversary>(n, 0.3, 3),
+                       config, /*seed=*/21);
+    faults::FaultConfig fc;
+    fc.drop_prob = 0.2;
+    fc.corrupt_prob = 0.1;
+    fc.crash_fraction = 0.25;
+    fc.crash_window = 20;
+    fc.restart = true;
+    fc.restart_downtime = 10;
+    engine.setFaultInjector(std::make_shared<const faults::FaultInjector>(
+        faults::FaultPlan(n, fc, 0xFA), &factory));
+    engine.run();
+    collectNames(sink.registry, registered);
+  }
+  std::string missing;
+  for (const std::string& name : registered) {
+    if (documented.count(name) == 0) {
+      missing += " " + name;
+    }
+  }
+  EXPECT_TRUE(missing.empty())
+      << "registered but not in docs/OBSERVABILITY.md:" << missing;
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Structure-of-arrays state store: differential pins against the object
-// path (PR: SoA state + many-worlds lanes).
+// path.
 //
-// Five layers of evidence that EngineConfig::soa_state changes HOW the
+// Four layers of evidence that EngineConfig::soa_state changes HOW the
 // engine executes a round, never WHAT it computes:
 //
 //   * per-round lockstep: object and SoA engines stepped side by side must
@@ -20,17 +20,11 @@
 //   * delivery direction: serial fault-free rounds push or pull by the
 //     work rule of sim/soa_exec.h, on schedules with rounds on both sides
 //     of it and on its tie, and soa//pull_rounds counts the pulled rounds
-//     exactly; faulty rounds never take the push walk;
-//   * many-worlds lanes: each of the 64 bit-packed flood trials of
-//     protocols/manyworlds.h must reproduce its scalar engine run bit for
-//     bit — RunResult, per-node token state, state digests — including a
-//     partial final lane group, and BatchRunner::runLanes must merge lane
-//     metrics into exactly the TrialSummary of the scalar BatchRunner::run.
+//     exactly; faulty rounds never take the push walk.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,12 +38,9 @@
 #include "obs/sink.h"
 #include "protocols/flood.h"
 #include "protocols/gossip.h"
-#include "protocols/manyworlds.h"
 #include "protocols/max_flood.h"
-#include "sim/batch.h"
 #include "sim/engine.h"
 #include "sim/soa_exec.h"
-#include "util/rng.h"
 
 namespace dynet::sim {
 namespace {
@@ -434,186 +425,6 @@ TEST(SoAState, DropOnlyPlanNeverTakesThePushWalk) {
     EXPECT_GT(sink.registry.counter("faults/messages_dropped")->value, 0u)
         << "adversary " << adversary;
   }
-}
-
-// ------------------------------------------------------- many-worlds lanes
-
-net::TopologySeq rotatingStarCycle(NodeId n) {
-  net::TopologySeq cycle;
-  for (NodeId c = 0; c < n; ++c) {
-    cycle.push_back(net::makeStar(n, c));
-  }
-  return cycle;
-}
-
-struct ScalarFloodRun {
-  RunResult result;
-  std::vector<char> has_token;
-  std::vector<Round> token_round;
-};
-
-ScalarFloodRun runScalarFlood(const proto::ManyWorldsFloodSpec& spec,
-                              const net::TopologySeq& cycle,
-                              std::uint64_t seed) {
-  proto::FloodFactory factory(spec.source, spec.token, spec.token_bits,
-                              spec.mode, spec.halt_round);
-  EngineConfig cfg;
-  cfg.max_rounds = spec.max_rounds;
-  cfg.stop_when_all_done = spec.stop_when_all_done;
-  cfg.soa_state = false;  // the reference leg is the classic object engine
-  Engine engine(factory, std::make_unique<adv::PeriodicAdversary>(cycle), cfg,
-                seed);
-  ScalarFloodRun run;
-  run.result = engine.run();
-  for (NodeId v = 0; v < spec.num_nodes; ++v) {
-    const auto& p =
-        dynamic_cast<const proto::FloodProcess&>(engine.process(v));
-    run.has_token.push_back(p.hasToken() ? 1 : 0);
-    run.token_round.push_back(p.tokenRound());
-  }
-  return run;
-}
-
-TEST(ManyWorlds, LaneMatchesScalarEngineBitForBit) {
-  proto::ManyWorldsFloodSpec spec;
-  spec.num_nodes = 12;
-  spec.source = 0;
-  spec.token = 0x2a;
-  spec.token_bits = 8;
-  spec.mode = proto::FloodMode::kRandomized;
-  spec.halt_round = 24;
-  spec.max_rounds = 24;
-  const net::TopologySeq cycle = rotatingStarCycle(spec.num_nodes);
-  const std::uint64_t base_seed = 0xBEEF;
-
-  // 96 trials in groups of 64: one full lane word plus a 32-lane partial
-  // group, exercising the sub-word mask path.
-  constexpr int kTrials = 96;
-  std::size_t first = 0;
-  while (first < kTrials) {
-    const int lanes = static_cast<int>(
-        std::min<std::size_t>(64, kTrials - first));
-    const std::vector<proto::ManyWorldsLane> group =
-        proto::runManyWorldsFlood(spec, cycle, base_seed, first, lanes);
-    ASSERT_EQ(group.size(), static_cast<std::size_t>(lanes));
-    for (int l = 0; l < lanes; ++l) {
-      const std::uint64_t seed =
-          util::hashCombine(base_seed, first + static_cast<std::size_t>(l));
-      const ScalarFloodRun scalar = runScalarFlood(spec, cycle, seed);
-      const proto::ManyWorldsLane& lane = group[static_cast<std::size_t>(l)];
-      expectSameResult(scalar.result, lane.result,
-                       "trial " + std::to_string(first + l));
-      EXPECT_EQ(scalar.has_token, lane.has_token)
-          << "trial " << first + l;
-      EXPECT_EQ(scalar.token_round, lane.token_round)
-          << "trial " << first + l;
-      // Digest-level equivalence via the shared floodStateDigest helper.
-      for (NodeId v = 0; v < spec.num_nodes; ++v) {
-        const auto vi = static_cast<std::size_t>(v);
-        EXPECT_EQ(proto::floodStateDigest(v, scalar.has_token[vi] != 0,
-                                          scalar.token_round[vi]),
-                  proto::floodStateDigest(v, lane.has_token[vi] != 0,
-                                          lane.token_round[vi]))
-            << "trial " << first + l << " node " << v;
-      }
-      if (HasFailure()) {
-        return;
-      }
-    }
-    first += static_cast<std::size_t>(lanes);
-  }
-}
-
-TEST(ManyWorlds, RunLanesSummaryMatchesScalarBatch) {
-  proto::ManyWorldsFloodSpec spec;
-  spec.num_nodes = 10;
-  spec.source = 0;
-  spec.token = 0x2a;
-  spec.token_bits = 8;
-  spec.mode = proto::FloodMode::kRandomized;
-  spec.halt_round = 20;
-  spec.max_rounds = 20;
-  const net::TopologySeq cycle = rotatingStarCycle(spec.num_nodes);
-  const std::uint64_t base_seed = 0xCAFE;
-  constexpr int kTrials = 96;  // partial final lane group
-
-  BatchOptions options;
-  options.threads = 1;
-  BatchRunner scalar_runner(options);
-  const MetricId m_msgs = scalar_runner.metricId("messages_sent");
-  const MetricId m_reached = scalar_runner.metricId("nodes_reached");
-  TrialSamples scalar_samples;
-  scalar_runner.run(
-      kTrials, base_seed,
-      [&](std::uint64_t seed, EngineWorkspace& /*ws*/, TrialRecorder& rec) {
-        const ScalarFloodRun run = runScalarFlood(spec, cycle, seed);
-        rec.set(m_msgs, static_cast<double>(run.result.messages_sent));
-        double reached = 0;
-        for (const char h : run.has_token) {
-          reached += h != 0 ? 1 : 0;
-        }
-        rec.set(m_reached, reached);
-      },
-      &scalar_samples);
-
-  BatchRunner lane_runner(options);
-  const MetricId l_msgs = lane_runner.metricId("messages_sent");
-  const MetricId l_reached = lane_runner.metricId("nodes_reached");
-  TrialSamples lane_samples;
-  lane_runner.runLanes(
-      kTrials, /*lane_width=*/64,
-      [&](std::size_t first_trial, int lanes, LaneRecorder& rec) {
-        const std::vector<proto::ManyWorldsLane> group =
-            proto::runManyWorldsFlood(spec, cycle, base_seed, first_trial,
-                                      lanes);
-        for (int l = 0; l < lanes; ++l) {
-          const proto::ManyWorldsLane& lane =
-              group[static_cast<std::size_t>(l)];
-          rec.set(l, l_msgs,
-                  static_cast<double>(lane.result.messages_sent));
-          double reached = 0;
-          for (const char h : lane.has_token) {
-            reached += h != 0 ? 1 : 0;
-          }
-          rec.set(l, l_reached, reached);
-        }
-      },
-      &lane_samples);
-
-  // Raw per-trial samples (trial order) must agree exactly — the summary
-  // then agrees by construction.
-  EXPECT_EQ(scalar_samples.metrics, lane_samples.metrics);
-}
-
-TEST(ManyWorlds, LaneOccupancy) {
-  EXPECT_DOUBLE_EQ(proto::manyWorldsLaneOccupancy(64, 64), 1.0);
-  EXPECT_DOUBLE_EQ(proto::manyWorldsLaneOccupancy(128, 64), 1.0);
-  EXPECT_DOUBLE_EQ(proto::manyWorldsLaneOccupancy(96, 64), 0.75);
-  EXPECT_DOUBLE_EQ(proto::manyWorldsLaneOccupancy(1, 64), 1.0 / 64.0);
-  EXPECT_DOUBLE_EQ(proto::manyWorldsLaneOccupancy(10, 10), 10.0 / 64.0);
-}
-
-// runLanes records the lane-packing shape under the reserved soa// prefix
-// when BatchOptions carries a sink; the occupancy gauge must agree with
-// proto::manyWorldsLaneOccupancy so the two definitions cannot drift.
-TEST(ManyWorlds, RunLanesEmitsShapeGauges) {
-  obs::MetricsSink sink;
-  BatchOptions options;
-  options.threads = 1;
-  options.sink = &sink;
-  BatchRunner runner(options);
-  const MetricId m = runner.metricId("noop");
-  runner.runLanes(/*trials=*/96, /*lane_width=*/64,
-                  [&](std::size_t, int lanes, LaneRecorder& rec) {
-                    for (int l = 0; l < lanes; ++l) {
-                      rec.set(l, m, 0.0);
-                    }
-                  });
-  auto& reg = sink.registry;
-  EXPECT_DOUBLE_EQ(reg.gauge("soa//lane_width")->value, 64.0);
-  EXPECT_DOUBLE_EQ(reg.gauge("soa//lane_groups")->value, 2.0);
-  EXPECT_DOUBLE_EQ(reg.gauge("soa//lane_occupancy")->value,
-                   proto::manyWorldsLaneOccupancy(96, 64));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Fixture-driven coverage for tools/dynet_stats (summary tables,
-// histogram percentile math, and the two-run diff mode).
+// histogram percentile math, and the two-run diff mode), plus one diff of
+// two real dynet_cli runs on different state representations.
 //
 // The tool is exercised as a subprocess — the same way users run it — on
 // metrics.json fixtures generated through obs::MetricsRegistry::writeJson,
@@ -30,10 +31,11 @@ struct ToolRun {
   std::string output;  // stdout + stderr interleaved
 };
 
-/// Runs dynet_stats with `args`, capturing output and exit code.
-ToolRun runStats(const std::string& args) {
+/// Runs the build tree's `tool` with `args`, capturing output and exit
+/// code.
+ToolRun runTool(const std::string& tool, const std::string& args) {
   const std::string cmd =
-      std::string(DYNET_TOOLS_DIR) + "/dynet_stats " + args + " 2>&1";
+      std::string(DYNET_TOOLS_DIR) + "/" + tool + " " + args + " 2>&1";
   ToolRun run;
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) {
@@ -46,6 +48,10 @@ ToolRun runStats(const std::string& args) {
   const int status = pclose(pipe);
   run.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return run;
+}
+
+ToolRun runStats(const std::string& args) {
+  return runTool("dynet_stats", args);
 }
 
 std::string writeFixture(const std::string& name,
@@ -147,7 +153,7 @@ TEST(StatsTool, DiffModeSplitsExecutionShapeGauges) {
   current.gauge("engine/rounds")->set(50);
   current.gauge("soa//active")->set(1);
   current.gauge("soa//stride_workers")->set(1);
-  current.gauge("soa//lane_occupancy")->set(0.75);
+  current.gauge("soa//pull_rounds")->set(60);
   const std::string cur_path = writeFixture("stats_shape_cur.json", current);
 
   const ToolRun run =
@@ -160,15 +166,50 @@ TEST(StatsTool, DiffModeSplitsExecutionShapeGauges) {
   EXPECT_NE(run.output.find("(same)"), std::string::npos) << run.output;
   EXPECT_NE(run.output.find("(current only)"), std::string::npos)
       << run.output;
-  EXPECT_NE(run.output.find("soa//lane_occupancy"), std::string::npos)
+  EXPECT_NE(run.output.find("soa//pull_rounds"), std::string::npos)
       << run.output;
   EXPECT_NE(run.output.find("different state representations"),
             std::string::npos)
       << run.output;
   // The shape gauges must NOT leak into the semantic gauge diff: the
-  // semantic table would have tagged the one-sided lane gauge "(new)".
+  // semantic table would have tagged the one-sided pull gauge "(new)".
   EXPECT_EQ(run.output.find("(new)"), std::string::npos) << run.output;
   EXPECT_EQ(run.output.find("(removed)"), std::string::npos) << run.output;
+}
+
+TEST(StatsTool, DiffFlagsTheStateRepresentationOfRealCliRuns) {
+  // dynet_cli builds its engine from the protocol factory, so a flood run
+  // executes on the SoA state store while leader election, which has no
+  // SoA model, runs on process objects.  Diffing the two runs' metrics
+  // must report soa//active as an expected execution-shape difference.
+  const std::string dir = testsupport::testDir();
+  const std::string flood = dir + "cli_flood.json";
+  const std::string leader = dir + "cli_leader.json";
+  // Flood never reports done, so the bounded run exits 1 by design.
+  const ToolRun flood_run = runTool(
+      "dynet_cli", "--protocol flood --adversary random_tree --nodes 32 "
+                   "--seed 7 --max-rounds 64 --metrics-out " + flood);
+  ASSERT_EQ(flood_run.exit_code, 1) << flood_run.output;
+  const ToolRun leader_run = runTool(
+      "dynet_cli", "--protocol leader_unknown_d --adversary random_tree "
+                   "--nodes 32 --seed 7 --metrics-out " + leader);
+  ASSERT_EQ(leader_run.exit_code, 0) << leader_run.output;
+
+  const ToolRun run = runStats("--in " + flood + " --baseline " + leader);
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  std::istringstream lines(run.output);
+  std::string active_row;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find(" soa//active ") != std::string::npos) {
+      active_row = line;
+    }
+  }
+  ASSERT_FALSE(active_row.empty()) << run.output;
+  EXPECT_NE(active_row.find("(differs: expected)"), std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("different state representations"),
+            std::string::npos)
+      << run.output;
 }
 
 TEST(StatsTool, MissingInputFlagExitsTwoWithUsage) {

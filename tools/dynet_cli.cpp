@@ -430,22 +430,13 @@ int run(int argc, char** argv) {
     prof = std::make_unique<obs::ProfScope>(&sink.registry);
   }
 
-  std::vector<std::unique_ptr<sim::Process>> processes;
-  for (sim::NodeId v = 0; v < shard.n; ++v) {
-    processes.push_back(factory->create(v, shard.n));
-  }
-  sim::EngineConfig config;
-  config.max_rounds = shard.max_rounds;
-  config.anonymous =
-      shard.anonymous || shard.protocol.rfind("anon_", 0) == 0;
-  // diam_* protocols are specified in full-duplex broadcast CONGEST.
-  config.duplex = shard.protocol.rfind("diam_", 0) == 0;
+  sim::EngineConfig config = campaign::makeEngineConfig(shard);
   config.record_topologies = true;
   config.record_actions = !trace_path.empty();
   if (want_metrics || want_spans) {
     config.metrics = &sink;
   }
-  sim::Engine engine(std::move(processes), std::move(adversary), config, seed);
+  sim::Engine engine(*factory, std::move(adversary), config, seed);
   const auto result = engine.run();
 
   const sim::NodeId n = shard.n;
@@ -471,7 +462,7 @@ int run(int argc, char** argv) {
         net::meanConsecutiveJaccard(engine.topologies()), 3);
   }
   if (result.all_done && n > 0) {
-    table.row().cell("output[node 0]").cell(engine.process(0).output());
+    table.row().cell("output[node 0]").cell(engine.nodeOutput(0));
   }
   std::cout << table.toString();
 
