@@ -142,12 +142,12 @@ sim::RunResult runWorkloadTrial(sim::NodeId n, sim::Round rounds,
   return engine.run();
 }
 
-/// One full period of the rotating star's topology sequence, pre-warmed.
+/// One full period of the rotating star's topology sequence, built once.
 /// RotatingStarAdversary rebuilds makeStar(n, (round-1) % n) from scratch
 /// every round of every trial; a PeriodicAdversary over this cycle yields
 /// value-identical graphs while paying construction once.  Sharing the
-/// GraphPtrs across trial threads is safe since Graph's lazy caches went
-/// behind std::call_once (and warm(), which PeriodicAdversary calls).
+/// GraphPtrs across trial threads is safe: a Graph never changes after
+/// construction.
 std::vector<net::GraphPtr> rotatingStarCycle(sim::NodeId n) {
   std::vector<net::GraphPtr> stars;
   stars.reserve(static_cast<std::size_t>(n));
@@ -239,10 +239,9 @@ CompareResult compareBatchVsSequential(sim::NodeId n, int trials,
     const sim::MetricId m_bits = runner.metricId("bits");
     const sim::MetricId m_messages = runner.metricId("messages");
     const sim::MetricId m_max_node_bits = runner.metricId("max_node_bits");
-    // Topology construction and cache warm-up are part of what the batch
-    // path amortizes away, but they should not be *timed into* a
-    // trials/sec figure that claims to measure the round engine: hoist
-    // them.
+    // Topology construction is part of what the batch path amortizes
+    // away, but it should not be *timed into* a trials/sec figure that
+    // claims to measure the round engine: hoist it.
     const std::vector<net::GraphPtr> stars = rotatingStarCycle(n);
     const double batch_start = nowSeconds();
     const sim::TrialSummary batch = runner.run(
@@ -350,7 +349,7 @@ CompareResult compareDeltaVsRebuild(sim::NodeId n, int trials,
 }
 
 /// soa-vs-objects: identical adversary handling on both legs (periodic
-/// pre-warmed stars, deltas), only the state representation differs —
+/// prebuilt stars, deltas), only the state representation differs —
 /// per-node Process objects vs the flat column store.  Single-core
 /// (threads = 1): the acceptance criterion measures per-engine round
 /// throughput, not cross-trial parallelism.

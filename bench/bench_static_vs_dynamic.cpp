@@ -60,7 +60,7 @@ int run(int argc, char** argv) {
       const char* name;
       net::GraphPtr graph;
     };
-    for (const Case c :
+    for (const Case& c :
          {Case{"path", net::makePath(128)}, Case{"ring", net::makeRing(128)},
           Case{"star", net::makeStar(128)}, Case{"torus", net::makeTorus(8, 16)},
           Case{"clique", net::makeClique(96)}}) {

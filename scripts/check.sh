@@ -6,8 +6,13 @@
 # run with it directly: a crashing or flag-rejecting bench fails this
 # script.  (The old `"$b" --quick 2>/dev/null || "$b"` loop silently fell
 # back to a full run — hiding both broken --quick handling and crashes.)
+#
+# The script leaves the working tree as it found it: it fails at the end if
+# `git status --porcelain` differs from its state at the start.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+root="$PWD"
+tree_state="$(git status --porcelain)"
 
 echo "=== release build ==="
 cmake -B build -S .
@@ -31,10 +36,14 @@ ctest --test-dir build -j"$(nproc)" --output-on-failure --timeout 300 \
   --repeat until-fail:5 \
   -R "^(${trace_cli_suites}|${campaign_suites}|${dataset_suites})\\."
 echo "=== benches (--quick smoke run, failures are fatal) ==="
+# From a scratch directory: benches write their default JSON artifacts
+# (BENCH_*.json) into the working directory, over the committed ones.
+bench_dir="$(mktemp -d)"
 for b in build/bench/*; do
   echo "--- $b --quick"
-  "$b" --quick
+  (cd "$bench_dir" && "$root/$b" --quick)
 done
+rm -rf "$bench_dir"
 
 echo "=== observability smoke (metrics + chrome trace + dynet_stats) ==="
 obs_dir="$(mktemp -d)"
@@ -109,5 +118,14 @@ echo "=== sanitizer build (ASan + UBSan) ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DDYNET_SANITIZE=ON
 cmake --build build-asan -j"$(nproc)"
 ctest --test-dir build-asan -j"$(nproc)" --output-on-failure --timeout 600
+
+echo "=== working tree left as found ==="
+if [[ "$(git status --porcelain)" != "$tree_state" ]]; then
+  echo "check.sh changed the working tree; git status --porcelain was:" >&2
+  echo "$tree_state" >&2
+  echo "and is now:" >&2
+  git status --porcelain >&2
+  exit 1
+fi
 
 echo "ALL CHECKS PASSED"

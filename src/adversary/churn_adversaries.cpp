@@ -84,12 +84,9 @@ bool EdgeChurnAdversary::topologyUpdate(sim::Round /*round*/,
       }
     }
     if (!removed.empty()) {
-      if (!current_->warmed()) {
-        current_->warm();  // round-1 churn: the engine has not warmed yet
-      }
       // Re-attaching children keeps the parent encoding a tree, so the
       // result is always connected: assert that to carry the component
-      // cache across the delta (skips a per-round union-find pass).
+      // count across the delta (skips a per-round union-find pass).
       current_ = current_->applyDelta(removed, added,
                                       /*same_components=*/true);
       out.edges_removed = removed.size();
@@ -116,8 +113,7 @@ net::GraphPtr RandomGraphAdversary::topology(sim::Round round,
   util::Rng rng(util::hashCombine(seed_ ^ 0x94d049bb133111ebULL,
                                   static_cast<std::uint64_t>(round)));
   // Spanning tree for guaranteed connectivity...
-  auto tree = randomAttachTree(n_, rng);
-  std::vector<net::Edge> edges(tree->edges().begin(), tree->edges().end());
+  std::vector<net::Edge> edges = randomAttachTree(n_, rng);
   // ...plus Bernoulli(p) extra edges.  Sample the number per node pair
   // implicitly by walking pairs with a geometric skip for efficiency.
   if (p_ > 0.0) {

@@ -8,7 +8,7 @@
 
 namespace dynet::adv {
 
-net::GraphPtr randomAttachTree(sim::NodeId n, util::Rng& rng) {
+std::vector<net::Edge> randomAttachTree(sim::NodeId n, util::Rng& rng) {
   DYNET_CHECK(n >= 1) << "n=" << n;
   std::vector<sim::NodeId> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
@@ -21,7 +21,7 @@ net::GraphPtr randomAttachTree(sim::NodeId n, util::Rng& rng) {
     const auto parent = order[rng.below(i)];
     edges.push_back({parent, order[i]});
   }
-  return std::make_shared<net::Graph>(n, std::move(edges));
+  return edges;
 }
 
 RandomTreeAdversary::RandomTreeAdversary(sim::NodeId n, std::uint64_t seed)
@@ -32,7 +32,7 @@ RandomTreeAdversary::RandomTreeAdversary(sim::NodeId n, std::uint64_t seed)
 net::GraphPtr RandomTreeAdversary::topology(sim::Round round,
                                             const sim::RoundObservation&) {
   util::Rng rng(util::hashCombine(seed_, static_cast<std::uint64_t>(round)));
-  return randomAttachTree(n_, rng);
+  return std::make_shared<net::Graph>(n_, randomAttachTree(n_, rng));
 }
 
 RotatingStarAdversary::RotatingStarAdversary(sim::NodeId n) : n_(n) {
@@ -79,7 +79,7 @@ net::GraphPtr IntervalAdversary::topology(sim::Round round,
   if (epoch != current_epoch_ || current_ == nullptr) {
     util::Rng rng(util::hashCombine(seed_ ^ 0xb5297a4d3f84d5b5ULL,
                                     static_cast<std::uint64_t>(epoch)));
-    current_ = randomAttachTree(n_, rng);
+    current_ = std::make_shared<net::Graph>(n_, randomAttachTree(n_, rng));
     current_epoch_ = epoch;
   }
   return current_;

@@ -109,8 +109,9 @@ class SenderChokeAdversary : public sim::Adversary {
   sim::NodeId n_;
 };
 
-/// Uniform random spanning tree-ish graph via random attachment of a random
-/// permutation (every node i>0 attaches to a uniform earlier node).
-net::GraphPtr randomAttachTree(sim::NodeId n, util::Rng& rng);
+/// Edges of a uniform random spanning tree-ish graph via random attachment
+/// of a random permutation (every node i>0 attaches to a uniform earlier
+/// node).
+std::vector<net::Edge> randomAttachTree(sim::NodeId n, util::Rng& rng);
 
 }  // namespace dynet::adv

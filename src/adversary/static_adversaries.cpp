@@ -7,13 +7,6 @@ namespace dynet::adv {
 StaticAdversary::StaticAdversary(net::GraphPtr graph) : graph_(std::move(graph)) {
   DYNET_CHECK(graph_ != nullptr) << "null graph";
   DYNET_CHECK(graph_->connected()) << "static topology must be connected";
-  // The same GraphPtr is handed to every round (and possibly to many
-  // engines across trial threads): make it fully immutable up front.  A
-  // graph shared across trials is warmed exactly once — warmed() is the
-  // cross-trial fast path.
-  if (!graph_->warmed()) {
-    graph_->warm();
-  }
 }
 
 net::GraphPtr StaticAdversary::topology(sim::Round /*round*/,
@@ -37,9 +30,6 @@ PeriodicAdversary::PeriodicAdversary(std::vector<net::GraphPtr> graphs)
     DYNET_CHECK(g != nullptr && g->connected()) << "bad periodic topology";
     DYNET_CHECK(g->numNodes() == graphs_.front()->numNodes())
         << "periodic topologies must agree on N";
-    if (!g->warmed()) {
-      g->warm();  // shared across rounds/engines; see StaticAdversary
-    }
   }
 }
 

@@ -30,8 +30,8 @@ class PeriodicAdversary : public sim::Adversary {
   explicit PeriodicAdversary(std::vector<net::GraphPtr> graphs);
 
   net::GraphPtr topology(sim::Round round, const sim::RoundObservation& obs) override;
-  /// Delta-native in the cache-reuse sense: the pre-warmed cycle graphs
-  /// are handed out as incremental rounds (the engine re-derives nothing).
+  /// Delta-native in the reuse sense: the cycle's graphs, built once, are
+  /// handed out as incremental rounds (the engine re-derives nothing).
   bool topologyUpdate(sim::Round round, const sim::RoundObservation& obs,
                       const net::GraphPtr& prev,
                       sim::TopologyUpdate& out) override;

@@ -170,7 +170,6 @@ net::GraphPtr TraceAdversary::topology(sim::Round round,
     return current_;
   }
   current_ = std::make_shared<net::Graph>(trace_->num_nodes, edgesAfter(step));
-  current_->warm();
   return current_;
 }
 
@@ -204,7 +203,6 @@ bool TraceAdversary::topologyUpdate(sim::Round round,
     return true;
   }
   current_ = std::make_shared<net::Graph>(trace_->num_nodes, edgesAfter(step));
-  current_->warm();
   out.graph = current_;
   out.is_delta = false;
   return true;

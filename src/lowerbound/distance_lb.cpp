@@ -137,9 +137,7 @@ AchBitGadget::AchBitGadget(net::NodeId n, int width, std::uint64_t seed,
   for (net::NodeId v = base; v < n; ++v) {
     edges.push_back({sa, v});
   }
-  auto g = std::make_shared<net::Graph>(n, std::move(edges));
-  g->warm();
-  graph_ = std::move(g);
+  graph_ = std::make_shared<net::Graph>(n, std::move(edges));
 }
 
 net::NodeId BkApproxGadget::minNodes(int width, int stretch) {
@@ -243,9 +241,7 @@ BkApproxGadget::BkApproxGadget(net::NodeId n, int width, int stretch,
     edges.push_back({ha, v});
     edges.push_back({hb, v});
   }
-  auto g = std::make_shared<net::Graph>(n, std::move(edges));
-  g->warm();
-  graph_ = std::move(g);
+  graph_ = std::make_shared<net::Graph>(n, std::move(edges));
 }
 
 }  // namespace dynet::lb

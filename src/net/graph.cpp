@@ -158,9 +158,14 @@ Graph::Graph(NodeId num_nodes, std::vector<Edge> edges)
         << "edge (" << e.a << "," << e.b << ") out of range, n=" << num_nodes_;
     DYNET_CHECK(e.a != e.b) << "self-loop at " << e.a;
   }
+  buildAdjacency();
+  countComponents();
 }
 
-void Graph::buildAdjacency() const {
+Graph::Graph(NodeId num_nodes, std::vector<Edge> edges, Unvalidated)
+    : num_nodes_(num_nodes), edges_(std::move(edges)) {}
+
+void Graph::buildAdjacency() {
   adj_offsets_.assign(static_cast<std::size_t>(num_nodes_) + 1, 0);
   for (const Edge& e : edges_) {
     ++adj_offsets_[static_cast<std::size_t>(e.a) + 1];
@@ -186,36 +191,19 @@ void Graph::buildAdjacency() const {
 
 std::span<const NodeId> Graph::neighbors(NodeId v) const {
   DYNET_CHECK(v >= 0 && v < num_nodes_) << "node " << v << " out of range";
-  ensureAdjacency();
   const auto begin = static_cast<std::size_t>(adj_offsets_[v]);
   const auto end = static_cast<std::size_t>(adj_offsets_[static_cast<std::size_t>(v) + 1]);
   return {adj_list_.data() + begin, end - begin};
 }
 
-void Graph::computeComponents() const {
+void Graph::countComponents() {
   UnionFind uf(num_nodes_);
-  int components = num_nodes_;
+  component_count_ = num_nodes_;
   for (const Edge& e : edges_) {
     if (uf.unite(e.a, e.b)) {
-      --components;
+      --component_count_;
     }
   }
-  component_count_ = components;
-}
-
-bool Graph::connected() const {
-  ensureComponents();
-  return *component_count_ == 1;
-}
-
-int Graph::componentCount() const {
-  ensureComponents();
-  return *component_count_;
-}
-
-void Graph::warm() const {
-  ensureAdjacency();
-  ensureComponents();
 }
 
 bool Graph::hasEdge(NodeId a, NodeId b) const {
@@ -223,13 +211,9 @@ bool Graph::hasEdge(NodeId a, NodeId b) const {
   return std::binary_search(ns.begin(), ns.end(), b);
 }
 
-Graph::Graph(NodeId num_nodes, std::vector<Edge> edges, Unvalidated)
-    : num_nodes_(num_nodes), edges_(std::move(edges)) {}
-
 GraphPtr Graph::applyDelta(std::span<const Edge> removed,
                            std::span<const Edge> added,
                            bool same_components) const {
-  DYNET_CHECK(warmed()) << "applyDelta requires a warmed base graph";
   for (const Edge& e : added) {
     DYNET_CHECK(e.a >= 0 && e.a < num_nodes_ && e.b >= 0 && e.b < num_nodes_)
         << "added edge (" << e.a << "," << e.b << ") out of range, n="
@@ -246,14 +230,13 @@ GraphPtr Graph::applyDelta(std::span<const Edge> removed,
       << "removed edge (" << removed[missing].a << "," << removed[missing].b
       << ") not present";
 
+  // A delta touching a large fraction of the graph is cheaper to rebuild
+  // (docs/ARCHITECTURE.md, "Graphs are born complete").
+  if ((removed.size() + added.size()) * 2 > edges_.size() + 2) {
+    return std::make_shared<Graph>(num_nodes_, std::move(edges));
+  }
   auto result = std::shared_ptr<Graph>(
       new Graph(num_nodes_, std::move(edges), Unvalidated{}));
-
-  // A delta touching a large fraction of the graph is cheaper to rebuild;
-  // leave the caches lazy and let first use pay the full build.
-  if ((removed.size() + added.size()) * 2 > edges_.size() + 2) {
-    return result;
-  }
 
   // Patch the CSR adjacency.  Each endpoint of a delta edge edits its
   // node's row; sorted, the edits group by node with the removed
@@ -335,16 +318,14 @@ GraphPtr Graph::applyDelta(std::span<const Edge> removed,
   }
   copy_run(next, num_nodes_);
   offsets.push_back(static_cast<std::int32_t>(list.size()));
-  result->adj_built_.store(true, std::memory_order_release);
 
   // Components: adding edges to a connected graph keeps it connected; any
-  // removal (or a disconnected base) forces a full recompute, which stays
-  // lazy until someone asks — unless the caller asserted the component
-  // count survives this delta.
-  if (component_count_.has_value() &&
-      (same_components || (removed.empty() && *component_count_ == 1))) {
-    result->component_count_ = *component_count_;
-    result->components_ready_.store(true, std::memory_order_release);
+  // removal (or a disconnected base) forces a full recount — unless the
+  // caller asserted the component count survives this delta.
+  if (same_components || (removed.empty() && component_count_ == 1)) {
+    result->component_count_ = component_count_;
+  } else {
+    result->countComponents();
   }
   return result;
 }

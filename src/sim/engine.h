@@ -46,13 +46,12 @@ struct EngineConfig {
   Round max_rounds = 1 << 20;
   /// 0 derives defaultBudgetBits(N).
   int msg_budget_bits = 0;
+  /// Check the model's per-round connectivity invariant.  With a
+  /// FaultInjector attached whose plan crashes nodes, the invariant covers
+  /// the subgraph induced by the *live* nodes (edges through crashed nodes
+  /// carry nothing, so demanding full connectivity would be both too strong
+  /// and unachievable for the adversary zoo).
   bool check_connectivity = true;
-  /// With a FaultInjector attached whose plan crashes nodes, relax the
-  /// connectivity invariant to the subgraph induced by the *live* nodes
-  /// (edges through crashed nodes carry nothing, so demanding full
-  /// connectivity would be both too strong and unachievable for the
-  /// adversary zoo).  Ignored without an injector.
-  bool relax_connectivity_to_live = true;
   bool record_topologies = false;
   bool record_actions = false;
   /// When true (the default) the engine offers each round to

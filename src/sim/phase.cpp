@@ -28,7 +28,6 @@ EngineObs::EngineObs(obs::MetricsSink* s) : sink(s), trace(s->trace) {
   round_messages = reg.series("round/messages_sent");
   topo_incremental = reg.counter("topology/incremental_rounds");
   topo_full = reg.counter("topology/full_builds");
-  topo_cold_warms = reg.counter("topology/cold_warms");
 }
 
 bool allLiveDone(const std::vector<std::unique_ptr<Process>>& processes,
@@ -181,12 +180,9 @@ void ComputePhase::run(RoundContext& ctx) {
 }
 
 // The adversary fixes the topology after observing the actions; the engine
-// checks the model's connectivity invariant and warms the graph's lazy
-// caches so the GraphPtr is safe to share across threads afterwards.  With
-// topology_deltas set, delta-native adversaries get first refusal via
-// topologyUpdate and may reuse or patch the previous round's graph; the
-// warm step skips graphs that are already warm (shared static/periodic
-// topologies, applyDelta results), so only genuinely cold graphs pay.
+// checks the model's connectivity invariant.  With topology_deltas set,
+// delta-native adversaries get first refusal via topologyUpdate and may
+// reuse or patch the previous round's graph.
 void AdversaryPhase::run(RoundContext& ctx) {
   RoundObservation obs{ctx.ws->actions};
   net::GraphPtr g;
@@ -204,15 +200,6 @@ void AdversaryPhase::run(RoundContext& ctx) {
   }
   DYNET_CHECK(g != nullptr) << "adversary returned null topology";
   DYNET_CHECK(g->numNodes() == ctx.n) << "topology node count mismatch";
-  if (g.get() != ctx.ws->last_warmed) {
-    if (!g->warmed()) {
-      g->warm();
-      if (ctx.obs != nullptr) {
-        ctx.obs->topo_cold_warms->inc();
-      }
-    }
-    ctx.ws->last_warmed = g.get();
-  }
   if (ctx.obs != nullptr) {
     (incremental ? ctx.obs->topo_incremental : ctx.obs->topo_full)->inc();
   }
@@ -220,8 +207,7 @@ void AdversaryPhase::run(RoundContext& ctx) {
     ctx.ws->prev_topology = g;
   }
   if (ctx.config->check_connectivity) {
-    if (ctx.faulty && ctx.config->relax_connectivity_to_live &&
-        ctx.injector->plan().hasCrashes()) {
+    if (ctx.faulty && ctx.injector->plan().hasCrashes()) {
       DYNET_CHECK(net::connectedOn(*g, ctx.ws->alive))
           << "round " << ctx.round
           << " live-node subgraph disconnected (crashed nodes excluded)";

@@ -76,7 +76,6 @@ struct EngineObs {
   // paths — docs/OBSERVABILITY.md).
   obs::Counter* topo_incremental;
   obs::Counter* topo_full;
-  obs::Counter* topo_cold_warms;
 
   explicit EngineObs(obs::MetricsSink* s);
 };

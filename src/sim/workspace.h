@@ -57,9 +57,6 @@ struct EngineWorkspace {
   /// so delta-native adversaries can patch instead of rebuild.  Null in
   /// round 1 and on the legacy (topology_deltas = false) path.
   net::GraphPtr prev_topology;
-  /// Last graph AdversaryPhase warmed, so an adversary returning the same
-  /// GraphPtr for consecutive rounds skips even the warmed() check.
-  const net::Graph* last_warmed = nullptr;
   /// Structure-of-arrays protocol state (EngineConfig::soa_state): the
   /// engine's SoAModel binds its per-field columns here so their capacity
   /// is reused across trials like every other workspace vector.
@@ -87,7 +84,6 @@ struct EngineWorkspace {
     crash_counted.clear();
     coin_keys.clear();
     prev_topology = nullptr;
-    last_warmed = nullptr;
     soa.reset();
     stride_faults.clear();
     soa_senders.clear();

@@ -186,9 +186,9 @@ TEST(ShufflePath, HighDiameterShape) {
 TEST(RandomAttachTree, IsTree) {
   util::Rng rng(5);
   for (const NodeId n : {1, 2, 10, 100}) {
-    auto g = randomAttachTree(n, rng);
-    EXPECT_EQ(g->numEdges(), static_cast<std::size_t>(n - 1));
-    EXPECT_TRUE(g->connected());
+    const net::Graph g(n, randomAttachTree(n, rng));
+    EXPECT_EQ(g.numEdges(), static_cast<std::size_t>(n - 1));
+    EXPECT_TRUE(g.connected());
   }
 }
 

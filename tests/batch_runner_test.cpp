@@ -300,60 +300,6 @@ TEST(BatchRunner, TrialSamplesInTrialOrderAcrossThreadCounts) {
   EXPECT_EQ(inline_samples.metrics, pooled.metrics);
 }
 
-// ------------------------------------------------- cross-trial warm reuse
-
-/// Hands out one shared GraphPtr without pre-warming it (unlike
-/// StaticAdversary, whose constructor warms) so the test can observe
-/// exactly when AdversaryPhase pays the warm-up.
-class ColdSharedAdversary : public Adversary {
- public:
-  explicit ColdSharedAdversary(net::GraphPtr graph)
-      : graph_(std::move(graph)) {}
-
-  net::GraphPtr topology(Round, const RoundObservation&) override {
-    return graph_;
-  }
-  NodeId numNodes() const override { return graph_->numNodes(); }
-
- private:
-  net::GraphPtr graph_;
-};
-
-std::uint64_t coldWarmsForTrial(const net::GraphPtr& g, std::uint64_t seed) {
-  proto::FloodFactory factory(0, 0x2a, 8, proto::FloodMode::kDeterministic,
-                              /*halt_round=*/10);
-  std::vector<std::unique_ptr<Process>> ps;
-  for (NodeId v = 0; v < g->numNodes(); ++v) {
-    ps.push_back(factory.create(v, g->numNodes()));
-  }
-  obs::MetricsSink sink;
-  EngineConfig config;
-  config.max_rounds = 12;
-  config.metrics = &sink;
-  Engine engine(std::move(ps), std::make_unique<ColdSharedAdversary>(g),
-                config, seed);
-  engine.run();
-  return sink.registry.counters().at("topology/cold_warms").value;
-}
-
-TEST(BatchRunner, SharedWarmedGraphIsNotRewarmedAcrossTrials) {
-  // A graph shared across trials pays its warm-up exactly once: the first
-  // trial's AdversaryPhase finds it cold, every later trial (and every
-  // later round — the engine tracks the last-warmed pointer) sees
-  // warmed() and skips.  Before the warmed() fast path, every trial of a
-  // shared graph redid this work behind std::call_once's mutex.
-  const net::GraphPtr shared = net::makeRing(12);
-  EXPECT_FALSE(shared->warmed());
-  EXPECT_EQ(coldWarmsForTrial(shared, 0xAA), 1u);
-  EXPECT_TRUE(shared->warmed());
-  EXPECT_EQ(coldWarmsForTrial(shared, 0xAB), 0u);
-  EXPECT_EQ(coldWarmsForTrial(shared, 0xAC), 0u);
-
-  // Contrast: a fresh graph per trial is cold every time.
-  EXPECT_EQ(coldWarmsForTrial(net::makeRing(12), 0xAD), 1u);
-  EXPECT_EQ(coldWarmsForTrial(net::makeRing(12), 0xAE), 1u);
-}
-
 // ------------------------------------------------- DYNET_THREADS parsing
 
 TEST(ParseThreadCount, AcceptsPositiveIntegers) {

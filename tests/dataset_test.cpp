@@ -261,9 +261,7 @@ TEST(Compile, PositionalPatchMatchesGraphApplyDelta) {
   const CompiledTrace trace = randomTrace(16, 40, 4, 7);
   std::vector<net::Edge> want = trace.initial;
   std::vector<net::Edge> edges = trace.initial;
-  auto base = std::make_shared<net::Graph>(trace.num_nodes, edges);
-  base->warm();
-  net::GraphPtr graph = base;
+  net::GraphPtr graph = std::make_shared<net::Graph>(trace.num_nodes, edges);
   for (std::size_t i = 0; i < trace.deltas.size(); ++i) {
     const RoundDelta& d = trace.deltas[i];
     ASSERT_EQ(testsupport::referencePositionalPatch(want, d.removed, d.added),
@@ -272,9 +270,6 @@ TEST(Compile, PositionalPatchMatchesGraphApplyDelta) {
                          static_cast<sim::Round>(i + 2));
     ASSERT_EQ(edges, want) << "diverged at delta " << i;
     graph = graph->applyDelta(d.removed, d.added);
-    // A delta with removals leaves the component cache cold; warm it the
-    // way the engine warms each round's topology before the next patch.
-    graph->warm();
     const std::span<const net::Edge> got = graph->edges();
     ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
         << "diverged at delta " << i;
@@ -514,7 +509,6 @@ TEST(TraceAdversary, MixedEntryPointsServeTheSameTopologies) {
         sim::TopologyUpdate update;
         ASSERT_TRUE(mixed.topologyUpdate(r, {}, prev, update));
         got = update.graph;
-        got->warm();
       }
       prev = got;
       const net::GraphPtr want = reference.topology(r, {});

@@ -625,7 +625,7 @@ TEST(RelaxedConnectivity, LiveSubgraphMustStayConnected) {
 TEST(RelaxedConnectivity, DisconnectedDeadNodeIsTolerated) {
   // Edge 0-1 plus an isolated node 2: the full graph is disconnected, but
   // once node 2 crashes the live subgraph {0,1} is connected, so the
-  // relaxed invariant accepts what the strict one would reject.
+  // relaxed invariant accepts it.
   auto graph = std::make_shared<const net::Graph>(
       3, std::vector<net::Edge>{{0, 1}});
   ASSERT_FALSE(graph->connected());
@@ -640,18 +640,6 @@ TEST(RelaxedConnectivity, DisconnectedDeadNodeIsTolerated) {
   fc.scripted_crashes = {{2, 1}};
   engine.setFaultInjector(injectorFor(3, fc, 1));
   EXPECT_NO_THROW(engine.run());
-
-  // With relaxation disabled the strict check fires on the same setup.
-  std::vector<std::unique_ptr<sim::Process>> processes2;
-  for (int i = 0; i < 3; ++i) {
-    processes2.push_back(std::make_unique<RoundCounter>());
-  }
-  auto config = runForever(5);
-  config.relax_connectivity_to_live = false;
-  sim::Engine strict(std::move(processes2),
-                     std::make_unique<RawStaticAdversary>(graph), config, 1);
-  strict.setFaultInjector(injectorFor(3, fc, 1));
-  EXPECT_THROW(strict.step(), util::CheckError);
 }
 
 // ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ TEST(PatchEdges, MatchesFirstMatchReferenceOnRandomDeltas) {
   const DeltaShape shapes[] = {DeltaShape::kPaired, DeltaShape::kAddHeavy,
                                DeltaShape::kRemoveHeavy, DeltaShape::kEmpty,
                                DeltaShape::kOverHalf};
-  int lazy_rebuilds = 0;
+  int rebuilds = 0;
   int compacting_patches = 0;
   int empty_patches = 0;
   int other_patches = 0;
@@ -200,7 +200,6 @@ TEST(PatchEdges, MatchesFirstMatchReferenceOnRandomDeltas) {
     // Graph::applyDelta: same edges() sequence, every CSR row equal to a
     // from-scratch build, and the component-carry rule.
     const auto graph = std::make_shared<Graph>(n, base);
-    graph->warm();
     const bool same_components = rng.coin();
     const GraphPtr patched =
         graph->applyDelta(d.removed, d.added, same_components);
@@ -222,23 +221,22 @@ TEST(PatchEdges, MatchesFirstMatchReferenceOnRandomDeltas) {
     if (shape == DeltaShape::kOverHalf) {
       EXPECT_TRUE(over_half) << "trial " << trial;
     }
-    ++(over_half                               ? lazy_rebuilds
+    ++(over_half                               ? rebuilds
        : d.removed.size() > d.added.size()     ? compacting_patches
        : d.removed.empty() && d.added.empty()  ? empty_patches
                                                : other_patches);
     const bool carry = !over_half &&
                        (same_components ||
                         (d.removed.empty() && graph->componentCount() == 1));
-    EXPECT_EQ(patched->warmed(), carry) << "trial " << trial;
     // A carried count is the base's, asserted or not; otherwise it is
     // recomputed from the patched edges.
     EXPECT_EQ(patched->componentCount(),
               carry ? graph->componentCount() : fresh.componentCount())
         << "trial " << trial;
   }
-  // Every branch of applyDelta ran: the lazy fallback, CSR patches that
-  // compact holes, empty deltas and the rest.
-  EXPECT_GE(lazy_rebuilds, 80);
+  // Every branch of applyDelta ran: the over-half rebuild, CSR patches
+  // that compact holes, empty deltas and the rest.
+  EXPECT_GE(rebuilds, 80);
   EXPECT_GE(compacting_patches, 40);
   EXPECT_GE(empty_patches, 40);
   EXPECT_GE(other_patches, 80);
@@ -278,7 +276,6 @@ TEST(PatchEdges, MissingRemovalReportsFirstIndexAndLeavesEdgesUntouched) {
 TEST(GraphApplyDelta, ErrorPathsFailLoudly) {
   const auto g =
       std::make_shared<Graph>(4, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}});
-  g->warm();
   const auto apply = [&](const std::vector<Edge>& removed,
                          const std::vector<Edge>& added) {
     g->applyDelta(removed, added);
@@ -292,10 +289,6 @@ TEST(GraphApplyDelta, ErrorPathsFailLoudly) {
   expectCheckError([&] { apply({}, {{-1, 2}}); },
                    "added edge (-1,2) out of range, n=4");
   expectCheckError([&] { apply({}, {{3, 3}}); }, "added self-loop at 3");
-  const auto cold = std::make_shared<Graph>(4, std::vector<Edge>{{0, 1}});
-  const std::vector<Edge> added = {{1, 2}};
-  expectCheckError([&] { cold->applyDelta({}, added); },
-                   "applyDelta requires a warmed base graph");
 }
 
 TopologySeq repeat(GraphPtr g, int rounds) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "adversary/static_adversaries.h"
 #include "net/graph.h"
@@ -270,6 +271,56 @@ TEST(Engine, MidRunDisconnectionRejected) {
   EXPECT_TRUE(engine.step());
   EXPECT_TRUE(engine.step());
   EXPECT_THROW(engine.step(), util::CheckError);
+  EXPECT_EQ(engine.result().rounds_executed, 2);
+}
+
+/// Delta-native: a 4-node path in round 1, the same graph in round 2, and
+/// in round 3 the path with its middle edge patched out by applyDelta —
+/// without asserting same_components, so the result must recount.
+class DeltaSplitAdversary : public Adversary {
+ public:
+  net::GraphPtr topology(Round, const RoundObservation&) override {
+    ADD_FAILURE() << "the engine should take the delta path";
+    return net::makePath(4);
+  }
+  bool topologyUpdate(Round round, const RoundObservation&,
+                      const net::GraphPtr& prev,
+                      TopologyUpdate& out) override {
+    if (round == 1) {
+      out.graph = net::makePath(4);
+    } else if (round == 2) {
+      out.graph = prev;
+      out.is_delta = true;
+    } else {
+      const net::Edge middle{1, 2};
+      out.graph = prev->applyDelta(std::span(&middle, 1), {});
+      out.is_delta = true;
+      out.edges_removed = 1;
+    }
+    return true;
+  }
+  NodeId numNodes() const override { return 4; }
+};
+
+TEST(Engine, MidRunDeltaDisconnectionRejected) {
+  const std::vector<std::vector<Scripted::Step>> scripts(
+      4, {{false, 0}, {false, 0}, {false, 0}});
+  auto ps = scriptedNodes(scripts);
+  EngineConfig config;
+  config.stop_when_all_done = false;
+  Engine engine(std::move(ps), std::make_unique<DeltaSplitAdversary>(), config,
+                1);
+  EXPECT_TRUE(engine.step());
+  EXPECT_TRUE(engine.step());
+  try {
+    engine.step();
+    ADD_FAILURE() << "round 3's split path passed the connectivity check";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "round 3 topology disconnected (2 components)"),
+              std::string::npos)
+        << e.what();
+  }
   EXPECT_EQ(engine.result().rounds_executed, 2);
 }
 

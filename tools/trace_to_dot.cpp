@@ -1,7 +1,6 @@
 // trace_to_dot — render rounds of a recorded execution as Graphviz DOT.
 //
-//   $ dynet_cli --protocol flood --adversary random_tree --nodes 16 \
-//               --trace run.trace
+//   $ dynet_cli --protocol flood --adversary random_tree --trace run.trace
 //   $ trace_to_dot --in run.trace --round 3            # one round to stdout
 //   $ trace_to_dot --in run.trace --all --out-prefix r # r1.dot, r2.dot, ...
 //
