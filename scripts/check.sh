@@ -111,8 +111,8 @@ build/tools/dynet_cli --protocol diam_exact --adversary ach_gadget \
 echo "=== campaign kill-and-resume smoke ==="
 scripts/campaign_smoke.sh build/tools/dynet_cli
 
-echo "=== repository benchmark smoke (gates + output digests) ==="
-bash benchmark/run.sh --smoke
+echo "=== repository benchmark smoke (gates + pinned output digests) ==="
+bash scripts/check_bench_digests.sh
 
 echo "=== sanitizer build (ASan + UBSan) ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DDYNET_SANITIZE=ON

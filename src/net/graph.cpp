@@ -1,7 +1,7 @@
 #include "net/graph.h"
 
 #include <algorithm>
-#include <numeric>
+#include <cstdlib>
 #include <tuple>
 
 #include "util/check.h"
@@ -10,33 +10,46 @@ namespace dynet::net {
 
 namespace {
 
-/// Plain union-find for component counting.
+/// Union-find for component counting over caller storage, one entry per
+/// node: a root holds -(its set's size), any other node its parent.  Union
+/// by size keeps the trees shallow in any edge order (a random tree's
+/// (parent, child) edges would chain if the first root always went under
+/// the second), and find() halves paths as it walks.
 class UnionFind {
  public:
-  explicit UnionFind(NodeId n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
+  explicit UnionFind(std::span<std::int32_t> parent) : parent_(parent) {
+    std::fill(parent_.begin(), parent_.end(), -1);
   }
 
   NodeId find(NodeId x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
+    while (parent_[x] >= 0) {
+      const NodeId up = parent_[x];
+      if (parent_[up] < 0) {
+        return up;
+      }
+      parent_[x] = parent_[up];
+      x = parent_[up];
     }
     return x;
   }
 
+  /// Merges the sets of a and b; false when they already were one.
   bool unite(NodeId a, NodeId b) {
     a = find(a);
     b = find(b);
     if (a == b) {
       return false;
     }
-    parent_[a] = b;
+    if (parent_[a] > parent_[b]) {  // b's set is the larger one
+      std::swap(a, b);
+    }
+    parent_[a] += parent_[b];
+    parent_[b] = a;
     return true;
   }
 
  private:
-  std::vector<NodeId> parent_;
+  std::span<std::int32_t> parent_;
 };
 
 constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
@@ -153,51 +166,69 @@ std::size_t patchEdges(std::vector<Edge>& edges, std::span<const Edge> removed,
 Graph::Graph(NodeId num_nodes, std::vector<Edge> edges)
     : num_nodes_(num_nodes), edges_(std::move(edges)) {
   DYNET_CHECK(num_nodes_ >= 1) << "graph needs at least one node";
+  const auto n = static_cast<std::size_t>(num_nodes_);
+  // Every temporary in one block: union-find storage for n nodes, then
+  // buildRows()'s n row cursors and 2m bucketed half-edges.
+  std::vector<std::int32_t> scratch(2 * n + 2 * edges_.size());
+  const std::span<std::int32_t> block(scratch);
+  UnionFind uf(block.first(n));
+  // One pass validates each edge, counts both endpoints' degrees and
+  // unites them.
+  adj_offsets_.assign(n + 1, 0);
+  component_count_ = num_nodes_;
   for (const Edge& e : edges_) {
     DYNET_CHECK(e.a >= 0 && e.a < num_nodes_ && e.b >= 0 && e.b < num_nodes_)
         << "edge (" << e.a << "," << e.b << ") out of range, n=" << num_nodes_;
     DYNET_CHECK(e.a != e.b) << "self-loop at " << e.a;
+    ++adj_offsets_[static_cast<std::size_t>(e.a) + 1];
+    ++adj_offsets_[static_cast<std::size_t>(e.b) + 1];
+    if (uf.unite(e.a, e.b)) {
+      --component_count_;
+    }
   }
-  buildAdjacency();
-  countComponents();
+  for (std::size_t i = 1; i <= n; ++i) {
+    adj_offsets_[i] += adj_offsets_[i - 1];
+  }
+  buildRows(block.subspan(n));
 }
 
 Graph::Graph(NodeId num_nodes, std::vector<Edge> edges, Unvalidated)
     : num_nodes_(num_nodes), edges_(std::move(edges)) {}
 
-void Graph::buildAdjacency() {
-  adj_offsets_.assign(static_cast<std::size_t>(num_nodes_) + 1, 0);
-  for (const Edge& e : edges_) {
-    ++adj_offsets_[static_cast<std::size_t>(e.a) + 1];
-    ++adj_offsets_[static_cast<std::size_t>(e.b) + 1];
-  }
-  for (std::size_t i = 1; i < adj_offsets_.size(); ++i) {
-    adj_offsets_[i] += adj_offsets_[i - 1];
-  }
-  adj_list_.resize(edges_.size() * 2);
-  std::vector<std::int32_t> cursor(adj_offsets_.begin(), adj_offsets_.end() - 1);
-  for (const Edge& e : edges_) {
-    adj_list_[static_cast<std::size_t>(cursor[e.a]++)] = e.b;
-    adj_list_[static_cast<std::size_t>(cursor[e.b]++)] = e.a;
-  }
-  // Canonical ascending order per node: delivery walks neighbors() as a
-  // ready-sorted sender list, and applyDelta() patches lists by merge.
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    std::sort(adj_list_.begin() + adj_offsets_[static_cast<std::size_t>(v)],
-              adj_list_.begin() +
-                  adj_offsets_[static_cast<std::size_t>(v) + 1]);
-  }
+void Graph::neighborsFailed(NodeId v) const {
+  DYNET_CHECK(v >= 0 && v < num_nodes_) << "node " << v << " out of range";
+  std::abort();  // unreachable: neighbors() calls this only for a bad v
 }
 
-std::span<const NodeId> Graph::neighbors(NodeId v) const {
-  DYNET_CHECK(v >= 0 && v < num_nodes_) << "node " << v << " out of range";
-  const auto begin = static_cast<std::size_t>(adj_offsets_[v]);
-  const auto end = static_cast<std::size_t>(adj_offsets_[static_cast<std::size_t>(v) + 1]);
-  return {adj_list_.data() + begin, end - begin};
+// Canonical ascending order per node (delivery walks neighbors() as a
+// ready-sorted sender list, and applyDelta() patches rows by merge), by a
+// two-pass counting sort rather than a sort per row.  Pass 1 buckets every
+// half-edge by its own endpoint, so bucket v lists v's neighbours in edge
+// order.  Pass 2 walks the buckets in ascending v and appends v to the row
+// of each neighbour in bucket v: every row then receives its entries in
+// ascending order, parallel edges included.
+void Graph::buildRows(std::span<std::int32_t> scratch) {
+  const auto n = static_cast<std::size_t>(num_nodes_);
+  const std::span<std::int32_t> cursor = scratch.first(n);
+  const std::span<NodeId> bucket = scratch.subspan(n);
+  std::copy(adj_offsets_.begin(), adj_offsets_.end() - 1, cursor.begin());
+  for (const Edge& e : edges_) {
+    bucket[static_cast<std::size_t>(cursor[e.a]++)] = e.b;
+    bucket[static_cast<std::size_t>(cursor[e.b]++)] = e.a;
+  }
+  std::copy(adj_offsets_.begin(), adj_offsets_.end() - 1, cursor.begin());
+  adj_list_.resize(bucket.size());
+  for (NodeId v = 0; v < num_nodes_; ++v) {
+    const std::int32_t end = adj_offsets_[v + 1];
+    for (std::int32_t k = adj_offsets_[v]; k < end; ++k) {
+      adj_list_[static_cast<std::size_t>(cursor[bucket[k]]++)] = v;
+    }
+  }
 }
 
 void Graph::countComponents() {
-  UnionFind uf(num_nodes_);
+  std::vector<std::int32_t> parent(static_cast<std::size_t>(num_nodes_));
+  UnionFind uf(parent);
   component_count_ = num_nodes_;
   for (const Edge& e : edges_) {
     if (uf.unite(e.a, e.b)) {
@@ -334,7 +365,6 @@ bool connectedOn(const Graph& g, std::span<const char> alive) {
   const NodeId n = g.numNodes();
   DYNET_CHECK(static_cast<std::size_t>(n) == alive.size())
       << "alive mask size " << alive.size() << " != " << n << " nodes";
-  UnionFind uf(n);
   NodeId live = 0;
   for (NodeId v = 0; v < n; ++v) {
     if (alive[static_cast<std::size_t>(v)] != 0) {
@@ -344,6 +374,8 @@ bool connectedOn(const Graph& g, std::span<const char> alive) {
   if (live <= 1) {
     return true;
   }
+  std::vector<std::int32_t> parent(alive.size());
+  UnionFind uf(parent);
   NodeId components = live;
   for (const Edge& e : g.edges()) {
     if (alive[static_cast<std::size_t>(e.a)] != 0 &&

@@ -1,9 +1,10 @@
 // Per-round topology representation.
 //
 // A Graph is the (undirected, simple) topology of one round.  It is born
-// complete: the constructor validates the edges, then builds the CSR
-// adjacency (per-node lists sorted ascending) and the component count, so
-// every accessor is a plain read.  applyDelta() derives a new Graph from an
+// complete: the constructor validates the edges and builds the CSR
+// adjacency (per-node lists sorted ascending, by a counting sort) and the
+// component count (by union-find) in two passes over the edges, so every
+// accessor is a plain read.  applyDelta() derives a new Graph from an
 // existing one by patching the edge list, the CSR rows and (when the
 // delta allows it) the component count instead of rebuilding, for
 // adversaries whose topology changes a few edges per round
@@ -44,8 +45,17 @@ class Graph {
 
   /// Neighbors of v, sorted ascending.  The canonical ascending order lets
   /// delivery code that needs sender-sorted inboxes walk the list without
-  /// re-sorting.
-  std::span<const NodeId> neighbors(NodeId v) const;
+  /// re-sorting.  Inline for the delivery loops; an out-of-range v throws
+  /// from a cold path (util/bitio.h describes the idiom).
+  std::span<const NodeId> neighbors(NodeId v) const {
+    if (!(v >= 0 && v < num_nodes_)) [[unlikely]] {
+      neighborsFailed(v);
+    }
+    const auto row = static_cast<std::size_t>(v);
+    const auto begin = static_cast<std::size_t>(adj_offsets_[row]);
+    const auto end = static_cast<std::size_t>(adj_offsets_[row + 1]);
+    return {adj_list_.data() + begin, end - begin};
+  }
 
   bool connected() const { return component_count_ == 1; }
   bool hasEdge(NodeId a, NodeId b) const;
@@ -82,7 +92,8 @@ class Graph {
   struct Unvalidated {};
   Graph(NodeId num_nodes, std::vector<Edge> edges, Unvalidated);
 
-  void buildAdjacency();
+  [[noreturn, gnu::cold, gnu::noinline]] void neighborsFailed(NodeId v) const;
+  void buildRows(std::span<std::int32_t> scratch);
   void countComponents();
 
   NodeId num_nodes_;

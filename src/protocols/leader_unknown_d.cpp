@@ -57,15 +57,19 @@ sim::Round LeaderSchedule::phaseStart(int phase) const {
 }
 
 LeaderSchedule::Pos LeaderSchedule::locate(sim::Round round) const {
-  DYNET_CHECK(round >= 1) << "round=" << round;
-  int phase = 0;
-  while (phaseStart(phase + 1) <= round) {
-    ++phase;
+  if (round < window_.start || round >= window_.end) {
+    DYNET_CHECK(round >= 1) << "round=" << round;
+    int phase = 0;
+    while (phaseStart(phase + 1) <= round) {
+      ++phase;
+    }
+    window_ = {phase, phaseStart(phase), phaseStart(phase + 1),
+               stageALen(phase), stageBLen(phase)};
   }
-  sim::Round off = round - phaseStart(phase);
-  const sim::Round a = stageALen(phase);
-  const sim::Round b = stageBLen(phase);
-  Pos pos{phase, 0, 0, 0};
+  const sim::Round off = round - window_.start;
+  const sim::Round a = window_.a;
+  const sim::Round b = window_.b;
+  Pos pos{window_.phase, 0, 0, 0};
   if (off < a) {
     pos.stage = 0;
     pos.offset = off;

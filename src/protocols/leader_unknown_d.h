@@ -62,7 +62,10 @@ struct LeaderConfig {
   bool skip_precount = false;
 };
 
-/// Publicly computable phase/stage schedule.
+/// Publicly computable phase/stage schedule.  locate() keeps the phase it
+/// last answered in, so a process asking once per round finds its position
+/// in O(1); a round outside that phase, in any order, walks the phases.
+/// Not for concurrent use: every process owns its own schedule.
 class LeaderSchedule {
  public:
   LeaderSchedule(const LeaderConfig& config);
@@ -83,11 +86,22 @@ class LeaderSchedule {
   int k() const { return k_; }
 
  private:
+  /// The phase locate() last answered in: rounds [start, end), with its
+  /// stage A and B lengths.  Empty until the first call.
+  struct Window {
+    int phase = 0;
+    sim::Round start = 0;
+    sim::Round end = 0;
+    sim::Round a = 0;
+    sim::Round b = 0;
+  };
+
   int k_;
   int gamma_;
   int gamma_count_;
   int log_n_;
   mutable std::vector<sim::Round> phase_starts_;  // cumulative, grown on demand
+  mutable Window window_;
 };
 
 class LeaderElectProcess : public sim::Process {

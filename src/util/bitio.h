@@ -3,9 +3,17 @@
 // CONGEST messages carry O(log N) bits; the simulator enforces the budget on
 // every message.  BitWriter/BitReader pack fields little-endian-first into a
 // word array owned by the caller (sim::Message wraps one).
+//
+// put() and get() run for every field of every message, so each keeps its
+// checks on a cold path: one [[unlikely]] branch tests all of the call's
+// conditions, and only a failing call enters a noinline, cold member that
+// re-runs the DYNET_CHECKs one by one, in order, to throw the same
+// CheckError text as a check inline would.  The fast path is then small
+// enough to inline into sim::MessageBuilder and sim::MessageReader.
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <span>
 
 #include "util/check.h"
@@ -32,18 +40,15 @@ class BitWriter {
         << "capacity " << capacity_bits << " bits does not fit buffer";
   }
 
-  /// Appends the low `width` bits of `value`.  width in [0, 64].
+  /// Appends the low `width` bits of `value`.  width in [0, 64]; a
+  /// zero-width field writes nothing, whatever `value` is.
   void put(std::uint64_t value, int width) {
-    DYNET_CHECK(width >= 0 && width <= 64) << "width=" << width;
-    DYNET_CHECK(bits_ + width <= capacity_bits_)
-        << "bit budget exceeded: " << bits_ << "+" << width << " > "
-        << capacity_bits_;
+    if (!(width >= 0 && width <= 64 && bits_ + width <= capacity_bits_ &&
+          (width == 0 || width == 64 || (value >> width) == 0))) [[unlikely]] {
+      putFailed(value, width);
+    }
     if (width == 0) {
       return;
-    }
-    if (width < 64) {
-      DYNET_CHECK((value >> width) == 0)
-          << "value " << value << " wider than " << width << " bits";
     }
     int word = bits_ >> 6;
     int offset = bits_ & 63;
@@ -57,6 +62,20 @@ class BitWriter {
   int bitsWritten() const { return bits_; }
 
  private:
+  /// put()'s checks, run only once one of them is known to fail.
+  [[noreturn, gnu::cold, gnu::noinline]] void putFailed(std::uint64_t value,
+                                                        int width) const {
+    DYNET_CHECK(width >= 0 && width <= 64) << "width=" << width;
+    DYNET_CHECK(bits_ + width <= capacity_bits_)
+        << "bit budget exceeded: " << bits_ << "+" << width << " > "
+        << capacity_bits_;
+    if (width > 0 && width < 64) {
+      DYNET_CHECK((value >> width) == 0)
+          << "value " << value << " wider than " << width << " bits";
+    }
+    std::abort();  // unreachable: put() calls this only when a check fails
+  }
+
   std::span<std::uint64_t> words_;
   int capacity_bits_;
   int bits_ = 0;
@@ -69,9 +88,10 @@ class BitReader {
       : words_(words), total_bits_(total_bits) {}
 
   std::uint64_t get(int width) {
-    DYNET_CHECK(width >= 0 && width <= 64) << "width=" << width;
-    DYNET_CHECK(pos_ + width <= total_bits_)
-        << "read past end: " << pos_ << "+" << width << " > " << total_bits_;
+    if (!(width >= 0 && width <= 64 && pos_ + width <= total_bits_))
+        [[unlikely]] {
+      getFailed(width);
+    }
     if (width == 0) {
       return 0;
     }
@@ -91,6 +111,14 @@ class BitReader {
   int bitsRemaining() const { return total_bits_ - pos_; }
 
  private:
+  /// get()'s checks, run only once one of them is known to fail.
+  [[noreturn, gnu::cold, gnu::noinline]] void getFailed(int width) const {
+    DYNET_CHECK(width >= 0 && width <= 64) << "width=" << width;
+    DYNET_CHECK(pos_ + width <= total_bits_)
+        << "read past end: " << pos_ << "+" << width << " > " << total_bits_;
+    std::abort();  // unreachable: get() calls this only when a check fails
+  }
+
   std::span<const std::uint64_t> words_;
   int total_bits_;
   int pos_ = 0;

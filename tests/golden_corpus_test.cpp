@@ -46,6 +46,7 @@
 #include "protocols/flood.h"
 #include "protocols/gossip.h"
 #include "protocols/hear_from_n.h"
+#include "protocols/leader_unknown_d.h"
 #include "protocols/max_flood.h"
 #include "protocols/oracles.h"
 #include "protocols/resilient_flood.h"
@@ -227,6 +228,21 @@ TEST(GoldenCorpus, GossipOnRandomTree) {
                runCanonical(factory,
                             std::make_unique<adv::RandomTreeAdversary>(14, 8),
                             /*rounds=*/56, /*seed=*/0xA007));
+}
+
+// The paper's §7 LEADERELECT (unknown D, N' = 1.1·N): phases 0-3 of its
+// public schedule, stage A/B/C/D messages, and the election of key 12 at
+// round 1227 on the object path (no SoA model).
+TEST(GoldenCorpus, LeaderUnknownDOnRandomTree) {
+  proto::LeaderConfig config;
+  config.n_estimate = 1.1 * 12;
+  config.c = 0.25;
+  config.k = 16;
+  proto::LeaderElectFactory factory(config, /*master_seed=*/0xA00D);
+  expectGolden("leader_unknown_d_random_tree",
+               runCanonical(factory,
+                            std::make_unique<adv::RandomTreeAdversary>(12, 9),
+                            /*rounds=*/1300, /*seed=*/0xA00D));
 }
 
 faults::FaultConfig babblerFaults() {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "adversary/dynamic_adversaries.h"
 #include "adversary/static_adversaries.h"
@@ -13,6 +14,7 @@
 #include "protocols/consensus_via_leader.h"
 #include "protocols/leader_unknown_d.h"
 #include "sim/engine.h"
+#include "util/rng.h"
 
 namespace dynet::proto {
 namespace {
@@ -70,6 +72,50 @@ TEST(LeaderSchedule, StagesPartitionPhases) {
         ASSERT_EQ(pos.stage_len, lens[stage]) << "r=" << r;
       }
     }
+  }
+}
+
+// locate() remembers the phase it last answered in; a round outside that
+// phase falls back to the walk.  Neither may change an answer, whatever
+// order the rounds come in.
+TEST(LeaderSchedule, LocateAnswersRoundsInAnyOrder) {
+  const LeaderConfig config = baseConfig(40);
+  const LeaderSchedule schedule(config);
+  const auto expectFresh = [&](Round r) {
+    const LeaderSchedule::Pos got = schedule.locate(r);
+    const LeaderSchedule::Pos want = LeaderSchedule(config).locate(r);
+    ASSERT_EQ(got.phase, want.phase) << "r=" << r;
+    ASSERT_EQ(got.stage, want.stage) << "r=" << r;
+    ASSERT_EQ(got.offset, want.offset) << "r=" << r;
+    ASSERT_EQ(got.stage_len, want.stage_len) << "r=" << r;
+  };
+  const Round last = schedule.phaseStart(5);
+  for (Round r = 1; r <= last; ++r) {
+    expectFresh(r);
+  }
+  for (Round r = last; r >= 1; --r) {
+    expectFresh(r);
+  }
+  // Random rounds through phase 6, every phase's first and last round, and
+  // repeats, shuffled.
+  util::Rng rng(0x10CA7E);
+  std::vector<Round> rounds;
+  for (int phase = 0; phase <= 6; ++phase) {
+    rounds.push_back(schedule.phaseStart(phase));
+    rounds.push_back(schedule.phaseStart(phase + 1) - 1);
+  }
+  const Round end = schedule.phaseStart(7);
+  while (rounds.size() < 2000) {
+    rounds.push_back(rng.below(4) == 0
+                         ? rounds[rng.below(rounds.size())]
+                         : 1 + static_cast<Round>(rng.below(
+                                   static_cast<std::uint64_t>(end - 1))));
+  }
+  for (std::size_t j = rounds.size(); j > 1; --j) {
+    std::swap(rounds[j - 1], rounds[rng.below(j)]);
+  }
+  for (const Round r : rounds) {
+    expectFresh(r);
   }
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,8 @@
 
 namespace dynet::net {
 namespace {
+
+using testsupport::expectCheckError;
 
 TEST(Graph, AdjacencyMatchesEdges) {
   Graph g(5, {{0, 1}, {1, 2}, {1, 3}});
@@ -28,6 +31,21 @@ TEST(Graph, RejectsBadEdges) {
   EXPECT_THROW(Graph(3, {{0, 3}}), util::CheckError);
   EXPECT_THROW(Graph(3, {{1, 1}}), util::CheckError);
   EXPECT_THROW(Graph(0, {}), util::CheckError);
+  expectCheckError([] { Graph(3, {{0, 3}}); }, "edge (0,3) out of range, n=3");
+  expectCheckError([] { Graph(3, {{-1, 2}}); }, "edge (-1,2) out of range, n=3");
+  expectCheckError([] { Graph(3, {{1, 1}}); }, "self-loop at 1");
+  expectCheckError([] { Graph(0, {}); }, "graph needs at least one node");
+  // The first bad edge in list order is the one reported.
+  expectCheckError([] { Graph(3, {{0, 1}, {2, 2}, {0, 5}}); }, "self-loop at 2");
+  expectCheckError([] { Graph(3, {{0, 1}, {0, 5}, {2, 2}}); },
+                   "edge (0,5) out of range, n=3");
+}
+
+TEST(Graph, NeighborsOfMissingNodeRejected) {
+  const Graph g(5, {{0, 1}, {1, 2}});
+  expectCheckError([&] { g.neighbors(5); }, "node 5 out of range");
+  expectCheckError([&] { g.neighbors(-1); }, "node -1 out of range");
+  EXPECT_THROW(g.hasEdge(7, 0), util::CheckError);
 }
 
 TEST(Graph, Connectivity) {
@@ -161,16 +179,6 @@ Delta randomDelta(util::Rng& rng, NodeId n, const std::vector<Edge>& edges,
   return d;
 }
 
-void expectCheckError(const auto& fn, const std::string& needle) {
-  try {
-    fn();
-    ADD_FAILURE() << "expected a CheckError mentioning '" << needle << "'";
-  } catch (const util::CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-        << e.what();
-  }
-}
-
 TEST(PatchEdges, MatchesFirstMatchReferenceOnRandomDeltas) {
   util::Rng rng(0x9a7c4);
   const DeltaShape shapes[] = {DeltaShape::kPaired, DeltaShape::kAddHeavy,
@@ -289,6 +297,157 @@ TEST(GraphApplyDelta, ErrorPathsFailLoudly) {
   expectCheckError([&] { apply({}, {{-1, 2}}); },
                    "added edge (-1,2) out of range, n=4");
   expectCheckError([&] { apply({}, {{3, 3}}); }, "added self-loop at 3");
+}
+
+// ------------------------------------------------- born-complete build
+
+/// Rows the plain way: each half-edge appended to its endpoint's row, then
+/// every row sorted.
+std::vector<std::vector<NodeId>> referenceRows(NodeId n,
+                                               const std::vector<Edge>& edges) {
+  std::vector<std::vector<NodeId>> rows(static_cast<std::size_t>(n));
+  for (const Edge& e : edges) {
+    rows[static_cast<std::size_t>(e.a)].push_back(e.b);
+    rows[static_cast<std::size_t>(e.b)].push_back(e.a);
+  }
+  for (std::vector<NodeId>& row : rows) {
+    std::sort(row.begin(), row.end());
+  }
+  return rows;
+}
+
+/// Components of the subgraph induced by the live nodes, by BFS.
+int bfsComponents(const std::vector<std::vector<NodeId>>& rows,
+                  const std::vector<char>& alive) {
+  std::vector<char> seen(rows.size(), 0);
+  std::vector<NodeId> queue;
+  int components = 0;
+  for (std::size_t s = 0; s < rows.size(); ++s) {
+    if (alive[s] == 0 || seen[s] != 0) {
+      continue;
+    }
+    ++components;
+    seen[s] = 1;
+    queue.assign(1, static_cast<NodeId>(s));
+    while (!queue.empty()) {
+      const NodeId v = queue.back();
+      queue.pop_back();
+      for (const NodeId u : rows[static_cast<std::size_t>(v)]) {
+        const auto k = static_cast<std::size_t>(u);
+        if (alive[k] != 0 && seen[k] == 0) {
+          seen[k] = 1;
+          queue.push_back(u);
+        }
+      }
+    }
+  }
+  return components;
+}
+
+template <typename T>
+void shuffleInPlace(util::Rng& rng, std::vector<T>& xs) {
+  for (std::size_t j = xs.size(); j > 1; --j) {
+    std::swap(xs[j - 1], xs[rng.below(j)]);
+  }
+}
+
+/// A random tree on `nodes` (each attached to an earlier one), every edge
+/// in a random orientation, the list shuffled.
+std::vector<Edge> shuffledTree(util::Rng& rng, const std::vector<NodeId>& nodes) {
+  std::vector<Edge> edges;
+  for (std::size_t i = 1; i < nodes.size(); ++i) {
+    Edge e{nodes[rng.below(i)], nodes[i]};
+    if (rng.coin()) {
+      std::swap(e.a, e.b);
+    }
+    edges.push_back(e);
+  }
+  shuffleInPlace(rng, edges);
+  return edges;
+}
+
+TEST(GraphBuild, RowsAndComponentsMatchReferenceOnShuffledShapes) {
+  util::Rng rng(0xB111D);
+  int shapes_seen[5] = {};
+  int live_connected = 0;
+  int live_split = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    // n = 1 first, n = 1000 last, every seventh case (each shape in
+    // turn) in the hundreds.
+    const auto n = static_cast<NodeId>(
+        trial == 0     ? 1
+        : trial == 199 ? 1000
+        : trial % 7 == 6
+            ? 200 + rng.below(800)
+            : 1 + rng.below(64));
+    const int shape = trial % 5;
+    std::vector<Edge> edges;
+    if (shape == 0) {  // random tree, shuffled edge order
+      std::vector<NodeId> nodes(static_cast<std::size_t>(n));
+      std::iota(nodes.begin(), nodes.end(), 0);
+      edges = shuffledTree(rng, nodes);
+    } else if (shape == 1) {  // star, shuffled leaves
+      const auto center =
+          static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(n)));
+      for (NodeId v = 0; v < n; ++v) {
+        if (v != center) {
+          edges.push_back(rng.coin() ? Edge{center, v} : Edge{v, center});
+        }
+      }
+      shuffleInPlace(rng, edges);
+    } else if (shape == 2) {  // clique listed in reverse (at most 80 nodes)
+      for (NodeId i = 0; i < std::min<NodeId>(n, 80); ++i) {
+        for (NodeId j = i + 1; j < std::min<NodeId>(n, 80); ++j) {
+          edges.push_back({i, j});
+        }
+      }
+      std::reverse(edges.begin(), edges.end());
+    } else if (shape == 3 && n >= 2) {  // multigraph with parallel edges
+      edges = randomEdges(
+          rng, n, 1 + rng.below(3 * static_cast<std::uint64_t>(n)));
+    } else if (shape == 4) {  // a tree on some nodes, the others isolated
+      std::vector<NodeId> nodes;
+      for (NodeId v = 0; v < n; ++v) {
+        if (rng.below(3) != 0) {
+          nodes.push_back(v);
+        }
+      }
+      shuffleInPlace(rng, nodes);
+      edges = shuffledTree(rng, nodes);
+    }
+    ++shapes_seen[shape];
+
+    const Graph g(n, edges);
+    const auto rows = referenceRows(n, edges);
+    for (NodeId v = 0; v < n; ++v) {
+      const auto row = g.neighbors(v);
+      const auto& want = rows[static_cast<std::size_t>(v)];
+      ASSERT_TRUE(std::equal(row.begin(), row.end(), want.begin(), want.end()))
+          << "trial " << trial << " node " << v;
+    }
+    const std::vector<char> all(static_cast<std::size_t>(n), 1);
+    const int components = bfsComponents(rows, all);
+    ASSERT_EQ(g.componentCount(), components) << "trial " << trial;
+    ASSERT_EQ(g.connected(), components == 1) << "trial " << trial;
+    // connectedOn under random alive masks: dense, half and sparse.
+    for (const std::uint64_t alive_pct : {90u, 50u, 15u}) {
+      std::vector<char> alive(static_cast<std::size_t>(n));
+      int live = 0;
+      for (char& a : alive) {
+        a = rng.below(100) < alive_pct ? 1 : 0;
+        live += a;
+      }
+      const bool want = live <= 1 || bfsComponents(rows, alive) == 1;
+      ASSERT_EQ(connectedOn(g, alive), want)
+          << "trial " << trial << " alive_pct " << alive_pct;
+      ++(want ? live_connected : live_split);
+    }
+  }
+  for (const int seen : shapes_seen) {
+    EXPECT_EQ(seen, 40);
+  }
+  EXPECT_GE(live_connected, 100);
+  EXPECT_GE(live_split, 100);
 }
 
 TopologySeq repeat(GraphPtr g, int rounds) {

@@ -8,6 +8,8 @@
 //     patch rule was first written as, kept as the reference that
 //     net::patchEdges, Graph::applyDelta and dataset::applyPositionalPatch
 //     are checked against.
+//   * expectCheckError(): a call must throw a CheckError whose message
+//     contains a given text.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "net/graph.h"
+#include "util/check.h"
 
 namespace dynet::testsupport {
 
@@ -68,6 +71,18 @@ inline std::string testDir() {
     detail::scratchDirs().dirs.push_back(dir);
   }
   return dir.string() + "/";
+}
+
+/// Expects `fn()` to throw a util::CheckError whose message contains
+/// `needle`.
+inline void expectCheckError(const auto& fn, const std::string& needle) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected a CheckError mentioning '" << needle << "'";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
 }
 
 /// The positional-patch rule as a first-match scan: removed[i] takes the

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "test_support.h"
 #include "util/bitio.h"
 #include "util/check.h"
 #include "util/cli.h"
@@ -20,6 +21,8 @@
 
 namespace dynet::util {
 namespace {
+
+using testsupport::expectCheckError;
 
 TEST(Check, ThrowsWithMessage) {
   try {
@@ -91,17 +94,36 @@ TEST(BitIo, MixedWidthSequence) {
   EXPECT_EQ(reader.get(17), 0x1ffffu);
 }
 
+// The failure texts of BitWriter::put and BitReader::get are part of
+// their contract: a budget or width violation names the numbers involved.
+
 TEST(BitIo, BudgetEnforced) {
   std::vector<std::uint64_t> words(4, 0);
   BitWriter writer(words, 10);
   writer.put(0x3ff, 10);
   EXPECT_THROW(writer.put(1, 1), CheckError);
+  expectCheckError([&] { writer.put(1, 1); }, "bit budget exceeded: 10+1 > 10");
+  // A zero-width field fits a full writer and ignores its value.
+  writer.put(7, 0);
+  EXPECT_EQ(writer.bitsWritten(), 10);
 }
 
 TEST(BitIo, ValueWiderThanFieldRejected) {
   std::vector<std::uint64_t> words(4, 0);
   BitWriter writer(words, 64);
   EXPECT_THROW(writer.put(4, 2), CheckError);
+  expectCheckError([&] { writer.put(4, 2); }, "value 4 wider than 2 bits");
+  EXPECT_EQ(writer.bitsWritten(), 0);
+}
+
+TEST(BitIo, WidthOutsideZeroTo64Rejected) {
+  std::vector<std::uint64_t> words(4, 0);
+  BitWriter writer(words, 256);
+  expectCheckError([&] { writer.put(1, 65); }, "width=65");
+  expectCheckError([&] { writer.put(0, -1); }, "width=-1");
+  BitReader reader(words, 256);
+  expectCheckError([&] { reader.get(65); }, "width=65");
+  expectCheckError([&] { reader.get(-1); }, "width=-1");
 }
 
 TEST(BitIo, ReadPastEndRejected) {
@@ -109,6 +131,8 @@ TEST(BitIo, ReadPastEndRejected) {
   BitReader reader(words, 8);
   reader.get(8);
   EXPECT_THROW(reader.get(1), CheckError);
+  expectCheckError([&] { reader.get(1); }, "read past end: 8+1 > 8");
+  EXPECT_EQ(reader.get(0), 0u);
 }
 
 TEST(Real16, ZeroRoundtrips) {
