@@ -32,8 +32,7 @@ struct Outcome {
 
 Outcome runCase(const std::string& adv_name, NodeId n, bool skip_precount,
                 int trials, std::uint64_t base_seed) {
-  const auto trial = [&](std::uint64_t seed, sim::EngineWorkspace& /*ws*/,
-                         sim::TrialRecorder& rec) {
+  const auto trial = [&](std::uint64_t seed, sim::TrialRecorder& rec) {
     proto::LeaderConfig config;
     config.n_estimate = 1.1 * n;
     config.c = 0.25;

@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "adversary/churn_adversaries.h"
+#include "adversary/dynamic_adversaries.h"
 #include "bench_common.h"
 #include "net/churn.h"
 #include "protocols/consensus_known_d.h"

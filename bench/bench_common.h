@@ -7,8 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "adversary/dynamic_adversaries.h"
-#include "adversary/static_adversaries.h"
+#include "campaign/shard_exec.h"
 #include "net/diameter.h"
 #include "obs/prof.h"
 #include "obs/sink.h"
@@ -31,40 +30,15 @@ namespace dynet::bench {
 /// then pick sizes with `quick ? small : full`.
 inline bool quickMode(const util::Cli& cli) { return cli.flag("quick"); }
 
+/// The named adversary of the campaign zoo (campaign::makeAdversary, its
+/// single construction path) at size n with its default knobs.
 inline std::unique_ptr<sim::Adversary> makeAdversary(const std::string& name,
                                                      sim::NodeId n,
                                                      std::uint64_t seed) {
-  if (name == "static_path") {
-    return std::make_unique<adv::StaticAdversary>(net::makePath(n));
-  }
-  if (name == "static_star") {
-    return std::make_unique<adv::StaticAdversary>(net::makeStar(n));
-  }
-  if (name == "static_ring") {
-    return std::make_unique<adv::StaticAdversary>(net::makeRing(n));
-  }
-  if (name == "random_tree") {
-    return std::make_unique<adv::RandomTreeAdversary>(n, seed);
-  }
-  if (name == "rotating_star") {
-    return std::make_unique<adv::RotatingStarAdversary>(n);
-  }
-  if (name == "anchored_star") {
-    return std::make_unique<adv::AnchoredStarAdversary>(n, seed);
-  }
-  if (name == "shuffle_path") {
-    return std::make_unique<adv::ShufflePathAdversary>(n, seed);
-  }
-  if (name == "interval") {
-    return std::make_unique<adv::IntervalAdversary>(n, 8, seed);
-  }
-  std::cerr << "unknown adversary " << name << "\n";
-  std::exit(2);
-}
-
-inline std::vector<std::string> zooNames() {
-  return {"static_path", "static_star", "random_tree", "anchored_star",
-          "rotating_star", "shuffle_path", "interval"};
+  campaign::ShardConfig shard;
+  shard.adversary = name;
+  shard.n = n;
+  return campaign::makeAdversary(shard, seed);
 }
 
 /// Opt-in observability for bench binaries, driven by three flags:
@@ -141,23 +115,19 @@ class ObsSession {
   std::unique_ptr<obs::ProfScope> prof_;
 };
 
-/// Builds an engine over `factory` and the named adversary.  Pass `ws` when
-/// running many engines back to back (sim::BatchRunner bodies) so the
-/// engine reuses the workspace's scratch capacity instead of allocating a
-/// fresh set of O(N) vectors per trial.  `config` carries the hot-path
-/// toggles (`topology_deltas`, `soa_state`) so A/B benches can pin one leg
-/// to the reference path (rebuild-every-round, per-node objects); its
-/// max_rounds and record_topologies are overwritten from the arguments.
-/// All paths produce byte-identical results.
+/// Builds an engine over `factory` and the named adversary.  `config`
+/// carries the hot-path toggles (`topology_deltas`, `soa_state`) so A/B
+/// benches can pin one leg to the reference path (rebuild-every-round,
+/// per-node objects); its max_rounds and record_topologies are overwritten
+/// from the arguments.  All paths produce byte-identical results.
 inline sim::Engine makeEngine(const sim::ProcessFactory& factory,
                               std::unique_ptr<sim::Adversary> adversary,
                               sim::Round max_rounds, std::uint64_t seed,
                               bool record = false,
-                              sim::EngineWorkspace* ws = nullptr,
                               sim::EngineConfig config = {}) {
   config.max_rounds = max_rounds;
   config.record_topologies = record;
-  return sim::Engine(factory, std::move(adversary), config, seed, ws);
+  return sim::Engine(factory, std::move(adversary), config, seed);
 }
 
 /// Realized dynamic diameter of the named adversary at size n (recorded

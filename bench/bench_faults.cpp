@@ -46,8 +46,7 @@ struct FloodCell {
 
 FloodCell runFloodCell(NodeId n, double edge_p, double drop, double corrupt,
                        double crash, int trials, std::uint64_t base_seed) {
-  const auto trial = [&](std::uint64_t seed, sim::EngineWorkspace& /*ws*/,
-                         sim::TrialRecorder& rec) {
+  const auto trial = [&](std::uint64_t seed, sim::TrialRecorder& rec) {
     proto::ResilientFloodConfig config;
     proto::ResilientFloodFactory factory(config);
     std::vector<std::unique_ptr<sim::Process>> ps;
@@ -110,8 +109,7 @@ FloodCell runFloodCell(NodeId n, double edge_p, double drop, double corrupt,
 /// the token, and the bits spent getting there.
 void printDeterministicBaseline(NodeId n, double edge_p, int trials,
                                 std::uint64_t base_seed) {
-  const auto trial = [&](std::uint64_t seed, sim::EngineWorkspace& /*ws*/,
-                         sim::TrialRecorder& rec) {
+  const auto trial = [&](std::uint64_t seed, sim::TrialRecorder& rec) {
     proto::FloodFactory factory(0, 0x5a, 8, proto::FloodMode::kDeterministic,
                                 /*halt_round=*/n);
     std::vector<std::unique_ptr<sim::Process>> ps;
@@ -189,8 +187,7 @@ void leaderSweep(NodeId n, const std::vector<double>& drops,
   std::uint64_t cell_seed = 0x1EAD;
   for (const double crash : crashes) {
     for (const double drop : drops) {
-      const auto trial = [&](std::uint64_t seed, sim::EngineWorkspace& /*ws*/,
-                             sim::TrialRecorder& rec) {
+      const auto trial = [&](std::uint64_t seed, sim::TrialRecorder& rec) {
         proto::LeaderConfig config;
         config.n_estimate = 1.1 * n;
         faults::FaultConfig fc;

@@ -29,8 +29,7 @@ using sim::Round;
 
 double knownDFloodingRounds(NodeId n, int diameter, int trials,
                             std::uint64_t base_seed) {
-  const auto trial = [&](std::uint64_t seed, sim::EngineWorkspace& /*ws*/,
-                         sim::TrialRecorder& rec) {
+  const auto trial = [&](std::uint64_t seed, sim::TrialRecorder& rec) {
     proto::LeaderKnownDFactory factory(diameter);
     const Round budget = proto::knownDRounds(diameter, n) + 1;
     auto engine = makeEngine(factory, makeAdversary("anchored_star", n, seed),
@@ -44,8 +43,7 @@ double knownDFloodingRounds(NodeId n, int diameter, int trials,
 
 double unknownDFloodingRounds(NodeId n, int diameter, int trials,
                               std::uint64_t base_seed) {
-  const auto trial = [&](std::uint64_t seed, sim::EngineWorkspace& /*ws*/,
-                         sim::TrialRecorder& rec) {
+  const auto trial = [&](std::uint64_t seed, sim::TrialRecorder& rec) {
     proto::LeaderConfig config;
     config.n_estimate = 1.1 * n;
     config.c = 0.25;

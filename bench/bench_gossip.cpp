@@ -40,15 +40,14 @@ int run(int argc, char** argv) {
       for (const int k : ks) {
         const Round budget_d = proto::gossipRounds(k, diameter, n);
         const Round budget_n = proto::gossipRounds(k, n, n);
-        const auto trial = [&](std::uint64_t seed, sim::EngineWorkspace& /*ws*/,
-                               sim::TrialRecorder& rec) {
+        const auto trial = [&](std::uint64_t seed, sim::TrialRecorder& rec) {
           proto::GossipFactory factory(k, budget_d);
           // Object path: the loop below introspects GossipProcess members.
           sim::EngineConfig objects;
           objects.soa_state = false;
           auto engine = makeEngine(factory, makeAdversary(adv_name, n, seed),
                                    budget_d + 1, seed, /*record=*/false,
-                                   /*ws=*/nullptr, objects);
+                                   objects);
           engine.run();
           Round completed = -1;
           bool all = true;

@@ -36,8 +36,7 @@ struct Row {
 
 Row runProblem(const std::string& problem, const std::string& adv_name,
                NodeId n, int diameter, int trials, std::uint64_t base_seed) {
-  const auto trial = [&](std::uint64_t seed, sim::EngineWorkspace& /*ws*/,
-                         sim::TrialRecorder& rec) {
+  const auto trial = [&](std::uint64_t seed, sim::TrialRecorder& rec) {
     if (problem == "CFLOOD") {
       proto::CFloodFactory factory(0, 0x2a, 8, proto::FloodMode::kDeterministic,
                                    diameter);
@@ -92,7 +91,7 @@ Row runProblem(const std::string& problem, const std::string& adv_name,
       objects.soa_state = false;
       auto engine =
           makeEngine(factory, makeAdversary(adv_name, n, seed), budget, seed,
-                     /*record=*/false, /*ws=*/nullptr, objects);
+                     /*record=*/false, objects);
       const auto result = engine.run();
       rec.set("rounds", result.all_done_round);
       bool ok = result.all_done;

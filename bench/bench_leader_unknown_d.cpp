@@ -29,8 +29,7 @@ struct Outcome {
 Outcome runCase(const std::string& adv_name, NodeId n,
                 const proto::LeaderConfig& config, int trials,
                 std::uint64_t base_seed, int diameter) {
-  const auto trial = [&](std::uint64_t seed, sim::EngineWorkspace& /*ws*/,
-                         sim::TrialRecorder& rec) {
+  const auto trial = [&](std::uint64_t seed, sim::TrialRecorder& rec) {
     proto::LeaderElectFactory factory(config, util::hashCombine(seed, 17));
     std::vector<std::unique_ptr<sim::Process>> ps;
     for (NodeId v = 0; v < n; ++v) {

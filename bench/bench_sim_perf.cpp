@@ -8,11 +8,12 @@
 // BENCH_sim_perf.json, override with --json-out=PATH):
 //
 //   batch-vs-sequential  trials/sec of the historical sequential loop
-//                        (fresh Engine per seed, per-round topology
-//                        rebuild, map-merged metrics, one thread) against
-//                        sim::BatchRunner on the current defaults
-//                        (topology deltas, pooled workspaces, dense
-//                        TrialRecorder).
+//                        (per-round topology rebuild, map-merged metrics,
+//                        one thread) against sim::BatchRunner on the
+//                        current defaults (prebuilt periodic topologies,
+//                        topology deltas, trials fanned out over the
+//                        shared pool).  Both legs build a fresh Engine per
+//                        seed.
 //   delta-vs-rebuild     EdgeChurn workload, only
 //                        EngineConfig::topology_deltas differs.
 //   soa-vs-objects       single-core BatchRunner vs BatchRunner, only
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "adversary/churn_adversaries.h"
+#include "adversary/static_adversaries.h"
 #include "bench_common.h"
 #include "cc/disjointness_cp.h"
 #include "lowerbound/composition.h"
@@ -133,12 +135,11 @@ double nowSeconds() {
 sim::RunResult runWorkloadTrial(sim::NodeId n, sim::Round rounds,
                                 std::uint64_t seed,
                                 std::unique_ptr<sim::Adversary> adversary,
-                                sim::EngineWorkspace* ws = nullptr,
                                 const sim::EngineConfig& config = {}) {
   std::vector<std::uint64_t> values(static_cast<std::size_t>(n), 1);
   proto::MaxFloodFactory factory(values, 8, 1 << 20);
   auto engine = bench::makeEngine(factory, std::move(adversary), rounds, seed,
-                                  /*record=*/false, ws, config);
+                                  /*record=*/false, config);
   return engine.run();
 }
 
@@ -216,9 +217,9 @@ CompareResult compareBatchVsSequential(sim::NodeId n, int trials,
   std::map<std::string, util::Summary> sequential;
   std::map<std::string, util::Summary> batch_metrics;
   for (int rep = 0; rep < kReps; ++rep) {
-    // Baseline: the pre-BatchRunner shape — one thread, a fresh Engine
-    // (own workspace) per trial, per-round topology construction, and a
-    // fresh metric map per trial, merged map-by-map.
+    // Baseline: the pre-BatchRunner shape — one thread, a fresh Engine per
+    // trial, per-round topology construction, and a fresh metric map per
+    // trial, merged map-by-map.
     sim::EngineConfig rebuild;
     rebuild.topology_deltas = false;
     const double seq_start = nowSeconds();
@@ -226,8 +227,7 @@ CompareResult compareBatchVsSequential(sim::NodeId n, int trials,
     for (int i = 0; i < trials; ++i) {
       const sim::RunResult r = runWorkloadTrial(
           n, rounds, util::hashCombine(base_seed, static_cast<std::size_t>(i)),
-          bench::makeAdversary("rotating_star", n, 42), /*ws=*/nullptr,
-          rebuild);
+          bench::makeAdversary("rotating_star", n, 42), rebuild);
       for (const auto& [name, value] : trialMetrics(r)) {
         seq[name].add(value);
       }
@@ -235,10 +235,6 @@ CompareResult compareBatchVsSequential(sim::NodeId n, int trials,
     const double seq_rep = nowSeconds() - seq_start;
 
     sim::BatchRunner runner;
-    const sim::MetricId m_rounds = runner.metricId("rounds");
-    const sim::MetricId m_bits = runner.metricId("bits");
-    const sim::MetricId m_messages = runner.metricId("messages");
-    const sim::MetricId m_max_node_bits = runner.metricId("max_node_bits");
     // Topology construction is part of what the batch path amortizes
     // away, but it should not be *timed into* a trials/sec figure that
     // claims to measure the round engine: hoist it.
@@ -246,15 +242,12 @@ CompareResult compareBatchVsSequential(sim::NodeId n, int trials,
     const double batch_start = nowSeconds();
     const sim::TrialSummary batch = runner.run(
         trials, base_seed,
-        [&](std::uint64_t seed, sim::EngineWorkspace& ws,
-            sim::TrialRecorder& rec) {
+        [&](std::uint64_t seed, sim::TrialRecorder& rec) {
           const sim::RunResult r = runWorkloadTrial(
-              n, rounds, seed, std::make_unique<adv::PeriodicAdversary>(stars),
-              &ws);
-          rec.set(m_rounds, static_cast<double>(r.rounds_executed));
-          rec.set(m_bits, static_cast<double>(r.bits_sent));
-          rec.set(m_messages, static_cast<double>(r.messages_sent));
-          rec.set(m_max_node_bits, static_cast<double>(r.max_bits_per_node));
+              n, rounds, seed, std::make_unique<adv::PeriodicAdversary>(stars));
+          for (const auto& [name, value] : trialMetrics(r)) {
+            rec.set(name, value);
+          }
         });
     const double batch_rep = nowSeconds() - batch_start;
 
@@ -282,8 +275,8 @@ CompareResult compareBatchVsSequential(sim::NodeId n, int trials,
 
 /// Shared shape for the two single-toggle comparisons: run `trials` via
 /// BatchRunner twice with `body`, once per configuration, and require
-/// exact agreement.  `body(seed, ws, leg)` runs one trial for leg 0
-/// (baseline) or 1 (new path).
+/// exact agreement.  `body(seed, leg)` runs one trial for leg 0 (baseline)
+/// or 1 (new path).
 template <typename Body>
 CompareResult compareToggle(sim::NodeId n, int trials, sim::Round rounds,
                             std::uint64_t base_seed, const std::string& mode,
@@ -293,20 +286,12 @@ CompareResult compareToggle(sim::NodeId n, int trials, sim::Round rounds,
   for (int rep = 0; rep < kReps; ++rep) {
     for (int leg = 0; leg < 2; ++leg) {
       sim::BatchRunner runner(options);
-      const sim::MetricId m_rounds = runner.metricId("rounds");
-      const sim::MetricId m_bits = runner.metricId("bits");
-      const sim::MetricId m_messages = runner.metricId("messages");
-      const sim::MetricId m_max_node_bits = runner.metricId("max_node_bits");
       const double start = nowSeconds();
       const sim::TrialSummary summary = runner.run(
-          trials, base_seed,
-          [&](std::uint64_t seed, sim::EngineWorkspace& ws,
-              sim::TrialRecorder& rec) {
-            const sim::RunResult r = body(seed, ws, leg);
-            rec.set(m_rounds, static_cast<double>(r.rounds_executed));
-            rec.set(m_bits, static_cast<double>(r.bits_sent));
-            rec.set(m_messages, static_cast<double>(r.messages_sent));
-            rec.set(m_max_node_bits, static_cast<double>(r.max_bits_per_node));
+          trials, base_seed, [&](std::uint64_t seed, sim::TrialRecorder& rec) {
+            for (const auto& [name, value] : trialMetrics(body(seed, leg))) {
+              rec.set(name, value);
+            }
           });
       const double rep_secs = nowSeconds() - start;
       if (rep == 0 || rep_secs < secs[leg]) {
@@ -337,14 +322,14 @@ CompareResult compareDeltaVsRebuild(sim::NodeId n, int trials,
                                     std::uint64_t base_seed) {
   return compareToggle(
       n, trials, rounds, base_seed, "delta-vs-rebuild",
-      [&](std::uint64_t seed, sim::EngineWorkspace& ws, int leg) {
+      [&](std::uint64_t seed, int leg) {
         sim::EngineConfig config;
         config.topology_deltas = leg == 1;
         return runWorkloadTrial(
             n, rounds, seed,
             std::make_unique<adv::EdgeChurnAdversary>(n, /*churn_edges=*/4,
                                                       /*seed=*/42),
-            &ws, config);
+            config);
       });
 }
 
@@ -360,12 +345,12 @@ CompareResult compareSoAVsObjects(sim::NodeId n, int trials, sim::Round rounds,
   options.threads = 1;
   return compareToggle(
       n, trials, rounds, base_seed, "soa-vs-objects",
-      [&](std::uint64_t seed, sim::EngineWorkspace& ws, int leg) {
+      [&](std::uint64_t seed, int leg) {
         sim::EngineConfig config;
         config.soa_state = leg == 1;
         return runWorkloadTrial(n, rounds, seed,
                                 std::make_unique<adv::PeriodicAdversary>(stars),
-                                &ws, config);
+                                config);
       },
       options);
 }

@@ -13,6 +13,7 @@
 // far end.
 #include <iostream>
 
+#include "adversary/static_adversaries.h"
 #include "bench_common.h"
 #include "protocols/cflood.h"
 #include "protocols/diameter_estimate.h"

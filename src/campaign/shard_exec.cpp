@@ -273,12 +273,11 @@ ShardResult runShard(const ShardConfig& shard, obs::MetricsRegistry* prof) {
   sim::TrialSamples samples;
   runner.run(
       shard.trials, shard.seed_base,
-      [&](std::uint64_t seed, sim::EngineWorkspace& ws,
-          sim::TrialRecorder& rec) {
+      [&](std::uint64_t seed, sim::TrialRecorder& rec) {
         const std::unique_ptr<sim::ProcessFactory> factory =
             makeProtocolFactory(shard, seed);
         sim::Engine engine(*factory, makeAdversary(shard, seed),
-                           makeEngineConfig(shard), seed, &ws);
+                           makeEngineConfig(shard), seed);
         if (faulty) {
           engine.setFaultInjector(
               std::make_shared<const faults::FaultInjector>(

@@ -61,7 +61,7 @@ struct ShardResult {
   static ShardResult parseJson(const std::string& text);
 };
 
-/// Runs every trial of the shard (sequentially, workspace-pooled) and
+/// Runs every trial of the shard (sequentially, one engine per trial) and
 /// collects the standard metric set: rounds, all_done, messages, bits,
 /// max_bits_per_node, plus fault counters when the shard has a fault plan.
 /// When `prof` is non-null a DYNET_PROF registry is installed for the

@@ -1,6 +1,6 @@
-// The hook the engine's round pipeline consults: sim::FaultPhase applies
+// The hook the engine's round phases consult: sim::faultPhase applies
 // scheduled restarts/crashes and builds the live mask at the top of each
-// round, and sim::DeliveryPhase filters every delivery through
+// round, and sim::deliveryPhase filters every delivery through
 // deliveryFate()/corrupted() (see src/sim/phase.h).
 //
 // A FaultInjector binds a FaultPlan to the machinery needed to apply it:

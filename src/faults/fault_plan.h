@@ -74,7 +74,7 @@ class FaultPlan {
   /// True when any node has a restart scheduled (random or scripted).
   bool hasRestarts() const;
   /// True when the plan can ever change the live mask.  Drop/corrupt-only
-  /// plans return false, which lets FaultPhase fill the mask once per run
+  /// plans return false, which lets the engine fill the mask once per run
   /// instead of clearing it every round (byte-identical: the mask stays
   /// all-ones and no restart/crash transition can fire).
   bool affectsLiveness() const { return hasCrashes() || hasRestarts(); }

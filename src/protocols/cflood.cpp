@@ -26,7 +26,9 @@ class CFloodRelay : public FloodProcess {
 }  // namespace
 
 std::unique_ptr<sim::Process> CFloodFactory::create(sim::NodeId node,
-                                                    sim::NodeId /*num_nodes*/) const {
+                                                    sim::NodeId num_nodes) const {
+  DYNET_CHECK(0 <= source_ && source_ < num_nodes)
+      << "cflood source " << source_ << " outside [0, " << num_nodes << ")";
   if (node == source_) {
     return std::make_unique<CFloodSource>(node, token_, token_bits_, mode_,
                                           wait_rounds_);

@@ -64,7 +64,9 @@ void FloodProcess::exportMetrics(
 }
 
 std::unique_ptr<sim::Process> FloodFactory::create(sim::NodeId node,
-                                                   sim::NodeId /*num_nodes*/) const {
+                                                   sim::NodeId num_nodes) const {
+  DYNET_CHECK(0 <= source_ && source_ < num_nodes)
+      << "flood source " << source_ << " outside [0, " << num_nodes << ")";
   return std::make_unique<FloodProcess>(node, source_, token_, token_bits_,
                                         mode_, halt_round_);
 }
@@ -78,27 +80,20 @@ namespace {
 // firing on exactly the message the object path would inspect.
 class FloodSoA final : public sim::SoAModel {
  public:
-  FloodSoA(sim::NodeId source, std::uint64_t token, int token_bits,
-           FloodMode mode, sim::Round halt_round)
+  FloodSoA(sim::NodeId num_nodes, sim::NodeId source, std::uint64_t token,
+           int token_bits, FloodMode mode, sim::Round halt_round)
       : source_(source),
         token_(token),
         token_bits_(token_bits),
         mode_(mode),
-        halt_round_(halt_round) {
+        halt_round_(halt_round),
+        has_token_(static_cast<std::size_t>(num_nodes), 0),
+        done_(static_cast<std::size_t>(num_nodes), 0),
+        token_round_(static_cast<std::size_t>(num_nodes), -1) {
     DYNET_CHECK(token_bits_ >= 1 && token_bits_ <= 64)
         << "token_bits=" << token_bits_;
-  }
-
-  void bind(sim::NodeId num_nodes, sim::SoAStore& store) override {
-    const auto np = static_cast<std::size_t>(num_nodes);
-    has_token_ = &store.byteColumn(0);
-    done_ = &store.byteColumn(1);
-    token_round_ = &store.i32Column(0);
-    has_token_->assign(np, 0);
-    done_->assign(np, 0);
-    token_round_->assign(np, -1);
-    (*has_token_)[static_cast<std::size_t>(source_)] = 1;
-    (*token_round_)[static_cast<std::size_t>(source_)] = 0;
+    has_token_[static_cast<std::size_t>(source_)] = 1;
+    token_round_[static_cast<std::size_t>(source_)] = 0;
     msg_ = sim::MessageBuilder().put(token_, token_bits_).build();
   }
 
@@ -115,7 +110,7 @@ class FloodSoA final : public sim::SoAModel {
   void computeNode(sim::RoundContext& ctx, sim::NodeId v,
                    std::uint64_t node_key) {
     sim::Action& a = ctx.ws->actions[static_cast<std::size_t>(v)];
-    if ((*has_token_)[static_cast<std::size_t>(v)] != 0 &&
+    if (has_token_[static_cast<std::size_t>(v)] != 0 &&
         (mode_ == FloodMode::kDeterministic ||
          util::CoinStream::firstCoin(util::CoinStream::roundKey(
              node_key, static_cast<std::uint64_t>(ctx.round))))) {
@@ -129,19 +124,19 @@ class FloodSoA final : public sim::SoAModel {
   void onMessage(sim::RoundContext& ctx, sim::NodeId v, sim::NodeId /*u*/,
                  const sim::Message& msg, bool /*pristine*/) {
     const auto vi = static_cast<std::size_t>(v);
-    if ((*has_token_)[vi] != 0) {
+    if (has_token_[vi] != 0) {
       return;  // only the first message is ever decoded
     }
     sim::MessageReader reader(msg);
     const std::uint64_t value = reader.get(token_bits_);
     DYNET_CHECK(value == token_) << "foreign token " << value;
-    (*has_token_)[vi] = 1;
-    (*token_round_)[vi] = ctx.round;
+    has_token_[vi] = 1;
+    token_round_[vi] = ctx.round;
   }
 
   void afterDeliver(sim::RoundContext& ctx, sim::NodeId v, bool /*sent*/) {
     if (halt_round_ > 0 && ctx.round >= halt_round_) {
-      (*done_)[static_cast<std::size_t>(v)] = 1;
+      done_[static_cast<std::size_t>(v)] = 1;
     }
   }
 
@@ -149,32 +144,32 @@ class FloodSoA final : public sim::SoAModel {
   // the round, so the per-node hook collapses to one column fill.
   void afterDeliverAllClean(sim::RoundContext& ctx) {
     if (halt_round_ > 0 && ctx.round >= halt_round_) {
-      std::fill(done_->begin(), done_->end(), char{1});
+      std::fill(done_.begin(), done_.end(), char{1});
     }
   }
 
   void resetNode(sim::NodeId v) override {
     const auto vi = static_cast<std::size_t>(v);
-    (*has_token_)[vi] = v == source_ ? 1 : 0;
-    (*token_round_)[vi] = v == source_ ? 0 : -1;
-    (*done_)[vi] = 0;
+    has_token_[vi] = v == source_ ? 1 : 0;
+    token_round_[vi] = v == source_ ? 0 : -1;
+    done_[vi] = 0;
   }
 
-  const char* doneData() const override { return done_->data(); }
+  const char* doneData() const override { return done_.data(); }
   std::uint64_t output(sim::NodeId v) const override {
-    return (*has_token_)[static_cast<std::size_t>(v)] != 0 ? token_ : 0;
+    return has_token_[static_cast<std::size_t>(v)] != 0 ? token_ : 0;
   }
   std::uint64_t stateDigest(sim::NodeId v) const override {
     const auto vi = static_cast<std::size_t>(v);
-    return floodStateDigest(v, (*has_token_)[vi] != 0, (*token_round_)[vi]);
+    return floodStateDigest(v, has_token_[vi] != 0, token_round_[vi]);
   }
   void exportMetrics(
       sim::NodeId v,
       std::vector<std::pair<std::string, double>>& out) const override {
     const auto vi = static_cast<std::size_t>(v);
-    out.emplace_back("flood/has_token", (*has_token_)[vi] != 0 ? 1.0 : 0.0);
+    out.emplace_back("flood/has_token", has_token_[vi] != 0 ? 1.0 : 0.0);
     out.emplace_back("flood/token_round",
-                     static_cast<double>((*token_round_)[vi]));
+                     static_cast<double>(token_round_[vi]));
   }
 
  private:
@@ -184,17 +179,19 @@ class FloodSoA final : public sim::SoAModel {
   FloodMode mode_;
   sim::Round halt_round_;
   sim::Message msg_;
-  std::vector<char>* has_token_ = nullptr;
-  std::vector<char>* done_ = nullptr;
-  std::vector<std::int32_t>* token_round_ = nullptr;
+  std::vector<char> has_token_;
+  std::vector<char> done_;
+  std::vector<std::int32_t> token_round_;
 };
 
 }  // namespace
 
 std::unique_ptr<sim::SoAModel> FloodFactory::createSoA(
-    sim::NodeId /*num_nodes*/) const {
-  return std::make_unique<FloodSoA>(source_, token_, token_bits_, mode_,
-                                    halt_round_);
+    sim::NodeId num_nodes) const {
+  DYNET_CHECK(0 <= source_ && source_ < num_nodes)
+      << "flood source " << source_ << " outside [0, " << num_nodes << ")";
+  return std::make_unique<FloodSoA>(num_nodes, source_, token_, token_bits_,
+                                    mode_, halt_round_);
 }
 
 }  // namespace dynet::proto

@@ -90,28 +90,18 @@ class MaxFloodSoA final : public sim::SoAModel {
       : values_(std::move(values)),
         key_bits_(key_bits),
         value_bits_(value_bits),
-        total_rounds_(total_rounds) {
+        total_rounds_(total_rounds),
+        best_key_(values_.size()),
+        best_value_(values_),
+        done_(values_.size(), 0),
+        dirty_(values_.size(), 1),
+        msg_(values_.size()) {
     DYNET_CHECK(key_bits_ >= 1 && key_bits_ <= 62) << "key_bits=" << key_bits_;
     DYNET_CHECK(value_bits_ >= 1 && value_bits_ <= 62)
         << "value_bits=" << value_bits_;
     DYNET_CHECK(total_rounds_ >= 1) << "total_rounds=" << total_rounds_;
-  }
-
-  void bind(sim::NodeId num_nodes, sim::SoAStore& store) override {
-    const auto np = static_cast<std::size_t>(num_nodes);
-    DYNET_CHECK(np == values_.size()) << "values size mismatch";
-    best_key_ = &store.u64Column(0);
-    best_value_ = &store.u64Column(1);
-    done_ = &store.byteColumn(0);
-    dirty_ = &store.byteColumn(1);
-    msg_ = &store.messageColumn(0);
-    best_key_->resize(np);
-    best_value_->assign(values_.begin(), values_.end());
-    done_->assign(np, 0);
-    dirty_->assign(np, 1);
-    msg_->assign(np, sim::Message{});
-    for (std::size_t v = 0; v < np; ++v) {
-      (*best_key_)[v] = static_cast<std::uint64_t>(v) + 1;
+    for (std::size_t v = 0; v < best_key_.size(); ++v) {
+      best_key_[v] = static_cast<std::uint64_t>(v) + 1;
     }
   }
 
@@ -130,15 +120,15 @@ class MaxFloodSoA final : public sim::SoAModel {
     sim::Action& a = ctx.ws->actions[vi];
     if (util::CoinStream::firstCoin(util::CoinStream::roundKey(
             node_key, static_cast<std::uint64_t>(ctx.round)))) {
-      if ((*dirty_)[vi] != 0) {
-        (*msg_)[vi] = sim::MessageBuilder()
-                          .put((*best_key_)[vi], key_bits_)
-                          .put((*best_value_)[vi], value_bits_)
-                          .build();
-        (*dirty_)[vi] = 0;
+      if (dirty_[vi] != 0) {
+        msg_[vi] = sim::MessageBuilder()
+                       .put(best_key_[vi], key_bits_)
+                       .put(best_value_[vi], value_bits_)
+                       .build();
+        dirty_[vi] = 0;
       }
       a.send = true;
-      a.msg = (*msg_)[vi];
+      a.msg = msg_[vi];
     } else {
       a = sim::Action{};
     }
@@ -151,23 +141,23 @@ class MaxFloodSoA final : public sim::SoAModel {
     std::uint64_t value;
     if (pristine) {
       const auto ui = static_cast<std::size_t>(u);
-      key = (*best_key_)[ui];
-      value = (*best_value_)[ui];
+      key = best_key_[ui];
+      value = best_value_[ui];
     } else {
       sim::MessageReader reader(msg);
       key = reader.get(key_bits_);
       value = reader.get(value_bits_);
     }
-    if (key > (*best_key_)[vi]) {
-      (*best_key_)[vi] = key;
-      (*best_value_)[vi] = value;
-      (*dirty_)[vi] = 1;
+    if (key > best_key_[vi]) {
+      best_key_[vi] = key;
+      best_value_[vi] = value;
+      dirty_[vi] = 1;
     }
   }
 
   void afterDeliver(sim::RoundContext& ctx, sim::NodeId v, bool /*sent*/) {
     if (ctx.round >= total_rounds_) {
-      (*done_)[static_cast<std::size_t>(v)] = 1;
+      done_[static_cast<std::size_t>(v)] = 1;
     }
   }
 
@@ -175,25 +165,25 @@ class MaxFloodSoA final : public sim::SoAModel {
   // the round, so the per-node hook collapses to one column fill.
   void afterDeliverAllClean(sim::RoundContext& ctx) {
     if (ctx.round >= total_rounds_) {
-      std::fill(done_->begin(), done_->end(), char{1});
+      std::fill(done_.begin(), done_.end(), char{1});
     }
   }
 
   void resetNode(sim::NodeId v) override {
     const auto vi = static_cast<std::size_t>(v);
-    (*best_key_)[vi] = static_cast<std::uint64_t>(v) + 1;
-    (*best_value_)[vi] = values_[vi];
-    (*done_)[vi] = 0;
-    (*dirty_)[vi] = 1;
+    best_key_[vi] = static_cast<std::uint64_t>(v) + 1;
+    best_value_[vi] = values_[vi];
+    done_[vi] = 0;
+    dirty_[vi] = 1;
   }
 
-  const char* doneData() const override { return done_->data(); }
+  const char* doneData() const override { return done_.data(); }
   std::uint64_t output(sim::NodeId v) const override {
-    return (*best_value_)[static_cast<std::size_t>(v)];
+    return best_value_[static_cast<std::size_t>(v)];
   }
   std::uint64_t stateDigest(sim::NodeId v) const override {
     const auto vi = static_cast<std::size_t>(v);
-    return util::hashCombine((*best_key_)[vi], (*best_value_)[vi]);
+    return util::hashCombine(best_key_[vi], best_value_[vi]);
   }
 
  private:
@@ -201,11 +191,11 @@ class MaxFloodSoA final : public sim::SoAModel {
   int key_bits_;
   int value_bits_;
   sim::Round total_rounds_;
-  std::vector<std::uint64_t>* best_key_ = nullptr;
-  std::vector<std::uint64_t>* best_value_ = nullptr;
-  std::vector<char>* done_ = nullptr;
-  std::vector<char>* dirty_ = nullptr;
-  std::vector<sim::Message>* msg_ = nullptr;
+  std::vector<std::uint64_t> best_key_;
+  std::vector<std::uint64_t> best_value_;
+  std::vector<char> done_;
+  std::vector<char> dirty_;
+  std::vector<sim::Message> msg_;
 };
 
 }  // namespace

@@ -5,8 +5,8 @@
 #include "obs/sink.h"
 #include "sim/phase.h"
 #include "sim/soa.h"
-#include "sim/workspace.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace dynet::sim {
 
@@ -17,7 +17,7 @@ int defaultBudgetBits(NodeId num_nodes) {
 
 Engine::Engine(std::vector<std::unique_ptr<Process>> processes,
                std::unique_ptr<Adversary> adversary, EngineConfig config,
-               std::uint64_t seed, EngineWorkspace* workspace)
+               std::uint64_t seed)
     : processes_(std::move(processes)),
       adversary_(std::move(adversary)),
       config_(config),
@@ -28,12 +28,12 @@ Engine::Engine(std::vector<std::unique_ptr<Process>> processes,
       << "adversary nodes " << adversary_->numNodes() << " != processes "
       << processes_.size();
   n_ = static_cast<NodeId>(processes_.size());
-  init(workspace);
+  init();
 }
 
 Engine::Engine(const ProcessFactory& factory,
                std::unique_ptr<Adversary> adversary, EngineConfig config,
-               std::uint64_t seed, EngineWorkspace* workspace)
+               std::uint64_t seed)
     : adversary_(std::move(adversary)), config_(config), seed_(seed) {
   DYNET_CHECK(adversary_ != nullptr) << "no adversary";
   n_ = adversary_->numNodes();
@@ -50,10 +50,10 @@ Engine::Engine(const ProcessFactory& factory,
       processes_.push_back(factory.create(v, n_));
     }
   }
-  init(workspace);
+  init();
 }
 
-void Engine::init(EngineWorkspace* workspace) {
+void Engine::init() {
   budget_bits_ = config_.msg_budget_bits > 0 ? config_.msg_budget_bits
                                              : defaultBudgetBits(n_);
   DYNET_CHECK(budget_bits_ <= Message::kCapacityBits)
@@ -61,17 +61,15 @@ void Engine::init(EngineWorkspace* workspace) {
   const auto np = static_cast<std::size_t>(n_);
   result_.done_round.assign(np, -1);
   result_.bits_per_node.assign(np, 0);
-  if (workspace != nullptr) {
-    ws_ = workspace;
-  } else {
-    owned_ws_ = std::make_unique<EngineWorkspace>();
-    ws_ = owned_ws_.get();
+  ws_.actions.resize(np);
+  ws_.sending.resize(np);
+  // Per-node coin-key prefixes: fromNodeKey yields the exact
+  // CoinStream(seed, node, round) streams at half the construction hashing.
+  ws_.coin_keys.resize(np);
+  for (NodeId v = 0; v < n_; ++v) {
+    ws_.coin_keys[static_cast<std::size_t>(v)] =
+        util::hashCombine(seed_, static_cast<std::uint64_t>(v));
   }
-  ws_->reset();
-  if (soa_ != nullptr) {
-    soa_->bind(n_, ws_->soa);
-  }
-  pipeline_ = makeDefaultPipeline();
   if (config_.metrics != nullptr) {
     obs_ = std::make_unique<EngineObs>(config_.metrics);
     config_.metrics->registry.gauge("engine/num_nodes")
@@ -117,7 +115,8 @@ void Engine::setFaultInjector(
   }
   injector_ = std::move(injector);
   if (injector_ != nullptr) {
-    ws_->crash_counted.assign(static_cast<std::size_t>(n_), 0);
+    ws_.alive.assign(static_cast<std::size_t>(n_), 1);
+    ws_.crash_counted.assign(static_cast<std::size_t>(n_), 0);
   }
 }
 
@@ -139,7 +138,7 @@ bool Engine::step() {
   ctx.adversary = adversary_.get();
   ctx.config = &config_;
   ctx.injector = injector_.get();
-  ctx.ws = ws_;
+  ctx.ws = &ws_;
   ctx.result = &result_;
   ctx.topologies = &topologies_;
   ctx.action_trace = &actions_;
@@ -156,9 +155,11 @@ bool Engine::step() {
   obs::TraceWriter* tracer = obs_ != nullptr ? obs_->trace : nullptr;
   ctx.span_start = tracer != nullptr ? tracer->nowUs() : 0.0;
 
-  for (const auto& phase : pipeline_) {
-    phase->run(ctx);
-  }
+  faultPhase(ctx);
+  computePhase(ctx);
+  adversaryPhase(ctx);
+  deliveryPhase(ctx);
+  observePhase(ctx);
   return true;
 }
 
@@ -181,17 +182,16 @@ void Engine::finalizeMetrics() {
   reg.gauge("soa//active")->set(soa_ != nullptr ? 1.0 : 0.0);
   reg.gauge("soa//stride_workers")->set(static_cast<double>(stride_workers));
   reg.gauge("soa//pull_rounds")
-      ->set(static_cast<double>(ws_->soa_pull_rounds));
+      ->set(static_cast<double>(ws_.soa_pull_rounds));
   std::uint64_t stride_imbalance = 0;
   if (stride_workers > 1) {
     // Live nodes per stride class (max - min): how uneven the last live
     // mask leaves the worker loops.
     std::vector<std::uint64_t> per_class(
         static_cast<std::size_t>(stride_workers), 0);
-    const bool masked = injector_ != nullptr &&
-                        ws_->alive.size() == static_cast<std::size_t>(n_);
+    const bool masked = injector_ != nullptr;
     for (NodeId v = 0; v < n_; ++v) {
-      if (!masked || ws_->alive[static_cast<std::size_t>(v)] != 0) {
+      if (!masked || ws_.alive[static_cast<std::size_t>(v)] != 0) {
         ++per_class[static_cast<std::size_t>(v % stride_workers)];
       }
     }

@@ -4,16 +4,15 @@
 // send-xor-receive, per-message bit budget, connected per-round topology.
 // (EngineConfig::duplex switches delivery to full-duplex broadcast CONGEST
 // for the distance-computation suite; off by default.)
-// Each round runs through the phase pipeline of sim/phase.h (fault →
-// compute → adversary → delivery → observe); cross-cutting layers (fault
-// injection, observability, trace recording) live in their own phases
-// instead of inline special cases.  Optionally records full traces
-// (topologies, actions, deliveries derived on demand) for diameter
-// computation and reduction cross-validation.
+// Each round is five phase calls of sim/phase.h (fault → compute →
+// adversary → delivery → observe); cross-cutting layers (fault injection,
+// observability, trace recording) live in their own phases instead of
+// inline special cases.  Optionally records full traces (topologies,
+// actions, deliveries derived on demand) for diameter computation and
+// reduction cross-validation.
 //
-// Per-run scratch lives in an EngineWorkspace (sim/workspace.h).  By
-// default the engine owns a private one; batch callers (sim::BatchRunner)
-// pass an external workspace so its capacity is reused across trials.
+// Per-run scratch lives in the engine's own EngineWorkspace
+// (sim/workspace.h), created with the engine and destroyed with it.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +23,7 @@
 #include "net/graph.h"
 #include "sim/adversary.h"
 #include "sim/process.h"
+#include "sim/workspace.h"
 
 namespace dynet::faults {
 class FaultInjector;
@@ -35,9 +35,7 @@ struct MetricsSink;
 
 namespace dynet::sim {
 
-struct EngineObs;       // pre-resolved registry handles (sim/phase.h)
-class PhaseUnit;        // one stage of the round pipeline (sim/phase.h)
-struct EngineWorkspace; // reusable per-run scratch (sim/workspace.h)
+struct EngineObs;  // pre-resolved registry handles (sim/phase.h)
 
 /// Message budget used throughout: a fixed constant multiple of log N.
 int defaultBudgetBits(NodeId num_nodes);
@@ -143,23 +141,18 @@ struct RunResult {
 
 class Engine {
  public:
-  /// `seed` feeds the per-(node, round) coin streams.  `workspace` may
-  /// point at an external EngineWorkspace to reuse its capacity across
-  /// runs (sim::BatchRunner does); the engine resets it on construction
-  /// and requires it to outlive the engine.  Null (the default) makes the
-  /// engine own a private workspace.
+  /// `seed` feeds the per-(node, round) coin streams.
   Engine(std::vector<std::unique_ptr<Process>> processes,
          std::unique_ptr<Adversary> adversary, EngineConfig config,
-         std::uint64_t seed, EngineWorkspace* workspace = nullptr);
+         std::uint64_t seed);
   /// Factory form: node count comes from the adversary.  With
   /// config.soa_state and a factory that overrides createSoA, the run uses
   /// the structure-of-arrays path; otherwise processes are materialized via
   /// factory.create and the run is the classic object path.  Both paths are
   /// byte-identical by contract.
   Engine(const ProcessFactory& factory, std::unique_ptr<Adversary> adversary,
-         EngineConfig config, std::uint64_t seed,
-         EngineWorkspace* workspace = nullptr);
-  // Out-of-line: EngineObs / EngineWorkspace / SoAModel are incomplete here.
+         EngineConfig config, std::uint64_t seed);
+  // Out-of-line: EngineObs / SoAModel are incomplete here.
   ~Engine();
   // Not movable: every creation site either constructs in place or returns
   // a prvalue (guaranteed elision), so no move is ever needed.
@@ -174,8 +167,8 @@ class Engine {
   /// Runs rounds until max_rounds or all done.
   RunResult run();
 
-  /// Executes exactly one round (the full phase pipeline); returns false
-  /// if max_rounds reached.
+  /// Executes exactly one round (the five phases); returns false if
+  /// max_rounds reached.
   bool step();
 
   Round currentRound() const { return round_; }
@@ -210,7 +203,7 @@ class Engine {
  private:
   /// Shared tail of both constructors; requires n_, processes_/soa_,
   /// adversary_, config_, seed_ to be settled.
-  void init(EngineWorkspace* workspace);
+  void init();
 
   std::vector<std::unique_ptr<Process>> processes_;  // empty on the SoA path
   std::unique_ptr<SoAModel> soa_;  // null on the object path
@@ -223,13 +216,7 @@ class Engine {
   std::shared_ptr<const faults::FaultInjector> injector_;
   std::unique_ptr<EngineObs> obs_;  // null unless config_.metrics is set
 
-  // Per-run scratch: ws_ points at the external workspace when one was
-  // passed, else at owned_ws_.
-  EngineWorkspace* ws_;
-  std::unique_ptr<EngineWorkspace> owned_ws_;
-
-  // The round pipeline (sim/phase.h), built once at construction.
-  std::vector<std::unique_ptr<PhaseUnit>> pipeline_;
+  EngineWorkspace ws_;  // per-run scratch
 
   net::TopologySeq topologies_;
   std::vector<std::vector<Action>> actions_;

@@ -81,26 +81,20 @@ void closeSpan(RoundContext& ctx, const char* span_name) {
 
 // Applies this round's scheduled restarts (state re-created, not resumed)
 // and crash transitions before any node acts.
-void FaultPhase::run(RoundContext& ctx) {
+void faultPhase(RoundContext& ctx) {
   if (!ctx.faulty) {
     return;
   }
   EngineWorkspace& ws = *ctx.ws;
   RunResult& result = *ctx.result;
-  const auto np = static_cast<std::size_t>(ctx.n);
   if (!ctx.injector->plan().affectsLiveness()) {
-    // Drop/corrupt-only plans never change the live mask, so fill it once
-    // per run instead of clearing it every round (profiles of shared-graph
-    // StaticAdversary sweeps showed the redundant per-trial clears).
-    // Byte-identical: the mask stays all-ones, and no restart or crash
-    // branch below could ever fire without a crash/restart schedule.
-    if (ws.alive.size() != np) {
-      ws.alive.assign(np, 1);
-    }
+    // Drop/corrupt-only plans never change the live mask, which
+    // Engine::setFaultInjector filled with ones: no restart or crash branch
+    // below could ever fire without a crash/restart schedule.
     closeSpan(ctx, "fault_hook");
     return;
   }
-  ws.alive.assign(np, 1);
+  ws.alive.assign(static_cast<std::size_t>(ctx.n), 1);
   for (NodeId v = 0; v < ctx.n; ++v) {
     const auto idx = static_cast<std::size_t>(v);
     if (ctx.injector->restartsAt(v, ctx.round)) {
@@ -134,22 +128,9 @@ void FaultPhase::run(RoundContext& ctx) {
 // with the SoA compute loops, which fuse it into their serial walk.  Every
 // Action write is paired with its send-column byte (EngineWorkspace::sending),
 // which the delivery loops probe instead of the Action array.
-void ComputePhase::run(RoundContext& ctx) {
+void computePhase(RoundContext& ctx) {
   EngineWorkspace& ws = *ctx.ws;
   RunResult& result = *ctx.result;
-  const auto np = static_cast<std::size_t>(ctx.n);
-  ws.actions.resize(np);
-  ws.sending.resize(np);
-  // Per-node coin-key prefixes, hashed once per run: fromNodeKey yields the
-  // exact CoinStream(seed, node, round) streams at half the construction
-  // hashing.
-  if (ws.coin_keys.size() != np) {
-    ws.coin_keys.resize(np);
-    for (NodeId v = 0; v < ctx.n; ++v) {
-      ws.coin_keys[static_cast<std::size_t>(v)] =
-          util::hashCombine(ctx.seed, static_cast<std::uint64_t>(v));
-    }
-  }
   if (ctx.soa != nullptr) {
     // The model fills every action slot and accounts its sends
     // (sim/soa_exec.h): fused into the serial walk at one worker, a
@@ -183,7 +164,7 @@ void ComputePhase::run(RoundContext& ctx) {
 // checks the model's connectivity invariant.  With topology_deltas set,
 // delta-native adversaries get first refusal via topologyUpdate and may
 // reuse or patch the previous round's graph.
-void AdversaryPhase::run(RoundContext& ctx) {
+void adversaryPhase(RoundContext& ctx) {
   RoundObservation obs{ctx.ws->actions};
   net::GraphPtr g;
   bool incremental = false;
@@ -265,7 +246,7 @@ void anonShuffle(std::vector<Message>& inbox, const RoundContext& ctx,
 // invariant).  The fault filter (sim/soa_exec.h) sits between the send
 // decision and onDeliver: each (sender, receiver) delivery may be dropped
 // or corrupted; crashed receivers get nothing at all.
-void DeliveryPhase::run(RoundContext& ctx) {
+void deliveryPhase(RoundContext& ctx) {
   if (ctx.soa != nullptr) {
     // SoA path: the model walks the flat arrays itself (soaDeliverAll
     // shares the fault filter and canonical order of the loop below).
@@ -317,7 +298,7 @@ void DeliveryPhase::run(RoundContext& ctx) {
 
 // End-of-round accounting: per-node done rounds, the per-round bit series,
 // the metrics sink's round observations, and the all-done check.
-void ObservePhase::run(RoundContext& ctx) {
+void observePhase(RoundContext& ctx) {
   auto& processes = *ctx.processes;
   RunResult& result = *ctx.result;
   if (ctx.soa != nullptr) {
@@ -362,16 +343,6 @@ void ObservePhase::run(RoundContext& ctx) {
     result.all_done = true;
     result.all_done_round = ctx.round;
   }
-}
-
-std::vector<std::unique_ptr<PhaseUnit>> makeDefaultPipeline() {
-  std::vector<std::unique_ptr<PhaseUnit>> pipeline;
-  pipeline.push_back(std::make_unique<FaultPhase>());
-  pipeline.push_back(std::make_unique<ComputePhase>());
-  pipeline.push_back(std::make_unique<AdversaryPhase>());
-  pipeline.push_back(std::make_unique<DeliveryPhase>());
-  pipeline.push_back(std::make_unique<ObservePhase>());
-  return pipeline;
 }
 
 }  // namespace dynet::sim

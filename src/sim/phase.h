@@ -1,35 +1,29 @@
-// The round engine's phase pipeline.
+// The round engine's five phases.
 //
-// One simulated round is a fixed sequence of named phase units, each a
-// small object that reads and writes a shared RoundContext:
+// One simulated round is five calls, each a function that reads and writes
+// a shared RoundContext:
 //
-//   FaultPhase     apply scheduled restarts/crashes, build the live mask
-//   ComputePhase   flip coins, every live node decides its Action
-//   AdversaryPhase adversary fixes (and the engine checks) the topology
-//   DeliveryPhase  deliver sender messages, in ascending sender order,
-//                  through the fault filter
-//   ObservePhase   round accounting: done rounds, per-round series, sink
+//   faultPhase      apply scheduled restarts/crashes, build the live mask
+//   computePhase    flip coins, every live node decides its Action
+//   adversaryPhase  adversary fixes (and the engine checks) the topology
+//   deliveryPhase   deliver sender messages, in ascending sender order,
+//                   through the fault filter
+//   observePhase    round accounting: done rounds, per-round series, sink
 //
-// The order is the model's round structure (paper §2, docs/MODEL.md): the
-// adversary acts *after* the coins flip, so AdversaryPhase necessarily runs
-// after ComputePhase.  Splitting the former monolithic Engine::step() this
-// way keeps cross-cutting concerns (faults, observability, trace recording)
-// out of each other's code paths and gives future layers — async delivery,
-// sharded topologies, alternative accounting — a seam to slot into without
-// touching every phase.  The pipeline is behaviour-preserving by
-// construction and pinned byte-identical by tests/batch_runner_test.cpp.
+// Engine::step() calls them in this order, which is the model's round
+// structure (paper §2, docs/MODEL.md): the adversary acts *after* the coins
+// flip, so adversaryPhase necessarily runs after computePhase.  Keeping
+// each phase in its own function keeps cross-cutting concerns (faults,
+// observability, trace recording) out of each other's code paths.
 //
 // RoundContext contract (docs/ARCHITECTURE.md):
 //   * Wiring fields (processes, adversary, config, injector, workspace,
-//     result, recorders, obs) are set once by the engine and are stable for
-//     the whole run; phases never reseat them.
+//     result, recorders, obs) point at the engine's members and are stable
+//     for the whole run; phases never reseat them.
 //   * Per-round fields (round, faulty, topology, *_before, span_start) are
-//     reset by Engine::step() before the pipeline runs; a phase may only
-//     rely on per-round outputs of phases that precede it (e.g. topology is
-//     null until AdversaryPhase ran).
-//   * Phases communicate exclusively through the context — no phase holds
-//     mutable state of its own, so one pipeline instance could be shared by
-//     many engines (the engine still owns a private copy for simplicity).
+//     reset by Engine::step() before the phases run; a phase may only rely
+//     on per-round outputs of phases that precede it (e.g. topology is
+//     null until adversaryPhase ran).
 #pragma once
 
 #include <cstdint>
@@ -103,54 +97,18 @@ struct RoundContext {
   // --- Per-round: reset by the engine, written by the phases. ---
   Round round = 0;
   bool faulty = false;  // injector attached (phases branch on this once)
-  net::GraphPtr topology;  // set by AdversaryPhase
+  net::GraphPtr topology;  // set by adversaryPhase
   std::uint64_t bits_before = 0;      // result->bits_sent at round start
   std::uint64_t messages_before = 0;  // result->messages_sent at round start
   double span_start = 0.0;  // last trace-span boundary (tracer runs only)
 };
 
-/// One named stage of the round pipeline.  Stateless: all inputs and
-/// outputs live in the RoundContext.
-class PhaseUnit {
- public:
-  virtual ~PhaseUnit() = default;
-  virtual const char* name() const = 0;
-  virtual void run(RoundContext& ctx) = 0;
-};
-
-class FaultPhase : public PhaseUnit {
- public:
-  const char* name() const override { return "fault"; }
-  void run(RoundContext& ctx) override;
-};
-
-class ComputePhase : public PhaseUnit {
- public:
-  const char* name() const override { return "compute"; }
-  void run(RoundContext& ctx) override;
-};
-
-class AdversaryPhase : public PhaseUnit {
- public:
-  const char* name() const override { return "adversary"; }
-  void run(RoundContext& ctx) override;
-};
-
-class DeliveryPhase : public PhaseUnit {
- public:
-  const char* name() const override { return "delivery"; }
-  void run(RoundContext& ctx) override;
-};
-
-class ObservePhase : public PhaseUnit {
- public:
-  const char* name() const override { return "observe"; }
-  void run(RoundContext& ctx) override;
-};
-
-/// The model's round structure: Fault → Compute → Adversary → Delivery →
-/// Observe.  Engines build one of these at construction.
-std::vector<std::unique_ptr<PhaseUnit>> makeDefaultPipeline();
+// The five phases, in the order Engine::step() calls them.
+void faultPhase(RoundContext& ctx);
+void computePhase(RoundContext& ctx);
+void adversaryPhase(RoundContext& ctx);
+void deliveryPhase(RoundContext& ctx);
+void observePhase(RoundContext& ctx);
 
 /// True when every live process reports done(); with an injector, crashed
 /// nodes are exempt (they cannot hold the run open).

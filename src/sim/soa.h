@@ -4,9 +4,8 @@
 // the per-node virtual dispatch and pointer-chasing layout dominate the
 // round loop (allocation is not the hot path — data layout is).  The SoA
 // path keeps protocol state in flat per-field arrays instead: one SoAModel
-// per engine owns columns like `has_token[n]` or `best_key[n]` that live
-// inside the EngineWorkspace's SoAStore, so BatchRunner trials reuse the
-// capacity exactly like every other workspace vector.
+// per engine owns its columns like `has_token[n]` or `best_key[n]` as plain
+// std::vector members, sized and initialized by ProcessFactory::createSoA.
 //
 // Contract (docs/ARCHITECTURE.md "SoA state store"):
 //   * A protocol opts in by overriding ProcessFactory::createSoA.  The
@@ -24,12 +23,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "sim/message.h"
 #include "sim/process.h"
 
 namespace dynet::sim {
@@ -37,87 +34,33 @@ namespace dynet::sim {
 struct EngineConfig;
 struct RoundContext;
 
-/// Pooled column storage for one SoAModel, owned by the EngineWorkspace.
-/// Models grab columns by (type, slot) in bind(); slots are private to the
-/// model (a workspace backs one engine at a time, and reset() clears all
-/// data), so different protocols may reuse the same slot numbers.  Like
-/// every other workspace member, reset() drops data but keeps capacity.
-/// Pools are deques so the returned column references stay valid when a
-/// later bind() call grows the pool — models hold them for the whole run.
-class SoAStore {
- public:
-  std::vector<std::uint64_t>& u64Column(std::size_t slot) {
-    return at(u64_, slot);
-  }
-  std::vector<std::int32_t>& i32Column(std::size_t slot) {
-    return at(i32_, slot);
-  }
-  std::vector<char>& byteColumn(std::size_t slot) { return at(bytes_, slot); }
-  std::vector<Message>& messageColumn(std::size_t slot) {
-    return at(messages_, slot);
-  }
-
-  void reset() {
-    for (auto& c : u64_) {
-      c.clear();
-    }
-    for (auto& c : i32_) {
-      c.clear();
-    }
-    for (auto& c : bytes_) {
-      c.clear();
-    }
-    for (auto& c : messages_) {
-      c.clear();
-    }
-  }
-
- private:
-  template <typename T>
-  static std::vector<T>& at(std::deque<std::vector<T>>& pool,
-                            std::size_t slot) {
-    while (pool.size() <= slot) {
-      pool.emplace_back();
-    }
-    return pool[slot];
-  }
-
-  std::deque<std::vector<std::uint64_t>> u64_;
-  std::deque<std::vector<std::int32_t>> i32_;
-  std::deque<std::vector<char>> bytes_;
-  std::deque<std::vector<Message>> messages_;
-};
-
 /// One protocol's flat-array execution: the SoA counterpart of the whole
-/// Process vector.  Created by ProcessFactory::createSoA, bound to the
-/// workspace's SoAStore by the engine, driven by the phase pipeline.
+/// Process vector.  Created by ProcessFactory::createSoA(n) with every
+/// column sized to n and in its round-0 state, driven by the engine's
+/// phases.
 class SoAModel {
  public:
   virtual ~SoAModel();
 
-  /// Allocates and initializes this run's columns inside `store`.  Called
-  /// once by the engine after the workspace reset, before round 1.
-  virtual void bind(NodeId num_nodes, SoAStore& store) = 0;
-
-  /// ComputePhase body: fill ctx.ws->actions[v] for every node (crashed
+  /// computePhase body: fill ctx.ws->actions[v] for every node (crashed
   /// nodes get Action{}).  Implementations call soaComputeAll
   /// (sim/soa_exec.h), which handles the live mask, per-node CoinStream
   /// construction, and the strided worker dispatch.
   virtual void computeAll(RoundContext& ctx) = 0;
 
-  /// DeliveryPhase body: deliver sender messages through the fault filter.
+  /// deliveryPhase body: deliver sender messages through the fault filter.
   /// Implementations call soaDeliverAll (sim/soa_exec.h), which reproduces
   /// the canonical ascending-sender order, drop/corrupt fates, and
   /// accounting of the object path.
   virtual void deliverAll(RoundContext& ctx) = 0;
 
-  /// Fault restart: node v's state becomes exactly what bind() gave it
+  /// Fault restart: node v's state becomes exactly what createSoA gave it
   /// (the SoA analogue of FaultInjector::freshProcess).
   virtual void resetNode(NodeId v) = 0;
 
   /// The num_nodes-wide done byte column (nonzero == node v is done, the
-  /// mirror of Process::done), never null once bound.  ObservePhase,
-  /// allLiveDone and Engine::nodeDone all read it directly.
+  /// mirror of Process::done), never null.  observePhase, allLiveDone and
+  /// Engine::nodeDone all read it directly.
   virtual const char* doneData() const = 0;
 
   // Per-node read-side mirror of the rest of the Process API.

@@ -7,7 +7,7 @@
 // default) gets a dedicated serial loop with zero dispatch cost.
 //
 // Send column.  Every compute loop (these three branches and the object
-// ComputePhase) writes EngineWorkspace::sending[v] = actions[v].send right
+// computePhase) writes EngineWorkspace::sending[v] = actions[v].send right
 // where it writes the Action — crashed nodes get 0 next to their Action{} —
 // and nowhere else.  Every delivery loop then tests membership in those n
 // bytes instead of striding the 48-byte Action array; payloads are still
@@ -145,7 +145,7 @@ inline bool pullWalkWins(std::uint64_t n, std::uint64_t senders,
   return n + 2 * edges > n * n / (2 * senders - n);
 }
 
-/// ComputePhase body over a model providing
+/// computePhase body over a model providing
 ///   computeNode(RoundContext&, NodeId v, std::uint64_t node_key)
 /// which must fully assign ctx.ws->actions[v] (receivers included — a stale
 /// payload from an earlier round would break action-trace byte-identity)
@@ -218,7 +218,7 @@ void soaComputeAll(RoundContext& ctx, Model& model) {
   }
 }
 
-/// DeliveryPhase body over a model providing
+/// deliveryPhase body over a model providing
 ///   onMessage(RoundContext&, NodeId v, NodeId u, const Message&, bool
 ///             pristine)   — one delivered message, ascending sender order;
 ///                           pristine is false only for corrupted copies

@@ -1,5 +1,6 @@
 #include "util/cli.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/check.h"
@@ -36,13 +37,30 @@ std::string Cli::str(const std::string& name, const std::string& def) const {
 std::int64_t Cli::integer(const std::string& name, std::int64_t def) const {
   queried_[name] = true;
   const auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) {
+    return def;
+  }
+  const std::string& text = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  DYNET_CHECK(!text.empty() && *end == '\0' && errno != ERANGE)
+      << "--" << name << "='" << text << "' is not an integer";
+  return value;
 }
 
 double Cli::real(const std::string& name, double def) const {
   queried_[name] = true;
   const auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) {
+    return def;
+  }
+  const std::string& text = it->second;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  DYNET_CHECK(!text.empty() && *end == '\0')
+      << "--" << name << "='" << text << "' is not a number";
+  return value;
 }
 
 bool Cli::flag(const std::string& name, bool def) const {

@@ -1,7 +1,8 @@
 // Tiny command-line flag parser shared by benches and examples.
 //
 // Supports --name=value and --name value; unknown flags are an error so that
-// typos in sweep scripts fail loudly.
+// typos in sweep scripts fail loudly, and so is a numeric value that is
+// empty or does not parse in full (`--nodes 8x`).
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 // Pins the batch-trial refactor's behaviour guarantees:
-//   * sim::BatchRunner (pooled workspaces, dense TrialRecorder metrics,
-//     thread-pool fan-out) reproduces a sequential per-trial-Engine loop
+//   * sim::BatchRunner (per-trial TrialRecorder metrics, thread-pool
+//     fan-out) reproduces a sequential per-trial-Engine loop
 //     byte for byte on fixed seeds — every RunResult field, per-node state
 //     digests, serialized traces, and (with a MetricsSink) metrics.json —
 //     for clean runs, fault-injected runs, and sink-attached runs.
@@ -9,7 +9,8 @@
 //     trial order), including metrics only present in some trials and
 //     metrics first registered mid-run; the raw TrialSamples behind it are
 //     in trial order and identical across thread counts.
-//   * Workspace reuse leaks nothing across trials or runs.
+//   * A runner reused across runs, or after a run whose trial threw,
+//     leaks nothing from one run into the next.
 //   * util::parseThreadCount (the DYNET_THREADS override) parsing.
 #include <gtest/gtest.h>
 
@@ -63,11 +64,9 @@ struct TrialArtifacts {
 
 /// One reference trial: randomized flood over a G(n,p) churn adversary,
 /// full recording so traces can be compared, optional fault plan and
-/// metrics sink.  `ws` selects workspace reuse (batch) vs per-engine
-/// allocation (the historical sequential loop).
+/// metrics sink.
 TrialArtifacts runFloodTrial(NodeId n, std::uint64_t seed,
-                             const faults::FaultConfig* fc, bool with_sink,
-                             EngineWorkspace* ws) {
+                             const faults::FaultConfig* fc, bool with_sink) {
   proto::FloodFactory factory(0, 0x2a, 8, proto::FloodMode::kRandomized,
                               /*halt_round=*/60);
   std::vector<std::unique_ptr<Process>> ps;
@@ -83,7 +82,7 @@ TrialArtifacts runFloodTrial(NodeId n, std::uint64_t seed,
   config.metrics = with_sink ? &sink : nullptr;
   Engine engine(std::move(ps),
                 std::make_unique<adv::RandomGraphAdversary>(n, 0.5, /*seed=*/9),
-                config, seed, ws);
+                config, seed);
   if (fc != nullptr) {
     engine.setFaultInjector(std::make_shared<const faults::FaultInjector>(
         faults::FaultPlan(n, *fc, seed * 0x9E3779B97F4A7C15ULL + 0xFA),
@@ -114,7 +113,7 @@ void expectBatchMatchesSequential(NodeId n, int trials,
   for (int i = 0; i < trials; ++i) {
     sequential.push_back(runFloodTrial(
         n, util::hashCombine(base_seed, static_cast<std::size_t>(i)), fc,
-        with_sink, nullptr));
+        with_sink));
   }
 
   std::map<std::uint64_t, std::size_t> seed_to_trial;
@@ -125,12 +124,11 @@ void expectBatchMatchesSequential(NodeId n, int trials,
   std::vector<TrialArtifacts> batch(static_cast<std::size_t>(trials));
   std::mutex mu;
   BatchRunner runner(options);
-  const MetricId m_rounds = runner.metricId("rounds");
   const TrialSummary summary = runner.run(
       trials, base_seed,
-      [&](std::uint64_t seed, EngineWorkspace& ws, TrialRecorder& rec) {
-        TrialArtifacts artifacts = runFloodTrial(n, seed, fc, with_sink, &ws);
-        rec.set(m_rounds,
+      [&](std::uint64_t seed, TrialRecorder& rec) {
+        TrialArtifacts artifacts = runFloodTrial(n, seed, fc, with_sink);
+        rec.set("rounds",
                 static_cast<double>(artifacts.result.rounds_executed));
         std::lock_guard<std::mutex> lock(mu);
         batch[seed_to_trial.at(seed)] = std::move(artifacts);
@@ -229,9 +227,8 @@ TEST(BatchRunner, TrialRecorderMatchesLegacyMapAggregation) {
   BatchRunner runner;  // default options: trials fan out over the shared pool
   const TrialSummary batch = runner.run(
       trials, base_seed,
-      [](std::uint64_t seed, EngineWorkspace&, TrialRecorder& rec) {
-        // "sparse" is deliberately interned lazily, mid-run, from whichever
-        // trial first hits it.
+      [](std::uint64_t seed, TrialRecorder& rec) {
+        // "sparse" is set only by the trials that hit it.
         for (const auto& [name, value] : legacyBody(seed)) {
           rec.set(name, value);
         }
@@ -240,13 +237,12 @@ TEST(BatchRunner, TrialRecorderMatchesLegacyMapAggregation) {
 }
 
 TEST(BatchRunner, RepeatedRunsAreIdentical) {
-  // Reusing one runner (interned schema, pooled workspaces) across runs
-  // must leak nothing from one run into the next.
+  // Reusing one runner across runs must leak nothing from one run into
+  // the next.
   BatchRunner runner;
-  const auto body = [](std::uint64_t seed, EngineWorkspace& ws,
-                       TrialRecorder& rec) {
+  const auto body = [](std::uint64_t seed, TrialRecorder& rec) {
     TrialArtifacts artifacts =
-        runFloodTrial(12, seed, nullptr, /*with_sink=*/false, &ws);
+        runFloodTrial(12, seed, nullptr, /*with_sink=*/false);
     rec.set("bits", static_cast<double>(artifacts.result.bits_sent));
     rec.set("rounds", static_cast<double>(artifacts.result.rounds_executed));
   };
@@ -255,10 +251,41 @@ TEST(BatchRunner, RepeatedRunsAreIdentical) {
   expectSummariesEqual(first, second);
 }
 
+TEST(BatchRunner, ThrowingTrialPropagatesAndRunnerStaysUsable) {
+  // A trial that throws makes run() rethrow once the other trials have
+  // finished, and leaves nothing behind: the same runner's next run equals
+  // a fresh runner's.
+  const auto body = [](std::uint64_t seed, TrialRecorder& rec) {
+    rec.set("seedmod", static_cast<double>(seed % 101));
+    if (seed % 3 == 0) {
+      rec.set("sparse", static_cast<double>(seed % 7));
+    }
+  };
+  const std::uint64_t throw_seed = util::hashCombine(0x7E57, 5);
+  const auto throwing = [&](std::uint64_t seed, TrialRecorder& rec) {
+    body(seed, rec);
+    DYNET_CHECK(seed != throw_seed) << "trial 5 throws";
+  };
+  for (const unsigned threads : {0u, 1u, 3u}) {
+    BatchRunner runner(BatchOptions{.threads = threads});
+    EXPECT_THROW(runner.run(16, 0x7E57, throwing), util::CheckError)
+        << "threads=" << threads;
+    TrialSamples reused_samples;
+    const TrialSummary reused = runner.run(16, 0x7E57, body, &reused_samples);
+    TrialSamples fresh_samples;
+    const TrialSummary fresh = BatchRunner(BatchOptions{.threads = threads})
+                                   .run(16, 0x7E57, body, &fresh_samples);
+    expectSummariesEqual(fresh, reused);
+    EXPECT_EQ(fresh_samples.metrics, reused_samples.metrics)
+        << "threads=" << threads;
+    EXPECT_EQ(reused.metrics.at("seedmod").count(), 16u);
+  }
+}
+
 TEST(BatchRunner, LastWriteWinsLikeMapSubscript) {
   BatchRunner runner;
   const TrialSummary summary = runner.run(
-      4, 1, [](std::uint64_t, EngineWorkspace&, TrialRecorder& rec) {
+      4, 1, [](std::uint64_t, TrialRecorder& rec) {
         rec.set("x", 1.0);
         rec.set("x", 2.0);  // overwrites, same as map[k] = v twice
       });
@@ -285,8 +312,7 @@ TEST(BatchRunner, TrialSamplesInTrialOrderAcrossThreadCounts) {
   ASSERT_GT(expected.at("sparse").size(), 0u);
   ASSERT_LT(expected.at("sparse").size(), static_cast<std::size_t>(trials));
 
-  const auto body = [](std::uint64_t seed, EngineWorkspace&,
-                       TrialRecorder& rec) {
+  const auto body = [](std::uint64_t seed, TrialRecorder& rec) {
     for (const auto& [name, value] : legacyBody(seed)) {
       rec.set(name, value);
     }

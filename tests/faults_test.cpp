@@ -672,7 +672,7 @@ TEST(ResilientFlood, SurvivesTenPercentDropAtN64) {
   const sim::NodeId n = 64;
   const sim::TrialSummary summary = sim::BatchRunner().run(
       30, /*base_seed=*/0xF100D,
-      [&](std::uint64_t seed, sim::EngineWorkspace&, sim::TrialRecorder& rec) {
+      [&](std::uint64_t seed, sim::TrialRecorder& rec) {
         proto::ResilientFloodConfig config;
         proto::ResilientFloodFactory factory(config);
         std::vector<std::unique_ptr<sim::Process>> processes;
@@ -709,7 +709,7 @@ TEST(ResilientFlood, SurvivesCrashesDropsAndCorruption) {
   const sim::NodeId n = 32;
   const sim::TrialSummary summary = sim::BatchRunner().run(
       10, /*base_seed=*/0xC4A5,
-      [&](std::uint64_t seed, sim::EngineWorkspace&, sim::TrialRecorder& rec) {
+      [&](std::uint64_t seed, sim::TrialRecorder& rec) {
         proto::ResilientFloodConfig config;
         proto::ResilientFloodFactory factory(config);
         std::vector<std::unique_ptr<sim::Process>> processes;

@@ -8,8 +8,8 @@
 #include <set>
 #include <vector>
 
-#include "adversary/dynamic_adversaries.h"
 #include "adversary/static_adversaries.h"
+#include "campaign/shard_exec.h"
 #include "net/diameter.h"
 #include "protocols/consensus_via_leader.h"
 #include "protocols/leader_unknown_d.h"
@@ -32,25 +32,10 @@ LeaderConfig baseConfig(NodeId n, double estimate_skew = 1.0) {
 
 std::unique_ptr<sim::Adversary> makeAdversary(const std::string& name, NodeId n,
                                               std::uint64_t seed) {
-  if (name == "static_path") {
-    return std::make_unique<adv::StaticAdversary>(net::makePath(n));
-  }
-  if (name == "static_star") {
-    return std::make_unique<adv::StaticAdversary>(net::makeStar(n));
-  }
-  if (name == "static_ring") {
-    return std::make_unique<adv::StaticAdversary>(net::makeRing(n));
-  }
-  if (name == "random_tree") {
-    return std::make_unique<adv::RandomTreeAdversary>(n, seed);
-  }
-  if (name == "rotating_star") {
-    return std::make_unique<adv::RotatingStarAdversary>(n);
-  }
-  if (name == "shuffle_path") {
-    return std::make_unique<adv::ShufflePathAdversary>(n, seed);
-  }
-  return std::make_unique<adv::IntervalAdversary>(n, 8, seed);
+  campaign::ShardConfig shard;
+  shard.adversary = name;
+  shard.n = n;
+  return campaign::makeAdversary(shard, seed);
 }
 
 TEST(LeaderSchedule, StagesPartitionPhases) {

@@ -5,8 +5,7 @@
 
 #include <memory>
 
-#include "adversary/dynamic_adversaries.h"
-#include "adversary/static_adversaries.h"
+#include "campaign/shard_exec.h"
 #include "net/diameter.h"
 #include "protocols/cflood.h"
 #include "protocols/consensus_known_d.h"
@@ -16,6 +15,8 @@
 #include "util/stats.h"
 #include "protocols/max_flood.h"
 #include "sim/engine.h"
+#include "sim/soa.h"
+#include "util/check.h"
 
 namespace dynet::proto {
 namespace {
@@ -25,25 +26,10 @@ using sim::Round;
 
 std::unique_ptr<sim::Adversary> makeAdversary(const std::string& name, NodeId n,
                                               std::uint64_t seed) {
-  if (name == "static_path") {
-    return std::make_unique<adv::StaticAdversary>(net::makePath(n));
-  }
-  if (name == "static_star") {
-    return std::make_unique<adv::StaticAdversary>(net::makeStar(n));
-  }
-  if (name == "static_ring") {
-    return std::make_unique<adv::StaticAdversary>(net::makeRing(n));
-  }
-  if (name == "random_tree") {
-    return std::make_unique<adv::RandomTreeAdversary>(n, seed);
-  }
-  if (name == "rotating_star") {
-    return std::make_unique<adv::RotatingStarAdversary>(n);
-  }
-  if (name == "shuffle_path") {
-    return std::make_unique<adv::ShufflePathAdversary>(n, seed);
-  }
-  return std::make_unique<adv::IntervalAdversary>(n, 8, seed);
+  campaign::ShardConfig shard;
+  shard.adversary = name;
+  shard.n = n;
+  return campaign::makeAdversary(shard, seed);
 }
 
 sim::Engine makeEngine(const sim::ProcessFactory& factory,
@@ -116,6 +102,29 @@ TEST(Flood, TokenRoundZeroAtSourceMinusOneElsewhereInitially) {
   EXPECT_EQ(static_cast<FloodProcess*>(p0.get())->tokenRound(), -1);
   EXPECT_EQ(static_cast<FloodProcess*>(p2.get())->tokenRound(), 0);
   EXPECT_TRUE(static_cast<FloodProcess*>(p2.get())->hasToken());
+}
+
+// A source outside [0, n) is rejected by create() and createSoA() alike,
+// so the object path, the SoA path and CFLOOD all throw instead of
+// running without a token holder (or writing past the SoA columns).
+TEST(Flood, SourceOutsideNodeRangeThrowsOnBothPaths) {
+  const NodeId n = 4;
+  const auto build = [&](const sim::ProcessFactory& factory, bool soa) {
+    sim::EngineConfig config;
+    config.soa_state = soa;
+    sim::Engine engine(factory, makeAdversary("static_path", n, 1), config, 1);
+  };
+  for (const NodeId source : {NodeId{-1}, n, NodeId{64}}) {
+    const FloodFactory flood(source, 1, 2, FloodMode::kDeterministic, 0);
+    const CFloodFactory cflood(source, 1, 2, FloodMode::kDeterministic, 3);
+    for (const bool soa : {false, true}) {
+      EXPECT_THROW(build(flood, soa), util::CheckError)
+          << "source=" << source << " soa=" << soa;
+      EXPECT_THROW(build(cflood, soa), util::CheckError)
+          << "cflood source=" << source << " soa=" << soa;
+    }
+    EXPECT_THROW(flood.createSoA(n), util::CheckError) << "source=" << source;
+  }
 }
 
 // --- CFLOOD ---

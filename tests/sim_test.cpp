@@ -449,7 +449,7 @@ TEST(Engine, PerNodeBitAccounting) {
 
 TEST(Runner, AggregatesMetrics) {
   const TrialSummary summary = BatchRunner().run(
-      16, 99, [](std::uint64_t seed, EngineWorkspace&, TrialRecorder& rec) {
+      16, 99, [](std::uint64_t seed, TrialRecorder& rec) {
         rec.set("seedmod", static_cast<double>(seed % 7));
         rec.set("one", 1.0);
       });
@@ -460,7 +460,7 @@ TEST(Runner, AggregatesMetrics) {
 
 TEST(Runner, DistinctSeedsPerTrial) {
   const TrialSummary summary = BatchRunner().run(
-      32, 5, [](std::uint64_t seed, EngineWorkspace&, TrialRecorder& rec) {
+      32, 5, [](std::uint64_t seed, TrialRecorder& rec) {
         rec.set("low32", static_cast<double>(seed & 0xffffffffu));
       });
   EXPECT_GT(summary.metrics.at("low32").stddev(), 0.0);

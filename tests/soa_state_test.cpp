@@ -10,9 +10,9 @@
 //     end-of-run equality (a transient divergence that happens to
 //     re-converge would still fail here);
 //   * crash masks: the same lockstep under crash + restart fault plans,
-//     so FaultPhase's liveness bookkeeping (including SoAModel::resetNode
+//     so faultPhase's liveness bookkeeping (including SoAModel::resetNode
 //     on restart) is compared round by round, plus full fault accounting;
-//   * fast paths: the no-liveness-fault FaultPhase skip (zero plans and
+//   * fast paths: the no-liveness-fault faultPhase skip (zero plans and
 //     drop/corrupt-only plans) and the strided node_threads worker loop
 //     must be byte-identical to their general/serial counterparts — the
 //     strided case is the designated TSan target (.github/workflows/ci.yml
@@ -245,7 +245,7 @@ TEST(SoAState, CrashMasksConsistentUnderFaultPlans) {
   runLockstep(s);
 }
 
-// Satellite pin: FaultPhase skips the per-trial liveness-mask re-init when
+// Satellite pin: faultPhase skips the per-trial liveness-mask re-init when
 // the plan cannot affect liveness.  A zero plan and a drop/corrupt-only
 // plan must both stay byte-identical to the general path — and the zero
 // plan must match a run with no injector at all.

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -312,6 +313,41 @@ TEST(Cli, ParsesForms) {
   EXPECT_TRUE(cli.flag("gamma"));
   EXPECT_EQ(cli.integer("missing", 7), 7);
   cli.rejectUnknown();
+}
+
+/// Parses `--name=value` and returns what Cli::integer makes of it.
+std::int64_t cliInteger(const std::string& value) {
+  const std::string arg = "--nodes=" + value;
+  const char* argv[] = {"prog", arg.c_str()};
+  return Cli(2, const_cast<char**>(argv)).integer("nodes", 0);
+}
+
+double cliReal(const std::string& value) {
+  const std::string arg = "--p=" + value;
+  const char* argv[] = {"prog", arg.c_str()};
+  return Cli(2, const_cast<char**>(argv)).real("p", 0);
+}
+
+TEST(Cli, IntegerRejectsTrailingGarbageNamingFlagAndValue) {
+  for (const std::string bad : {"8x", "1e3", "abc", ""}) {
+    try {
+      cliInteger(bad);
+      FAIL() << "expected CheckError for '" << bad << "'";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--nodes"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + bad + "'"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Cli, IntegerAcceptsNegativeValues) { EXPECT_EQ(cliInteger("-5"), -5); }
+
+TEST(Cli, RealAcceptsDecimalAndExponentForms) {
+  EXPECT_DOUBLE_EQ(cliReal("0.25"), 0.25);
+  EXPECT_DOUBLE_EQ(cliReal("1e-3"), 1e-3);
+  EXPECT_THROW(cliReal("0.25x"), CheckError);
+  EXPECT_THROW(cliReal(""), CheckError);
 }
 
 TEST(Cli, UnknownFlagRejected) {
