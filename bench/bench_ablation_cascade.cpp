@@ -61,17 +61,13 @@ Probe probeLambda(const cc::Instance& inst, CascadeMode mode,
   LambdaNet net(inst, 0, mode);
   const Round horizon = (inst.q - 1) / 2;
   proto::RandomBabblerFactory factory(16);
-  std::vector<std::unique_ptr<sim::Process>> ps;
-  for (sim::NodeId v = 0; v < net.numNodes(); ++v) {
-    ps.push_back(factory.create(v, net.numNodes()));
-  }
   sim::EngineConfig config;
   config.max_rounds = 3 * inst.q;
   config.record_topologies = true;
   config.record_actions = true;
   config.stop_when_all_done = false;
-  sim::Engine engine(std::move(ps), std::make_unique<LambdaOnlyAdversary>(net),
-                     config, seed);
+  sim::Engine engine(sim::createProcesses(factory, net.numNodes()),
+                     std::make_unique<LambdaOnlyAdversary>(net), config, seed);
   engine.run();
 
   Probe probe;

@@ -39,14 +39,10 @@ Outcome runCase(const std::string& adv_name, NodeId n, bool skip_precount,
     config.k = 64;
     config.skip_precount = skip_precount;
     proto::LeaderElectFactory factory(config, util::hashCombine(seed, 71));
-    std::vector<std::unique_ptr<sim::Process>> ps;
-    for (NodeId v = 0; v < n; ++v) {
-      ps.push_back(factory.create(v, n));
-    }
     sim::EngineConfig engine_config;
     engine_config.max_rounds = 20'000'000;
-    sim::Engine engine(std::move(ps), makeAdversary(adv_name, n, seed),
-                       engine_config, seed);
+    sim::Engine engine(sim::createProcesses(factory, n),
+                       makeAdversary(adv_name, n, seed), engine_config, seed);
     const auto result = engine.run();
     double locks = 0;
     double unlocks = 0;

@@ -57,10 +57,6 @@ int run(int argc, char** argv) {
 
       // Realized diameter of the composed network over the horizon (the
       // DISJ=0 case cannot finish within it: report horizon+ as a floor).
-      std::vector<std::unique_ptr<sim::Process>> ps;
-      for (sim::NodeId v = 0; v < network.numNodes(); ++v) {
-        ps.push_back(oracle.create(v, network.numNodes()));
-      }
       sim::EngineConfig config;
       config.max_rounds = network.horizon();
       config.record_topologies = true;
@@ -77,8 +73,8 @@ int run(int argc, char** argv) {
               party == lb::Party::kAlice ? "lb/alice/" : "lb/bob/");
         }
       }
-      sim::Engine probe(std::move(ps), network.referenceAdversary(), config,
-                        rng.u64());
+      sim::Engine probe(sim::createProcesses(oracle, network.numNodes()),
+                        network.referenceAdversary(), config, rng.u64());
       probe.run();
       const int ecc = net::causalEccentricity(probe.topologies(),
                                               network.source(), 0);

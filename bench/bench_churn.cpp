@@ -53,13 +53,10 @@ ChurnPoint measure(NodeId n, const MakeAdv& make, std::uint64_t seed) {
   // Known-D leader election on the same adversary family.
   proto::LeaderKnownDFactory factory(point.diameter);
   const Round budget = proto::knownDRounds(point.diameter, n) + 1;
-  std::vector<std::unique_ptr<sim::Process>> ps;
-  for (NodeId v = 0; v < n; ++v) {
-    ps.push_back(factory.create(v, n));
-  }
   sim::EngineConfig config;
   config.max_rounds = budget;
-  sim::Engine engine(std::move(ps), make(seed + 1), config, seed + 1);
+  sim::Engine engine(sim::createProcesses(factory, n), make(seed + 1), config,
+                     seed + 1);
   const auto result = engine.run();
   point.rounds = result.all_done_round;
   point.flooding_rounds = point.rounds / point.diameter;

@@ -115,16 +115,14 @@ class ObsSession {
   std::unique_ptr<obs::ProfScope> prof_;
 };
 
-/// Builds an engine over `factory` and the named adversary.  `config`
-/// carries the hot-path toggles (`topology_deltas`, `soa_state`) so A/B
-/// benches can pin one leg to the reference path (rebuild-every-round,
-/// per-node objects); its max_rounds and record_topologies are overwritten
-/// from the arguments.  All paths produce byte-identical results.
+/// Builds an engine over `factory` and `adversary` (the factory form: the
+/// engine picks the SoA or object path itself).  Benches that read Process
+/// members build through sim::createProcesses instead.
 inline sim::Engine makeEngine(const sim::ProcessFactory& factory,
                               std::unique_ptr<sim::Adversary> adversary,
                               sim::Round max_rounds, std::uint64_t seed,
-                              bool record = false,
-                              sim::EngineConfig config = {}) {
+                              bool record = false) {
+  sim::EngineConfig config;
   config.max_rounds = max_rounds;
   config.record_topologies = record;
   return sim::Engine(factory, std::move(adversary), config, seed);

@@ -57,16 +57,12 @@ int run(int argc, char** argv) {
       // Λ's A (only meaningful when Υ exists).
       std::string insulation = "n/a";
       if (network.hasUpsilon()) {
-        std::vector<std::unique_ptr<sim::Process>> ps;
-        for (sim::NodeId v = 0; v < network.numNodes(); ++v) {
-          ps.push_back(oracle.create(v, network.numNodes()));
-        }
         sim::EngineConfig config;
         config.max_rounds = 2 * network.horizon() + 8;
         config.record_topologies = true;
         config.stop_when_all_done = false;
-        sim::Engine probe(std::move(ps), network.referenceAdversary(), config,
-                          rng.u64());
+        sim::Engine probe(sim::createProcesses(oracle, network.numNodes()),
+                          network.referenceAdversary(), config, rng.u64());
         probe.run();
         int first = -1;
         for (Round budget = 1; budget <= config.max_rounds; ++budget) {

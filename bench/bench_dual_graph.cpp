@@ -72,15 +72,11 @@ int run(int argc, char** argv) {
     if (c.policy == DualGraphPolicy::kFlaky) {
       // Run a probe with the actual protocol recording topologies.
       proto::LeaderKnownDFactory probe_factory(n);  // budget irrelevant here
-      std::vector<std::unique_ptr<sim::Process>> ps;
-      for (NodeId v = 0; v < n; ++v) {
-        ps.push_back(probe_factory.create(v, n));
-      }
       sim::EngineConfig config;
       config.max_rounds = 3 * n;
       config.record_topologies = true;
       config.stop_when_all_done = false;
-      sim::Engine engine(std::move(ps),
+      sim::Engine engine(sim::createProcesses(probe_factory, n),
                          adv::makeRingWithChords(n, c.policy, c.p, 7), config,
                          7);
       engine.run();
@@ -94,14 +90,10 @@ int run(int argc, char** argv) {
     }
     proto::LeaderKnownDFactory factory(diameter);
     const Round budget = proto::knownDRounds(diameter, n) + 1;
-    std::vector<std::unique_ptr<sim::Process>> ps;
-    for (NodeId v = 0; v < n; ++v) {
-      ps.push_back(factory.create(v, n));
-    }
     sim::EngineConfig config;
     config.max_rounds = budget;
-    sim::Engine engine(std::move(ps), adv::makeRingWithChords(n, c.policy, c.p, 8),
-                       config, 8);
+    sim::Engine engine(sim::createProcesses(factory, n),
+                       adv::makeRingWithChords(n, c.policy, c.p, 8), config, 8);
     const auto result = engine.run();
     bool ok = result.all_done;
     for (NodeId v = 0; v < n && ok; ++v) {

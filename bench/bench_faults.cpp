@@ -49,13 +49,9 @@ FloodCell runFloodCell(NodeId n, double edge_p, double drop, double corrupt,
   const auto trial = [&](std::uint64_t seed, sim::TrialRecorder& rec) {
     proto::ResilientFloodConfig config;
     proto::ResilientFloodFactory factory(config);
-    std::vector<std::unique_ptr<sim::Process>> ps;
-    for (NodeId v = 0; v < n; ++v) {
-      ps.push_back(factory.create(v, n));
-    }
     sim::EngineConfig engine_config;
     engine_config.max_rounds = 5000;
-    sim::Engine engine(std::move(ps),
+    sim::Engine engine(sim::createProcesses(factory, n),
                        std::make_unique<adv::RandomGraphAdversary>(
                            n, edge_p, util::hashCombine(seed, 1)),
                        engine_config, seed);
@@ -112,13 +108,9 @@ void printDeterministicBaseline(NodeId n, double edge_p, int trials,
   const auto trial = [&](std::uint64_t seed, sim::TrialRecorder& rec) {
     proto::FloodFactory factory(0, 0x5a, 8, proto::FloodMode::kDeterministic,
                                 /*halt_round=*/n);
-    std::vector<std::unique_ptr<sim::Process>> ps;
-    for (NodeId v = 0; v < n; ++v) {
-      ps.push_back(factory.create(v, n));
-    }
     sim::EngineConfig engine_config;
     engine_config.max_rounds = n;
-    sim::Engine engine(std::move(ps),
+    sim::Engine engine(sim::createProcesses(factory, n),
                        std::make_unique<adv::RandomGraphAdversary>(
                            n, edge_p, util::hashCombine(seed, 1)),
                        engine_config, seed);
@@ -229,14 +221,10 @@ void leaderSweep(NodeId n, const std::vector<double>& drops,
 /// retransmission metrics.
 void instrumentedRun(bench::ObsSession& obs, NodeId n, std::uint64_t seed) {
   proto::ResilientFloodFactory factory{proto::ResilientFloodConfig{}};
-  std::vector<std::unique_ptr<sim::Process>> ps;
-  for (NodeId v = 0; v < n; ++v) {
-    ps.push_back(factory.create(v, n));
-  }
   sim::EngineConfig engine_config;
   engine_config.max_rounds = 5000;
   engine_config.metrics = obs.sink();
-  sim::Engine engine(std::move(ps),
+  sim::Engine engine(sim::createProcesses(factory, n),
                      std::make_unique<adv::RandomGraphAdversary>(
                          n, 0.25, util::hashCombine(seed, 1)),
                      engine_config, seed);

@@ -49,14 +49,11 @@ double unknownDFloodingRounds(NodeId n, int diameter, int trials,
     config.c = 0.25;
     config.k = 64;
     proto::LeaderElectFactory factory(config, util::hashCombine(seed, 3));
-    std::vector<std::unique_ptr<sim::Process>> ps;
-    for (NodeId v = 0; v < n; ++v) {
-      ps.push_back(factory.create(v, n));
-    }
     sim::EngineConfig engine_config;
     engine_config.max_rounds = 30'000'000;
-    sim::Engine engine(std::move(ps), makeAdversary("anchored_star", n, seed),
-                       engine_config, seed);
+    sim::Engine engine(sim::createProcesses(factory, n),
+                       makeAdversary("anchored_star", n, seed), engine_config,
+                       seed);
     const auto result = engine.run();
     rec.set("rounds", static_cast<double>(result.all_done_round));
   };

@@ -17,7 +17,6 @@ namespace dynet {
 namespace {
 
 using bench::makeAdversary;
-using bench::makeEngine;
 using sim::NodeId;
 using sim::Round;
 
@@ -43,11 +42,10 @@ int run(int argc, char** argv) {
         const auto trial = [&](std::uint64_t seed, sim::TrialRecorder& rec) {
           proto::GossipFactory factory(k, budget_d);
           // Object path: the loop below introspects GossipProcess members.
-          sim::EngineConfig objects;
-          objects.soa_state = false;
-          auto engine = makeEngine(factory, makeAdversary(adv_name, n, seed),
-                                   budget_d + 1, seed, /*record=*/false,
-                                   objects);
+          sim::EngineConfig config;
+          config.max_rounds = budget_d + 1;
+          sim::Engine engine(sim::createProcesses(factory, n),
+                             makeAdversary(adv_name, n, seed), config, seed);
           engine.run();
           Round completed = -1;
           bool all = true;

@@ -87,11 +87,10 @@ Row runProblem(const std::string& problem, const std::string& adv_name,
                                      proto::knownDRounds(diameter, n));
       const Round budget = proto::knownDRounds(diameter, n) + 1;
       // Object path: the loop below introspects MaxFloodProcess members.
-      sim::EngineConfig objects;
-      objects.soa_state = false;
-      auto engine =
-          makeEngine(factory, makeAdversary(adv_name, n, seed), budget, seed,
-                     /*record=*/false, objects);
+      sim::EngineConfig config;
+      config.max_rounds = budget;
+      sim::Engine engine(sim::createProcesses(factory, n),
+                         makeAdversary(adv_name, n, seed), config, seed);
       const auto result = engine.run();
       rec.set("rounds", result.all_done_round);
       bool ok = result.all_done;

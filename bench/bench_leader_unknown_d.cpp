@@ -31,14 +31,10 @@ Outcome runCase(const std::string& adv_name, NodeId n,
                 std::uint64_t base_seed, int diameter) {
   const auto trial = [&](std::uint64_t seed, sim::TrialRecorder& rec) {
     proto::LeaderElectFactory factory(config, util::hashCombine(seed, 17));
-    std::vector<std::unique_ptr<sim::Process>> ps;
-    for (NodeId v = 0; v < n; ++v) {
-      ps.push_back(factory.create(v, n));
-    }
     sim::EngineConfig engine_config;
     engine_config.max_rounds = 20'000'000;
-    sim::Engine engine(std::move(ps), makeAdversary(adv_name, n, seed),
-                       engine_config, seed);
+    sim::Engine engine(sim::createProcesses(factory, n),
+                       makeAdversary(adv_name, n, seed), engine_config, seed);
     const auto result = engine.run();
     bool ok = result.all_done;
     int declared = -1;
@@ -75,14 +71,10 @@ void instrumentedRun(bench::ObsSession& obs, NodeId n, int trials_seed) {
   config.c = 0.25;
   config.k = 64;
   proto::LeaderElectFactory factory(config, util::hashCombine(trials_seed, 17));
-  std::vector<std::unique_ptr<sim::Process>> ps;
-  for (NodeId v = 0; v < n; ++v) {
-    ps.push_back(factory.create(v, n));
-  }
   sim::EngineConfig engine_config;
   engine_config.max_rounds = 20'000'000;
   engine_config.metrics = obs.sink();
-  sim::Engine engine(std::move(ps),
+  sim::Engine engine(sim::createProcesses(factory, n),
                      bench::makeAdversary("random_tree", n, trials_seed),
                      engine_config, static_cast<std::uint64_t>(trials_seed));
   engine.run();

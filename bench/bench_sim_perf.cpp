@@ -14,11 +14,13 @@
 //                        topology deltas, trials fanned out over the
 //                        shared pool).  Both legs build a fresh Engine per
 //                        seed.
-//   delta-vs-rebuild     EdgeChurn workload, only
-//                        EngineConfig::topology_deltas differs.
-//   soa-vs-objects       single-core BatchRunner vs BatchRunner, only
-//                        EngineConfig::soa_state differs — per-node Process
-//                        objects vs the flat column store (sim/soa.h).
+//   delta-vs-rebuild     EdgeChurn workload, only the topology path
+//                        differs: the adversary itself vs the same adversary
+//                        wrapped in sim::RebuildEveryRound.
+//   soa-vs-objects       single-core BatchRunner vs BatchRunner, only the
+//                        state representation differs — per-node Process
+//                        objects (sim::createProcesses) vs the flat column
+//                        store (sim/soa.h).
 //
 // Every mode verifies the two legs agree metric for metric (exact summary
 // equality) before reporting — a mismatch means the new hot path changed
@@ -130,17 +132,22 @@ double nowSeconds() {
 /// Θ(N)-causal-diameter adversary, so runs go the full horizon).  The
 /// caller supplies the adversary so the two runners can differ in *how*
 /// the topologies are produced while the topology values stay identical,
-/// and the engine toggles in `config` so the legs can differ in *how*
-/// rounds execute while the results stay identical.
+/// and `objects` pins the per-node Process path so the legs can differ in
+/// *how* rounds execute while the results stay identical.
 sim::RunResult runWorkloadTrial(sim::NodeId n, sim::Round rounds,
                                 std::uint64_t seed,
                                 std::unique_ptr<sim::Adversary> adversary,
-                                const sim::EngineConfig& config = {}) {
+                                bool objects = false) {
   std::vector<std::uint64_t> values(static_cast<std::size_t>(n), 1);
   proto::MaxFloodFactory factory(values, 8, 1 << 20);
-  auto engine = bench::makeEngine(factory, std::move(adversary), rounds, seed,
-                                  /*record=*/false, config);
-  return engine.run();
+  if (objects) {
+    sim::EngineConfig config;
+    config.max_rounds = rounds;
+    return sim::Engine(sim::createProcesses(factory, n), std::move(adversary),
+                       config, seed)
+        .run();
+  }
+  return bench::makeEngine(factory, std::move(adversary), rounds, seed).run();
 }
 
 /// One full period of the rotating star's topology sequence, built once.
@@ -220,14 +227,13 @@ CompareResult compareBatchVsSequential(sim::NodeId n, int trials,
     // Baseline: the pre-BatchRunner shape — one thread, a fresh Engine per
     // trial, per-round topology construction, and a fresh metric map per
     // trial, merged map-by-map.
-    sim::EngineConfig rebuild;
-    rebuild.topology_deltas = false;
     const double seq_start = nowSeconds();
     std::map<std::string, util::Summary> seq;
     for (int i = 0; i < trials; ++i) {
       const sim::RunResult r = runWorkloadTrial(
           n, rounds, util::hashCombine(base_seed, static_cast<std::size_t>(i)),
-          bench::makeAdversary("rotating_star", n, 42), rebuild);
+          std::make_unique<sim::RebuildEveryRound>(
+              bench::makeAdversary("rotating_star", n, 42)));
       for (const auto& [name, value] : trialMetrics(r)) {
         seq[name].add(value);
       }
@@ -323,13 +329,13 @@ CompareResult compareDeltaVsRebuild(sim::NodeId n, int trials,
   return compareToggle(
       n, trials, rounds, base_seed, "delta-vs-rebuild",
       [&](std::uint64_t seed, int leg) {
-        sim::EngineConfig config;
-        config.topology_deltas = leg == 1;
-        return runWorkloadTrial(
-            n, rounds, seed,
+        std::unique_ptr<sim::Adversary> churn =
             std::make_unique<adv::EdgeChurnAdversary>(n, /*churn_edges=*/4,
-                                                      /*seed=*/42),
-            config);
+                                                      /*seed=*/42);
+        if (leg == 0) {
+          churn = std::make_unique<sim::RebuildEveryRound>(std::move(churn));
+        }
+        return runWorkloadTrial(n, rounds, seed, std::move(churn));
       });
 }
 
@@ -346,11 +352,9 @@ CompareResult compareSoAVsObjects(sim::NodeId n, int trials, sim::Round rounds,
   return compareToggle(
       n, trials, rounds, base_seed, "soa-vs-objects",
       [&](std::uint64_t seed, int leg) {
-        sim::EngineConfig config;
-        config.soa_state = leg == 1;
         return runWorkloadTrial(n, rounds, seed,
                                 std::make_unique<adv::PeriodicAdversary>(stars),
-                                config);
+                                /*objects=*/leg == 0);
       },
       options);
 }

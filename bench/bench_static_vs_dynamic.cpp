@@ -72,13 +72,9 @@ int run(int argc, char** argv) {
       proto::DiameterEstimateConfig config;
       config.n = n;
       proto::DiameterEstimateFactory factory(config, 5);
-      std::vector<std::unique_ptr<sim::Process>> ps;
-      for (NodeId v = 0; v < n; ++v) {
-        ps.push_back(factory.create(v, n));
-      }
       sim::EngineConfig engine_config;
       engine_config.max_rounds = 10'000'000;
-      sim::Engine engine(std::move(ps),
+      sim::Engine engine(sim::createProcesses(factory, n),
                          std::make_unique<adv::StaticAdversary>(c.graph),
                          engine_config, 5);
       const auto result = engine.run();
@@ -112,13 +108,9 @@ int run(int argc, char** argv) {
       proto::DiameterEstimateConfig config;
       config.n = n;
       proto::DiameterEstimateFactory factory(config, 7);
-      std::vector<std::unique_ptr<sim::Process>> ps;
-      for (NodeId v = 0; v < n; ++v) {
-        ps.push_back(factory.create(v, n));
-      }
       sim::EngineConfig engine_config;
       engine_config.max_rounds = 1'000'000;
-      sim::Engine probe(std::move(ps),
+      sim::Engine probe(sim::createProcesses(factory, n),
                         std::make_unique<adv::StaticAdversary>(net::makeClique(n)),
                         engine_config, 7);
       probe.run();
@@ -134,13 +126,9 @@ int run(int argc, char** argv) {
       //    wrongly.
       proto::CFloodFactory cflood(0, 0x2a, 8, proto::FloodMode::kDeterministic,
                                   static_cast<Round>(dhat));
-      std::vector<std::unique_ptr<sim::Process>> cps;
-      for (NodeId v = 0; v < n; ++v) {
-        cps.push_back(cflood.create(v, n));
-      }
       sim::EngineConfig cconfig;
       cconfig.max_rounds = static_cast<Round>(dhat) + 1;
-      sim::Engine confirm(std::move(cps),
+      sim::Engine confirm(sim::createProcesses(cflood, n),
                           std::make_unique<BaitAndSwitchAdversary>(n, 1),
                           cconfig, 9);
       confirm.run();

@@ -56,16 +56,18 @@ struct ReplayDigest {
 
 ReplayDigest replay(std::shared_ptr<const dataset::CompiledTrace> trace,
                     sim::Round max_rounds, std::uint64_t seed,
-                    bool topology_deltas) {
+                    bool deltas) {
   const proto::FloodFactory factory(0, 0x2a, 8, proto::FloodMode::kDeterministic,
                                     0);
   adv::TraceReplayOptions options;  // wrap + spine defaults
+  std::unique_ptr<sim::Adversary> adversary =
+      std::make_unique<adv::TraceAdversary>(trace, options);
+  if (!deltas) {
+    adversary = std::make_unique<sim::RebuildEveryRound>(std::move(adversary));
+  }
   sim::EngineConfig config;
   config.max_rounds = max_rounds;
-  config.topology_deltas = topology_deltas;
-  sim::Engine engine(factory,
-                     std::make_unique<adv::TraceAdversary>(trace, options),
-                     config, seed);
+  sim::Engine engine(factory, std::move(adversary), config, seed);
   const sim::RunResult& r = engine.run();
   ReplayDigest out;
   out.rounds = r.rounds_executed;
@@ -146,13 +148,13 @@ int run(int argc, char** argv) {
   // Replay equality: text vs cache, across both topology paths.
   const sim::Round max_rounds = 4 * static_cast<sim::Round>(n) + 64;
   const ReplayDigest text_fast =
-      replay(from_text, max_rounds, seed, /*topology_deltas=*/true);
+      replay(from_text, max_rounds, seed, /*deltas=*/true);
   const ReplayDigest cache_fast =
-      replay(from_cache, max_rounds, seed, /*topology_deltas=*/true);
+      replay(from_cache, max_rounds, seed, /*deltas=*/true);
   const ReplayDigest text_rebuild =
-      replay(from_text, max_rounds, seed, /*topology_deltas=*/false);
+      replay(from_text, max_rounds, seed, /*deltas=*/false);
   const ReplayDigest cache_rebuild =
-      replay(from_cache, max_rounds, seed, /*topology_deltas=*/false);
+      replay(from_cache, max_rounds, seed, /*deltas=*/false);
   DYNET_CHECK(text_fast == cache_fast)
       << "cache replay diverged from text replay (delta path)";
   DYNET_CHECK(text_rebuild == cache_rebuild)

@@ -81,6 +81,9 @@ grep -Eq '^\| +soa//active +\|.*\(differs: expected\)' \
   exit 1
 }
 
+echo "=== hostile-input smoke (located errors, exit 1, no signal) ==="
+bash scripts/hostile_inputs.sh build
+
 echo "=== dataset smoke (gen -> info -> compile -> byte-identical -> replay) ==="
 ds_dir="$(mktemp -d)"
 python3 scripts/gen_trace.py --nodes 24 --rounds 120 --seed 11 \

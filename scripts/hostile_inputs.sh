@@ -1,0 +1,39 @@
+#!/usr/bin/env bash
+# Hostile-input smoke: each tool must reject a hostile input with a located
+# error and exit status 1, never die by a signal or an uncaught exception.
+#
+#   bash scripts/hostile_inputs.sh [BUILD_DIR]    (default: build)
+#
+#   * 20,000 nested '[' to dynet_stats --in (the JSON nesting cap);
+#   * a campaign spec with "nodes": [1e10] to dynet_cli --campaign (range
+#     checks before a JSON number becomes an int);
+#   * a dynet-trace v1 file whose payload word is "zz" to trace_to_dot --in
+#     (whole-field trace parsing).
+#
+# The inputs live in a temp dir that is removed on exit.
+set -euo pipefail
+build="${1:-build}"
+dir="$(mktemp -d)"
+trap 'rm -rf "$dir"' EXIT
+
+head -c 20000 /dev/zero | tr '\0' '[' > "$dir/deep.json"
+cat > "$dir/nodes.json" <<'SPEC'
+{"protocols": ["flood"], "adversaries": ["static_path"], "nodes": [1e10],
+ "seeds": {"count": 1}}
+SPEC
+printf 'dynet-trace v1\nn 2\nr 1\ne 0 1\ns 0 8 zz\n' > "$dir/bad.trace"
+
+expect_exit_1() {
+  local status=0
+  "$@" > "$dir/out.txt" 2>&1 || status=$?
+  if [[ $status -ne 1 ]]; then
+    echo "hostile input: '$*' exited $status, expected 1" >&2
+    cat "$dir/out.txt" >&2
+    exit 1
+  fi
+  echo "rejected (exit 1): $(tail -n 1 "$dir/out.txt")"
+}
+expect_exit_1 "$build/tools/dynet_stats" --in "$dir/deep.json"
+expect_exit_1 "$build/tools/dynet_cli" --campaign "$dir/nodes.json" \
+  --checkpoint "$dir/checkpoint"
+expect_exit_1 "$build/tools/trace_to_dot" --in "$dir/bad.trace"

@@ -1,6 +1,7 @@
 #include "campaign/shard_exec.h"
 
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -251,7 +252,8 @@ ShardResult ShardResult::parseJson(const std::string& text) {
       << "not a shard result";
   ShardResult result;
   result.hash = root.at("hash").str();
-  result.trials = static_cast<int>(root.at("trials").number());
+  result.trials = static_cast<int>(integerField(
+      root.at("trials"), "trials", 0, std::numeric_limits<int>::max()));
   for (const auto& [name, samples] : root.at("metrics").members()) {
     std::vector<double>& values = result.metrics[name];
     for (const obs::Json& v : samples.items()) {

@@ -1,7 +1,10 @@
 #include "campaign/spec.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "campaign/shard_exec.h"
@@ -47,6 +50,20 @@ double numberOr(const obs::Json& json, const std::string& key, double def) {
   return json.has(key) ? json.at(key).number() : def;
 }
 
+constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+/// Largest seed base a JSON number carries exactly.
+constexpr std::int64_t kSeedMax = std::int64_t{1} << 53;
+
+/// integerField of json[key] narrowed to int, or `def` when the key is
+/// absent.
+int intOr(const obs::Json& json, const std::string& key, int def,
+          std::int64_t lo = kIntMin, std::int64_t hi = kIntMax) {
+  return json.has(key)
+             ? static_cast<int>(integerField(json.at(key), key, lo, hi))
+             : def;
+}
+
 std::string stringOr(const obs::Json& json, const std::string& key,
                      const std::string& def) {
   return json.has(key) ? json.at(key).str() : def;
@@ -65,11 +82,9 @@ ShardFault parseFault(const obs::Json& json) {
   ShardFault f;
   f.name = stringOr(json, "name", "none");
   f.config.crash_fraction = numberOr(json, "crash_fraction", 0);
-  f.config.crash_window =
-      static_cast<sim::Round>(numberOr(json, "crash_window", 64));
+  f.config.crash_window = intOr(json, "crash_window", 64, 0);
   f.config.restart = boolOr(json, "restart", false);
-  f.config.restart_downtime =
-      static_cast<sim::Round>(numberOr(json, "restart_downtime", 32));
+  f.config.restart_downtime = intOr(json, "restart_downtime", 32, 0);
   f.config.drop_prob = numberOr(json, "drop_prob", 0);
   f.config.corrupt_prob = numberOr(json, "corrupt_prob", 0);
   f.config.deliver_corrupted = boolOr(json, "deliver_corrupted", false);
@@ -113,6 +128,22 @@ void validateZooNames(const std::vector<std::string>& names,
 }
 
 }  // namespace
+
+std::int64_t integerField(const obs::Json& value, const std::string& key,
+                          std::int64_t lo, std::int64_t hi) {
+  const double v = value.number();
+  if (std::isfinite(v) && v == std::floor(v) &&
+      v >= static_cast<double>(lo) && v <= static_cast<double>(hi)) {
+    return static_cast<std::int64_t>(v);
+  }
+  char text[32];  // shortest round-trip form: "1e+10", "8.9", "inf"
+  const std::to_chars_result printed =
+      std::to_chars(text, text + sizeof text, v);
+  DYNET_CHECK(false) << "'" << key << "' = "
+                     << std::string_view(text, printed.ptr - text)
+                     << " is not an integer in [" << lo << ", " << hi << "]";
+  return 0;  // unreachable: DYNET_CHECK(false) throws
+}
 
 std::uint64_t fnv1a64(std::string_view data) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -205,8 +236,9 @@ ShardConfig parseShardConfig(const obs::Json& json) {
   shard.adversary = json.at("adversary").str();
   validateZooNames({shard.protocol}, protocolNames(), "protocol");
   validateZooNames({shard.adversary}, adversaryNames(), "adversary");
-  shard.n = static_cast<sim::NodeId>(json.at("n").number());
-  shard.trials = static_cast<int>(numberOr(json, "trials", 1));
+  shard.n = static_cast<sim::NodeId>(
+      integerField(json.at("n"), "n", 2, kIntMax));
+  shard.trials = intOr(json, "trials", 1, 1);
   if (json.has("seed_base") && json.at("seed_base").isString()) {
     // Canonical form: 16 hex digits (see canonicalJson).
     const std::string& hex = json.at("seed_base").str();
@@ -216,15 +248,17 @@ ShardConfig parseShardConfig(const obs::Json& json) {
     shard.seed_base = std::stoull(hex, nullptr, 16);
   } else {
     // Hand-written specs may use a small decimal literal.
-    shard.seed_base = static_cast<std::uint64_t>(numberOr(json, "seed_base", 1));
+    shard.seed_base = json.has("seed_base")
+                          ? static_cast<std::uint64_t>(integerField(
+                                json.at("seed_base"), "seed_base", 0, kSeedMax))
+                          : 1;
   }
-  shard.max_rounds =
-      static_cast<sim::Round>(numberOr(json, "max_rounds", 200'000));
-  shard.diameter = static_cast<int>(numberOr(json, "diameter", 8));
-  shard.k = static_cast<int>(numberOr(json, "k", 0));
+  shard.max_rounds = intOr(json, "max_rounds", 200'000, 1);
+  shard.diameter = intOr(json, "diameter", 8);
+  shard.k = intOr(json, "k", 0);
   shard.p = numberOr(json, "p", 0);
-  shard.interval = static_cast<int>(numberOr(json, "interval", 8));
-  shard.churn = static_cast<int>(numberOr(json, "churn", 2));
+  shard.interval = intOr(json, "interval", 8);
+  shard.churn = intOr(json, "churn", 2);
   shard.n_estimate = numberOr(json, "n_estimate", 0);
   shard.c = numberOr(json, "c", 0.25);
   shard.trace = stringOr(json, "trace", "");
@@ -233,22 +267,14 @@ ShardConfig parseShardConfig(const obs::Json& json) {
   shard.trace_spine = boolOr(json, "trace_spine", true);
   shard.trace_bucket = numberOr(json, "trace_bucket", 1.0);
   shard.anonymous = boolOr(json, "anonymous", false);
-  shard.gadget_width = static_cast<int>(numberOr(json, "gadget_width", 0));
-  shard.stretch = static_cast<int>(numberOr(json, "stretch", 0));
+  shard.gadget_width = intOr(json, "gadget_width", 0, 0);
+  shard.stretch = intOr(json, "stretch", 0, 0);
   shard.gadget_intersect = boolOr(json, "gadget_intersect", false);
-  DYNET_CHECK(shard.gadget_width >= 0)
-      << "shard gadget_width=" << shard.gadget_width << " (need >= 0)";
-  DYNET_CHECK(shard.stretch >= 0)
-      << "shard stretch=" << shard.stretch << " (need >= 0)";
   if (json.has("fault")) {
     shard.fault = parseFault(json.at("fault"));
   }
   validateTraceFields(shard.adversary, shard.trace, shard.trace_policy,
                       shard.trace_bucket);
-  DYNET_CHECK(shard.n >= 2) << "shard n=" << shard.n << " (need >= 2 nodes)";
-  DYNET_CHECK(shard.trials >= 1) << "shard trials=" << shard.trials;
-  DYNET_CHECK(shard.max_rounds >= 1)
-      << "shard max_rounds=" << shard.max_rounds;
   return shard;
 }
 
@@ -277,7 +303,8 @@ CampaignSpec CampaignSpec::parse(const std::string& json_text) {
     spec.adversaries.push_back(v.str());
   }
   for (const obs::Json& v : root.at("nodes").items()) {
-    spec.nodes.push_back(static_cast<sim::NodeId>(v.number()));
+    spec.nodes.push_back(
+        static_cast<sim::NodeId>(integerField(v, "nodes", 2, kIntMax)));
   }
   DYNET_CHECK(!spec.protocols.empty() && !spec.adversaries.empty() &&
               !spec.nodes.empty())
@@ -295,21 +322,19 @@ CampaignSpec CampaignSpec::parse(const std::string& json_text) {
 
   const obs::Json& seeds = root.at("seeds");
   rejectUnknownKeys(seeds, {"base", "count", "per_shard"}, "seeds");
-  spec.seed_base = static_cast<std::uint64_t>(numberOr(seeds, "base", 1));
-  spec.seed_count = static_cast<int>(numberOr(seeds, "count", 1));
-  spec.seeds_per_shard =
-      static_cast<int>(numberOr(seeds, "per_shard", spec.seed_count));
-  DYNET_CHECK(spec.seed_count >= 1)
-      << "seeds.count=" << spec.seed_count << " (need >= 1)";
-  DYNET_CHECK(spec.seeds_per_shard >= 1)
-      << "seeds.per_shard=" << spec.seeds_per_shard << " (need >= 1)";
+  spec.seed_base = seeds.has("base")
+                       ? static_cast<std::uint64_t>(integerField(
+                             seeds.at("base"), "seeds.base", 0, kSeedMax))
+                       : 1;
+  spec.seed_count = intOr(seeds, "count", 1, 1);
+  spec.seeds_per_shard = intOr(seeds, "per_shard", spec.seed_count, 1);
 
-  spec.max_rounds = static_cast<sim::Round>(numberOr(root, "max_rounds", 200'000));
-  spec.diameter = static_cast<int>(numberOr(root, "diameter", 8));
-  spec.k = static_cast<int>(numberOr(root, "k", 0));
+  spec.max_rounds = intOr(root, "max_rounds", 200'000, 1);
+  spec.diameter = intOr(root, "diameter", 8);
+  spec.k = intOr(root, "k", 0);
   spec.p = numberOr(root, "p", 0);
-  spec.interval = static_cast<int>(numberOr(root, "interval", 8));
-  spec.churn = static_cast<int>(numberOr(root, "churn", 2));
+  spec.interval = intOr(root, "interval", 8);
+  spec.churn = intOr(root, "churn", 2);
   spec.n_estimate = numberOr(root, "n_estimate", 0);
   spec.c = numberOr(root, "c", 0.25);
   spec.trace = stringOr(root, "trace", "");
@@ -318,13 +343,9 @@ CampaignSpec CampaignSpec::parse(const std::string& json_text) {
   spec.trace_spine = boolOr(root, "trace_spine", true);
   spec.trace_bucket = numberOr(root, "trace_bucket", 1.0);
   spec.anonymous = boolOr(root, "anonymous", false);
-  spec.gadget_width = static_cast<int>(numberOr(root, "gadget_width", 0));
-  spec.stretch = static_cast<int>(numberOr(root, "stretch", 0));
+  spec.gadget_width = intOr(root, "gadget_width", 0, 0);
+  spec.stretch = intOr(root, "stretch", 0, 0);
   spec.gadget_intersect = boolOr(root, "gadget_intersect", false);
-  DYNET_CHECK(spec.gadget_width >= 0)
-      << "campaign gadget_width=" << spec.gadget_width << " (need >= 0)";
-  DYNET_CHECK(spec.stretch >= 0)
-      << "campaign stretch=" << spec.stretch << " (need >= 0)";
   for (const std::string& adversary : spec.adversaries) {
     validateTraceFields(adversary, spec.trace, spec.trace_policy,
                         spec.trace_bucket);
@@ -335,20 +356,14 @@ CampaignSpec CampaignSpec::parse(const std::string& json_text) {
     rejectUnknownKeys(
         retry, {"max_attempts", "timeout_ms", "backoff_ms", "backoff_max_ms"},
         "retry");
-    spec.retry.max_attempts = static_cast<int>(
-        numberOr(retry, "max_attempts", spec.retry.max_attempts));
+    spec.retry.max_attempts =
+        intOr(retry, "max_attempts", spec.retry.max_attempts, 1);
     spec.retry.timeout_ms =
-        static_cast<int>(numberOr(retry, "timeout_ms", spec.retry.timeout_ms));
+        intOr(retry, "timeout_ms", spec.retry.timeout_ms, 1);
     spec.retry.backoff_ms =
-        static_cast<int>(numberOr(retry, "backoff_ms", spec.retry.backoff_ms));
-    spec.retry.backoff_max_ms = static_cast<int>(
-        numberOr(retry, "backoff_max_ms", spec.retry.backoff_max_ms));
-    DYNET_CHECK(spec.retry.max_attempts >= 1)
-        << "retry.max_attempts=" << spec.retry.max_attempts;
-    DYNET_CHECK(spec.retry.timeout_ms >= 1)
-        << "retry.timeout_ms=" << spec.retry.timeout_ms;
-    DYNET_CHECK(spec.retry.backoff_ms >= 0 && spec.retry.backoff_max_ms >= 0)
-        << "retry backoff must be non-negative";
+        intOr(retry, "backoff_ms", spec.retry.backoff_ms, 0);
+    spec.retry.backoff_max_ms =
+        intOr(retry, "backoff_max_ms", spec.retry.backoff_max_ms, 0);
   }
   return spec;
 }

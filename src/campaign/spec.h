@@ -119,6 +119,15 @@ struct ShardConfig {
 /// keys and unknown protocol/adversary names fail loudly.
 ShardConfig parseShardConfig(const obs::Json& json);
 
+/// The integer in JSON field `key`, whose parsed value is `value`: every
+/// integer of a campaign spec, shard config or shard result is read through
+/// here.  A value that is not finite, not integral or outside [lo, hi]
+/// throws a CheckError naming the key and the value (casting such a double
+/// to an integer type would be undefined behaviour).  Bounds must lie
+/// within +-2^53, where doubles are exact.
+std::int64_t integerField(const obs::Json& value, const std::string& key,
+                          std::int64_t lo, std::int64_t hi);
+
 /// The sweep grid, parsed from the user-facing spec JSON.
 struct CampaignSpec {
   std::string name = "campaign";

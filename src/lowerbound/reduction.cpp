@@ -81,18 +81,13 @@ ReductionResult runCFloodReduction(const cc::Instance& inst,
   result.num_nodes = network.numNodes();
 
   // Reference execution with full traces.
-  std::vector<std::unique_ptr<sim::Process>> processes;
-  processes.reserve(static_cast<std::size_t>(network.numNodes()));
-  for (NodeId v = 0; v < network.numNodes(); ++v) {
-    processes.push_back(oracle.create(v, network.numNodes()));
-  }
   sim::EngineConfig config;
   config.max_rounds = network.horizon();
   config.record_topologies = true;
   config.record_actions = true;
   config.stop_when_all_done = false;
-  sim::Engine reference(std::move(processes), network.referenceAdversary(),
-                        config, public_seed);
+  sim::Engine reference(sim::createProcesses(oracle, network.numNodes()),
+                        network.referenceAdversary(), config, public_seed);
 
   runLockstep(
       network.numNodes(), network.horizon(), oracle, network.numNodes(),
@@ -143,18 +138,13 @@ ReductionResult runConsensusReduction(const cc::Instance& inst,
   result.horizon = network.horizon();
   result.num_nodes = network.numNodes();
 
-  std::vector<std::unique_ptr<sim::Process>> processes;
-  processes.reserve(static_cast<std::size_t>(network.numNodes()));
-  for (NodeId v = 0; v < network.numNodes(); ++v) {
-    processes.push_back(oracle.create(v, network.numNodes()));
-  }
   sim::EngineConfig config;
   config.max_rounds = network.horizon();
   config.record_topologies = true;
   config.record_actions = true;
   config.stop_when_all_done = false;
-  sim::Engine reference(std::move(processes), network.referenceAdversary(),
-                        config, public_seed);
+  sim::Engine reference(sim::createProcesses(oracle, network.numNodes()),
+                        network.referenceAdversary(), config, public_seed);
 
   // The parties pass the Λ-only node count to the factory: they cannot know
   // the true N.  The factory must therefore be num_nodes-independent; the

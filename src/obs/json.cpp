@@ -65,35 +65,46 @@ class JsonParser {
     pos_ += lit.size();
   }
 
+  /// Enters one more object/array level.  parseValue recurses once per
+  /// level, so the cap bounds the stack a hostile file can demand; nothing
+  /// the repo writes nests deeper than 4.
+  void enterContainer() {
+    DYNET_CHECK(depth_ < kMaxDepth)
+        << "JSON nested deeper than " << kMaxDepth << " levels at offset "
+        << pos_;
+    ++depth_;
+    ++pos_;
+  }
+
   Json parseValue() {
     const char c = peek();
     Json value;
     switch (c) {
       case '{': {
         value.type_ = Json::Type::kObject;
-        ++pos_;
-        if (consumeIf('}')) {
-          return value;
+        enterContainer();
+        if (!consumeIf('}')) {
+          do {
+            DYNET_CHECK(peek() == '"') << "object key must be a string";
+            const std::string key = parseString();
+            expect(':');
+            value.members_[key] = parseValue();
+          } while (consumeIf(','));
+          expect('}');
         }
-        do {
-          DYNET_CHECK(peek() == '"') << "object key must be a string";
-          const std::string key = parseString();
-          expect(':');
-          value.members_[key] = parseValue();
-        } while (consumeIf(','));
-        expect('}');
+        --depth_;
         return value;
       }
       case '[': {
         value.type_ = Json::Type::kArray;
-        ++pos_;
-        if (consumeIf(']')) {
-          return value;
+        enterContainer();
+        if (!consumeIf(']')) {
+          do {
+            value.items_.push_back(parseValue());
+          } while (consumeIf(','));
+          expect(']');
         }
-        do {
-          value.items_.push_back(parseValue());
-        } while (consumeIf(','));
-        expect(']');
+        --depth_;
         return value;
       }
       case '"':
@@ -185,8 +196,11 @@ class JsonParser {
     }
   }
 
+  static constexpr int kMaxDepth = 256;
+
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open objects/arrays around pos_
 };
 
 Json Json::parse(const std::string& text) {

@@ -59,12 +59,6 @@ class GossipFactory : public sim::ProcessFactory {
 
   std::unique_ptr<sim::Process> create(sim::NodeId node,
                                        sim::NodeId num_nodes) const override;
-  /// Structure-of-arrays execution (sim/soa.h): held-token bitset words,
-  /// a flat insertion-ordered held list (the list order feeds the uniform
-  /// token draw, so it is protocol state), and count/complete/done columns;
-  /// byte-identical to the object path.
-  std::unique_ptr<sim::SoAModel> createSoA(
-      sim::NodeId num_nodes) const override;
 
  private:
   int total_tokens_;

@@ -6,7 +6,9 @@
 // adversaries simply ignore them.
 #pragma once
 
+#include <memory>
 #include <span>
+#include <utility>
 
 #include "net/graph.h"
 #include "sim/process.h"
@@ -38,15 +40,15 @@ class Adversary {
   /// and, per the model, be connected (the engine checks).
   virtual net::GraphPtr topology(Round round, const RoundObservation& obs) = 0;
 
-  /// Incremental variant, used by the engine when
-  /// EngineConfig::topology_deltas is set: fill `out` for `round` given
-  /// `prev`, the graph this adversary returned for round - 1 (null in
-  /// round 1).  Return false (the default) when there is no incremental
-  /// path — the engine then falls back to topology().  Contract: out.graph
-  /// must be value-identical (same node count, same edges() sequence) to
-  /// what topology() would have returned for the same round and
-  /// observation, so runs stay byte-identical across the two paths
-  /// (tests/fuzz_diff_test.cpp pins this for the zoo).
+  /// Incremental variant, offered first by the engine every round: fill
+  /// `out` for `round` given `prev`, the graph this adversary returned for
+  /// round - 1 (null in round 1).  Return false (the default) when there is
+  /// no incremental path — the engine then falls back to topology().
+  /// Contract: out.graph must be value-identical (same node count, same
+  /// edges() sequence) to what topology() would have returned for the same
+  /// round and observation, so runs stay byte-identical across the two
+  /// paths (tests/fuzz_diff_test.cpp pins this for the zoo against
+  /// RebuildEveryRound below).
   virtual bool topologyUpdate(Round round, const RoundObservation& obs,
                               const net::GraphPtr& prev, TopologyUpdate& out) {
     (void)round;
@@ -57,6 +59,24 @@ class Adversary {
   }
 
   virtual NodeId numNodes() const = 0;
+};
+
+/// The rebuild-every-round reference: forwards topology() and numNodes()
+/// to the wrapped adversary and never overrides topologyUpdate, so the
+/// engine builds every round's graph through topology().  Differential
+/// tests and A/B benches wrap a delta-native adversary in it to compare
+/// the incremental path against a from-scratch build of the same graphs.
+class RebuildEveryRound final : public Adversary {
+ public:
+  explicit RebuildEveryRound(std::unique_ptr<Adversary> inner)
+      : inner_(std::move(inner)) {}
+  net::GraphPtr topology(Round round, const RoundObservation& obs) override {
+    return inner_->topology(round, obs);
+  }
+  NodeId numNodes() const override { return inner_->numNodes(); }
+
+ private:
+  std::unique_ptr<Adversary> inner_;
 };
 
 }  // namespace dynet::sim

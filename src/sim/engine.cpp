@@ -15,6 +15,16 @@ int defaultBudgetBits(NodeId num_nodes) {
   return 64 + 8 * util::bitWidthFor(static_cast<std::uint64_t>(num_nodes));
 }
 
+std::vector<std::unique_ptr<Process>> createProcesses(
+    const ProcessFactory& factory, NodeId num_nodes) {
+  std::vector<std::unique_ptr<Process>> processes;
+  processes.reserve(static_cast<std::size_t>(num_nodes));
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    processes.push_back(factory.create(v, num_nodes));
+  }
+  return processes;
+}
+
 Engine::Engine(std::vector<std::unique_ptr<Process>> processes,
                std::unique_ptr<Adversary> adversary, EngineConfig config,
                std::uint64_t seed)
@@ -41,14 +51,11 @@ Engine::Engine(const ProcessFactory& factory,
   // Anonymous mode keeps the object path: SoA models address state by
   // real node id, which is exactly what the mode hides.  Duplex mode does
   // too: the SoA delivery loops implement send-xor-receive only.
-  if (config_.soa_state && !config_.anonymous && !config_.duplex) {
+  if (!config_.anonymous && !config_.duplex) {
     soa_ = factory.createSoA(n_);
   }
   if (soa_ == nullptr) {
-    processes_.reserve(static_cast<std::size_t>(n_));
-    for (NodeId v = 0; v < n_; ++v) {
-      processes_.push_back(factory.create(v, n_));
-    }
+    processes_ = createProcesses(factory, n_);
   }
   init();
 }
@@ -175,36 +182,12 @@ void Engine::finalizeMetrics() {
   reg.gauge("engine/max_bits_per_node")
       ->set(static_cast<double>(result_.max_bits_per_node));
   // Execution-shape gauges (reserved soa// prefix, docs/OBSERVABILITY.md):
-  // which state representation ran, how the strided worker loops were
-  // shaped and which way serial fault-free delivery walked.  Allowed to
-  // differ between the object and SoA paths, exactly like topology/.
-  const int stride_workers = soa_ != nullptr ? soaStrideWorkers(config_) : 1;
+  // which state representation ran and which way fault-free SoA delivery
+  // walked.  Allowed to differ between the object and SoA paths, exactly
+  // like topology/.
   reg.gauge("soa//active")->set(soa_ != nullptr ? 1.0 : 0.0);
-  reg.gauge("soa//stride_workers")->set(static_cast<double>(stride_workers));
   reg.gauge("soa//pull_rounds")
       ->set(static_cast<double>(ws_.soa_pull_rounds));
-  std::uint64_t stride_imbalance = 0;
-  if (stride_workers > 1) {
-    // Live nodes per stride class (max - min): how uneven the last live
-    // mask leaves the worker loops.
-    std::vector<std::uint64_t> per_class(
-        static_cast<std::size_t>(stride_workers), 0);
-    const bool masked = injector_ != nullptr;
-    for (NodeId v = 0; v < n_; ++v) {
-      if (!masked || ws_.alive[static_cast<std::size_t>(v)] != 0) {
-        ++per_class[static_cast<std::size_t>(v % stride_workers)];
-      }
-    }
-    std::uint64_t lo = per_class[0];
-    std::uint64_t hi = per_class[0];
-    for (const std::uint64_t c : per_class) {
-      lo = c < lo ? c : lo;
-      hi = c > hi ? c : hi;
-    }
-    stride_imbalance = hi - lo;
-  }
-  reg.gauge("soa//stride_imbalance")
-      ->set(static_cast<double>(stride_imbalance));
   obs::Series* node_bits = reg.series("node/bits_sent");
   obs::Series* node_done = reg.series("node/done_round");
   std::vector<std::pair<std::string, double>> exported;

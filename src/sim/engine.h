@@ -52,27 +52,6 @@ struct EngineConfig {
   bool check_connectivity = true;
   bool record_topologies = false;
   bool record_actions = false;
-  /// When true (the default) the engine offers each round to
-  /// Adversary::topologyUpdate first, letting delta-native adversaries
-  /// reuse or patch the previous round's graph instead of rebuilding;
-  /// adversaries without an incremental path fall back to topology().
-  /// False always calls topology() — the legacy path, byte-identical by
-  /// the topologyUpdate contract.
-  bool topology_deltas = true;
-  /// Structure-of-arrays state selection for the factory constructor: when
-  /// true (the default) and the ProcessFactory overrides createSoA, protocol
-  /// state lives in flat per-field arrays (sim/soa.h) instead of per-node
-  /// Process objects, byte-identical by contract (tests/soa_state_test.cpp,
-  /// fuzz-diff, golden corpus).  False — or a factory without a model, or
-  /// the process-vector constructor — selects the legacy object path, kept
-  /// verbatim as the differential baseline.
-  bool soa_state = true;
-  /// Intra-trial worker count for the SoA compute/delivery loops
-  /// (sim/soa_exec.h strided pattern).  1 (the default) is the serial loop —
-  /// BatchRunner already parallelizes across trials; 0 means one worker per
-  /// util::ThreadPool::shared() thread; k > 1 pins exactly k workers.
-  /// Ignored on the object path.
-  int node_threads = 1;
   /// Anonymous-network mode (Di Luna–Baldoni, docs/DATASETS.md): the
   /// engine stops exposing node identities through delivery order.  The
   /// canonical ascending-sender inbox is reordered by a deterministic
@@ -139,16 +118,24 @@ struct RunResult {
   std::uint64_t messages_corrupted = 0;
 };
 
+/// factory.create(v, num_nodes) for every node, in ascending order: the
+/// object path's process vector.  The factory constructor falls back to it;
+/// callers that need Process objects (or the object path as a reference)
+/// pass it to the process-vector constructor.
+std::vector<std::unique_ptr<Process>> createProcesses(
+    const ProcessFactory& factory, NodeId num_nodes);
+
 class Engine {
  public:
-  /// `seed` feeds the per-(node, round) coin streams.
+  /// `seed` feeds the per-(node, round) coin streams.  The object path:
+  /// every node is its Process.
   Engine(std::vector<std::unique_ptr<Process>> processes,
          std::unique_ptr<Adversary> adversary, EngineConfig config,
          std::uint64_t seed);
-  /// Factory form: node count comes from the adversary.  With
-  /// config.soa_state and a factory that overrides createSoA, the run uses
-  /// the structure-of-arrays path; otherwise processes are materialized via
-  /// factory.create and the run is the classic object path.  Both paths are
+  /// Factory form: node count comes from the adversary.  When the factory
+  /// overrides createSoA and the run is neither anonymous nor duplex, the
+  /// run uses the structure-of-arrays path; otherwise it runs on
+  /// createProcesses(factory, n), the object path.  Both paths are
   /// byte-identical by contract.
   Engine(const ProcessFactory& factory, std::unique_ptr<Adversary> adversary,
          EngineConfig config, std::uint64_t seed);

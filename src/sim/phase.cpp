@@ -125,17 +125,16 @@ void faultPhase(RoundContext& ctx) {
 
 // Coins flip, each live node decides its action; crashed nodes decide
 // nothing and emit nothing.  accountSentAction (sim/soa_exec.h) is shared
-// with the SoA compute loops, which fuse it into their serial walk.  Every
+// with the SoA compute loops, which fuse it into their walk too.  Every
 // Action write is paired with its send-column byte (EngineWorkspace::sending),
 // which the delivery loops probe instead of the Action array.
 void computePhase(RoundContext& ctx) {
   EngineWorkspace& ws = *ctx.ws;
   RunResult& result = *ctx.result;
   if (ctx.soa != nullptr) {
-    // The model fills every action slot and accounts its sends
-    // (sim/soa_exec.h): fused into the serial walk at one worker, a
-    // separate ascending pass after the join otherwise — either way the
-    // counter updates and histogram observations land in the legacy order.
+    // The model fills every action slot and accounts its sends in the same
+    // ascending walk (sim/soa_exec.h), so the counter updates and histogram
+    // observations land in the legacy order.
     ctx.soa->computeAll(ctx);
     closeSpan(ctx, "process_step");
     return;
@@ -161,20 +160,18 @@ void computePhase(RoundContext& ctx) {
 }
 
 // The adversary fixes the topology after observing the actions; the engine
-// checks the model's connectivity invariant.  With topology_deltas set,
-// delta-native adversaries get first refusal via topologyUpdate and may
-// reuse or patch the previous round's graph.
+// checks the model's connectivity invariant.  Delta-native adversaries get
+// first refusal via topologyUpdate and may reuse or patch the previous
+// round's graph; the rest build it in topology().
 void adversaryPhase(RoundContext& ctx) {
   RoundObservation obs{ctx.ws->actions};
   net::GraphPtr g;
   bool incremental = false;
-  if (ctx.config->topology_deltas) {
-    TopologyUpdate update;
-    if (ctx.adversary->topologyUpdate(ctx.round, obs, ctx.ws->prev_topology,
-                                      update)) {
-      g = std::move(update.graph);
-      incremental = update.is_delta;
-    }
+  TopologyUpdate update;
+  if (ctx.adversary->topologyUpdate(ctx.round, obs, ctx.ws->prev_topology,
+                                    update)) {
+    g = std::move(update.graph);
+    incremental = update.is_delta;
   }
   if (g == nullptr) {
     g = ctx.adversary->topology(ctx.round, obs);
@@ -184,9 +181,7 @@ void adversaryPhase(RoundContext& ctx) {
   if (ctx.obs != nullptr) {
     (incremental ? ctx.obs->topo_incremental : ctx.obs->topo_full)->inc();
   }
-  if (ctx.config->topology_deltas) {
-    ctx.ws->prev_topology = g;
-  }
+  ctx.ws->prev_topology = g;
   if (ctx.config->check_connectivity) {
     if (ctx.faulty && ctx.injector->plan().hasCrashes()) {
       DYNET_CHECK(net::connectedOn(*g, ctx.ws->alive))

@@ -89,8 +89,8 @@ class ProcessFactory {
 
   /// Optional structure-of-arrays execution of the whole node vector
   /// (sim/soa.h).  The default — defined in soa.cpp, where SoAModel is
-  /// complete — returns null: the engine then materializes Processes even
-  /// under EngineConfig::soa_state.  An override must produce a model whose
+  /// complete — returns null: the engine's factory constructor then
+  /// materializes Processes.  An override must produce a model whose
   /// execution is byte-identical to the object path (pinned by
   /// tests/soa_state_test.cpp and the fuzz-diff/golden layers).
   virtual std::unique_ptr<SoAModel> createSoA(NodeId num_nodes) const;

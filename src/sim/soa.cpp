@@ -1,8 +1,5 @@
 #include "sim/soa.h"
 
-#include "sim/engine.h"
-#include "util/thread_pool.h"
-
 namespace dynet::sim {
 
 SoAModel::~SoAModel() = default;
@@ -18,14 +15,6 @@ void SoAModel::exportMetrics(
 std::unique_ptr<SoAModel> ProcessFactory::createSoA(NodeId num_nodes) const {
   (void)num_nodes;
   return nullptr;
-}
-
-int soaStrideWorkers(const EngineConfig& config) {
-  int workers = config.node_threads;
-  if (workers == 0) {
-    workers = static_cast<int>(util::ThreadPool::shared().threadCount());
-  }
-  return workers < 1 ? 1 : workers;
 }
 
 }  // namespace dynet::sim

@@ -1,4 +1,4 @@
-// Structure-of-arrays protocol state (EngineConfig::soa_state).
+// Structure-of-arrays protocol state.
 //
 // The object path gives every node a heap-allocated Process; at n = 10^5+
 // the per-node virtual dispatch and pointer-chasing layout dominate the
@@ -9,8 +9,10 @@
 //
 // Contract (docs/ARCHITECTURE.md "SoA state store"):
 //   * A protocol opts in by overriding ProcessFactory::createSoA.  The
-//     default returns null, which makes the engine fall back to the object
-//     path — soa_state is a no-op for protocols without a model.
+//     engine's factory constructor runs the model whenever the run is
+//     neither anonymous nor duplex; the default returns null, which makes
+//     it fall back to the object path.  The object path itself is
+//     sim::createProcesses plus the process-vector constructor.
 //   * The SoA execution of a protocol must be byte-identical to its object
 //     execution: same actions, same RunResult, same stateDigest per node,
 //     same exported metrics.  tests/soa_state_test.cpp locksteps the two
@@ -18,8 +20,8 @@
 //     golden corpus pin the full artifact bytes.
 //   * Columns are plain vectors indexed by node: any cross-node read during
 //     delivery may only touch *senders'* state, which the send-xor-receive
-//     model guarantees is not written during the phase — that is what makes
-//     the strided worker loop (sim/soa_exec.h) race-free.
+//     model guarantees is not written during the phase — that is what lets
+//     delivery walk senders or receivers in either order (sim/soa_exec.h).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +33,6 @@
 
 namespace dynet::sim {
 
-struct EngineConfig;
 struct RoundContext;
 
 /// One protocol's flat-array execution: the SoA counterpart of the whole
@@ -45,7 +46,7 @@ class SoAModel {
   /// computePhase body: fill ctx.ws->actions[v] for every node (crashed
   /// nodes get Action{}).  Implementations call soaComputeAll
   /// (sim/soa_exec.h), which handles the live mask, per-node CoinStream
-  /// construction, and the strided worker dispatch.
+  /// construction, and send accounting.
   virtual void computeAll(RoundContext& ctx) = 0;
 
   /// deliveryPhase body: deliver sender messages through the fault filter.
@@ -72,11 +73,5 @@ class SoAModel {
   virtual void exportMetrics(
       NodeId v, std::vector<std::pair<std::string, double>>& out) const;
 };
-
-/// Resolved stride width for the intra-trial worker loops:
-/// config.node_threads of 1 is the serial loop (the default; BatchRunner
-/// already parallelizes across trials), 0 means "one worker per shared-pool
-/// thread", and k > 1 pins exactly k workers.
-int soaStrideWorkers(const EngineConfig& config);
 
 }  // namespace dynet::sim

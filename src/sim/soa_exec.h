@@ -1,23 +1,17 @@
-// Strided compute / delivery loops shared by every SoAModel.
+// Compute / delivery loops shared by every SoAModel.
 //
-// Both loops walk the flat node arrays with the classic strided-worker
-// pattern (worker w handles nodes w, w + T, w + 2T, ... — the
-// Z80_Simulator ThreadSimulateTransistors idiom): adjacent workers touch
-// adjacent cache lines, no partitioning state is needed, and T == 1 (the
-// default) gets a dedicated serial loop with zero dispatch cost.
+// Send column.  Every compute loop (both walks of soaComputeAll and the
+// object computePhase) writes EngineWorkspace::sending[v] =
+// actions[v].send right where it writes the Action — crashed nodes get 0
+// next to their Action{} — and nowhere else.  Every delivery loop then
+// tests membership in those n bytes instead of striding the 48-byte Action
+// array; payloads are still read from ws.actions, and only for actual
+// senders.
 //
-// Send column.  Every compute loop (these three branches and the object
-// computePhase) writes EngineWorkspace::sending[v] = actions[v].send right
-// where it writes the Action — crashed nodes get 0 next to their Action{} —
-// and nowhere else.  Every delivery loop then tests membership in those n
-// bytes instead of striding the 48-byte Action array; payloads are still
-// read from ws.actions, and only for actual senders.
-//
-// The serial (T == 1) specializations are where the SoA path earns its
-// keep against the object engine:
-//   * compute fuses send-side accounting into the walk instead of
-//     re-reading the whole Action array in a second pass, and collects the
-//     round's senders (ascending) into EngineWorkspace::soa_senders;
+// Where the SoA path earns its keep against the object engine:
+//   * compute fuses send-side accounting into its one ascending walk, and
+//     the fault-free walk collects the round's senders (ascending) into
+//     EngineWorkspace::soa_senders;
 //   * models receive the per-node coin *key* and derive only the draws
 //     they actually make (util::CoinStream::firstCoin), so a flood
 //     non-holder pays zero hashing;
@@ -39,21 +33,8 @@
 //     replaces the per-node afterDeliver tail by the model's
 //     afterDeliverAllClean bulk hook, sound because every live node gets
 //     the hook in a fault-free round and no model hook reads what it
-//     writes; pull is the receiver-major loop the strided and faulty
-//     branches run, per-node afterDeliver included.
-//
-// Race-freedom argument for T > 1 (checked under TSan by
-// tests/soa_state_test.cpp in CI):
-//   * compute: computeNode(v) writes only node v's columns, its action
-//     slot, and draws from node v's private coin stream — disjoint per
-//     worker by construction; the worker writes sending[v] beside it.
-//     Send accounting stays a serial ascending pass after the join so
-//     counter updates land in the legacy order.
-//   * delivery: a receiver mutates only its own columns; cross-node reads
-//     touch only *senders'* action payloads, send bytes and state columns,
-//     and a sender receives nothing this round (send-xor-receive), so no
-//     worker writes what another reads.  Fault counters accumulate per
-//     worker and merge after the join.
+//     writes; pull is the receiver-major loop faulty rounds also run,
+//     per-node afterDeliver included.
 //
 // The loops reproduce the object path exactly: same live-mask gating, same
 // CoinStream streams, same canonical ascending-sender delivery order (the
@@ -61,6 +42,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 
 #include "faults/fault_injector.h"
 #include "net/graph.h"
@@ -69,20 +51,31 @@
 #include "sim/soa.h"
 #include "util/check.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace dynet::sim {
+
+/// accountSentAction's budget check, entered only once it is known to fail
+/// (the cold-path idiom of util/bitio.h): throws the CheckError naming the
+/// node, the round, the message size and the budget.
+[[noreturn, gnu::cold, gnu::noinline]] inline void sendOverBudget(
+    const RoundContext& ctx, NodeId v, const Action& a) {
+  DYNET_CHECK(a.msg.bitSize() <= ctx.budget_bits)
+      << "node " << v << " round " << ctx.round << " message of "
+      << a.msg.bitSize() << " bits exceeds budget " << ctx.budget_bits;
+  std::abort();  // unreachable: called only when the check fails
+}
 
 /// Send-side accounting shared by the object and SoA compute paths: budget
 /// check, global/per-node bit counters, and the bits_per_send histogram.
 /// Must run in ascending node order so histogram observations land in the
-/// legacy sequence.
+/// legacy sequence.  The failing budget check stays out of line so this
+/// body inlines into every compute loop.
 inline void accountSentAction(RoundContext& ctx, RunResult& result, NodeId v,
                               const Action& a) {
   const auto idx = static_cast<std::size_t>(v);
-  DYNET_CHECK(a.msg.bitSize() <= ctx.budget_bits)
-      << "node " << v << " round " << ctx.round << " message of "
-      << a.msg.bitSize() << " bits exceeds budget " << ctx.budget_bits;
+  if (a.msg.bitSize() > ctx.budget_bits) [[unlikely]] {
+    sendOverBudget(ctx, v, a);
+  }
   ++result.messages_sent;
   result.bits_sent += static_cast<std::uint64_t>(a.msg.bitSize());
   result.bits_per_node[idx] += static_cast<std::uint64_t>(a.msg.bitSize());
@@ -131,7 +124,7 @@ inline void addFaultTally(RoundContext& ctx, const FaultTally& tally) {
   }
 }
 
-/// Direction rule of the serial fault-free delivery walk: true iff the
+/// Direction rule of the fault-free delivery walk: true iff the
 /// receiver-major pull walk touches fewer items than the sender-major push
 /// walk over `senders` of `n` nodes on an `edges`-edge topology, i.e. iff
 /// (2|S| - n)(n + 2m) > n^2 (derivation in the header comment).  The
@@ -154,65 +147,41 @@ inline bool pullWalkWins(std::uint64_t n, std::uint64_t senders,
 /// object path's CoinStream::fromNodeKey(node_key, round) stream draw for
 /// draw.
 ///
-/// Handles send accounting for every worker count: fused into the serial
-/// walk when T == 1, a separate ascending pass after the join otherwise.
-/// Every branch writes the send column beside the Action.
+/// One ascending walk per round, with send accounting fused into it and
+/// the send column written beside the Action.  The fault-free walk also
+/// collects the round's senders for delivery's push walk; the faulty walk
+/// gives crashed nodes Action{}.
 template <typename Model>
 void soaComputeAll(RoundContext& ctx, Model& model) {
   EngineWorkspace& ws = *ctx.ws;
   RunResult& result = *ctx.result;
-  const int workers = soaStrideWorkers(*ctx.config);
   const std::uint64_t* const keys = ws.coin_keys.data();
   Action* const actions = ws.actions.data();
   char* const sending = ws.sending.data();
-  if (workers == 1) {
-    if (!ctx.faulty) {
-      ws.soa_senders.clear();
-      for (NodeId v = 0; v < ctx.n; ++v) {
-        const auto idx = static_cast<std::size_t>(v);
-        model.computeNode(ctx, v, keys[idx]);
-        const Action& a = actions[idx];
-        sending[idx] = a.send ? 1 : 0;
-        if (a.send) {
-          accountSentAction(ctx, result, v, a);
-          ws.soa_senders.push_back(v);
-        }
-      }
-    } else {
-      for (NodeId v = 0; v < ctx.n; ++v) {
-        const auto idx = static_cast<std::size_t>(v);
-        if (ws.alive[idx] == 0) {
-          actions[idx] = Action{};
-          sending[idx] = 0;
-          continue;
-        }
-        model.computeNode(ctx, v, keys[idx]);
-        sending[idx] = actions[idx].send ? 1 : 0;
-        if (actions[idx].send) {
-          accountSentAction(ctx, result, v, actions[idx]);
-        }
+  if (!ctx.faulty) {
+    ws.soa_senders.clear();
+    for (NodeId v = 0; v < ctx.n; ++v) {
+      const auto idx = static_cast<std::size_t>(v);
+      model.computeNode(ctx, v, keys[idx]);
+      const Action& a = actions[idx];
+      sending[idx] = a.send ? 1 : 0;
+      if (a.send) {
+        accountSentAction(ctx, result, v, a);
+        ws.soa_senders.push_back(v);
       }
     }
     return;
   }
-  const auto worker = [&](std::size_t w) {
-    for (NodeId v = static_cast<NodeId>(w); v < ctx.n;
-         v += static_cast<NodeId>(workers)) {
-      const auto idx = static_cast<std::size_t>(v);
-      if (ctx.faulty && ws.alive[idx] == 0) {
-        actions[idx] = Action{};
-        sending[idx] = 0;
-        continue;
-      }
-      model.computeNode(ctx, v, keys[idx]);
-      sending[idx] = actions[idx].send ? 1 : 0;
-    }
-  };
-  util::ThreadPool::shared().parallelFor(static_cast<std::size_t>(workers),
-                                         worker);
   for (NodeId v = 0; v < ctx.n; ++v) {
     const auto idx = static_cast<std::size_t>(v);
-    if (sending[idx] != 0) {
+    if (ws.alive[idx] == 0) {
+      actions[idx] = Action{};
+      sending[idx] = 0;
+      continue;
+    }
+    model.computeNode(ctx, v, keys[idx]);
+    sending[idx] = actions[idx].send ? 1 : 0;
+    if (actions[idx].send) {
       accountSentAction(ctx, result, v, actions[idx]);
     }
   }
@@ -227,10 +196,10 @@ void soaComputeAll(RoundContext& ctx, Model& model) {
 ///   afterDeliverAllClean(RoundContext&)
 ///                         — bulk equivalent of calling afterDeliver on
 ///                           every node after all messages landed; used only
-///                           by the fault-free serial push walk, so it may
-///                           assume every node is live.  Models whose
-///                           afterDeliver depends on per-node interleaving
-///                           with onMessage must not take the push walk.
+///                           by the fault-free push walk, so it may assume
+///                           every node is live.  Models whose afterDeliver
+///                           depends on per-node interleaving with onMessage
+///                           must not take the push walk.
 /// Crashed nodes get neither call, exactly like the object path.
 template <typename Model>
 void soaDeliverAll(RoundContext& ctx, Model& model) {
@@ -238,8 +207,7 @@ void soaDeliverAll(RoundContext& ctx, Model& model) {
   const net::Graph& g = *ctx.topology;
   const Action* const actions = ws.actions.data();
   const char* const sending = ws.sending.data();
-  const int workers = soaStrideWorkers(*ctx.config);
-  if (workers == 1 && !ctx.faulty) {
+  if (!ctx.faulty) {
     if (!pullWalkWins(static_cast<std::uint64_t>(ctx.n),
                       ws.soa_senders.size(), g.numEdges())) {
       // Push walk over the sender list soaComputeAll collected this round.
@@ -261,46 +229,33 @@ void soaDeliverAll(RoundContext& ctx, Model& model) {
     }
     ++ws.soa_pull_rounds;  // senders dominate: the pull walk below
   }
-  ws.stride_faults.assign(static_cast<std::size_t>(workers), FaultTally{});
-  const auto worker = [&](std::size_t w) {
-    FaultTally tally;  // local: workers must not share a cache line
-    for (NodeId v = static_cast<NodeId>(w); v < ctx.n;
-         v += static_cast<NodeId>(workers)) {
-      const auto vi = static_cast<std::size_t>(v);
-      if (ctx.faulty && ws.alive[vi] == 0) {
-        continue;  // crashed: no delivery
-      }
-      if (sending[vi] != 0) {
-        model.afterDeliver(ctx, v, true);
+  FaultTally tally;
+  for (NodeId v = 0; v < ctx.n; ++v) {
+    const auto vi = static_cast<std::size_t>(v);
+    if (ctx.faulty && ws.alive[vi] == 0) {
+      continue;  // crashed: no delivery
+    }
+    if (sending[vi] != 0) {
+      model.afterDeliver(ctx, v, true);
+      continue;
+    }
+    for (const NodeId u : g.neighbors(v)) {
+      const auto ui = static_cast<std::size_t>(u);
+      if (sending[ui] == 0) {
         continue;
       }
-      for (const NodeId u : g.neighbors(v)) {
-        const auto ui = static_cast<std::size_t>(u);
-        if (sending[ui] == 0) {
-          continue;
-        }
-        if (!ctx.faulty) {
-          model.onMessage(ctx, v, u, actions[ui].msg, /*pristine=*/true);
-          continue;
-        }
-        filterDelivery(ctx, u, v, actions[ui].msg, tally,
-                       [&](const Message& msg, bool pristine) {
-                         model.onMessage(ctx, v, u, msg, pristine);
-                       });
+      if (!ctx.faulty) {
+        model.onMessage(ctx, v, u, actions[ui].msg, /*pristine=*/true);
+        continue;
       }
-      model.afterDeliver(ctx, v, false);
+      filterDelivery(ctx, u, v, actions[ui].msg, tally,
+                     [&](const Message& msg, bool pristine) {
+                       model.onMessage(ctx, v, u, msg, pristine);
+                     });
     }
-    ws.stride_faults[w] = tally;
-  };
-  if (workers == 1) {
-    worker(0);
-  } else {
-    util::ThreadPool::shared().parallelFor(static_cast<std::size_t>(workers),
-                                           worker);
+    model.afterDeliver(ctx, v, false);
   }
-  for (const FaultTally& tally : ws.stride_faults) {
-    addFaultTally(ctx, tally);
-  }
+  addFaultTally(ctx, tally);
 }
 
 }  // namespace dynet::sim

@@ -1,10 +1,14 @@
 #include "sim/trace.h"
 
+#include <algorithm>
+#include <charconv>
 #include <iomanip>
 #include <istream>
+#include <limits>
+#include <optional>
 #include <ostream>
-#include <sstream>
 #include <string>
+#include <string_view>
 
 #include "obs/prof.h"
 #include "sim/engine.h"
@@ -47,12 +51,35 @@ void writeTrace(std::ostream& out, const Trace& trace) {
   }
 }
 
+namespace {
+
+/// `field` parsed whole as a base-`base` integer in [lo, hi]; nullopt when
+/// it is empty, has a character left over, overflows T or leaves the range.
+template <typename T>
+std::optional<T> parseField(std::string_view field, T lo, T hi,
+                            int base = 10) {
+  T value{};
+  const char* const end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value, base);
+  if (ec != std::errc{} || ptr != end || value < lo || value > hi) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+}  // namespace
+
 Trace readTrace(std::istream& in) {
   DYNET_PROF("sim/read_trace");
   Trace trace;
   std::string line;
+  std::size_t line_no = 1;
+  // Every failure names the 1-based line number and the line's text.
+  const auto where = [&] {
+    return "trace line " + std::to_string(line_no) + " '" + line + "': ";
+  };
   DYNET_CHECK(std::getline(in, line) && line == "dynet-trace v1")
-      << "bad header: " << line;
+      << where() << "bad header (expected 'dynet-trace v1')";
   std::vector<net::Edge> edges;
   std::vector<Action> actions;
   bool in_round = false;
@@ -74,65 +101,107 @@ Trace readTrace(std::istream& in) {
     actions.assign(static_cast<std::size_t>(trace.num_nodes), Action{});
   };
 
+  std::vector<std::string_view> fields;
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty()) {
       continue;
     }
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
+    fields.clear();
+    constexpr const char* kSpace = " \t\r\v\f";  // what operator>> skips
+    for (std::size_t pos = line.find_first_not_of(kSpace); pos != line.npos;
+         pos = line.find_first_not_of(kSpace, pos)) {
+      const std::size_t end = std::min(line.find_first_of(kSpace, pos),
+                                       line.size());
+      fields.emplace_back(line.data() + pos, end - pos);
+      pos = end;
+    }
+    const std::string_view tag = fields.empty() ? "" : fields[0];
+    const auto arity = [&](std::size_t count) {
+      DYNET_CHECK(fields.size() == count)
+          << where() << "'" << tag << "' takes " << count - 1 << " fields";
+    };
+    // A node id field of the current trace: an integer in [0, n).
+    const auto node = [&](std::size_t i) {
+      const std::optional<NodeId> v =
+          parseField<NodeId>(fields[i], 0, trace.num_nodes - 1);
+      DYNET_CHECK(v.has_value())
+          << where() << "bad node '" << fields[i] << "' (need 0.."
+          << trace.num_nodes - 1 << ")";
+      return *v;
+    };
     if (tag == "n") {
-      ls >> trace.num_nodes;
-      DYNET_CHECK(trace.num_nodes >= 1) << "bad node count";
+      arity(2);
+      DYNET_CHECK(trace.num_nodes == 0 && !in_round)
+          << where() << "'n' must appear once, before any round";
+      const std::optional<NodeId> n = parseField<NodeId>(
+          fields[1], 1, std::numeric_limits<NodeId>::max());
+      DYNET_CHECK(n.has_value()) << where() << "bad node count";
+      trace.num_nodes = *n;
       actions.assign(static_cast<std::size_t>(trace.num_nodes), Action{});
     } else if (tag == "r") {
-      Round r = 0;
-      ls >> r;
+      arity(2);
+      DYNET_CHECK(trace.num_nodes > 0) << where() << "round before 'n'";
+      const std::optional<Round> r =
+          parseField<Round>(fields[1], 1, std::numeric_limits<Round>::max());
+      DYNET_CHECK(r.has_value()) << where() << "bad round number";
       flushRound();
-      DYNET_CHECK(r == static_cast<Round>(trace.topologies.size()) + 1)
-          << "non-contiguous round " << r;
+      DYNET_CHECK(*r == static_cast<Round>(trace.topologies.size()) + 1)
+          << where() << "non-contiguous round (expected "
+          << trace.topologies.size() + 1 << ")";
       in_round = true;
-    } else if (tag == "e") {
-      NodeId a = -1;
-      NodeId b = -1;
-      ls >> a >> b;
-      edges.push_back({a, b});
-    } else if (tag == "s") {
+    } else if (tag == "e" || tag == "s" || tag == "q") {
+      DYNET_CHECK(in_round) << where() << "'" << tag << "' outside a round";
+      if (tag == "e") {
+        arity(3);
+        const NodeId a = node(1);
+        const NodeId b = node(2);
+        DYNET_CHECK(a != b) << where() << "self-loop at " << a;
+        edges.push_back({a, b});
+        continue;
+      }
       have_actions = true;
-      NodeId v = -1;
-      int bits = 0;
-      std::string payload;
-      ls >> v >> bits >> payload;
-      DYNET_CHECK(v >= 0 && v < trace.num_nodes) << "bad sender " << v;
+      if (tag == "q") {
+        arity(2);
+        actions[static_cast<std::size_t>(node(1))] = Action{};
+        continue;
+      }
+      arity(4);
+      const NodeId v = node(1);
+      const std::optional<int> bits =
+          parseField<int>(fields[2], 0, Message::kCapacityBits);
+      DYNET_CHECK(bits.has_value())
+          << where() << "bad bit count (need 0.." << Message::kCapacityBits
+          << ")";
+      // One comma-separated hex word per started 64 bits (one for 0 bits),
+      // LSB-first.
+      const int words = std::max(1, (*bits + 63) / 64);
+      std::string_view payload = fields[3];
+      DYNET_CHECK(std::count(payload.begin(), payload.end(), ',') + 1 == words)
+          << where() << "payload needs " << words << " hex words";
       MessageBuilder builder;
-      std::istringstream ps(payload);
-      std::string word;
-      int remaining = bits;
-      while (std::getline(ps, word, ',')) {
-        const std::uint64_t value = std::stoull(word, nullptr, 16);
-        const int take = std::min(remaining, 64);
+      for (int w = 0; w < words; ++w) {
+        const std::string_view word = payload.substr(0, payload.find(','));
+        payload.remove_prefix(std::min(word.size() + 1, payload.size()));
+        const std::optional<std::uint64_t> value =
+            word.size() <= 16
+                ? parseField<std::uint64_t>(word, 0, ~std::uint64_t{0}, 16)
+                : std::nullopt;
+        DYNET_CHECK(value.has_value())
+            << where() << "bad hex word '" << word << "' (1 to 16 digits)";
+        const int take = std::min(*bits - 64 * w, 64);
         if (take > 0) {
-          builder.put(take < 64 ? (value & ((take == 64)
-                                                ? ~std::uint64_t{0}
-                                                : ((std::uint64_t{1} << take) - 1)))
-                                : value,
+          builder.put(take < 64 ? *value & ((std::uint64_t{1} << take) - 1)
+                                : *value,
                       take);
         }
-        remaining -= take;
       }
-      DYNET_CHECK(remaining == 0) << "payload shorter than declared bits";
       Action action;
       action.send = true;
       action.msg = builder.build();
       actions[static_cast<std::size_t>(v)] = action;
-    } else if (tag == "q") {
-      have_actions = true;
-      NodeId v = -1;
-      ls >> v;
-      DYNET_CHECK(v >= 0 && v < trace.num_nodes) << "bad receiver " << v;
-      actions[static_cast<std::size_t>(v)] = Action{};
     } else {
-      DYNET_CHECK(false) << "unknown trace tag '" << tag << "'";
+      DYNET_CHECK(false) << where() << "unknown trace tag '" << tag << "'";
     }
   }
   flushRound();

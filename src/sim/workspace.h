@@ -5,8 +5,7 @@
 // The engine creates its EngineWorkspace on construction and it dies with
 // the engine: nothing in it outlives a run, so no trial can see another
 // trial's data (docs/ARCHITECTURE.md).  All accesses happen on the thread
-// driving the engine (the strided SoA workers write disjoint slots); nothing
-// in the workspace is synchronized.
+// driving the engine; nothing in the workspace is synchronized.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +17,7 @@
 
 namespace dynet::sim {
 
-/// Drop/corrupt counts of one delivery loop (or one strided worker),
-/// filled by filterDelivery and folded in by addFaultTally
+/// Drop/corrupt counts of one delivery loop, filled by filterDelivery and folded in by addFaultTally
 /// (sim/soa_exec.h).
 struct FaultTally {
   std::uint64_t dropped = 0;
@@ -48,18 +46,15 @@ struct EngineWorkspace {
   std::vector<std::uint64_t> coin_keys;
   /// Topology of the previous round, handed to Adversary::topologyUpdate
   /// so delta-native adversaries can patch instead of rebuild.  Null in
-  /// round 1 and on the legacy (topology_deltas = false) path.
+  /// round 1.
   net::GraphPtr prev_topology;
-  /// Per-worker fault tallies for the strided SoA delivery loop
-  /// (sim/soa_exec.h); merged into the RunResult after the join.
-  std::vector<FaultTally> stride_faults;
-  /// This round's sending nodes in ascending order, collected by the serial
-  /// SoA compute walk so fault-free delivery can iterate senders (push
-  /// model) instead of scanning every node (sim/soa_exec.h).  Empty and
-  /// unused on the strided and faulty paths.
+  /// This round's sending nodes in ascending order, collected by the
+  /// fault-free SoA compute walk so delivery can iterate senders (push
+  /// model) instead of scanning every node (sim/soa_exec.h).  Unused in
+  /// faulty rounds.
   std::vector<NodeId> soa_senders;
-  /// Serial fault-free SoA rounds whose delivery took the receiver-major
-  /// pull walk (sim/soa_exec.h); exported as the soa//pull_rounds gauge.
+  /// Fault-free SoA rounds whose delivery took the receiver-major pull
+  /// walk (sim/soa_exec.h); exported as the soa//pull_rounds gauge.
   std::uint64_t soa_pull_rounds = 0;
 };
 

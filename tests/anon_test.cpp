@@ -223,9 +223,9 @@ TEST(AnonSizeEstimate, PhaseLocatorDoublesPhaseLengths) {
 // ---------------------------------------------- engine/campaign integration
 
 TEST(AnonymousMode, SoAStateIsGatedOffButResultsMatch) {
-  // soa_state + anonymous must take the object path (ports shuffle per
-  // receiver, which the SoA lanes do not model) and produce the same run
-  // as an explicit soa_state=false engine.
+  // A factory-built anonymous engine must take the object path (ports
+  // shuffle per receiver, which the SoA columns do not model) and produce
+  // the same run as an engine built on createProcesses.
   const NodeId n = 10;
   const auto run = [&](bool soa) {
     proto::FloodFactory factory(0, 0x2a, 8, proto::FloodMode::kDeterministic,
@@ -233,10 +233,11 @@ TEST(AnonymousMode, SoAStateIsGatedOffButResultsMatch) {
     EngineConfig config;
     config.max_rounds = 64;
     config.anonymous = true;
-    config.soa_state = soa;
-    Engine engine(factory,
-                  std::make_unique<adv::StaticAdversary>(net::makePath(n)),
-                  config, 0xF10);
+    auto adversary = std::make_unique<adv::StaticAdversary>(net::makePath(n));
+    Engine engine = soa ? Engine(factory, std::move(adversary), config, 0xF10)
+                        : Engine(createProcesses(factory, n),
+                                 std::move(adversary), config, 0xF10);
+    EXPECT_FALSE(engine.soaActive());
     const RunResult r = engine.run();
     std::vector<std::uint64_t> digests;
     for (NodeId v = 0; v < n; ++v) {

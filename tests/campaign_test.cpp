@@ -108,6 +108,46 @@ TEST(CampaignSpec, ParseRejectsGarbage) {
     "protocols": ["flood"], "adversaries": ["static_path"], "nodes": [8],
     "seeds": {"count": 1}, "faults": [{"name": "x", "sabotage": "maim"}]})"),
                util::CheckError);
+  // Every integer must be finite, integral and in range: casting 1e10 to
+  // int is undefined behaviour, and 8.9 nodes or 2.7 seeds must not be
+  // truncated silently.  The error names the key and the value.
+  const auto rejects = [](const std::string& nodes, const std::string& seeds,
+                          const std::string& expected) {
+    try {
+      CampaignSpec::parse(R"({"protocols": ["flood"],
+        "adversaries": ["static_path"], "nodes": )" +
+                          nodes + R"(, "seeds": )" + seeds + "}");
+      ADD_FAILURE() << "accepted nodes " << nodes << " seeds " << seeds;
+    } catch (const util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects("[1e10]", R"({"count": 1})", "'nodes' = 1e+10");
+  rejects("[8.9]", R"({"count": 1})", "'nodes' = 8.9");
+  rejects("[1]", R"({"count": 1})", "'nodes' = 1 is not an integer in [2,");
+  rejects("[8]", R"({"base": -3, "count": 2})", "'seeds.base' = -3");
+  rejects("[8]", R"({"base": 9007199254740994, "count": 2})",
+          "'seeds.base' = 9007199254740994");
+  rejects("[8]", R"({"count": 2.7})", "'count' = 2.7");
+  rejects("[8]", R"({"count": 1e999})", "'count' = inf");
+  // Shard configs (a worker's input line) read through the same helper.
+  ShardConfig shard;
+  shard.protocol = "flood";
+  shard.adversary = "static_path";
+  shard.n = 8;
+  std::string json = shard.canonicalJson();
+  const std::string trials = "\"trials\":" + std::to_string(shard.trials);
+  ASSERT_NE(json.find(trials), std::string::npos) << json;
+  json.replace(json.find(trials), trials.size(), "\"trials\":1e10");
+  try {
+    parseShardConfig(obs::Json::parse(json));
+    ADD_FAILURE() << "accepted " << json;
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("'trials' = 1e+10"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CampaignSpec, ExpandShardsCoversTheGridDeterministically) {
@@ -245,11 +285,11 @@ TEST(ShardExec, FloodShardRunsOnSoAAndMatchesTheObjectPath) {
         util::hashCombine(shard.seed_base, static_cast<std::uint64_t>(i));
     const std::unique_ptr<sim::ProcessFactory> factory =
         makeProtocolFactory(shard, seed);
-    sim::EngineConfig config = makeEngineConfig(shard);
+    const sim::EngineConfig config = makeEngineConfig(shard);
     EXPECT_TRUE(sim::Engine(*factory, makeAdversary(shard, seed), config, seed)
                     .soaActive());
-    config.soa_state = false;
-    sim::Engine objects(*factory, makeAdversary(shard, seed), config, seed);
+    sim::Engine objects(sim::createProcesses(*factory, shard.n),
+                        makeAdversary(shard, seed), config, seed);
     ASSERT_FALSE(objects.soaActive());
     const sim::RunResult& r = objects.run();
     const auto sample = [&](const char* name) {

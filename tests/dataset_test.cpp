@@ -450,13 +450,15 @@ ReplayArtifacts replayRun(std::shared_ptr<const CompiledTrace> trace,
                           std::uint64_t seed, bool deltas) {
   const proto::FloodFactory factory(0, 0x2a, 8,
                                     proto::FloodMode::kDeterministic, 0);
+  std::unique_ptr<sim::Adversary> adversary =
+      std::make_unique<adv::TraceAdversary>(trace, options);
+  if (!deltas) {
+    adversary = std::make_unique<sim::RebuildEveryRound>(std::move(adversary));
+  }
   sim::EngineConfig config;
   config.max_rounds = rounds;
-  config.topology_deltas = deltas;
   config.stop_when_all_done = false;
-  sim::Engine engine(factory,
-                     std::make_unique<adv::TraceAdversary>(trace, options),
-                     config, seed);
+  sim::Engine engine(factory, std::move(adversary), config, seed);
   ReplayArtifacts artifacts;
   artifacts.result = engine.run();
   for (sim::NodeId v = 0; v < trace->num_nodes; ++v) {

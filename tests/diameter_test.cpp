@@ -1,7 +1,7 @@
 // Property-based round-bound layer for the diameter protocol suite
 // (docs/DIAMETER.md): on randomized connected static graphs, across seeds,
-// sizes, and the full {soa_state, topology_deltas} engine matrix (all
-// under EngineConfig::duplex),
+// sizes, and the full engine-path matrix (factory or createProcesses x
+// bare or RebuildEveryRound adversary, all under EngineConfig::duplex),
 //
 //   diam_exact     reproduces the all-pairs BFS oracle exactly — diameter,
 //                  per-node eccentricities, per-source distances, and the
@@ -85,8 +85,10 @@ Oracle oracleFor(const net::Graph& g) {
   return o;
 }
 
-/// Runs `factory` on the static graph under duplex with the given engine
-/// flags and hands the finished engine to `inspect`.
+/// Runs `factory` on the static graph under duplex, built through the
+/// factory constructor (`soa`) or createProcesses, on the adversary itself
+/// (`deltas`) or wrapped in RebuildEveryRound, and hands the finished
+/// engine to `inspect`.
 template <typename Inspect>
 void runDiam(const sim::ProcessFactory& factory, net::GraphPtr g,
              sim::Round max_rounds, std::uint64_t seed, bool soa,
@@ -94,11 +96,16 @@ void runDiam(const sim::ProcessFactory& factory, net::GraphPtr g,
   sim::EngineConfig config;
   config.max_rounds = max_rounds;
   config.duplex = true;
-  config.soa_state = soa;
-  config.topology_deltas = deltas;
-  sim::Engine engine(factory,
-                     std::make_unique<adv::StaticAdversary>(std::move(g)),
-                     config, seed);
+  const sim::NodeId n = g->numNodes();
+  std::unique_ptr<sim::Adversary> adversary =
+      std::make_unique<adv::StaticAdversary>(std::move(g));
+  if (!deltas) {
+    adversary = std::make_unique<sim::RebuildEveryRound>(std::move(adversary));
+  }
+  sim::Engine engine =
+      soa ? sim::Engine(factory, std::move(adversary), config, seed)
+          : sim::Engine(sim::createProcesses(factory, n), std::move(adversary),
+                        config, seed);
   const sim::RunResult r = engine.run();
   inspect(engine, r);
 }

@@ -547,8 +547,9 @@ TEST(ZeroPlanRegression, LeaderElectionIsByteIdentical) {
 // incremental-topology fast path and on the full-rebuild reference path:
 // restart re-creates process state while the adversary keeps patching the
 // previous round's graph, which is exactly where the two paths could
-// drift.  The fuzz-diff harness sweeps the same flag; this pins it on a
-// scripted restart so the coverage does not depend on the fuzzer's dice.
+// drift.  The fuzz-diff harness sweeps the same comparison (the adversary
+// bare and wrapped in sim::RebuildEveryRound); this pins it on a scripted
+// restart so the coverage does not depend on the fuzzer's dice.
 TEST(RestartRegression, RestartMidRunMatchesRebuildPathExactly) {
   const sim::NodeId n = 10;
   const std::uint64_t seed = 2026;
@@ -558,21 +559,21 @@ TEST(RestartRegression, RestartMidRunMatchesRebuildPathExactly) {
   fc.scripted_crashes = {{4, 3}, {7, 5}};
   fc.scripted_restarts = {{4, 7}, {7, 9}};
   auto run = [&](bool deltas) {
-    std::vector<std::unique_ptr<sim::Process>> processes;
-    for (sim::NodeId v = 0; v < n; ++v) {
-      processes.push_back(factory.create(v, n));
-    }
     // Dense random graphs: the live subgraph stays connected through both
     // crash windows (seed-pinned, so this holds deterministically).
-    auto adversary = std::make_unique<adv::RandomGraphAdversary>(n, 0.5, 11);
+    std::unique_ptr<sim::Adversary> adversary =
+        std::make_unique<adv::RandomGraphAdversary>(n, 0.5, 11);
+    if (!deltas) {
+      adversary =
+          std::make_unique<sim::RebuildEveryRound>(std::move(adversary));
+    }
     sim::EngineConfig config;
     config.max_rounds = 20;
     config.stop_when_all_done = false;
     config.record_actions = true;
     config.record_topologies = true;
-    config.topology_deltas = deltas;
     auto engine = std::make_unique<sim::Engine>(
-        std::move(processes), std::move(adversary), config, seed);
+        sim::createProcesses(factory, n), std::move(adversary), config, seed);
     engine->setFaultInjector(injectorFor(n, fc, 55, &factory));
     engine->run();
     return engine;

@@ -1,16 +1,20 @@
 // Differential fuzz over the engine's dual hot paths.
 //
-// The incremental topology cache (EngineConfig::topology_deltas) and the
-// structure-of-arrays state store (EngineConfig::soa_state) are required
-// to be BYTE-IDENTICAL to the reference engine: same RunResult fields,
-// same per-node state digests, same serialized traces, same metrics.json —
+// The incremental topology path (Adversary::topologyUpdate) and the
+// structure-of-arrays state store (sim/soa.h) are required to be
+// BYTE-IDENTICAL to the reference engine: same RunResult fields, same
+// per-node state digests, same serialized traces, same metrics.json —
 // modulo the reserved metric prefixes (`topology/`, `soa/`) that report
-// how the work was done rather than what the protocol did.
+// how the work was done rather than what the protocol did.  Each reference
+// is reached by construction: the object path by sim::createProcesses plus
+// the process-vector constructor, the rebuild-every-round path by wrapping
+// the adversary in sim::RebuildEveryRound.
 //
 // This test samples random (adversary, protocol, fault-plan) configs from
-// a fixed master seed and runs each through all four flag combinations of
-// {soa_state, topology_deltas}, asserting every combination matches the
-// reference (false, false) artifacts exactly.
+// a fixed master seed and runs each through all four combinations of
+// {SoA-capable factory constructor, delta-native adversary}, asserting
+// every combination matches the reference (objects, rebuild) artifacts
+// exactly.
 //
 // Budget: the default config count keeps the test inside the tier-1 ctest
 // `--quick` budget (a few seconds).  Set DYNET_FUZZ_CONFIGS=<count> to
@@ -242,9 +246,9 @@ struct TrialArtifacts {
 };
 
 /// Drops every line mentioning a reserved-prefix metric.  `topology/` and
-/// `soa/` report which hot path executed (delta hit rates, stride-worker
-/// shape) and are the ONLY metrics allowed to differ between the reference
-/// and optimized engines.  All paths
+/// `soa/` report which hot path executed (delta hit rates, state
+/// representation, delivery direction) and are the ONLY metrics allowed to
+/// differ between the reference and optimized engines.  All paths
 /// register the same protocol-level names, so stripping is symmetric and
 /// the remainders stay comparable.
 std::string stripReservedMetrics(const std::string& json) {
@@ -261,8 +265,7 @@ std::string stripReservedMetrics(const std::string& json) {
   return out.str();
 }
 
-TrialArtifacts runConfig(const FuzzConfig& c, bool soa_state,
-                         bool topology_deltas) {
+TrialArtifacts runConfig(const FuzzConfig& c, bool soa, bool deltas) {
   const std::unique_ptr<ProcessFactory> factory = makeFactory(c);
   obs::MetricsSink sink;
   EngineConfig config;
@@ -279,9 +282,14 @@ TrialArtifacts runConfig(const FuzzConfig& c, bool soa_state,
   // the flag must be identical on both sides of every comparison.
   config.duplex = c.protocol >= 4;
   config.metrics = c.with_sink ? &sink : nullptr;
-  config.soa_state = soa_state;
-  config.topology_deltas = topology_deltas;
-  Engine engine(*factory, makeAdversary(c), config, c.run_seed);
+  std::unique_ptr<Adversary> adversary = makeAdversary(c);
+  if (!deltas) {
+    adversary = std::make_unique<RebuildEveryRound>(std::move(adversary));
+  }
+  Engine engine =
+      soa ? Engine(*factory, std::move(adversary), config, c.run_seed)
+          : Engine(createProcesses(*factory, c.n), std::move(adversary),
+                   config, c.run_seed);
   if (c.faulty) {
     engine.setFaultInjector(std::make_shared<const faults::FaultInjector>(
         faults::FaultPlan(c.n, c.fc, c.run_seed * 0x9E3779B97F4A7C15ULL + 0xFA),
@@ -317,16 +325,16 @@ TEST(FuzzDiff, OptimizedPathsMatchLegacyByteForByte) {
   for (int i = 0; i < count; ++i) {
     const FuzzConfig c = sampleConfig(master_seed, i);
     const TrialArtifacts reference = runConfig(c, false, false);
-    // All three non-reference combinations of {soa_state, topology_deltas}
-    // — the shipping default (true, true) plus each partial engine, so a
-    // regression in either subsystem is attributed to the right flag.
+    // All three non-reference combinations of {soa, deltas} — the shipping
+    // default (true, true) plus each partial engine, so a regression in
+    // either subsystem is attributed to the right path.
     for (int combo = 1; combo < 4; ++combo) {
       const bool soa = (combo & 2) != 0;
       const bool deltas = (combo & 1) != 0;
       const TrialArtifacts other = runConfig(c, soa, deltas);
       EXPECT_TRUE(reference == other)
-          << describeConfig(c, i) << " [soa_state=" << soa
-          << " topology_deltas=" << deltas << "]";
+          << describeConfig(c, i) << " [soa=" << soa << " deltas=" << deltas
+          << "]";
     }
     if (HasFailure()) {
       break;  // one reproducible config is enough to debug

@@ -126,9 +126,9 @@ std::string runCanonical(const sim::ProcessFactory& factory,
                          const faults::FaultConfig* fc = nullptr,
                          bool duplex = false, bool anonymous = false) {
   const sim::NodeId n = adversary->numNodes();
-  // Factory construction takes the shipping default path (soa_state ON for
-  // factories with an SoA model), so the .golden files pin the SoA engine
-  // against the repository history, not just the legacy object path.
+  // Factory construction takes the shipping default path (the SoA engine
+  // for factories with an SoA model), so the .golden files pin the SoA
+  // engine against the repository history, not just the object path.
   sim::EngineConfig config = canonicalConfig(rounds);
   config.duplex = duplex;
   config.anonymous = anonymous;

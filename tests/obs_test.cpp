@@ -129,6 +129,29 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(obs::Json::parse("[1 2]"), util::CheckError);
   EXPECT_THROW(obs::Json::parse("nul"), util::CheckError);
   EXPECT_THROW(obs::Json::parse("{} trailing"), util::CheckError);
+  // Nesting is capped at 256 levels, so a hostile file cannot exhaust the
+  // parser's recursion: 100,000 '[' throw a located error, and a value
+  // nested exactly 256 deep parses.
+  try {
+    obs::Json::parse(std::string(100'000, '['));
+    ADD_FAILURE() << "100,000 nested arrays parsed";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "nested deeper than 256 levels at offset 256"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(obs::Json::parse(std::string(257, '[') + std::string(257, ']')),
+               util::CheckError);
+  std::string at_limit = std::string(255, '[') + "{\"k\": 1}";
+  at_limit += std::string(255, ']');
+  const obs::Json deep = obs::Json::parse(at_limit);
+  const obs::Json* node = &deep;
+  for (int level = 0; level < 255; ++level) {
+    ASSERT_EQ(node->items().size(), 1u) << "level " << level;
+    node = &node->items()[0];
+  }
+  EXPECT_DOUBLE_EQ(node->at("k").number(), 1);
 }
 
 TEST(Json, LargeCountersRoundTripExactly) {

@@ -36,14 +36,11 @@ sim::Engine makeEngine(const sim::ProcessFactory& factory,
                        std::unique_ptr<sim::Adversary> adversary, Round max_rounds,
                        std::uint64_t seed, bool record = false) {
   const NodeId n = adversary->numNodes();
-  std::vector<std::unique_ptr<sim::Process>> ps;
-  for (NodeId v = 0; v < n; ++v) {
-    ps.push_back(factory.create(v, n));
-  }
   sim::EngineConfig config;
   config.max_rounds = max_rounds;
   config.record_topologies = record;
-  return sim::Engine(std::move(ps), std::move(adversary), config, seed);
+  return sim::Engine(sim::createProcesses(factory, n), std::move(adversary),
+                     config, seed);
 }
 
 // --- Deterministic flooding ---
@@ -110,9 +107,12 @@ TEST(Flood, TokenRoundZeroAtSourceMinusOneElsewhereInitially) {
 TEST(Flood, SourceOutsideNodeRangeThrowsOnBothPaths) {
   const NodeId n = 4;
   const auto build = [&](const sim::ProcessFactory& factory, bool soa) {
-    sim::EngineConfig config;
-    config.soa_state = soa;
-    sim::Engine engine(factory, makeAdversary("static_path", n, 1), config, 1);
+    const sim::EngineConfig config;
+    sim::Engine engine =
+        soa ? sim::Engine(factory, makeAdversary("static_path", n, 1), config,
+                          1)
+            : sim::Engine(sim::createProcesses(factory, n),
+                          makeAdversary("static_path", n, 1), config, 1);
   };
   for (const NodeId source : {NodeId{-1}, n, NodeId{64}}) {
     const FloodFactory flood(source, 1, 2, FloodMode::kDeterministic, 0);

@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 
+#include "adversary/churn_adversaries.h"
 #include "adversary/static_adversaries.h"
 #include "net/graph.h"
+#include "obs/sink.h"
+#include "protocols/flood.h"
 #include "sim/batch.h"
 #include "sim/engine.h"
 #include "sim/message.h"
+#include "sim/trace.h"
 #include "util/check.h"
 
 namespace dynet::sim {
@@ -140,7 +145,7 @@ class Hog : public Process {
     a.send = true;
     MessageBuilder b;
     for (int i = 0; i < 4; ++i) {
-      b.put(~std::uint64_t{0}, 60);  // 240 bits >> budget for N=2
+      b.put((std::uint64_t{1} << 60) - 1, 60);  // 240 bits >> budget for N=2
     }
     a.msg = b.build();
     return a;
@@ -148,14 +153,40 @@ class Hog : public Process {
   void onDeliver(Round, bool, std::span<const Message>) override {}
 };
 
+// The budget check sits on a cold path beside the inlined send accounting;
+// a failing send throws the message naming node, round, size and budget,
+// on the object path and in the SoA compute loop alike.
 TEST(Engine, BudgetViolationAborts) {
+  const auto stepError = [](Engine& engine) {
+    try {
+      engine.step();
+    } catch (const util::CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no CheckError");
+  };
   std::vector<std::unique_ptr<Process>> ps;
   ps.push_back(std::make_unique<Hog>());
   ps.push_back(std::make_unique<Hog>());
   EngineConfig config;
   Engine engine(std::move(ps), std::make_unique<adv::StaticAdversary>(net::makePath(2)),
                 config, 1);
-  EXPECT_THROW(engine.step(), util::CheckError);
+  const std::string objects = stepError(engine);
+  EXPECT_NE(objects.find("node 0 round 1 message of 240 bits exceeds budget 72"),
+            std::string::npos)
+      << objects;
+
+  const proto::FloodFactory flood(3, 0x2a, 8, proto::FloodMode::kDeterministic,
+                                  0);
+  EngineConfig tight;
+  tight.msg_budget_bits = 4;
+  Engine soa(flood, std::make_unique<adv::StaticAdversary>(net::makePath(5)),
+             tight, 1);
+  ASSERT_TRUE(soa.soaActive());
+  const std::string soa_error = stepError(soa);
+  EXPECT_NE(soa_error.find("node 3 round 1 message of 8 bits exceeds budget 4"),
+            std::string::npos)
+      << soa_error;
 }
 
 /// Sends a well-formed 240-bit message every round (over the default
@@ -424,6 +455,59 @@ TEST(Engine, PeriodicAdversaryCycles) {
   EXPECT_TRUE(v2->deliveries()[0].empty());
   EXPECT_EQ(v2->deliveries()[1], (std::vector<std::uint64_t>{9}));
   EXPECT_TRUE(v2->deliveries()[2].empty());
+}
+
+// The rebuild-every-round reference is reached by construction: wrapped in
+// RebuildEveryRound, a delta-native adversary builds every round through
+// topology(), so no round counts as incremental, while the bare adversary
+// patches the previous round's graph.  Results and trace bytes are equal.
+TEST(Engine, RebuildEveryRoundIsTheFullBuildReference) {
+  const NodeId n = 24;
+  const Round rounds = 40;
+  struct Run {
+    RunResult result;
+    std::string trace;
+    std::uint64_t incremental = 0;
+    std::uint64_t full = 0;
+  };
+  const auto run = [&](bool rebuild) {
+    const proto::FloodFactory factory(0, 0x2a, 8, proto::FloodMode::kRandomized,
+                                      0);
+    std::unique_ptr<Adversary> adversary =
+        std::make_unique<adv::EdgeChurnAdversary>(n, 3, 0xC0);
+    if (rebuild) {
+      adversary = std::make_unique<RebuildEveryRound>(std::move(adversary));
+    }
+    obs::MetricsSink sink;
+    EngineConfig config;
+    config.max_rounds = rounds;
+    config.stop_when_all_done = false;
+    config.record_topologies = true;
+    config.record_actions = true;
+    config.metrics = &sink;
+    Engine engine(factory, std::move(adversary), config, 0xC1);
+    Run out;
+    out.result = engine.run();
+    std::ostringstream trace;
+    writeTrace(trace, traceFromEngine(engine));
+    out.trace = trace.str();
+    out.incremental =
+        sink.registry.counter("topology/incremental_rounds")->value;
+    out.full = sink.registry.counter("topology/full_builds")->value;
+    return out;
+  };
+  const Run reference = run(/*rebuild=*/true);
+  const Run delta = run(/*rebuild=*/false);
+  EXPECT_EQ(reference.result.rounds_executed, rounds);
+  EXPECT_EQ(reference.incremental, 0u);
+  EXPECT_EQ(reference.full, static_cast<std::uint64_t>(rounds));
+  EXPECT_GT(delta.incremental, 0u);
+  EXPECT_EQ(delta.incremental + delta.full, static_cast<std::uint64_t>(rounds));
+  EXPECT_EQ(delta.result.done_round, reference.result.done_round);
+  EXPECT_EQ(delta.result.messages_sent, reference.result.messages_sent);
+  EXPECT_EQ(delta.result.bits_per_node, reference.result.bits_per_node);
+  EXPECT_EQ(delta.result.bits_per_round, reference.result.bits_per_round);
+  EXPECT_EQ(delta.trace, reference.trace);
 }
 
 TEST(Engine, PerNodeBitAccounting) {

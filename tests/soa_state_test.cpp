@@ -1,8 +1,10 @@
 // Structure-of-arrays state store: differential pins against the object
 // path.
 //
-// Four layers of evidence that EngineConfig::soa_state changes HOW the
-// engine executes a round, never WHAT it computes:
+// Four layers of evidence that the SoA path (the factory constructor over a
+// protocol with an SoA model) changes HOW the engine executes a round,
+// never WHAT it computes.  The reference is the object path: the same
+// factory through sim::createProcesses and the process-vector constructor.
 //
 //   * per-round lockstep: object and SoA engines stepped side by side must
 //     agree on every node's stateDigest / done / output after EVERY round,
@@ -12,12 +14,9 @@
 //   * crash masks: the same lockstep under crash + restart fault plans,
 //     so faultPhase's liveness bookkeeping (including SoAModel::resetNode
 //     on restart) is compared round by round, plus full fault accounting;
-//   * fast paths: the no-liveness-fault faultPhase skip (zero plans and
-//     drop/corrupt-only plans) and the strided node_threads worker loop
-//     must be byte-identical to their general/serial counterparts — the
-//     strided case is the designated TSan target (.github/workflows/ci.yml
-//     runs this binary with DYNET_THREADS=4 under -fsanitize=thread);
-//   * delivery direction: serial fault-free rounds push or pull by the
+//   * fast path: the no-liveness-fault faultPhase skip (zero plans and
+//     drop/corrupt-only plans) must be byte-identical to the general path;
+//   * delivery direction: fault-free rounds push or pull by the
 //     work rule of sim/soa_exec.h, on schedules with rounds on both sides
 //     of it and on its tie, and soa//pull_rounds counts the pulled rounds
 //     exactly; faulty rounds never take the push walk.
@@ -37,7 +36,6 @@
 #include "net/graph.h"
 #include "obs/sink.h"
 #include "protocols/flood.h"
-#include "protocols/gossip.h"
 #include "protocols/max_flood.h"
 #include "sim/engine.h"
 #include "sim/soa_exec.h"
@@ -54,7 +52,7 @@ std::unique_ptr<ProcessFactory> makeProtocol(int kind, NodeId n,
     case 1:
       return std::make_unique<proto::FloodFactory>(
           0, 0x2a, 8, proto::FloodMode::kRandomized, rounds / 2);
-    case 2: {
+    default: {
       std::vector<std::uint64_t> values;
       for (NodeId v = 0; v < n; ++v) {
         values.push_back(static_cast<std::uint64_t>((v * 37 + 11) % 100));
@@ -62,11 +60,12 @@ std::unique_ptr<ProcessFactory> makeProtocol(int kind, NodeId n,
       return std::make_unique<proto::MaxFloodFactory>(std::move(values), 8,
                                                       rounds);
     }
-    default:
-      return std::make_unique<proto::GossipFactory>(/*total_tokens=*/6,
-                                                    rounds);
   }
 }
+
+/// Protocols with an SoA model: 0 flood (deterministic), 1 flood
+/// (randomized), 2 max_flood.
+constexpr int kProtocols = 3;
 
 std::unique_ptr<Adversary> makeAdversary(int kind, NodeId n,
                                          std::uint64_t seed) {
@@ -127,7 +126,6 @@ struct LockstepSpec {
   int adversary = 0;
   std::uint64_t seed = 0;
   const faults::FaultConfig* fc = nullptr;
-  int node_threads = 1;
   /// Attached to the SoA engine, whose metrics are finalized after the
   /// last round.
   obs::MetricsSink* soa_sink = nullptr;
@@ -144,16 +142,14 @@ void runLockstep(const LockstepSpec& s) {
   object_cfg.max_rounds = s.rounds;
   object_cfg.stop_when_all_done = false;
   object_cfg.check_connectivity = false;
-  object_cfg.soa_state = false;
   EngineConfig soa_cfg = object_cfg;
-  soa_cfg.soa_state = true;
-  soa_cfg.node_threads = s.node_threads;
   soa_cfg.metrics = s.soa_sink;
   object_cfg.record_actions = s.directions != nullptr;
   object_cfg.record_topologies = s.directions != nullptr;
 
-  Engine object_engine(*factory, makeAdversary(s.adversary, s.n, s.seed),
-                       object_cfg, s.seed);
+  Engine object_engine(createProcesses(*factory, s.n),
+                       makeAdversary(s.adversary, s.n, s.seed), object_cfg,
+                       s.seed);
   Engine soa_engine(*factory, makeAdversary(s.adversary, s.n, s.seed),
                     soa_cfg, s.seed);
   ASSERT_FALSE(object_engine.soaActive());
@@ -192,7 +188,7 @@ void runLockstep(const LockstepSpec& s) {
 }
 
 TEST(SoAState, PerRoundDigestLockstepAcrossProtocolsAndAdversaries) {
-  for (int protocol = 0; protocol < 4; ++protocol) {
+  for (int protocol = 0; protocol < kProtocols; ++protocol) {
     for (int adversary = 0; adversary < 3; ++adversary) {
       for (std::uint64_t seed : {0x51ull, 0x52ull}) {
         LockstepSpec s;
@@ -231,18 +227,25 @@ TEST(SoAState, CrashMasksConsistentUnderFaultPlans) {
       }
     }
   }
-  // Gossip under crash/restart (but pristine payloads): exercises
-  // SoAModel::resetNode's re-seeding of the held-token bitset.
+  // Flood under crash/restart (but pristine payloads: FloodProcess rejects
+  // foreign tokens): locksteps FloodSoA::resetNode, which hands the source
+  // back its token and every other node its token-less round-0 state, in
+  // both flood modes.
   faults::FaultConfig crash_only = fc;
   crash_only.drop_prob = 0;
   crash_only.corrupt_prob = 0;
   crash_only.deliver_corrupted = false;
-  LockstepSpec s;
-  s.protocol = 3;
-  s.adversary = 1;
-  s.seed = 0x64;
-  s.fc = &crash_only;
-  runLockstep(s);
+  for (const int protocol : {0, 1}) {
+    LockstepSpec s;
+    s.protocol = protocol;
+    s.adversary = 1;
+    s.seed = 0x64;
+    s.fc = &crash_only;
+    runLockstep(s);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
 }
 
 // Satellite pin: faultPhase skips the per-trial liveness-mask re-init when
@@ -258,8 +261,9 @@ TEST(SoAState, NoLivenessFaultPlansAreByteIdentical) {
     cfg.max_rounds = rounds;
     cfg.stop_when_all_done = false;
     cfg.check_connectivity = false;
-    cfg.soa_state = soa;
-    Engine engine(*factory, makeAdversary(1, n, 0x71), cfg, 0x71);
+    Engine engine = soa ? Engine(*factory, makeAdversary(1, n, 0x71), cfg, 0x71)
+                        : Engine(createProcesses(*factory, n),
+                                 makeAdversary(1, n, 0x71), cfg, 0x71);
     if (fc != nullptr) {
       engine.setFaultInjector(std::make_shared<const faults::FaultInjector>(
           faults::FaultPlan(n, *fc, 0x71 ^ 0xFA), factory.get()));
@@ -295,34 +299,6 @@ TEST(SoAState, NoLivenessFaultPlansAreByteIdentical) {
       << "drop-only plan dropped nothing — the regression pin is vacuous";
 }
 
-// The strided worker loop (node_threads > 1) must be byte-identical to the
-// serial loop, fault-free and through the shared drop/corrupt filter with
-// its per-worker tallies.  CI runs this test under TSan to race-check the
-// stride.
-TEST(SoAState, StridedWorkersMatchSerial) {
-  faults::FaultConfig lossy;
-  lossy.drop_prob = 0.2;
-  lossy.corrupt_prob = 0.1;  // CRC-caught: no protocol sees a mangled payload
-  const faults::FaultConfig* const plans[] = {&lossy, nullptr};
-  for (int protocol = 0; protocol < 4; ++protocol) {
-    for (const int node_threads : {4, 0}) {
-      for (const faults::FaultConfig* fc : plans) {
-        LockstepSpec s;
-        s.n = 48;
-        s.protocol = protocol;
-        s.adversary = 2;
-        s.seed = 0x81;
-        s.fc = fc;
-        s.node_threads = node_threads;  // object leg stays serial
-        runLockstep(s);
-        if (HasFatalFailure()) {
-          return;
-        }
-      }
-    }
-  }
-}
-
 // ------------------------------------------- direction-optimizing delivery
 
 TEST(SoAState, PullWalkRuleAndTie) {
@@ -347,49 +323,44 @@ TEST(SoAState, PullWalkRuleAndTie) {
   EXPECT_FALSE(pullWalkWins(n, n / 2 + 1, std::uint64_t{1} << 40));
 }
 
-// The serial fault-free SoA delivery pushes or pulls each round by the
-// work rule.  On rings of n = 12 the rule's tie sits at exactly |S| = 8;
+// Fault-free SoA delivery pushes or pulls each round by the work rule.  On rings of n = 12 the rule's tie sits at exactly |S| = 8;
 // the dense random graphs pull just past a sender majority; edge churn
 // lies between.  Coin-flipping senders (and flood's growing frontier) put
 // rounds on both sides and on the tie.  Each run is a per-round digest
 // lockstep against the object path, and soa//pull_rounds must count
-// exactly the rounds the rule sends to pull — ties push — at one worker,
-// and none at four, whose strided walk always pulls.
+// exactly the rounds the rule sends to pull — ties push.
 TEST(SoAState, DirectionOptimizingDeliveryMatchesObjectPath) {
   DirectionTally all;
-  for (int protocol = 0; protocol < 4; ++protocol) {
-    for (const int node_threads : {1, 4}) {
-      DirectionTally seen;
-      for (const int adversary : {3, 1, 2}) {
-        for (const std::uint64_t seed : {0x91ull, 0x92ull}) {
-          obs::MetricsSink sink;
-          DirectionTally tally;
-          LockstepSpec s;
-          s.n = 12;
-          s.rounds = 48;
-          s.protocol = protocol;
-          s.adversary = adversary;
-          s.seed = seed;
-          s.node_threads = node_threads;
-          s.soa_sink = &sink;
-          s.directions = &tally;
-          runLockstep(s);
-          if (HasFatalFailure()) {
-            return;
-          }
-          EXPECT_DOUBLE_EQ(sink.registry.gauge("soa//pull_rounds")->value,
-                           node_threads == 1 ? tally.pull : 0)
-              << "protocol " << protocol << " adversary " << adversary
-              << " seed " << seed << " threads " << node_threads;
-          seen.push += tally.push;
-          seen.tie += tally.tie;
-          seen.pull += tally.pull;
+  for (int protocol = 0; protocol < kProtocols; ++protocol) {
+    DirectionTally seen;
+    for (const int adversary : {3, 1, 2}) {
+      for (const std::uint64_t seed : {0x91ull, 0x92ull}) {
+        obs::MetricsSink sink;
+        DirectionTally tally;
+        LockstepSpec s;
+        s.n = 12;
+        s.rounds = 48;
+        s.protocol = protocol;
+        s.adversary = adversary;
+        s.seed = seed;
+        s.soa_sink = &sink;
+        s.directions = &tally;
+        runLockstep(s);
+        if (HasFatalFailure()) {
+          return;
         }
+        EXPECT_DOUBLE_EQ(sink.registry.gauge("soa//pull_rounds")->value,
+                         tally.pull)
+            << "protocol " << protocol << " adversary " << adversary
+            << " seed " << seed;
+        seen.push += tally.push;
+        seen.tie += tally.tie;
+        seen.pull += tally.pull;
       }
-      EXPECT_GT(seen.push, 0) << "protocol " << protocol;
-      EXPECT_GT(seen.pull, 0) << "protocol " << protocol;
-      all.tie += seen.tie;
     }
+    EXPECT_GT(seen.push, 0) << "protocol " << protocol;
+    EXPECT_GT(seen.pull, 0) << "protocol " << protocol;
+    all.tie += seen.tie;
   }
   EXPECT_GT(all.tie, 0) << "no round landed on the rule's tie";
 }

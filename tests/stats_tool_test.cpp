@@ -142,17 +142,17 @@ TEST(StatsTool, DiffModeSplitsExecutionShapeGauges) {
   // soa// gauges describe which engine path ran, so the diff must pull
   // them out of the semantic gauge table into an execution-shape section
   // where a difference is annotated as expected — and a change of state
-  // representation (soa//active) earns an explicit note.
+  // representation (soa//active) earns an explicit note.  The engine writes
+  // two shape gauges; the baseline lacks soa//pull_rounds, like a metrics
+  // file from a build that predates it.
   obs::MetricsRegistry baseline;
   baseline.gauge("engine/rounds")->set(50);
   baseline.gauge("soa//active")->set(0);
-  baseline.gauge("soa//stride_workers")->set(1);
   const std::string base_path = writeFixture("stats_shape_base.json", baseline);
 
   obs::MetricsRegistry current;
   current.gauge("engine/rounds")->set(50);
   current.gauge("soa//active")->set(1);
-  current.gauge("soa//stride_workers")->set(1);
   current.gauge("soa//pull_rounds")->set(60);
   const std::string cur_path = writeFixture("stats_shape_cur.json", current);
 
@@ -163,9 +163,16 @@ TEST(StatsTool, DiffModeSplitsExecutionShapeGauges) {
       << run.output;
   EXPECT_NE(run.output.find("(differs: expected)"), std::string::npos)
       << run.output;
-  EXPECT_NE(run.output.find("(same)"), std::string::npos) << run.output;
   EXPECT_NE(run.output.find("(current only)"), std::string::npos)
       << run.output;
+  // A run diffed against itself marks every shape gauge "(same)".
+  const ToolRun same = runStats("--in " + cur_path + " --baseline " + cur_path);
+  ASSERT_EQ(same.exit_code, 0) << same.output;
+  EXPECT_NE(same.output.find("soa//pull_rounds"), std::string::npos)
+      << same.output;
+  EXPECT_NE(same.output.find("(same)"), std::string::npos) << same.output;
+  EXPECT_EQ(same.output.find("(differs: expected)"), std::string::npos)
+      << same.output;
   EXPECT_NE(run.output.find("soa//pull_rounds"), std::string::npos)
       << run.output;
   EXPECT_NE(run.output.find("different state representations"),

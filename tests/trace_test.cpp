@@ -102,6 +102,52 @@ TEST(Trace, RejectsEmpty) {
   EXPECT_THROW(readTrace(buffer), util::CheckError);
 }
 
+/// readTrace(text) must throw a CheckError whose message contains
+/// `expected` (the 1-based line number and the line's text).
+void expectRejected(const std::string& text, const std::string& expected) {
+  std::stringstream buffer(text);
+  try {
+    readTrace(buffer);
+    ADD_FAILURE() << "accepted:\n" << text;
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+        << e.what();
+  }
+}
+
+// Every field is parsed whole and range-checked; a failure names the line.
+TEST(Trace, RejectsMalformedFields) {
+  const std::string head = "dynet-trace v1\nn 3\nr 1\ne 0 1\ne 1 2\n";
+  expectRejected(head + "s 0 8 zz\n", "trace line 6 's 0 8 zz'");
+  expectRejected(head + "s 0 8 " + std::string(17, 'f') + "\n",
+                 "bad hex word '" + std::string(17, 'f') + "'");
+  expectRejected(head + "s 0 -5 0\n", "trace line 6 's 0 -5 0': bad bit count");
+  expectRejected(head + "s 0 257 0,0,0,0,0\n", "bad bit count (need 0..256)");
+  expectRejected(head + "s 0 72 ff\n", "payload needs 2 hex words");
+  expectRejected(head + "s 0 8 ff extra\n", "'s' takes 3 fields");
+  expectRejected(head + "s 3 8 ff\n", "bad node '3' (need 0..2)");
+  expectRejected("dynet-trace v1\nn 3\nr 1\ne 0 x\n",
+                 "trace line 4 'e 0 x': bad node 'x'");
+  expectRejected("dynet-trace v1\nn 3\nr 1\ne 1 1\n",
+                 "trace line 4 'e 1 1': self-loop at 1");
+  expectRejected("dynet-trace v1\nn 3\nr 2x\n",
+                 "trace line 3 'r 2x': bad round number");
+  expectRejected("dynet-trace v1\nn 3x\n", "trace line 2 'n 3x': bad node count");
+  expectRejected("dynet-trace v1\nn 0\n", "trace line 2 'n 0': bad node count");
+}
+
+// `n` comes once, before any round; `e`, `s` and `q` only inside a round.
+TEST(Trace, RejectsRecordsOutsideTheirPlace) {
+  expectRejected("dynet-trace v1\nn 2\ne 0 1\nr 1\n",
+                 "trace line 3 'e 0 1': 'e' outside a round");
+  expectRejected("dynet-trace v1\nn 2\nq 0\n", "'q' outside a round");
+  expectRejected("dynet-trace v1\nn 2\nr 1\ne 0 1\nn 2\n",
+                 "trace line 5 'n 2': 'n' must appear once, before any round");
+  expectRejected("dynet-trace v1\nn 2\nn 2\nr 1\ne 0 1\n",
+                 "'n' must appear once");
+  expectRejected("dynet-trace v1\nr 1\n", "trace line 2 'r 1': round before 'n'");
+}
+
 TEST(Trace, WideMessageRoundTrip) {
   // Payload wider than 64 bits survives the word-split encoding.
   Trace trace;

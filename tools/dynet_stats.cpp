@@ -11,9 +11,9 @@
 //       scheduler's campaign// stage timings across two runs — plus
 //       metrics present in only one of the runs.  Gauges under the
 //       reserved soa// execution-shape prefix (state representation,
-//       stride workers, delivery direction) get their own section where a
-//       difference is annotated as an expected configuration change, not
-//       a delta to chase.
+//       delivery direction) get their own section where a difference is
+//       annotated as an expected configuration change, not a delta to
+//       chase.
 //
 // Malformed input (not JSON, wrong schema version) exits 1 with a message.
 #include <algorithm>
@@ -152,9 +152,9 @@ void printSummary(const obs::Json& root) {
 
 /// Execution-shape gauges live under the reserved `soa//` prefix
 /// (docs/OBSERVABILITY.md): they describe WHICH engine path ran (state
-/// representation, stride worker count, delivery direction), not what the
-/// run computed, so a delta between two runs is a configuration
-/// difference, never a semantic regression.
+/// representation, delivery direction), not what the run computed, so a
+/// delta between two runs is a configuration difference, never a semantic
+/// regression.
 bool isShapeGauge(const std::string& name) {
   return name.rfind("soa//", 0) == 0;
 }
