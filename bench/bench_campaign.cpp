@@ -7,14 +7,14 @@
 //                  thread, no checkpointing (the floor),
 //   * inprocess  — the full scheduler with telemetry off: claim loop,
 //                  atomic commit per shard, report merge,
-//   * +telemetry — the same run with the event stream / status snapshots /
-//                  scheduler profile enabled (the default configuration),
+//   * +telemetry — the same run with the event stream and scheduler
+//                  profile enabled (the default configuration),
 //   * subprocess — supervised dynet_cli --worker processes (adds spawn +
 //                  JSONL round trips; needs --worker-cmd, else skipped).
 //
 // The interesting numbers are inprocess vs raw — the price of crash safety
 // when nothing crashes — and +telemetry vs inprocess — the price of
-// observability, targeted at < 2% on realistic shard sizes (fsync costs
+// observability, targeted at < 2% on realistic shard sizes (event appends
 // are fixed per transition, so tiny --quick shards overstate the ratio).
 // Resume cost is shown separately: a second run over a fully committed
 // checkpoint should do no simulation at all.
@@ -64,7 +64,7 @@ int run(int argc, char** argv) {
                      : std::vector<sim::NodeId>{16, 64};
   spec.seed_count = quick ? 4 : 16;
   spec.seeds_per_shard = 2;
-  spec.max_rounds = 50'000;
+  spec.knobs.max_rounds = 50'000;
 
   const std::vector<campaign::ShardConfig> shards = spec.expandShards();
   std::size_t trials = 0;
@@ -105,7 +105,7 @@ int run(int argc, char** argv) {
         .cell(raw_seconds > 0 ? inproc_seconds / raw_seconds : 0, 2);
   }
   {
-    // Same scheduler with the event stream + status snapshots on.
+    // Same scheduler with the event stream + scheduler profile on.
     campaign::CampaignOptions with;
     with.checkpoint_dir = freshDir("bench_campaign_telemetry");
     with.workers = workers;

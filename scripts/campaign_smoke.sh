@@ -70,15 +70,15 @@ cmp "$work/ref/report.json" "$work/killed/report.json"
   | grep -q "completed (prior) |     24" \
   || { echo "no-op resume did not credit all prior shards" >&2; exit 1; }
 
-echo "=== telemetry: status snapshot + event stream ==="
-# The resumed killed run must leave a finished status snapshot whose counts
-# match the merged report, rendered by --campaign-status.
+echo "=== telemetry: folded status + event stream ==="
+# The resumed killed run's event stream must fold into a finished status
+# whose counts match the merged report, rendered by --campaign-status.
 status_out=$("$CLI" --campaign-status "$work/killed")
 echo "$status_out"
 echo "$status_out" | grep -q "finished" \
-  || { echo "status.json is not in the finished state" >&2; exit 1; }
+  || { echo "the folded status is not in the finished state" >&2; exit 1; }
 echo "$status_out" | grep -Eq "done *\| *24" \
-  || { echo "status.json does not report 24 shards done" >&2; exit 1; }
+  || { echo "the folded status does not report 24 shards done" >&2; exit 1; }
 
 # Interrupt + resume must not re-announce commits: every shard_committed
 # event in the merged stream names a distinct shard.
@@ -94,8 +94,7 @@ awk -F'"seq":' '{split($2, a, ","); if (a[1] + 0 != NR - 1) exit 1}' \
 
 if [[ -n "${SMOKE_ARTIFACT_DIR:-}" ]]; then
   mkdir -p "$SMOKE_ARTIFACT_DIR"
-  cp "$work/killed/events.jsonl" "$work/killed/status.json" \
-    "$SMOKE_ARTIFACT_DIR/"
+  cp "$work/killed/events.jsonl" "$SMOKE_ARTIFACT_DIR/"
 fi
 
 echo "CAMPAIGN SMOKE PASSED"

@@ -8,7 +8,17 @@
 #   * a campaign spec with "nodes": [1e10] to dynet_cli --campaign (range
 #     checks before a JSON number becomes an int);
 #   * a dynet-trace v1 file whose payload word is "zz" to trace_to_dot --in
-#     (whole-field trace parsing).
+#     (whole-field trace parsing);
+#   * a campaign spec whose fault has "drop_prob": -0.5 to dynet_cli
+#     --campaign (every campaign real is range-checked at parse, not inside
+#     each shard);
+#   * a trace whose actions start in round 2 to trace_to_dot --round 2 (an
+#     action trace lists every node once in every round, so no round's
+#     actions are missing);
+#   * dynet_cli --nodes 4294967298 (integer flags are range-checked before
+#     they narrow to int);
+#   * dynet_cli --campaign-status on an events.jsonl with a garbage line
+#     after a valid campaign_started (the error names the line).
 #
 # The inputs live in a temp dir that is removed on exit.
 set -euo pipefail
@@ -22,6 +32,17 @@ cat > "$dir/nodes.json" <<'SPEC'
  "seeds": {"count": 1}}
 SPEC
 printf 'dynet-trace v1\nn 2\nr 1\ne 0 1\ns 0 8 zz\n' > "$dir/bad.trace"
+cat > "$dir/drop.json" <<'SPEC'
+{"protocols": ["flood"], "adversaries": ["static_path"], "nodes": [8],
+ "seeds": {"count": 1}, "faults": [{"name": "bad", "drop_prob": -0.5}]}
+SPEC
+printf 'dynet-trace v1\nn 2\nr 1\ne 0 1\nr 2\ne 0 1\ns 0 8 aa\nq 1\n' \
+  > "$dir/late.trace"
+mkdir "$dir/events"
+cat > "$dir/events/events.jsonl" <<'EVENTS'
+{"dynet_event":1,"seq":0,"ts_ms":1,"type":"campaign_started","campaign":"c","name":"x","shards_total":1,"completed_prior":0,"quarantined_prior":0,"pending":1,"workers":1,"subprocess":false}
+garbage
+EVENTS
 
 expect_exit_1() {
   local status=0
@@ -37,3 +58,13 @@ expect_exit_1 "$build/tools/dynet_stats" --in "$dir/deep.json"
 expect_exit_1 "$build/tools/dynet_cli" --campaign "$dir/nodes.json" \
   --checkpoint "$dir/checkpoint"
 expect_exit_1 "$build/tools/trace_to_dot" --in "$dir/bad.trace"
+expect_exit_1 "$build/tools/dynet_cli" --campaign "$dir/drop.json" \
+  --checkpoint "$dir/checkpoint-drop"
+expect_exit_1 "$build/tools/trace_to_dot" --in "$dir/late.trace" --round 2
+expect_exit_1 "$build/tools/dynet_cli" --protocol leader_known_d \
+  --adversary static_path --nodes 4294967298
+expect_exit_1 "$build/tools/dynet_cli" --campaign-status "$dir/events"
+grep -q "event line 2" "$dir/out.txt" || {
+  echo "hostile input: --campaign-status did not name the bad line" >&2
+  exit 1
+}

@@ -6,8 +6,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -230,7 +228,6 @@ struct SharedState {
   std::atomic<std::size_t> quarantined{0};
   std::atomic<std::size_t> failed_attempts{0};
   std::atomic<bool> stop{false};
-  std::mutex io_mutex;  // serializes stderr progress lines (telemetry off)
   CampaignTelemetry* telemetry = nullptr;  // null when telemetry is off
   Clock::time_point run_start;
 };
@@ -321,12 +318,7 @@ void supervise(SharedState& state, const CampaignSpec& spec,
           line << "[campaign] " << hash << " ok (" << shard.protocol << "/"
                << shard.adversary << " n=" << shard.n << ", attempt "
                << attempt << ")";
-          if (telemetry != nullptr) {
-            telemetry->humanLine(line.str());
-          } else {
-            std::lock_guard<std::mutex> lock(state.io_mutex);
-            std::cerr << line.str() << "\n";
-          }
+          humanLine(line.str());
         }
         break;
       }
@@ -336,17 +328,10 @@ void supervise(SharedState& state, const CampaignSpec& spec,
         telemetry->attemptFailed(hash, attempt, retry.max_attempts, a.error,
                                  retry.backoffDelayMs(attempt));
       }
-      {
-        std::ostringstream line;
-        line << "[campaign] " << hash << " attempt " << attempt << "/"
-             << retry.max_attempts << " failed: " << a.error;
-        if (telemetry != nullptr) {
-          telemetry->humanLine(line.str());
-        } else {
-          std::lock_guard<std::mutex> lock(state.io_mutex);
-          std::cerr << line.str() << "\n";
-        }
-      }
+      std::ostringstream line;
+      line << "[campaign] " << hash << " attempt " << attempt << "/"
+           << retry.max_attempts << " failed: " << a.error;
+      humanLine(line.str());
     }
     if (!committed) {
       store.quarantine(hash, last_error, retry.max_attempts);
@@ -357,12 +342,7 @@ void supervise(SharedState& state, const CampaignSpec& spec,
       std::ostringstream line;
       line << "[campaign] " << hash << " QUARANTINED after "
            << retry.max_attempts << " attempts: " << last_error;
-      if (telemetry != nullptr) {
-        telemetry->humanLine(line.str());
-      } else {
-        std::lock_guard<std::mutex> lock(state.io_mutex);
-        std::cerr << line.str() << "\n";
-      }
+      humanLine(line.str());
     }
     if (options.shard_limit > 0 &&
         state.committed_new.load(std::memory_order_relaxed) >=

@@ -50,11 +50,12 @@ struct CampaignOptions {
   bool retry_quarantined = false;
   /// Per-shard progress lines on stderr.
   bool verbose = false;
-  /// Campaign telemetry (src/campaign/telemetry.h): events.jsonl,
-  /// status.json, scheduler_profile.json in the checkpoint dir, worker
-  /// stderr piped through the single-writer line sink, and `--emit-events`
-  /// passed to subprocess workers.  Off leaves the checkpoint directory and
-  /// all observable behavior byte-identical to a pre-telemetry build.
+  /// Campaign telemetry (src/campaign/telemetry.h): events.jsonl (which
+  /// `--campaign-status` folds) and scheduler_profile.json in the
+  /// checkpoint dir, worker stderr piped through humanLine, and
+  /// `--emit-events` passed to subprocess workers.  Off leaves the
+  /// checkpoint directory and all observable behavior byte-identical to a
+  /// pre-telemetry build.
   bool telemetry = true;
 };
 

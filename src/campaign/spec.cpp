@@ -19,6 +19,14 @@ namespace {
 
 void writeNumber(std::ostream& out, double v) { obs::writeJsonNumber(out, v); }
 
+/// Shortest round-trip text of `v`: "1e+10", "8.9", "inf".
+std::string shortest(double v) {
+  char text[32];
+  const std::to_chars_result printed =
+      std::to_chars(text, text + sizeof text, v);
+  return std::string(text, printed.ptr);
+}
+
 void writeFault(std::ostream& out, const ShardFault& f) {
   const faults::FaultConfig& fc = f.config;
   out << "{\"name\":\"" << f.name << "\",\"crash_fraction\":";
@@ -46,10 +54,6 @@ void rejectUnknownKeys(const obs::Json& json,
   }
 }
 
-double numberOr(const obs::Json& json, const std::string& key, double def) {
-  return json.has(key) ? json.at(key).number() : def;
-}
-
 constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
 constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
 /// Largest seed base a JSON number carries exactly.
@@ -62,6 +66,12 @@ int intOr(const obs::Json& json, const std::string& key, int def,
   return json.has(key)
              ? static_cast<int>(integerField(json.at(key), key, lo, hi))
              : def;
+}
+
+/// realField of json[key], or `def` when the key is absent.
+double realOr(const obs::Json& json, const std::string& key, double def,
+              double lo, double hi, bool open_lo = false) {
+  return json.has(key) ? realField(json.at(key), key, lo, hi, open_lo) : def;
 }
 
 std::string stringOr(const obs::Json& json, const std::string& key,
@@ -81,12 +91,12 @@ ShardFault parseFault(const obs::Json& json) {
                     "fault");
   ShardFault f;
   f.name = stringOr(json, "name", "none");
-  f.config.crash_fraction = numberOr(json, "crash_fraction", 0);
+  f.config.crash_fraction = realOr(json, "crash_fraction", 0, 0, 1);
   f.config.crash_window = intOr(json, "crash_window", 64, 0);
   f.config.restart = boolOr(json, "restart", false);
   f.config.restart_downtime = intOr(json, "restart_downtime", 32, 0);
-  f.config.drop_prob = numberOr(json, "drop_prob", 0);
-  f.config.corrupt_prob = numberOr(json, "corrupt_prob", 0);
+  f.config.drop_prob = realOr(json, "drop_prob", 0, 0, 1);
+  f.config.corrupt_prob = realOr(json, "corrupt_prob", 0, 0, 1);
   f.config.deliver_corrupted = boolOr(json, "deliver_corrupted", false);
   f.sabotage = stringOr(json, "sabotage", "");
   f.sabotage_marker = stringOr(json, "sabotage_marker", "");
@@ -97,17 +107,53 @@ ShardFault parseFault(const obs::Json& json) {
   return f;
 }
 
-/// Shared shard/spec validation for the trace-replay knobs: the `trace`
-/// adversary and a trace path must come as a pair, and the replay options
-/// must name real policies.
-void validateTraceFields(const std::string& adversary, const std::string& trace,
-                         const std::string& trace_policy, double trace_bucket) {
-  DYNET_CHECK(trace_policy == "wrap" || trace_policy == "clamp" ||
-              trace_policy == "mirror")
-      << "trace_policy '" << trace_policy
+/// `keys` plus the knob keys that readKnobs reads: the keys a shard config
+/// and a campaign spec share.
+std::vector<std::string> withKnobKeys(std::vector<std::string> keys) {
+  keys.insert(keys.end(),
+              {"max_rounds", "diameter", "k", "p", "interval", "churn",
+               "n_estimate", "c", "trace", "trace_policy", "trace_offset",
+               "trace_spine", "trace_bucket", "anonymous", "gadget_width",
+               "stretch", "gadget_intersect"});
+  return keys;
+}
+
+/// Reads the knob keys of `json` into `shard`; an absent key keeps the
+/// field's current value.  Each real lies in the range its consumer
+/// enforces, so a bad value fails here, naming the key, and not inside a
+/// shard.
+void readKnobs(const obs::Json& json, ShardConfig& shard) {
+  constexpr double kRealMax = std::numeric_limits<double>::max();
+  shard.max_rounds = intOr(json, "max_rounds", shard.max_rounds, 1);
+  shard.diameter = intOr(json, "diameter", shard.diameter);
+  shard.k = intOr(json, "k", shard.k);
+  shard.p = realOr(json, "p", shard.p, 0, 1);
+  shard.interval = intOr(json, "interval", shard.interval);
+  shard.churn = intOr(json, "churn", shard.churn);
+  shard.n_estimate = realOr(json, "n_estimate", shard.n_estimate, 0, kRealMax);
+  DYNET_CHECK(shard.n_estimate == 0 || shard.n_estimate >= 1)
+      << "'n_estimate' = " << shortest(shard.n_estimate)
+      << " is neither 0 (the 1.1 n default) nor at least 1";
+  shard.c = realOr(json, "c", shard.c, 0, 1.0 / 3.0, /*open_lo=*/true);
+  shard.trace = stringOr(json, "trace", shard.trace);
+  shard.trace_policy = stringOr(json, "trace_policy", shard.trace_policy);
+  DYNET_CHECK(shard.trace_policy == "wrap" || shard.trace_policy == "clamp" ||
+              shard.trace_policy == "mirror")
+      << "trace_policy '" << shard.trace_policy
       << "' (expected wrap, clamp, or mirror)";
-  DYNET_CHECK(trace_bucket > 0)
-      << "trace_bucket=" << trace_bucket << " (need > 0)";
+  shard.trace_offset = boolOr(json, "trace_offset", shard.trace_offset);
+  shard.trace_spine = boolOr(json, "trace_spine", shard.trace_spine);
+  shard.trace_bucket = realOr(json, "trace_bucket", shard.trace_bucket, 0,
+                              kRealMax, /*open_lo=*/true);
+  shard.anonymous = boolOr(json, "anonymous", shard.anonymous);
+  shard.gadget_width = intOr(json, "gadget_width", shard.gadget_width, 0);
+  shard.stretch = intOr(json, "stretch", shard.stretch, 0);
+  shard.gadget_intersect =
+      boolOr(json, "gadget_intersect", shard.gadget_intersect);
+}
+
+/// The `trace` adversary and a trace path come as a pair.
+void validateTracePath(const std::string& adversary, const std::string& trace) {
   if (adversary == "trace") {
     DYNET_CHECK(!trace.empty())
         << "adversary 'trace' needs a 'trace' dataset path (docs/DATASETS.md)";
@@ -136,12 +182,20 @@ std::int64_t integerField(const obs::Json& value, const std::string& key,
       v >= static_cast<double>(lo) && v <= static_cast<double>(hi)) {
     return static_cast<std::int64_t>(v);
   }
-  char text[32];  // shortest round-trip form: "1e+10", "8.9", "inf"
-  const std::to_chars_result printed =
-      std::to_chars(text, text + sizeof text, v);
-  DYNET_CHECK(false) << "'" << key << "' = "
-                     << std::string_view(text, printed.ptr - text)
+  DYNET_CHECK(false) << "'" << key << "' = " << shortest(v)
                      << " is not an integer in [" << lo << ", " << hi << "]";
+  return 0;  // unreachable: DYNET_CHECK(false) throws
+}
+
+double realField(const obs::Json& value, const std::string& key, double lo,
+                 double hi, bool open_lo) {
+  const double v = value.number();
+  if (std::isfinite(v) && (open_lo ? v > lo : v >= lo) && v <= hi) {
+    return v;
+  }
+  DYNET_CHECK(false) << "'" << key << "' = " << shortest(v)
+                     << " is not a number in "
+                     << (open_lo ? "(" : "[") << lo << ", " << hi << "]";
   return 0;  // unreachable: DYNET_CHECK(false) throws
 }
 
@@ -224,12 +278,8 @@ std::string ShardConfig::hash() const {
 
 ShardConfig parseShardConfig(const obs::Json& json) {
   rejectUnknownKeys(json,
-                    {"protocol", "adversary", "n", "trials", "seed_base",
-                     "max_rounds", "diameter", "k", "p", "interval", "churn",
-                     "n_estimate", "c", "trace", "trace_policy",
-                     "trace_offset", "trace_spine", "trace_bucket",
-                     "anonymous", "gadget_width", "stretch",
-                     "gadget_intersect", "fault"},
+                    withKnobKeys({"protocol", "adversary", "n", "trials",
+                                  "seed_base", "fault"}),
                     "shard config");
   ShardConfig shard;
   shard.protocol = json.at("protocol").str();
@@ -253,28 +303,11 @@ ShardConfig parseShardConfig(const obs::Json& json) {
                                 json.at("seed_base"), "seed_base", 0, kSeedMax))
                           : 1;
   }
-  shard.max_rounds = intOr(json, "max_rounds", 200'000, 1);
-  shard.diameter = intOr(json, "diameter", 8);
-  shard.k = intOr(json, "k", 0);
-  shard.p = numberOr(json, "p", 0);
-  shard.interval = intOr(json, "interval", 8);
-  shard.churn = intOr(json, "churn", 2);
-  shard.n_estimate = numberOr(json, "n_estimate", 0);
-  shard.c = numberOr(json, "c", 0.25);
-  shard.trace = stringOr(json, "trace", "");
-  shard.trace_policy = stringOr(json, "trace_policy", "wrap");
-  shard.trace_offset = boolOr(json, "trace_offset", false);
-  shard.trace_spine = boolOr(json, "trace_spine", true);
-  shard.trace_bucket = numberOr(json, "trace_bucket", 1.0);
-  shard.anonymous = boolOr(json, "anonymous", false);
-  shard.gadget_width = intOr(json, "gadget_width", 0, 0);
-  shard.stretch = intOr(json, "stretch", 0, 0);
-  shard.gadget_intersect = boolOr(json, "gadget_intersect", false);
+  readKnobs(json, shard);
   if (json.has("fault")) {
     shard.fault = parseFault(json.at("fault"));
   }
-  validateTraceFields(shard.adversary, shard.trace, shard.trace_policy,
-                      shard.trace_bucket);
+  validateTracePath(shard.adversary, shard.trace);
   return shard;
 }
 
@@ -287,12 +320,8 @@ CampaignSpec CampaignSpec::parse(const std::string& json_text) {
   }
   DYNET_CHECK(root.isObject()) << "campaign spec must be a JSON object";
   rejectUnknownKeys(root,
-                    {"name", "protocols", "adversaries", "nodes", "faults",
-                     "seeds", "max_rounds", "diameter", "k", "p", "interval",
-                     "churn", "n_estimate", "c", "trace", "trace_policy",
-                     "trace_offset", "trace_spine", "trace_bucket",
-                     "anonymous", "gadget_width", "stretch",
-                     "gadget_intersect", "retry"},
+                    withKnobKeys({"name", "protocols", "adversaries", "nodes",
+                                  "faults", "seeds", "retry"}),
                     "campaign spec");
   CampaignSpec spec;
   spec.name = stringOr(root, "name", "campaign");
@@ -329,26 +358,9 @@ CampaignSpec CampaignSpec::parse(const std::string& json_text) {
   spec.seed_count = intOr(seeds, "count", 1, 1);
   spec.seeds_per_shard = intOr(seeds, "per_shard", spec.seed_count, 1);
 
-  spec.max_rounds = intOr(root, "max_rounds", 200'000, 1);
-  spec.diameter = intOr(root, "diameter", 8);
-  spec.k = intOr(root, "k", 0);
-  spec.p = numberOr(root, "p", 0);
-  spec.interval = intOr(root, "interval", 8);
-  spec.churn = intOr(root, "churn", 2);
-  spec.n_estimate = numberOr(root, "n_estimate", 0);
-  spec.c = numberOr(root, "c", 0.25);
-  spec.trace = stringOr(root, "trace", "");
-  spec.trace_policy = stringOr(root, "trace_policy", "wrap");
-  spec.trace_offset = boolOr(root, "trace_offset", false);
-  spec.trace_spine = boolOr(root, "trace_spine", true);
-  spec.trace_bucket = numberOr(root, "trace_bucket", 1.0);
-  spec.anonymous = boolOr(root, "anonymous", false);
-  spec.gadget_width = intOr(root, "gadget_width", 0, 0);
-  spec.stretch = intOr(root, "stretch", 0, 0);
-  spec.gadget_intersect = boolOr(root, "gadget_intersect", false);
+  readKnobs(root, spec.knobs);
   for (const std::string& adversary : spec.adversaries) {
-    validateTraceFields(adversary, spec.trace, spec.trace_policy,
-                        spec.trace_bucket);
+    validateTracePath(adversary, spec.knobs.trace);
   }
 
   if (root.has("retry")) {
@@ -387,7 +399,7 @@ std::vector<ShardConfig> CampaignSpec::expandShards() const {
       for (const sim::NodeId n : nodes) {
         for (const ShardFault& fault : fault_grid) {
           for (int begin = 0; begin < seed_count; begin += seeds_per_shard) {
-            ShardConfig shard;
+            ShardConfig shard = knobs;
             shard.protocol = protocol;
             shard.adversary = adversary;
             shard.n = n;
@@ -397,23 +409,6 @@ std::vector<ShardConfig> CampaignSpec::expandShards() const {
             // block start) alone.
             shard.seed_base = util::hashCombine(
                 seed_base, static_cast<std::uint64_t>(begin));
-            shard.max_rounds = max_rounds;
-            shard.diameter = diameter;
-            shard.k = k;
-            shard.p = p;
-            shard.interval = interval;
-            shard.churn = churn;
-            shard.n_estimate = n_estimate;
-            shard.c = c;
-            shard.trace = trace;
-            shard.trace_policy = trace_policy;
-            shard.trace_offset = trace_offset;
-            shard.trace_spine = trace_spine;
-            shard.trace_bucket = trace_bucket;
-            shard.anonymous = anonymous;
-            shard.gadget_width = gadget_width;
-            shard.stretch = stretch;
-            shard.gadget_intersect = gadget_intersect;
             shard.fault = fault;
             shards.push_back(std::move(shard));
           }

@@ -128,7 +128,16 @@ ShardConfig parseShardConfig(const obs::Json& json);
 std::int64_t integerField(const obs::Json& value, const std::string& key,
                           std::int64_t lo, std::int64_t hi);
 
-/// The sweep grid, parsed from the user-facing spec JSON.
+/// The real in JSON field `key`, whose parsed value is `value`: every real
+/// of a campaign spec or shard config is read through here.  A value that
+/// is not finite or outside [lo, hi] ((lo, hi] when `open_lo`) throws a
+/// CheckError naming the key and the value.
+double realField(const obs::Json& value, const std::string& key, double lo,
+                 double hi, bool open_lo = false);
+
+/// The sweep grid, parsed from the user-facing spec JSON: every shard is a
+/// copy of `knobs` with the grid's protocol, adversary, n, fault and seed
+/// block filled in.
 struct CampaignSpec {
   std::string name = "campaign";
   std::vector<std::string> protocols;
@@ -138,23 +147,9 @@ struct CampaignSpec {
   std::uint64_t seed_base = 1;
   int seed_count = 1;       // total trials per sweep cell
   int seeds_per_shard = 1;  // trials per shard (last block may be smaller)
-  sim::Round max_rounds = 200'000;
-  int diameter = 8;
-  int k = 0;
-  double p = 0;
-  int interval = 8;
-  int churn = 2;
-  double n_estimate = 0;
-  double c = 0.25;
-  std::string trace;
-  std::string trace_policy = "wrap";
-  bool trace_offset = false;
-  bool trace_spine = true;
-  double trace_bucket = 1.0;
-  bool anonymous = false;
-  int gadget_width = 0;
-  int stretch = 0;
-  bool gadget_intersect = false;
+  /// The shard template: max_rounds and the protocol, adversary, trace and
+  /// gadget knobs.  Its grid fields are overwritten per shard.
+  ShardConfig knobs;
   RetryPolicy retry;
 
   /// Parses + validates spec JSON text (docs/CAMPAIGNS.md).  Unknown keys,

@@ -73,9 +73,16 @@ void CheckpointStore::atomicWrite(const std::string& final_path,
     written += static_cast<std::size_t>(n);
   }
   // fsync before rename: a committed file must never be seen torn, even
-  // across a power cut — the rename is the commit point.
-  ::fsync(fd);
-  ::close(fd);
+  // across a power cut — the rename is the commit point, so a failed flush
+  // or close must not reach it.
+  const int synced = ::fsync(fd);
+  const int sync_errno = errno;
+  const int closed = ::close(fd);
+  const int close_errno = errno;
+  DYNET_CHECK(synced == 0) << "fsync " << tmp_path << ": "
+                           << std::strerror(sync_errno);
+  DYNET_CHECK(closed == 0) << "close " << tmp_path << ": "
+                           << std::strerror(close_errno);
   std::error_code ec;
   fs::rename(tmp_path, final_path, ec);
   DYNET_CHECK(!ec) << "rename " << tmp_path << " -> " << final_path << ": "

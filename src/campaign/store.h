@@ -8,10 +8,13 @@
 //   quarantine/<hash>.json  shards given up on after max_attempts strikes
 //   tmp/                    staging for atomic commits
 //   report.json             merged report (rewritten after every run)
+//   scheduler_profile.json  telemetry: where supervisor time went
+//   events.jsonl            telemetry: append-only event stream, the one
+//                           record of live status (campaign/telemetry.h)
 //
-// Every visible file is committed via write-to-temp + fsync + rename, so a
-// SIGKILL at any instant leaves either no file or a complete one — never a
-// torn result a resume would trust.  A resumed campaign simply skips every
+// Every file but events.jsonl is committed via write-to-temp + fsync +
+// rename, so a SIGKILL at any instant leaves either no file or a complete
+// one — never a torn result a resume would trust.  A resumed campaign simply skips every
 // hash that already has a committed result (or a quarantine marker), which
 // is the whole recovery story: no journal, no locks, no sequence numbers.
 #pragma once
@@ -48,7 +51,8 @@ class CheckpointStore {
   /// Removes a quarantine marker (the --retry-quarantined path).
   void clearQuarantine(const std::string& hash);
 
-  /// Atomic write of an arbitrary top-level file (spec.json, report.json).
+  /// Atomic write of a top-level file (spec.json, report.json,
+  /// scheduler_profile.json).
   void writeFile(const std::string& filename, const std::string& contents);
   std::optional<std::string> readFile(const std::string& filename) const;
 

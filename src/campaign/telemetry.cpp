@@ -1,35 +1,131 @@
 #include "campaign/telemetry.h"
 
-#include <chrono>
 #include <iostream>
-#include <sstream>
+#include <limits>
+#include <mutex>
 #include <utility>
 
+#include "campaign/spec.h"
 #include "campaign/store.h"
 #include "obs/json.h"
 #include "util/check.h"
 
 namespace dynet::campaign {
 
-namespace {
-
-double monoMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+void humanLine(const std::string& line) {
+  static std::mutex mutex;
+  std::lock_guard<std::mutex> lock(mutex);
+  // One buffered string, one insertion: the whole line (newline included)
+  // reaches stderr as a unit, so lines never interleave mid-character.
+  std::cerr << line + '\n' << std::flush;
 }
 
-const char* shardStateName(int state) {
-  switch (state) {
-    case 0: return "running";
-    case 1: return "retrying";
-    case 2: return "done";
-    case 3: return "quarantined";
+namespace {
+
+/// A count of an event record, read through integerField: events.jsonl is
+/// a file on disk, and casting a hostile 1e300 would be undefined.
+std::size_t count(const obs::Json& record, const std::string& key) {
+  return static_cast<std::size_t>(
+      integerField(record.at(key), key, 0, std::int64_t{1} << 53));
+}
+
+int attemptOf(const obs::Json& record, const std::string& key) {
+  return static_cast<int>(
+      integerField(record.at(key), key, 0, std::numeric_limits<int>::max()));
+}
+
+/// Applies one record after campaign_started to `s`: the transitions the
+/// scheduler's events mean.  Execution and worker records change nothing.
+void apply(CampaignStatus& s, const std::string& type, const obs::Json& e) {
+  s.updated_ms = static_cast<std::int64_t>(count(e, "ts_ms"));
+  if (type == "campaign_finished") {
+    // The outcome's terminal numbers are the ones the report reflects.
+    s.state = e.at("stopped_early").boolean() ? "stopped_early" : "finished";
+    s.done = count(e, "completed");
+    s.quarantined = count(e, "quarantined");
+    s.failed_attempts = count(e, "failed_attempts");
+    s.trials_done = count(e, "trials");
+    s.pending = s.shards_total >= s.done + s.quarantined
+                    ? s.shards_total - s.done - s.quarantined
+                    : 0;
+  } else if (type == "shard_claimed") {
+    s.pending -= s.pending > 0 ? 1 : 0;
+    s.attention[e.at("shard").str()] = {"running", 1, ""};
+  } else if (type == "shard_quarantined") {
+    ++s.quarantined;
+    s.attention[e.at("shard").str()] = {
+        "quarantined", attemptOf(e, "attempts"), e.at("error").str()};
+  } else if (type == "attempt_started" || type == "attempt_failed" ||
+             type == "shard_committed") {
+    if (type == "attempt_failed") {
+      ++s.failed_attempts;
+    } else if (type == "shard_committed") {
+      ++s.done;
+      s.trials_done += count(e, "trials");
+    }
+    const auto it = s.attention.find(e.at("shard").str());
+    if (it == s.attention.end()) {
+      return;
+    }
+    CampaignStatus::Shard& shard = it->second;
+    shard.attempts = attemptOf(e, "attempt");
+    if (type == "attempt_started") {
+      shard.state = "running";
+    } else if (type == "attempt_failed") {
+      shard.last_error = e.at("error").str();
+      if (shard.attempts < attemptOf(e, "max_attempts")) {
+        shard.state = "retrying";
+      }
+    } else if (shard.attempts > 1) {
+      shard.state = "done";  // a flaky shard keeps its history visible
+    } else {
+      s.attention.erase(it);
+    }
   }
-  return "unknown";
 }
 
 }  // namespace
+
+std::optional<CampaignStatus> foldStatus(std::istream& in) {
+  std::optional<CampaignStatus> status;
+  std::string line;
+  // A last line without its newline is a torn tail, as EventWriter treats
+  // it: getline then stops at the end of the stream.
+  for (std::size_t line_no = 1; std::getline(in, line) && !in.eof();
+       ++line_no) {
+    try {
+      const obs::Json e = obs::Json::parse(line);
+      const std::string& type = e.at("type").str();
+      if (type == "campaign_started") {
+        // Each run starts over; its record credits the prior runs.
+        const auto started_ms = static_cast<std::int64_t>(count(e, "ts_ms"));
+        status = CampaignStatus{
+            .campaign = e.at("campaign").str(),
+            .name = e.at("name").str(),
+            .state = "running",
+            .started_ms = started_ms,
+            .updated_ms = started_ms,
+            .shards_total = count(e, "shards_total"),
+            .done = count(e, "completed_prior"),
+            .completed_prior = count(e, "completed_prior"),
+            .pending = count(e, "pending"),
+            .quarantined = count(e, "quarantined_prior"),
+            .attention = {}};
+      } else if (status) {
+        apply(*status, type, e);
+      }
+    } catch (const util::CheckError& err) {
+      DYNET_CHECK(false) << "event line " << line_no << ": " << err.what();
+    }
+  }
+  if (status) {
+    for (const auto& [hash, shard] : status->attention) {
+      status->running += shard.state == "running" ? 1 : 0;
+      status->retrying += shard.state == "retrying" ? 1 : 0;
+    }
+  }
+  return status;
+}
 
 CampaignTelemetry::CampaignTelemetry(CheckpointStore& store,
                                      std::string campaign_name,
@@ -44,8 +140,6 @@ CampaignTelemetry::CampaignTelemetry(CheckpointStore& store,
       subprocess_(subprocess),
       events_(store.dir() + "/events.jsonl") {}
 
-CampaignTelemetry::~CampaignTelemetry() = default;
-
 obs::Event CampaignTelemetry::event(const std::string& type) const {
   obs::Event e(type);
   e.str("campaign", campaign_id_);
@@ -55,13 +149,6 @@ obs::Event CampaignTelemetry::event(const std::string& type) const {
 void CampaignTelemetry::campaignStarted(std::size_t completed_prior,
                                         std::size_t quarantined_prior,
                                         std::size_t pending) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  completed_prior_ = completed_prior;
-  done_ = completed_prior;
-  quarantined_ = quarantined_prior;
-  pending_ = pending;
-  started_ms_ = obs::wallClockMs();
-  started_mono_ms_ = monoMs();
   events_.emit(event("campaign_started")
                    .str("name", name_)
                    .num("shards_total", static_cast<double>(shards_total_))
@@ -71,7 +158,6 @@ void CampaignTelemetry::campaignStarted(std::size_t completed_prior,
                    .num("pending", static_cast<double>(pending))
                    .num("workers", static_cast<double>(workers_))
                    .boolean("subprocess", subprocess_));
-  writeStatusLocked("running");
 }
 
 void CampaignTelemetry::campaignFinished(std::size_t completed,
@@ -79,63 +165,32 @@ void CampaignTelemetry::campaignFinished(std::size_t completed,
                                          std::size_t failed_attempts,
                                          std::size_t trials_total,
                                          bool stopped_early) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Trust the outcome's terminal numbers (they come from the same atomics
-  // the report merge reflects) over our transition counts.
-  done_ = completed;
-  quarantined_ = quarantined;
-  failed_attempts_ = failed_attempts;
-  trials_done_ = trials_total;
-  running_ = 0;
-  retrying_ = 0;
-  pending_ = shards_total_ >= completed + quarantined
-                 ? shards_total_ - completed - quarantined
-                 : 0;
   events_.emit(event("campaign_finished")
                    .num("completed", static_cast<double>(completed))
                    .num("quarantined", static_cast<double>(quarantined))
                    .num("failed_attempts", static_cast<double>(failed_attempts))
+                   .num("trials", static_cast<double>(trials_total))
                    .boolean("stopped_early", stopped_early)
                    .boolean("full_coverage",
                             completed == shards_total_));
-  writeStatusLocked(stopped_early ? "stopped_early" : "finished");
 }
 
 void CampaignTelemetry::shardClaimed(const std::string& hash,
                                      std::size_t index, double queue_wait_ms) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (pending_ > 0) {
-    --pending_;
-  }
-  ++running_;
-  notes_[hash] = ShardNote{};
   events_.emit(event("shard_claimed")
                    .str("shard", hash)
                    .num("index", static_cast<double>(index))
                    .num("queue_wait_ms", queue_wait_ms));
-  writeStatusLocked("running");
 }
 
 void CampaignTelemetry::attemptStarted(const std::string& hash, int attempt) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = notes_.find(hash);
-  if (it != notes_.end()) {
-    if (it->second.state == ShardState::kRetrying) {
-      --retrying_;
-      ++running_;
-    }
-    it->second.state = ShardState::kRunning;
-    it->second.attempts = attempt;
-  }
   events_.emit(event("attempt_started")
                    .str("shard", hash)
                    .num("attempt", attempt));
-  writeStatusLocked("running");
 }
 
 void CampaignTelemetry::execStarted(const std::string& hash, int attempt,
                                     const std::string& origin, int slot) {
-  std::lock_guard<std::mutex> lock(mutex_);
   obs::Event e = event("shard_exec_started");
   e.str("shard", hash).num("attempt", attempt).str("origin", origin);
   if (slot >= 0) {
@@ -148,7 +203,6 @@ void CampaignTelemetry::execFinished(const std::string& hash, int attempt,
                                      const std::string& origin, int slot,
                                      double exec_ms, double engine_us,
                                      int trials) {
-  std::lock_guard<std::mutex> lock(mutex_);
   obs::Event e = event("shard_exec_finished");
   e.str("shard", hash).num("attempt", attempt).str("origin", origin);
   if (slot >= 0) {
@@ -166,84 +220,34 @@ void CampaignTelemetry::attemptFailed(const std::string& hash, int attempt,
                                       int max_attempts,
                                       const std::string& error,
                                       int backoff_ms) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++failed_attempts_;
-  const bool will_retry = attempt < max_attempts;
-  auto it = notes_.find(hash);
-  if (it != notes_.end()) {
-    it->second.attempts = attempt;
-    it->second.last_error = error;
-    if (will_retry && it->second.state == ShardState::kRunning) {
-      --running_;
-      ++retrying_;
-      it->second.state = ShardState::kRetrying;
-    }
-  }
   obs::Event e = event("attempt_failed");
   e.str("shard", hash)
       .num("attempt", attempt)
       .num("max_attempts", max_attempts)
       .str("error", error);
-  if (will_retry) {
+  if (attempt < max_attempts) {
     e.num("backoff_ms", backoff_ms);
   }
   events_.emit(e);
-  writeStatusLocked("running");
 }
 
 void CampaignTelemetry::shardCommitted(const std::string& hash, int attempt,
                                        int trials) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++done_;
-  ++done_new_;
-  trials_done_ += static_cast<std::size_t>(trials);
-  auto it = notes_.find(hash);
-  if (it != notes_.end()) {
-    if (it->second.state == ShardState::kRetrying) {
-      --retrying_;
-    } else if (running_ > 0) {
-      --running_;
-    }
-    if (attempt > 1) {
-      // Keep the history of flaky shards visible in the snapshot.
-      it->second.state = ShardState::kDone;
-      it->second.attempts = attempt;
-    } else {
-      notes_.erase(it);
-    }
-  }
   events_.emit(event("shard_committed")
                    .str("shard", hash)
                    .num("attempt", attempt)
                    .num("trials", trials));
-  writeStatusLocked("running");
 }
 
 void CampaignTelemetry::shardQuarantined(const std::string& hash, int attempts,
                                          const std::string& error) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++quarantined_;
-  auto it = notes_.find(hash);
-  if (it == notes_.end()) {
-    it = notes_.emplace(hash, ShardNote{}).first;
-  }
-  if (it->second.state == ShardState::kRetrying) {
-    --retrying_;
-  } else if (running_ > 0) {
-    --running_;
-  }
-  it->second.state = ShardState::kQuarantined;
-  it->second.attempts = attempts;
-  it->second.last_error = error;
   events_.emit(event("shard_quarantined")
                    .str("shard", hash)
                    .num("attempts", attempts)
                    .str("error", error));
-  writeStatusLocked("running");
 }
 
 void CampaignTelemetry::workerSpawned(int slot, pid_t pid, double spawn_ms) {
-  std::lock_guard<std::mutex> lock(mutex_);
   events_.emit(event("worker_spawned")
                    .num("slot", slot)
                    .num("pid", static_cast<double>(pid))
@@ -252,7 +256,6 @@ void CampaignTelemetry::workerSpawned(int slot, pid_t pid, double spawn_ms) {
 
 void CampaignTelemetry::workerExited(int slot, pid_t pid, int status,
                                      const std::string& reason) {
-  std::lock_guard<std::mutex> lock(mutex_);
   events_.emit(event("worker_exited")
                    .num("slot", slot)
                    .num("pid", static_cast<double>(pid))
@@ -282,91 +285,17 @@ void CampaignTelemetry::workerEvent(int slot, int attempt,
               err.what());
     return;
   }
-  std::lock_guard<std::mutex> lock(mutex_);
   events_.emit(e);
 }
 
 void CampaignTelemetry::workerStderr(int slot, const std::string& line) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    events_.emit(event("worker_stderr").num("slot", slot).str("line", line));
-  }
+  events_.emit(event("worker_stderr").num("slot", slot).str("line", line));
   humanLine(line);
-}
-
-void CampaignTelemetry::humanLine(const std::string& line) {
-  std::lock_guard<std::mutex> lock(io_mutex_);
-  // One buffered string, one insertion: the whole line (newline included)
-  // reaches stderr as a unit, so lines never interleave mid-character.
-  std::string out = line;
-  out.push_back('\n');
-  std::cerr << out << std::flush;
 }
 
 void CampaignTelemetry::writeSchedulerProfile(
     const obs::MetricsRegistry& merged) {
   store_.writeFile("scheduler_profile.json", merged.toJson() + "\n");
-}
-
-std::string CampaignTelemetry::renderStatusLocked(
-    const std::string& state) const {
-  const double elapsed_ms = monoMs() - started_mono_ms_;
-  const double elapsed_s = elapsed_ms > 0 ? elapsed_ms / 1000.0 : 0;
-  std::ostringstream out;
-  out << "{\"dynet_campaign_status\":1,\"campaign\":\"" << campaign_id_
-      << "\",\"name\":";
-  obs::writeJsonString(out, name_);
-  out << ",\"state\":\"" << state << "\""
-      << ",\"started_ms\":" << started_ms_
-      << ",\"updated_ms\":" << obs::wallClockMs()
-      << ",\"workers\":" << workers_
-      << ",\"subprocess\":" << (subprocess_ ? "true" : "false")
-      << ",\"shards_total\":" << shards_total_
-      << ",\"done\":" << done_
-      << ",\"completed_prior\":" << completed_prior_
-      << ",\"running\":" << running_
-      << ",\"retrying\":" << retrying_
-      << ",\"pending\":" << pending_
-      << ",\"quarantined\":" << quarantined_
-      << ",\"failed_attempts\":" << failed_attempts_
-      << ",\"trials_done\":" << trials_done_;
-  if (elapsed_s > 0 && done_new_ > 0) {
-    const double shards_per_sec = static_cast<double>(done_new_) / elapsed_s;
-    out << ",\"shards_per_sec\":";
-    obs::writeJsonNumber(out, shards_per_sec);
-    out << ",\"trials_per_sec\":";
-    obs::writeJsonNumber(out, static_cast<double>(trials_done_) / elapsed_s);
-    const std::size_t terminal = done_ + quarantined_;
-    if (state == "running" && shards_total_ > terminal &&
-        shards_per_sec > 0) {
-      out << ",\"eta_ms\":";
-      obs::writeJsonNumber(
-          out, static_cast<double>(shards_total_ - terminal) /
-                   shards_per_sec * 1000.0);
-    }
-  }
-  out << ",\"attention\":{";
-  bool first = true;
-  for (const auto& [hash, note] : notes_) {
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    out << "\"" << hash << "\":{\"state\":\""
-        << shardStateName(static_cast<int>(note.state))
-        << "\",\"attempts\":" << note.attempts;
-    if (!note.last_error.empty()) {
-      out << ",\"last_error\":";
-      obs::writeJsonString(out, note.last_error);
-    }
-    out << "}";
-  }
-  out << "}}\n";
-  return out.str();
-}
-
-void CampaignTelemetry::writeStatusLocked(const std::string& state) {
-  store_.writeFile("status.json", renderStatusLocked(state));
 }
 
 }  // namespace dynet::campaign

@@ -1,20 +1,22 @@
-// Campaign telemetry: structured event stream + live status snapshots +
-// scheduler self-profiling, layered beside (never inside) the checkpoint
-// store's determinism contracts.
+// Campaign telemetry: a structured event stream, the live status folded
+// from it, and scheduler self-profiling, layered beside (never inside) the
+// checkpoint store's determinism contracts.
 //
-// Three artifacts land in the campaign's checkpoint directory when
-// telemetry is enabled (CampaignOptions::telemetry, the default):
+// Two artifacts land in the campaign's checkpoint directory when telemetry
+// is enabled (CampaignOptions::telemetry, the default):
 //
 //   events.jsonl            append-only typed event stream (obs::EventWriter:
 //                           O_APPEND + whole-line writes, torn tail repaired
 //                           on resume, seq contiguous across interruptions)
-//   status.json             atomically-committed snapshot of campaign state,
-//                           rewritten on every state transition — what
-//                           `dynet_cli --campaign-status` renders
 //   scheduler_profile.json  metrics.json-schema profile of where supervisor
 //                           time went (campaign//<stage>/... samples plus
 //                           any prof/ timers from in-process execution),
 //                           diffable with dynet_stats
+//
+// The stream is the only copy of the campaign's live state: foldStatus
+// replays it into counts and an attention map on request, which is what
+// `dynet_cli --campaign-status` renders.  Each CampaignTelemetry method is
+// one emit, ordered by the EventWriter's own lock.
 //
 // Correlation chain: every event carries the campaign id (the hex FNV-1a of
 // the spec identity — the same string the spec.json guard compares), shard
@@ -24,21 +26,16 @@
 // re-emits them here with slot/attempt context so one stream covers
 // in-process and subprocess execution identically.
 //
-// CampaignTelemetry also owns the single human-output writer: every
-// progress line — the scheduler's and lines drained from worker stderr
-// pipes — goes through humanLine(), which writes whole lines under one
-// mutex, so concurrent supervisors and chatty workers can no longer
-// interleave mid-line.
-//
 // report.json stays byte-identical with telemetry on or off: nothing here
-// touches it.  status.json's terminal counts match the merged report;
-// its timestamps and throughput fields are wall-clock (docs/OBSERVABILITY.md).
+// touches it.  The folded status's terminal counts match the merged report;
+// its timestamps and rates are wall-clock (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <map>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <sys/types.h>
 
@@ -49,6 +46,48 @@ namespace dynet::campaign {
 
 class CheckpointStore;
 
+/// Writes `line` + '\n' to stderr as one whole-line write under one
+/// process-wide mutex: every campaign progress line — the scheduler's and
+/// those drained from worker stderr pipes — goes through here, so
+/// concurrent supervisors and chatty workers never interleave mid-line.
+void humanLine(const std::string& line);
+
+/// A campaign's live state, folded from the records of its events.jsonl
+/// since the last campaign_started.
+struct CampaignStatus {
+  /// One shard worth a second look: running, retrying or quarantined, or
+  /// committed only after a retry.
+  struct Shard {
+    std::string state;  // running | retrying | done | quarantined
+    int attempts = 1;
+    std::string last_error;
+  };
+
+  std::string campaign;  // the campaign id
+  std::string name;
+  std::string state;     // running | finished | stopped_early
+  std::int64_t started_ms = 0;  // ts_ms of the campaign_started record
+  std::int64_t updated_ms = 0;  // ts_ms of the last record
+  std::size_t shards_total = 0;
+  std::size_t done = 0;  // includes completed_prior
+  std::size_t completed_prior = 0;
+  std::size_t running = 0;   // attention shards running
+  std::size_t retrying = 0;  // attention shards waiting to retry
+  std::size_t pending = 0;
+  std::size_t quarantined = 0;
+  std::size_t failed_attempts = 0;
+  /// Trials committed by this run; at campaign_finished, the merged
+  /// report's trial count.
+  std::size_t trials_done = 0;
+  std::map<std::string, Shard> attention;  // by shard hash
+};
+
+/// Folds an events.jsonl stream into the status of its last campaign run:
+/// nullopt when the stream holds no campaign_started record.  A final line
+/// without a newline is a torn tail and is skipped; a malformed complete
+/// line throws a CheckError naming its 1-based line number.
+std::optional<CampaignStatus> foldStatus(std::istream& in);
+
 class CampaignTelemetry {
  public:
   /// Opens (or resumes) `<store dir>/events.jsonl`.  `campaign_id` is the
@@ -56,18 +95,13 @@ class CampaignTelemetry {
   CampaignTelemetry(CheckpointStore& store, std::string campaign_name,
                     std::string campaign_id, std::size_t shards_total,
                     unsigned workers, bool subprocess);
-  ~CampaignTelemetry();
-  CampaignTelemetry(const CampaignTelemetry&) = delete;
-  CampaignTelemetry& operator=(const CampaignTelemetry&) = delete;
-
-  const std::string& campaignId() const { return campaign_id_; }
 
   // -- campaign span ------------------------------------------------------
   void campaignStarted(std::size_t completed_prior,
                        std::size_t quarantined_prior, std::size_t pending);
   /// `trials_total` is the merged report's trial count (all committed
-  /// shards, prior runs included), so the terminal snapshot agrees with
-  /// report.json even after resumes.
+  /// shards, prior runs included), so the folded terminal status agrees
+  /// with report.json even after resumes.
   void campaignFinished(std::size_t completed, std::size_t quarantined,
                         std::size_t failed_attempts, std::size_t trials_total,
                         bool stopped_early);
@@ -99,12 +133,8 @@ class CampaignTelemetry {
   /// Malformed lines are surfaced via humanLine instead of thrown.
   void workerEvent(int slot, int attempt, const std::string& line);
   /// One complete line drained from a worker's piped stderr: re-printed
-  /// through the single writer and recorded as a worker_stderr event.
+  /// through humanLine and recorded as a worker_stderr event.
   void workerStderr(int slot, const std::string& line);
-
-  // -- human output (single writer) --------------------------------------
-  /// Writes `line` + '\n' to stderr as one serialized whole-line write.
-  void humanLine(const std::string& line);
 
   // -- scheduler self-profile --------------------------------------------
   /// Writes `<store dir>/scheduler_profile.json` from the merged
@@ -112,18 +142,7 @@ class CampaignTelemetry {
   void writeSchedulerProfile(const obs::MetricsRegistry& merged);
 
  private:
-  enum class ShardState { kRunning, kRetrying, kDone, kQuarantined };
-  struct ShardNote {
-    ShardState state = ShardState::kRunning;
-    int attempts = 1;
-    std::string last_error;
-  };
-
   obs::Event event(const std::string& type) const;
-  /// Serializes current counts into status.json and commits it atomically.
-  /// Caller holds mutex_.
-  void writeStatusLocked(const std::string& state);
-  std::string renderStatusLocked(const std::string& state) const;
 
   CheckpointStore& store_;
   const std::string name_;
@@ -133,27 +152,6 @@ class CampaignTelemetry {
   const bool subprocess_;
 
   obs::EventWriter events_;
-
-  std::mutex mutex_;  // guards counts_/notes_/status writes
-  std::mutex io_mutex_;  // guards the stderr line writer (after mutex_)
-
-  // State counts; done_ includes completed_prior.
-  std::size_t done_ = 0;
-  std::size_t completed_prior_ = 0;
-  std::size_t running_ = 0;
-  std::size_t retrying_ = 0;
-  std::size_t pending_ = 0;
-  std::size_t quarantined_ = 0;
-  std::size_t failed_attempts_ = 0;
-  std::size_t trials_done_ = 0;      // trials committed by this run
-  std::size_t done_new_ = 0;         // shards committed by this run
-  std::int64_t started_ms_ = 0;      // wall clock at campaignStarted
-  double started_mono_ms_ = 0;       // steady clock at campaignStarted
-
-  /// Shards worth a second look: currently running/retrying/quarantined,
-  /// or finished only after retries.  Bounded by the in-flight set plus
-  /// the (rare) flaky/quarantined shards, never O(shards_total).
-  std::map<std::string, ShardNote> notes_;
 };
 
 }  // namespace dynet::campaign

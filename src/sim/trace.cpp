@@ -82,9 +82,12 @@ Trace readTrace(std::istream& in) {
       << where() << "bad header (expected 'dynet-trace v1')";
   std::vector<net::Edge> edges;
   std::vector<Action> actions;
+  std::vector<bool> listed;  // nodes with an action line this round
   bool in_round = false;
   bool have_actions = false;
 
+  // An action trace lists every node exactly once in every round, so
+  // trace.actions is empty or holds one entry per round.
   auto flushRound = [&] {
     if (!in_round) {
       return;
@@ -93,12 +96,18 @@ Trace readTrace(std::istream& in) {
         std::make_shared<net::Graph>(trace.num_nodes, edges));
     edges.clear();
     if (have_actions) {
-      DYNET_CHECK(static_cast<NodeId>(actions.size()) == trace.num_nodes)
-          << "round " << trace.topologies.size() << " has " << actions.size()
-          << " actions";
+      // The rounds before the first action line listed no node at all.
+      const std::size_t round = trace.actions.size() + 1;
+      const auto missing = round == trace.topologies.size()
+                               ? std::find(listed.begin(), listed.end(), false)
+                               : listed.begin();
+      DYNET_CHECK(missing == listed.end())
+          << "trace round " << round << " lists no action for node "
+          << missing - listed.begin();
       trace.actions.push_back(actions);
     }
     actions.assign(static_cast<std::size_t>(trace.num_nodes), Action{});
+    listed.assign(static_cast<std::size_t>(trace.num_nodes), false);
   };
 
   std::vector<std::string_view> fields;
@@ -139,6 +148,7 @@ Trace readTrace(std::istream& in) {
       DYNET_CHECK(n.has_value()) << where() << "bad node count";
       trace.num_nodes = *n;
       actions.assign(static_cast<std::size_t>(trace.num_nodes), Action{});
+      listed.assign(static_cast<std::size_t>(trace.num_nodes), false);
     } else if (tag == "r") {
       arity(2);
       DYNET_CHECK(trace.num_nodes > 0) << where() << "round before 'n'";
@@ -161,13 +171,15 @@ Trace readTrace(std::istream& in) {
         continue;
       }
       have_actions = true;
-      if (tag == "q") {
-        arity(2);
-        actions[static_cast<std::size_t>(node(1))] = Action{};
-        continue;
-      }
-      arity(4);
+      arity(tag == "q" ? 2 : 4);
       const NodeId v = node(1);
+      DYNET_CHECK(!listed[static_cast<std::size_t>(v)])
+          << where() << "node " << v << " listed twice in round "
+          << trace.topologies.size() + 1;
+      listed[static_cast<std::size_t>(v)] = true;
+      if (tag == "q") {
+        continue;  // actions[v] is already the receive action
+      }
       const std::optional<int> bits =
           parseField<int>(fields[2], 0, Message::kCapacityBits);
       DYNET_CHECK(bits.has_value())

@@ -34,7 +34,8 @@ std::string Cli::str(const std::string& name, const std::string& def) const {
   return it == values_.end() ? def : it->second;
 }
 
-std::int64_t Cli::integer(const std::string& name, std::int64_t def) const {
+std::int64_t Cli::integer(const std::string& name, std::int64_t def,
+                          std::int64_t lo, std::int64_t hi) const {
   queried_[name] = true;
   const auto it = values_.find(name);
   if (it == values_.end()) {
@@ -46,6 +47,9 @@ std::int64_t Cli::integer(const std::string& name, std::int64_t def) const {
   const long long value = std::strtoll(text.c_str(), &end, 10);
   DYNET_CHECK(!text.empty() && *end == '\0' && errno != ERANGE)
       << "--" << name << "='" << text << "' is not an integer";
+  DYNET_CHECK(value >= lo && value <= hi)
+      << "--" << name << "=" << value << " is outside [" << lo << ", " << hi
+      << "]";
   return value;
 }
 

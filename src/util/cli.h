@@ -2,10 +2,11 @@
 //
 // Supports --name=value and --name value; unknown flags are an error so that
 // typos in sweep scripts fail loudly, and so is a numeric value that is
-// empty or does not parse in full (`--nodes 8x`).
+// empty, does not parse in full (`--nodes 8x`) or leaves its range.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -18,7 +19,12 @@ class Cli {
 
   bool has(const std::string& name) const;
   std::string str(const std::string& name, const std::string& def) const;
-  std::int64_t integer(const std::string& name, std::int64_t def) const;
+  /// The integer flag `name`, or `def` when absent; a value outside
+  /// [lo, hi] fails with a CheckError naming the flag and the value.
+  std::int64_t integer(
+      const std::string& name, std::int64_t def,
+      std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
   double real(const std::string& name, double def) const;
   bool flag(const std::string& name, bool def = false) const;
 

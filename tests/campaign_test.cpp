@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -24,7 +25,9 @@
 #include "campaign/shard_exec.h"
 #include "campaign/spec.h"
 #include "campaign/store.h"
+#include "campaign/telemetry.h"
 #include "campaign/worker.h"
+#include "obs/events.h"
 #include "obs/json.h"
 #include "sim/engine.h"
 #include "test_support.h"
@@ -131,6 +134,32 @@ TEST(CampaignSpec, ParseRejectsGarbage) {
           "'seeds.base' = 9007199254740994");
   rejects("[8]", R"({"count": 2.7})", "'count' = 2.7");
   rejects("[8]", R"({"count": 1e999})", "'count' = inf");
+  // Every real must be finite and inside the range its consumer enforces.
+  const auto rejectsKnob = [](const std::string& knob,
+                              const std::string& expected) {
+    try {
+      CampaignSpec::parse(R"({"protocols": ["flood"],
+        "adversaries": ["static_path"], "nodes": [8], "seeds": {"count": 1},
+        )" + knob + "}");
+      ADD_FAILURE() << "accepted " << knob;
+    } catch (const util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
+  };
+  rejectsKnob(R"("p": 1e999)", "'p' = inf is not a number in [0, 1]");
+  rejectsKnob(R"("p": -0.25)", "'p' = -0.25");
+  rejectsKnob(R"("c": 0)", "'c' = 0 is not a number in (0, 0.333333]");
+  rejectsKnob(R"("c": 0.5)", "'c' = 0.5");
+  rejectsKnob(R"("n_estimate": 0.5)", "'n_estimate' = 0.5 is neither 0");
+  rejectsKnob(R"("n_estimate": -1e999)", "'n_estimate' = -inf");
+  rejectsKnob(R"("trace_bucket": 0)", "'trace_bucket' = 0");
+  rejectsKnob(R"("faults": [{"name": "x", "drop_prob": -0.5}])",
+              "'drop_prob' = -0.5 is not a number in [0, 1]");
+  rejectsKnob(R"("faults": [{"name": "x", "corrupt_prob": 1.5}])",
+              "'corrupt_prob' = 1.5");
+  rejectsKnob(R"("faults": [{"name": "x", "crash_fraction": 2}])",
+              "'crash_fraction' = 2");
   // Shard configs (a worker's input line) read through the same helper.
   ShardConfig shard;
   shard.protocol = "flood";
@@ -147,6 +176,75 @@ TEST(CampaignSpec, ParseRejectsGarbage) {
     EXPECT_NE(std::string(e.what()).find("'trials' = 1e+10"),
               std::string::npos)
         << e.what();
+  }
+  json = shard.canonicalJson();
+  ASSERT_NE(json.find("\"p\":0,"), std::string::npos) << json;
+  json.replace(json.find("\"p\":0,"), 6, "\"p\":1e999,");
+  try {
+    parseShardConfig(obs::Json::parse(json));
+    ADD_FAILURE() << "accepted " << json;
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("'p' = inf"), std::string::npos)
+        << e.what();
+  }
+}
+
+// Every knob of a spec reaches every shard: the canonical configs (and so
+// the content hashes that name committed results) of a spec that sets each
+// knob away from its default, pinned byte for byte.
+TEST(CampaignSpec, EveryKnobReachesEveryShardUnchanged) {
+  const CampaignSpec spec = CampaignSpec::parse(R"({
+    "name": "every-knob",
+    "protocols": ["leader_unknown_d"],
+    "adversaries": ["trace"],
+    "nodes": [12],
+    "faults": [{"name": "clean"},
+               {"name": "all", "crash_fraction": 0.125, "crash_window": 9,
+                "restart": true, "restart_downtime": 3, "drop_prob": 0.0625,
+                "corrupt_prob": 0.25, "deliver_corrupted": true,
+                "sabotage": "crash_once", "sabotage_marker": "m.flag"}],
+    "seeds": {"base": 5, "count": 3, "per_shard": 2},
+    "max_rounds": 777, "diameter": 5, "k": 3, "p": 0.375, "interval": 4,
+    "churn": 3, "n_estimate": 13.5, "c": 0.2, "trace": "data/x.events",
+    "trace_policy": "mirror", "trace_offset": true, "trace_spine": false,
+    "trace_bucket": 2.5, "anonymous": true, "gadget_width": 3, "stretch": 2,
+    "gadget_intersect": true})");
+  const std::string cell =
+      R"({"protocol":"leader_unknown_d","adversary":"trace","n":12,)";
+  const std::string block1 = R"("trials":2,"seed_base":"bf3208a257b09705",)";
+  const std::string block2 = R"("trials":1,"seed_base":"3284fe15d063ba77",)";
+  const std::string knobs =
+      R"("max_rounds":777,"diameter":5,"k":3,"p":0.375,"interval":4,)"
+      R"("churn":3,"n_estimate":13.5,"c":0.20000000000000001,)"
+      R"("trace":"data/x.events","trace_policy":"mirror",)"
+      R"("trace_offset":true,"trace_spine":false,"trace_bucket":2.5,)"
+      R"("anonymous":true,"gadget_width":3,"stretch":2,)"
+      R"("gadget_intersect":true,"fault":)";
+  const std::string clean =
+      R"({"name":"clean","crash_fraction":0,"crash_window":64,)"
+      R"("restart":false,"restart_downtime":32,"drop_prob":0,)"
+      R"("corrupt_prob":0,"deliver_corrupted":false,"sabotage":"",)"
+      R"("sabotage_marker":""}})";
+  const std::string all =
+      R"({"name":"all","crash_fraction":0.125,"crash_window":9,)"
+      R"("restart":true,"restart_downtime":3,"drop_prob":0.0625,)"
+      R"("corrupt_prob":0.25,"deliver_corrupted":true,)"
+      R"("sabotage":"crash_once","sabotage_marker":"m.flag"}})";
+  const std::vector<ShardConfig> shards = spec.expandShards();
+  ASSERT_EQ(shards.size(), 4u);
+  EXPECT_EQ(shards[0].canonicalJson(), cell + block1 + knobs + clean);
+  EXPECT_EQ(shards[1].canonicalJson(), cell + block2 + knobs + clean);
+  EXPECT_EQ(shards[2].canonicalJson(), cell + block1 + knobs + all);
+  EXPECT_EQ(shards[3].canonicalJson(), cell + block2 + knobs + all);
+  EXPECT_EQ(shards[0].hash(), "6dfc5eef82ee5854");
+  EXPECT_EQ(shards[1].hash(), "8dc0f7e59e82f384");
+  EXPECT_EQ(shards[2].hash(), "0b67a6b9cbc9f519");
+  EXPECT_EQ(shards[3].hash(), "7befef93ff3278c9");
+  // The worker's reader rebuilds each shard from its canonical line.
+  for (const ShardConfig& shard : shards) {
+    EXPECT_EQ(parseShardConfig(obs::Json::parse(shard.canonicalJson()))
+                  .canonicalJson(),
+              shard.canonicalJson());
   }
 }
 
@@ -535,12 +633,12 @@ std::vector<obs::Json> readEvents(const std::string& dir) {
   return events;
 }
 
-obs::Json readStatus(const std::string& dir) {
-  std::ifstream in(dir + "/status.json");
-  EXPECT_TRUE(in.good()) << "no status.json in " << dir;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return obs::Json::parse(buf.str());
+CampaignStatus readStatus(const std::string& dir) {
+  std::ifstream in(dir + "/events.jsonl");
+  EXPECT_TRUE(in.good()) << "no events.jsonl in " << dir;
+  const std::optional<CampaignStatus> status = foldStatus(in);
+  EXPECT_TRUE(status.has_value()) << "no campaign_started in " << dir;
+  return status.value_or(CampaignStatus{});
 }
 
 TEST(Telemetry, EventStreamCoversInProcessCampaign) {
@@ -593,10 +691,10 @@ TEST(Telemetry, StatusMatchesReportAcrossInterruptAndResume) {
   const CampaignOutcome first = runCampaign(spec, partial);
   ASSERT_TRUE(first.stopped_early);
 
-  const obs::Json mid = readStatus(partial.checkpoint_dir);
-  EXPECT_EQ(mid.at("state").str(), "stopped_early");
-  EXPECT_EQ(mid.at("done").number(), 3);
-  EXPECT_EQ(mid.at("shards_total").number(), 8);
+  const CampaignStatus mid = readStatus(partial.checkpoint_dir);
+  EXPECT_EQ(mid.state, "stopped_early");
+  EXPECT_EQ(mid.done, 3u);
+  EXPECT_EQ(mid.shards_total, 8u);
 
   CampaignOptions resume;
   resume.checkpoint_dir = partial.checkpoint_dir;
@@ -604,19 +702,19 @@ TEST(Telemetry, StatusMatchesReportAcrossInterruptAndResume) {
   const CampaignOutcome second = runCampaign(spec, resume);
   ASSERT_TRUE(second.fullCoverage());
 
-  // Terminal snapshot agrees with the merged report.
-  const obs::Json status = readStatus(resume.checkpoint_dir);
+  // Terminal status agrees with the merged report.
+  const CampaignStatus status = readStatus(resume.checkpoint_dir);
   const obs::Json report =
       obs::Json::parse(reportOf(resume.checkpoint_dir));
-  EXPECT_EQ(status.at("state").str(), "finished");
-  EXPECT_EQ(status.at("done").number(),
+  EXPECT_EQ(status.state, "finished");
+  EXPECT_EQ(status.done,
             report.at("counters").at("campaign/shards_completed").number());
-  EXPECT_EQ(status.at("quarantined").number(),
+  EXPECT_EQ(status.quarantined,
             report.at("counters").at("campaign/shards_quarantined").number());
-  EXPECT_EQ(status.at("trials_done").number(),
+  EXPECT_EQ(status.trials_done,
             report.at("counters").at("campaign/trials").number());
-  EXPECT_EQ(status.at("running").number(), 0);
-  EXPECT_EQ(status.at("pending").number(), 0);
+  EXPECT_EQ(status.running, 0u);
+  EXPECT_EQ(status.pending, 0u);
 
   // One stream spans both runs: seq contiguous, no duplicate commits, and
   // the resume's campaign_started credits the prior shards.
@@ -733,12 +831,12 @@ TEST(Telemetry, FlakyShardAttemptHistorySurvivesInStatus) {
   EXPECT_TRUE(saw_failed);
   EXPECT_TRUE(saw_committed_retry);
 
-  // The flaky shard stays visible in the snapshot's attention map.
-  const obs::Json status = readStatus(options.checkpoint_dir);
-  const obs::Json& attention = status.at("attention");
-  ASSERT_TRUE(attention.has(hash));
-  EXPECT_EQ(attention.at(hash).at("state").str(), "done");
-  EXPECT_EQ(attention.at(hash).at("attempts").number(), 2);
+  // The flaky shard stays visible in the status's attention map.
+  const CampaignStatus status = readStatus(options.checkpoint_dir);
+  const auto& attention = status.attention;
+  ASSERT_TRUE(attention.count(hash));
+  EXPECT_EQ(attention.at(hash).state, "done");
+  EXPECT_EQ(attention.at(hash).attempts, 2);
 }
 
 TEST(Telemetry, OffLeavesNoArtifactsAndIdenticalReport) {
@@ -754,10 +852,137 @@ TEST(Telemetry, OffLeavesNoArtifactsAndIdenticalReport) {
 
   EXPECT_FALSE(fs::exists(without.checkpoint_dir + "/events.jsonl"));
   EXPECT_FALSE(fs::exists(without.checkpoint_dir + "/status.json"));
+  // With telemetry on, the status lives in events.jsonl alone.
+  EXPECT_TRUE(fs::exists(with.checkpoint_dir + "/events.jsonl"));
+  EXPECT_FALSE(fs::exists(with.checkpoint_dir + "/status.json"));
   EXPECT_FALSE(
       fs::exists(without.checkpoint_dir + "/scheduler_profile.json"));
   EXPECT_EQ(reportOf(with.checkpoint_dir),
             reportOf(without.checkpoint_dir));
+}
+
+// The fold of a synthetic stream: a stopped-early run, then a resume with a
+// flaky shard, a quarantined one, one still running and a torn tail.
+TEST(Telemetry, FoldStatusReplaysTheLastRunOfTheStream) {
+  std::string text;
+  std::int64_t ts_ms = 1'000;
+  const auto add = [&](const obs::Event& e) {
+    ts_ms += 100;
+    text += e.serialize(0, ts_ms) + "\n";
+  };
+  const auto shardEvent = [](const std::string& type, const std::string& h) {
+    obs::Event e(type);
+    e.str("campaign", "c").str("shard", h);
+    return e;
+  };
+  const auto started = [&](int completed_prior, int pending) {
+    add(obs::Event("campaign_started")
+            .str("campaign", "c")
+            .str("name", "fold")
+            .num("shards_total", 5)
+            .num("completed_prior", completed_prior)
+            .num("quarantined_prior", 0)
+            .num("pending", pending)
+            .num("workers", 2)
+            .boolean("subprocess", false));
+  };
+  started(0, 5);
+  add(shardEvent("shard_claimed", "a").num("index", 0));
+  add(shardEvent("attempt_started", "a").num("attempt", 1));
+  add(shardEvent("shard_committed", "a").num("attempt", 1).num("trials", 2));
+  add(obs::Event("campaign_finished")
+          .str("campaign", "c")
+          .num("completed", 1)
+          .num("quarantined", 0)
+          .num("failed_attempts", 0)
+          .num("trials", 2)
+          .boolean("stopped_early", true)
+          .boolean("full_coverage", false));
+  started(1, 4);  // the resume credits a
+  add(shardEvent("shard_claimed", "b").num("index", 1));
+  add(shardEvent("attempt_started", "b").num("attempt", 1));
+  add(shardEvent("attempt_failed", "b")
+          .num("attempt", 1)
+          .num("max_attempts", 3)
+          .str("error", "flake")
+          .num("backoff_ms", 1));
+  const std::string retrying_prefix = text;
+  add(shardEvent("attempt_started", "b").num("attempt", 2));
+  add(shardEvent("shard_exec_finished", "b").num("attempt", 2));
+  add(shardEvent("shard_committed", "b").num("attempt", 2).num("trials", 2));
+  add(shardEvent("shard_claimed", "c").num("index", 2));
+  add(shardEvent("attempt_started", "c").num("attempt", 1));
+  add(shardEvent("attempt_failed", "c")
+          .num("attempt", 1)
+          .num("max_attempts", 1)
+          .str("error", "boom"));
+  add(shardEvent("shard_quarantined", "c").num("attempts", 1).str("error",
+                                                                  "boom"));
+  add(shardEvent("shard_claimed", "d").num("index", 3));
+  add(shardEvent("attempt_started", "d").num("attempt", 1));
+  text += R"({"dynet_event":1,"seq":99,"ts_ms":99999,"type":"shard_comm)";
+
+  std::istringstream in(text);
+  const std::optional<CampaignStatus> s = foldStatus(in);
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->campaign, "c");
+  EXPECT_EQ(s->name, "fold");
+  EXPECT_EQ(s->state, "running");
+  EXPECT_EQ(s->started_ms, 1'600);
+  EXPECT_EQ(s->updated_ms, 2'800);  // the torn tail's ts_ms is not read
+  EXPECT_EQ(s->shards_total, 5u);
+  EXPECT_EQ(s->completed_prior, 1u);
+  EXPECT_EQ(s->done, 2u);
+  EXPECT_EQ(s->running, 1u);
+  EXPECT_EQ(s->retrying, 0u);
+  EXPECT_EQ(s->pending, 1u);
+  EXPECT_EQ(s->quarantined, 1u);
+  EXPECT_EQ(s->failed_attempts, 2u);
+  EXPECT_EQ(s->trials_done, 2u);  // this run's commits only
+  ASSERT_EQ(s->attention.size(), 3u);  // a belongs to the first run
+  EXPECT_EQ(s->attention.at("b").state, "done");
+  EXPECT_EQ(s->attention.at("b").attempts, 2);
+  EXPECT_EQ(s->attention.at("c").state, "quarantined");
+  EXPECT_EQ(s->attention.at("c").attempts, 1);
+  EXPECT_EQ(s->attention.at("c").last_error, "boom");
+  EXPECT_EQ(s->attention.at("d").state, "running");
+  EXPECT_EQ(s->attention.at("d").attempts, 1);
+
+  // Between its attempts, b is retrying.
+  std::istringstream prefix(retrying_prefix);
+  const std::optional<CampaignStatus> mid = foldStatus(prefix);
+  ASSERT_TRUE(mid.has_value());
+  EXPECT_EQ(mid->running, 0u);
+  EXPECT_EQ(mid->retrying, 1u);
+  EXPECT_EQ(mid->attention.at("b").state, "retrying");
+  EXPECT_EQ(mid->attention.at("b").last_error, "flake");
+
+  // No campaign_started: nothing to fold.
+  std::istringstream headless(shardEvent("shard_claimed", "a").serialize(0) +
+                              "\n");
+  EXPECT_FALSE(foldStatus(headless).has_value());
+  std::istringstream empty("");
+  EXPECT_FALSE(foldStatus(empty).has_value());
+
+  // A malformed complete line, and a count no size_t holds, throw with the
+  // 1-based line number.
+  const auto rejects = [](const std::string& stream,
+                          const std::string& expected) {
+    std::istringstream bad(stream);
+    try {
+      foldStatus(bad);
+      ADD_FAILURE() << "folded " << stream;
+    } catch (const util::CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("event line 2: "), std::string::npos) << what;
+      EXPECT_NE(what.find(expected), std::string::npos) << what;
+    }
+  };
+  const std::string first_line = text.substr(0, text.find('\n') + 1);
+  rejects(first_line + "not json\n" + first_line, "bad literal");
+  std::string huge = first_line;
+  huge.replace(huge.find("\"shards_total\":5"), 16, "\"shards_total\":1e300");
+  rejects(first_line + huge, "'shards_total' = 1e+300 is not an integer");
 }
 
 TEST(Telemetry, SchedulerProfileIsValidMetricsJson) {

@@ -587,11 +587,11 @@ TEST(TraceCampaign, ReplayIsByteIdenticalAcrossCheckpointResume) {
   spec.protocols = {"flood", "anon_count"};
   spec.adversaries = {"trace"};
   spec.nodes = {16};
-  spec.trace = events_path;
-  spec.trace_policy = "mirror";
+  spec.knobs.trace = events_path;
+  spec.knobs.trace_policy = "mirror";
   spec.seed_count = 4;
   spec.seeds_per_shard = 2;
-  spec.max_rounds = 4'000;
+  spec.knobs.max_rounds = 4'000;
 
   const auto report = [&](const std::string& dir,
                           bool expect_resume_noop) -> std::string {

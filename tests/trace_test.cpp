@@ -148,6 +148,24 @@ TEST(Trace, RejectsRecordsOutsideTheirPlace) {
   expectRejected("dynet-trace v1\nr 1\n", "trace line 2 'r 1': round before 'n'");
 }
 
+// An action trace lists every node exactly once in every round, so
+// trace.actions is empty or holds one entry per round.
+TEST(Trace, RejectsActionRoundsThatSkipOrRepeatNodes) {
+  const std::string round1 =
+      "dynet-trace v1\nn 3\nr 1\ne 0 1\ne 1 2\ns 0 8 aa\nq 1\nq 2\n";
+  std::stringstream complete(round1);
+  EXPECT_EQ(readTrace(complete).actions.size(), 1u);
+  expectRejected(round1 + "r 2\ne 0 1\ne 1 2\ns 2 8 aa\n",
+                 "trace round 2 lists no action for node 0");
+  expectRejected(round1 + "r 2\ne 0 1\ne 1 2\nq 0\nq 2\nr 3\ne 0 1\ne 1 2\n",
+                 "trace round 2 lists no action for node 1");
+  expectRejected("dynet-trace v1\nn 3\nr 1\ne 0 1\ne 1 2\ns 0 8 aa\nq 0\n",
+                 "trace line 7 'q 0': node 0 listed twice in round 1");
+  // Actions that start in round 2 leave round 1 without any.
+  expectRejected("dynet-trace v1\nn 2\nr 1\ne 0 1\nr 2\ne 0 1\ns 0 8 aa\nq 1\n",
+                 "trace round 1 lists no action for node 0");
+}
+
 TEST(Trace, WideMessageRoundTrip) {
   // Payload wider than 64 bits survives the word-split encoding.
   Trace trace;

@@ -343,6 +343,34 @@ TEST(Cli, IntegerRejectsTrailingGarbageNamingFlagAndValue) {
 
 TEST(Cli, IntegerAcceptsNegativeValues) { EXPECT_EQ(cliInteger("-5"), -5); }
 
+// A value outside the flag's inclusive range fails before any narrowing
+// cast sees it, so 2^32 + 2 cannot wrap to 2 nor -1 to 4294967295.
+TEST(Cli, IntegerRejectsValuesOutsideItsRangeNamingFlagAndValue) {
+  const auto integer = [](const std::string& value, std::int64_t lo,
+                          std::int64_t hi) {
+    const std::string arg = "--workers=" + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    return Cli(2, const_cast<char**>(argv)).integer("workers", 1, lo, hi);
+  };
+  EXPECT_EQ(integer("1", 1, 4096), 1);
+  EXPECT_EQ(integer("4096", 1, 4096), 4096);
+  for (const std::string bad : {"0", "-1", "4097", "4294967298"}) {
+    try {
+      integer(bad, 1, 4096);
+      FAIL() << "expected CheckError for '" << bad << "'";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("--workers=" + bad +
+                                           " is outside [1, 4096]"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The default is returned as given, and the range defaults to int64.
+  const char* argv[] = {"prog"};
+  EXPECT_EQ(Cli(1, const_cast<char**>(argv)).integer("workers", 7, 1, 4), 7);
+  EXPECT_EQ(cliInteger("4294967298"), 4294967298);
+}
+
 TEST(Cli, RealAcceptsDecimalAndExponentForms) {
   EXPECT_DOUBLE_EQ(cliReal("0.25"), 0.25);
   EXPECT_DOUBLE_EQ(cliReal("1e-3"), 1e-3);

@@ -12,7 +12,7 @@
 //               [--shard-limit N] [--retry-quarantined] [--verbose]
 //               [--no-telemetry]
 //   $ dynet_cli --campaign-report dir          # re-merge + summarize
-//   $ dynet_cli --campaign-status dir          # render status.json once
+//   $ dynet_cli --campaign-status dir          # fold events.jsonl once
 //   $ dynet_cli --campaign-watch dir [--interval-ms N]   # poll until done
 //   $ dynet_cli --worker [--emit-events]       # internal: shard worker loop
 //
@@ -39,7 +39,9 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <unistd.h>
@@ -47,11 +49,11 @@
 #include "campaign/scheduler.h"
 #include "campaign/shard_exec.h"
 #include "campaign/spec.h"
+#include "campaign/telemetry.h"
 #include "campaign/worker.h"
 #include "dataset/compiled_format.h"
 #include "net/churn.h"
 #include "net/diameter.h"
-#include "obs/json.h"
 #include "obs/prof.h"
 #include "obs/sink.h"
 #include "sim/engine.h"
@@ -62,6 +64,13 @@
 
 namespace dynet {
 namespace {
+
+/// The integer flag `name` in [lo, INT_MAX], or `def` when absent.
+int intFlag(const util::Cli& cli, const std::string& name, int def,
+            std::int64_t lo = std::numeric_limits<int>::min()) {
+  return static_cast<int>(
+      cli.integer(name, def, lo, std::numeric_limits<int>::max()));
+}
 
 void printNameList(std::ostream& out, const std::string& label,
                    const std::vector<std::string>& names) {
@@ -111,72 +120,69 @@ void printCampaignSummary(const campaign::CampaignOutcome& outcome,
   std::cout << "report written to " << checkpoint_dir << "/report.json\n";
 }
 
-/// Renders one status.json snapshot.  Returns 0 when the campaign is
-/// running or finished with full coverage, 3 when it finished incomplete,
-/// 1 when there is no snapshot to read.  `running_out` (optional) reports
-/// whether the campaign was still running.
+/// Renders the status folded from `dir`/events.jsonl.  Returns 0 when the
+/// campaign is running or finished with full coverage, 3 when it finished
+/// incomplete, 1 when there is no event stream to read.  `running_out`
+/// (optional) reports whether the campaign was still running.
 int renderCampaignStatus(const std::string& dir, bool* running_out) {
   if (running_out != nullptr) {
     *running_out = false;
   }
-  std::ifstream in(dir + "/status.json");
-  if (!in.good()) {
-    std::cerr << "no status.json in " << dir
-              << " (campaign never started there, or ran with "
+  std::ifstream in(dir + "/events.jsonl");
+  const std::optional<campaign::CampaignStatus> folded =
+      in.good() ? campaign::foldStatus(in) : std::nullopt;
+  if (!folded) {
+    std::cerr << "no campaign events in " << dir
+              << "/events.jsonl (campaign never started there, or ran with "
                  "--no-telemetry)\n";
     return 1;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const obs::Json s = obs::Json::parse(buf.str());
-  DYNET_CHECK(s.isObject() && s.has("dynet_campaign_status"))
-      << dir << "/status.json is not a campaign status snapshot";
-  const auto count = [&s](const char* key) {
-    return static_cast<std::int64_t>(s.at(key).number());
-  };
-  const std::string state = s.at("state").str();
+  const campaign::CampaignStatus& s = *folded;
   util::Table table({"field", "value"});
-  table.row().cell("campaign").cell(s.at("campaign").str());
-  table.row().cell("name").cell(s.at("name").str());
-  table.row().cell("state").cell(state);
-  table.row().cell("done").cell(count("done"));
-  table.row().cell("shards total").cell(count("shards_total"));
-  table.row().cell("running").cell(count("running"));
-  table.row().cell("retrying").cell(count("retrying"));
-  table.row().cell("pending").cell(count("pending"));
-  table.row().cell("quarantined").cell(count("quarantined"));
-  table.row().cell("failed attempts").cell(count("failed_attempts"));
-  table.row().cell("trials done").cell(count("trials_done"));
-  if (s.has("shards_per_sec")) {
-    table.row().cell("shards/sec").cell(s.at("shards_per_sec").number(), 3);
-  }
-  if (s.has("trials_per_sec")) {
-    table.row().cell("trials/sec").cell(s.at("trials_per_sec").number(), 3);
-  }
-  if (s.has("eta_ms")) {
-    table.row().cell("eta (s)").cell(s.at("eta_ms").number() / 1000.0, 1);
+  table.row().cell("campaign").cell(s.campaign);
+  table.row().cell("name").cell(s.name);
+  table.row().cell("state").cell(s.state);
+  table.row().cell("done").cell(s.done);
+  table.row().cell("shards total").cell(s.shards_total);
+  table.row().cell("running").cell(s.running);
+  table.row().cell("retrying").cell(s.retrying);
+  table.row().cell("pending").cell(s.pending);
+  table.row().cell("quarantined").cell(s.quarantined);
+  table.row().cell("failed attempts").cell(s.failed_attempts);
+  table.row().cell("trials done").cell(s.trials_done);
+  // Rates over the wall-clock span of this run's records.
+  const double elapsed_s =
+      static_cast<double>(s.updated_ms - s.started_ms) / 1000.0;
+  const std::size_t done_new =
+      s.done > s.completed_prior ? s.done - s.completed_prior : 0;
+  if (elapsed_s > 0 && done_new > 0) {
+    const double shards_per_sec = static_cast<double>(done_new) / elapsed_s;
+    table.row().cell("shards/sec").cell(shards_per_sec, 3);
+    table.row().cell("trials/sec").cell(
+        static_cast<double>(s.trials_done) / elapsed_s, 3);
+    const std::size_t terminal = s.done + s.quarantined;
+    if (s.state == "running" && s.shards_total > terminal) {
+      table.row().cell("eta (s)").cell(
+          static_cast<double>(s.shards_total - terminal) / shards_per_sec, 1);
+    }
   }
   std::cout << table.toString();
-  const auto& attention = s.at("attention").members();
-  if (!attention.empty()) {
+  if (!s.attention.empty()) {
     util::Table shards({"shard", "state", "attempts", "last error"});
-    for (const auto& [hash, note] : attention) {
+    for (const auto& [hash, shard] : s.attention) {
       shards.row()
           .cell(hash)
-          .cell(note.at("state").str())
-          .cell(static_cast<std::int64_t>(note.at("attempts").number()))
-          .cell(note.has("last_error") ? note.at("last_error").str() : "");
+          .cell(shard.state)
+          .cell(shard.attempts)
+          .cell(shard.last_error);
     }
     std::cout << "shards needing attention:\n" << shards.toString();
   }
-  const bool running = state == "running";
+  const bool running = s.state == "running";
   if (running_out != nullptr) {
     *running_out = running;
   }
-  if (running || count("done") == count("shards_total")) {
-    return 0;
-  }
-  return 3;
+  return running || s.done == s.shards_total ? 0 : 3;
 }
 
 int runCampaignStatusMode(const std::string& dir, bool watch,
@@ -249,8 +255,9 @@ int runCampaignMode(util::Cli& cli, const std::string& spec_path) {
   options.checkpoint_dir = cli.str("checkpoint", "");
   DYNET_CHECK(!options.checkpoint_dir.empty())
       << "--campaign requires --checkpoint <dir>";
+  // DYNET_THREADS has the same bound.
   options.workers =
-      static_cast<unsigned>(cli.integer("workers", 1));
+      static_cast<unsigned>(cli.integer("workers", 1, 1, 4096));
   const std::string isolation = cli.str("isolation", "inprocess");
   DYNET_CHECK(isolation == "inprocess" || isolation == "subprocess")
       << "--isolation must be 'inprocess' or 'subprocess', got '" << isolation
@@ -260,7 +267,7 @@ int runCampaignMode(util::Cli& cli, const std::string& spec_path) {
   if (options.subprocess && options.worker_cmd.empty()) {
     options.worker_cmd = selfExecutable();
   }
-  options.shard_limit = static_cast<int>(cli.integer("shard-limit", 0));
+  options.shard_limit = intFlag(cli, "shard-limit", 0, 0);
   options.retry_quarantined = cli.flag("retry-quarantined");
   options.verbose = cli.flag("verbose");
   options.telemetry = !cli.flag("no-telemetry");
@@ -337,8 +344,7 @@ int run(int argc, char** argv) {
   }
   if (cli.has("campaign-watch")) {
     const std::string dir = cli.str("campaign-watch", "");
-    const int interval_ms =
-        static_cast<int>(cli.integer("interval-ms", 1000));
+    const int interval_ms = intFlag(cli, "interval-ms", 1000, 1);
     cli.rejectUnknown();
     return runCampaignStatusMode(dir, /*watch=*/true, interval_ms);
   }
@@ -353,17 +359,17 @@ int run(int argc, char** argv) {
   campaign::ShardConfig shard;
   shard.protocol = cli.str("protocol", "leader_unknown_d");
   shard.adversary = cli.str("adversary", "random_tree");
-  shard.n = static_cast<sim::NodeId>(cli.integer("nodes", 64));
+  // Each knob takes the range the shard-config reader takes.
+  shard.n = intFlag(cli, "nodes", 64, 2);
   const auto seed = static_cast<std::uint64_t>(cli.integer("seed", 1));
-  shard.diameter = static_cast<int>(cli.integer("diameter", 8));
-  shard.k = static_cast<int>(cli.integer("k", 0));
+  shard.diameter = intFlag(cli, "diameter", 8);
+  shard.k = intFlag(cli, "k", 0);
   shard.p = cli.real("p", 0);
-  shard.interval = static_cast<int>(cli.integer("interval", 8));
-  shard.churn = static_cast<int>(cli.integer("churn", 2));
+  shard.interval = intFlag(cli, "interval", 8);
+  shard.churn = intFlag(cli, "churn", 2);
   shard.n_estimate = cli.real("n-estimate", 0);
   shard.c = cli.real("c", 0.25);
-  shard.max_rounds =
-      static_cast<sim::Round>(cli.integer("max-rounds", 20'000'000));
+  shard.max_rounds = intFlag(cli, "max-rounds", 20'000'000, 1);
   // Dataset replay knobs (--trace is taken by the simulation-trace dump, so
   // the dataset path flag is --trace-path).
   shard.trace = cli.str("trace-path", "");
@@ -373,8 +379,8 @@ int run(int argc, char** argv) {
   shard.trace_bucket = cli.real("trace-bucket", 1.0);
   shard.anonymous = cli.flag("anonymous");
   // Distance-hardness gadget knobs (--adversary ach_gadget | bk_gadget).
-  shard.gadget_width = static_cast<int>(cli.integer("gadget-width", 0));
-  shard.stretch = static_cast<int>(cli.integer("stretch", 0));
+  shard.gadget_width = intFlag(cli, "gadget-width", 0, 0);
+  shard.stretch = intFlag(cli, "stretch", 0, 0);
   shard.gadget_intersect = cli.flag("gadget-intersect");
   const std::string trace_path = cli.str("trace", "");
   const std::string metrics_path = cli.str("metrics-out", "");
