@@ -9,6 +9,7 @@
 // counts lock attempts and unlocks with and without the pre-count, and the
 // resulting rounds-to-termination.
 #include <iostream>
+#include <limits>
 
 #include "bench_common.h"
 #include "protocols/leader_unknown_d.h"
@@ -72,7 +73,8 @@ Outcome runCase(const std::string& adv_name, NodeId n, bool skip_precount,
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const bool quick = bench::quickMode(cli);
-  const int trials = static_cast<int>(cli.integer("trials", quick ? 2 : 3));
+  const int trials = static_cast<int>(
+      cli.integer("trials", quick ? 2 : 3, 1, std::numeric_limits<int>::max()));
   cli.rejectUnknown();
   std::cout << "Ablation A2 — §7 stage-B pre-count vs direct locking\n\n";
   util::Table table({"adversary", "N", "pre-count", "lock attempts", "unlocks",

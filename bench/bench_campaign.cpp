@@ -53,7 +53,7 @@ int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const bool quick = bench::quickMode(cli);
   const unsigned workers =
-      static_cast<unsigned>(cli.integer("workers", quick ? 2 : 4));
+      static_cast<unsigned>(cli.integer("workers", quick ? 2 : 4, 1, 4096));
   const std::string worker_cmd = cli.str("worker-cmd", "");
   cli.rejectUnknown();
 

@@ -9,6 +9,7 @@
 //     simulation argument, set against the Ω(n/q²) DISJOINTNESSCP bound,
 //   * exact cross-validation of both parties' simulations (Lemma 5).
 #include <iostream>
+#include <limits>
 
 #include "bench_common.h"
 #include "lowerbound/reduction.h"
@@ -25,8 +26,10 @@ using sim::Round;
 
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const int n_groups = static_cast<int>(cli.integer("n", 2));
-  const int wait_rounds = static_cast<int>(cli.integer("oracle_wait", 12));
+  const int n_groups = static_cast<int>(
+      cli.integer("n", 2, 1, std::numeric_limits<int>::max()));
+  const int wait_rounds = static_cast<int>(
+      cli.integer("oracle_wait", 12, 0, std::numeric_limits<int>::max()));
   const bool quick = cli.flag("quick");
   bench::ObsSession obs(cli);
   cli.rejectUnknown();

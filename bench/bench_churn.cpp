@@ -9,6 +9,7 @@
 // spectrum — the paper's complexities are about *knowledge of D*, not
 // about churn itself.
 #include <iostream>
+#include <limits>
 
 #include "adversary/churn_adversaries.h"
 #include "adversary/dynamic_adversaries.h"
@@ -71,7 +72,9 @@ ChurnPoint measure(NodeId n, const MakeAdv& make, std::uint64_t seed) {
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const bool quick = bench::quickMode(cli);
-  const auto n = static_cast<NodeId>(cli.integer("nodes", quick ? 64 : 128));
+  const auto n = static_cast<NodeId>(
+      cli.integer("nodes", quick ? 64 : 128, 2,
+                  std::numeric_limits<int>::max()));
   cli.rejectUnknown();
   std::cout << "Churn sweep — known-D LEADERELECT across the churn spectrum "
                "(N = " << n << ")\n\n";

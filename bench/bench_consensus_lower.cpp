@@ -11,6 +11,7 @@
 // on DISJ=0, the N' validity for both network sizes, the communication
 // envelope, and simulation consistency.
 #include <iostream>
+#include <limits>
 
 #include "bench_common.h"
 #include "lowerbound/reduction.h"
@@ -27,8 +28,10 @@ using sim::Round;
 
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const int n_groups = static_cast<int>(cli.integer("n", 2));
-  const int oracle_rounds = static_cast<int>(cli.integer("oracle_rounds", 10));
+  const int n_groups = static_cast<int>(
+      cli.integer("n", 2, 1, std::numeric_limits<int>::max()));
+  const int oracle_rounds = static_cast<int>(
+      cli.integer("oracle_rounds", 10, 0, std::numeric_limits<int>::max()));
   const bool quick = cli.flag("quick");
   cli.rejectUnknown();
 

@@ -22,6 +22,7 @@
 // BENCH_diameter.json (--json-out=PATH to override, "" to skip).
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -152,7 +153,8 @@ Row runOne(const std::string& protocol, const Instance& inst, sim::NodeId n,
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const bool quick = bench::quickMode(cli);
-  const int stretch = static_cast<int>(cli.integer("stretch", 2));
+  const int stretch = static_cast<int>(
+      cli.integer("stretch", 2, 0, std::numeric_limits<int>::max()));
   const auto seed = static_cast<std::uint64_t>(cli.integer("seed", 42));
   const std::string json_path = cli.str("json-out", "BENCH_diameter.json");
   cli.rejectUnknown();

@@ -5,6 +5,7 @@
 // formula.  Also prints the parameter map Theorem 6 uses (q = 120s+1,
 // n = (N-4)/(3q)) so the reduction arithmetic is visible.
 #include <iostream>
+#include <limits>
 
 #include "cc/channel.h"
 #include "cc/disjointness_cp.h"
@@ -20,7 +21,9 @@ namespace {
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const bool quick = cli.flag("quick");
-  const int trials = static_cast<int>(cli.integer("trials", quick ? 5 : 20));
+  const int trials = static_cast<int>(
+      cli.integer("trials", quick ? 5 : 20, 1,
+                  std::numeric_limits<int>::max()));
   cli.rejectUnknown();
 
   std::cout << "E8 — DISJOINTNESSCP communication (Theorem 1 from [4])\n\n";

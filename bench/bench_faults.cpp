@@ -15,6 +15,7 @@
 // baseline: it is cheaper than ResilientFlood when nothing fails and
 // useless the moment deliveries start disappearing (it never re-sends).
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -247,8 +248,11 @@ void instrumentedRun(bench::ObsSession& obs, NodeId n, std::uint64_t seed) {
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const bool quick = cli.flag("quick");
-  const int trials = static_cast<int>(cli.integer("trials", quick ? 5 : 20));
-  const NodeId n = static_cast<NodeId>(cli.integer("n", 64));
+  const int trials = static_cast<int>(
+      cli.integer("trials", quick ? 5 : 20, 1,
+                  std::numeric_limits<int>::max()));
+  const NodeId n = static_cast<NodeId>(
+      cli.integer("n", 64, 2, std::numeric_limits<int>::max()));
   bench::ObsSession obs(cli);
   cli.rejectUnknown();
 

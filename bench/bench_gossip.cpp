@@ -6,6 +6,7 @@
 // known-D round budget, and the pessimistic D:=N budget — the waste factor
 // is the concrete cost the paper's question is about.
 #include <iostream>
+#include <limits>
 
 #include "bench_common.h"
 #include "protocols/gossip.h"
@@ -23,7 +24,8 @@ using sim::Round;
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const bool quick = bench::quickMode(cli);
-  const int trials = static_cast<int>(cli.integer("trials", quick ? 2 : 3));
+  const int trials = static_cast<int>(
+      cli.integer("trials", quick ? 2 : 3, 1, std::numeric_limits<int>::max()));
   cli.rejectUnknown();
   std::cout << "k-token gossip — completion vs known-D budget vs pessimistic "
                "D := N budget\n\n";

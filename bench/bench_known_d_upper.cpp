@@ -6,6 +6,7 @@
 // diameter D, hands it to the protocol, and reports rounds, flooding
 // rounds (rounds / D), and correctness over Monte Carlo trials.
 #include <iostream>
+#include <limits>
 
 #include "bench_common.h"
 #include "protocols/cflood.h"
@@ -132,7 +133,8 @@ Row runProblem(const std::string& problem, const std::string& adv_name,
 
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const int trials = static_cast<int>(cli.integer("trials", 4));
+  const int trials = static_cast<int>(
+      cli.integer("trials", 4, 1, std::numeric_limits<int>::max()));
   const bool quick = cli.flag("quick");
   cli.rejectUnknown();
 

@@ -5,6 +5,7 @@
 // declared, and correctness over Monte Carlo trials; plus a c-sweep showing
 // the accuracy/cost trade (k grows as c shrinks).
 #include <iostream>
+#include <limits>
 
 #include "bench_common.h"
 #include "protocols/leader_unknown_d.h"
@@ -82,7 +83,8 @@ void instrumentedRun(bench::ObsSession& obs, NodeId n, int trials_seed) {
 
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const int trials = static_cast<int>(cli.integer("trials", 3));
+  const int trials = static_cast<int>(
+      cli.integer("trials", 3, 1, std::numeric_limits<int>::max()));
   const bool quick = cli.flag("quick");
   bench::ObsSession obs(cli);
   cli.rejectUnknown();

@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -85,11 +86,15 @@ int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const bool quick = bench::quickMode(cli);
   const auto n = static_cast<sim::NodeId>(
-      cli.integer("nodes", quick ? 64 : 256));
+      cli.integer("nodes", quick ? 64 : 256, 2,
+                  std::numeric_limits<int>::max()));
   const auto rounds = static_cast<sim::Round>(
-      cli.integer("rounds", quick ? 256 : 4096));
-  const int churn = static_cast<int>(cli.integer("churn", 4));
-  const int reps = static_cast<int>(cli.integer("reps", quick ? 3 : 10));
+      cli.integer("rounds", quick ? 256 : 4096, 1,
+                  std::numeric_limits<int>::max()));
+  const int churn = static_cast<int>(
+      cli.integer("churn", 4, 0, std::numeric_limits<int>::max()));
+  const int reps = static_cast<int>(
+      cli.integer("reps", quick ? 3 : 10, 1, std::numeric_limits<int>::max()));
   const auto seed = static_cast<std::uint64_t>(cli.integer("seed", 42));
   const std::string json_path =
       cli.str("json-out", "BENCH_trace_replay.json");

@@ -18,7 +18,10 @@
 #   * dynet_cli --nodes 4294967298 (integer flags are range-checked before
 #     they narrow to int);
 #   * dynet_cli --campaign-status on an events.jsonl with a garbage line
-#     after a valid campaign_started (the error names the line).
+#     after a valid campaign_started (the error names the line, and the
+#     DYNET_CHECK location prefix appears once, not once per rethrow);
+#   * trace_to_dot --round 4294967297 on a one-round trace (the round is
+#     range-checked before it narrows, so it cannot wrap to round 1).
 #
 # The inputs live in a temp dir that is removed on exit.
 set -euo pipefail
@@ -68,3 +71,11 @@ grep -q "event line 2" "$dir/out.txt" || {
   echo "hostile input: --campaign-status did not name the bad line" >&2
   exit 1
 }
+if [[ "$(grep -o "DYNET_CHECK failed" "$dir/out.txt" | wc -l)" -ne 1 ]]; then
+  echo "hostile input: --campaign-status repeats the DYNET_CHECK prefix" >&2
+  cat "$dir/out.txt" >&2
+  exit 1
+fi
+printf 'dynet-trace v1\nn 2\nr 1\ne 0 1\n' > "$dir/one.trace"
+expect_exit_1 "$build/tools/trace_to_dot" --in "$dir/one.trace" \
+  --round 4294967297

@@ -71,8 +71,8 @@ bool EdgeChurnAdversary::topologyUpdate(sim::Round /*round*/,
       parent_[static_cast<std::size_t>(v)] =
           static_cast<sim::NodeId>(rng_.below(static_cast<std::uint64_t>(v)));
     }
-    // Child-ascending order matches rebuild()'s edge order, so applyDelta's
-    // positional replacement reproduces it exactly.
+    // Child-ascending order matches rebuild()'s edge order, so
+    // net::applyDelta's positional replacement reproduces it exactly.
     std::sort(moved.begin(), moved.end());
     std::vector<net::Edge> removed;
     std::vector<net::Edge> added;
@@ -86,9 +86,15 @@ bool EdgeChurnAdversary::topologyUpdate(sim::Round /*round*/,
     if (!removed.empty()) {
       // Re-attaching children keeps the parent encoding a tree, so the
       // result is always connected: assert that to carry the component
-      // count across the delta (skips a per-round union-find pass).
-      current_ = current_->applyDelta(removed, added,
-                                      /*same_components=*/true);
+      // count across the delta (skips a per-round union-find pass).  When
+      // the caller lent last round's graph, this adversary lets go of its
+      // own reference first, so a caller holding the only other one gets
+      // it patched in place.
+      if (prev == current_) {
+        current_.reset();
+      }
+      current_ = net::applyDelta(current_ != nullptr ? current_ : prev,
+                                 removed, added, /*same_components=*/true);
       out.edges_removed = removed.size();
       out.edges_added = added.size();
     }

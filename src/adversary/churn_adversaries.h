@@ -22,11 +22,13 @@ class EdgeChurnAdversary : public sim::Adversary {
 
   net::GraphPtr topology(sim::Round round, const sim::RoundObservation& obs) override;
   /// Delta-native: performs the same churn moves (same rng draws) as
-  /// topology() but patches the previous graph with Graph::applyDelta —
+  /// topology() but patches the previous graph with net::applyDelta —
   /// one removed/added edge pair per re-attached child — instead of
   /// rebuilding the whole tree.  Emits a value-identical edges() sequence
   /// (the rebuild order is child-ascending and applyDelta replaces
-  /// positionally), so runs on either path match byte for byte.
+  /// positionally), so runs on either path match byte for byte.  Drops
+  /// its own reference when `prev` is that graph, so the patch runs in
+  /// place whenever the caller's is the only other one.
   bool topologyUpdate(sim::Round round, const sim::RoundObservation& obs,
                       const net::GraphPtr& prev,
                       sim::TopologyUpdate& out) override;

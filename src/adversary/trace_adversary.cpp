@@ -178,7 +178,6 @@ bool TraceAdversary::topologyUpdate(sim::Round round,
                                     const net::GraphPtr& prev,
                                     sim::TopologyUpdate& out) {
   (void)obs;
-  (void)prev;  // current_ is the graph this adversary returned last round
   const Step step = stepTo(round);
   if (!step.moved && current_ != nullptr) {
     out.graph = current_;
@@ -186,13 +185,24 @@ bool TraceAdversary::topologyUpdate(sim::Round round,
     return true;
   }
   if (step.patched) {
-    // The round's one positional patch.
+    // The round's one positional patch, on current_, the graph this
+    // adversary returned last round.  When the caller lent that graph as
+    // `prev`, the adversary lets go of its own reference first, so a
+    // caller holding the only other one gets it patched in place.
+    if (prev == current_) {
+      current_.reset();
+    }
     try {
-      current_ = current_->applyDelta(step.removed, step.added,
-                                      /*same_components=*/options_.spine);
+      current_ = net::applyDelta(current_ != nullptr ? current_ : prev,
+                                 step.removed, step.added,
+                                 /*same_components=*/options_.spine);
     } catch (const util::CheckError&) {
-      // A removed edge missing from the trace fails as on the edge-list
-      // path, naming the trace and round; any other error passes through.
+      // A failed patch leaves the graph as it was.  A removed edge missing
+      // from the trace fails as on the edge-list path, naming the trace
+      // and round; any other error passes through.
+      if (current_ == nullptr) {
+        current_ = prev;
+      }
       edgesAfter(step);
       throw;
     }

@@ -3,7 +3,8 @@
 //
 // The adversary is a small state machine over the trace's edge-delta
 // timeline.  The delta-native topologyUpdate() applies each round's delta
-// once, with Graph::applyDelta on the previous round's graph; topology()
+// once, with net::applyDelta on the previous round's graph (in place when
+// the engine's lent `prev` is its only other holder); topology()
 // patches a copy of that graph's edge list with
 // dataset::applyPositionalPatch and builds the graph from it.  A jump
 // (first round, wrap, seeded offset) replays the timeline from round 1 the

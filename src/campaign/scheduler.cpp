@@ -215,7 +215,7 @@ bool validateResult(const ShardConfig& shard, const std::string& json_line,
     }
     return true;
   } catch (const util::CheckError& e) {
-    *error = std::string("malformed result line: ") + e.what();
+    *error = "malformed result line: " + e.message();
     return false;
   }
 }

@@ -316,7 +316,7 @@ CampaignSpec CampaignSpec::parse(const std::string& json_text) {
   try {
     root = obs::Json::parse(json_text);
   } catch (const util::CheckError& e) {
-    DYNET_CHECK(false) << "malformed campaign spec: " << e.what();
+    DYNET_CHECK(false) << "malformed campaign spec: " << e.message();
   }
   DYNET_CHECK(root.isObject()) << "campaign spec must be a JSON object";
   rejectUnknownKeys(root,

@@ -115,7 +115,7 @@ std::optional<CampaignStatus> foldStatus(std::istream& in) {
         apply(*status, type, e);
       }
     } catch (const util::CheckError& err) {
-      DYNET_CHECK(false) << "event line " << line_no << ": " << err.what();
+      DYNET_CHECK(false) << "event line " << line_no << ": " << err.message();
     }
   }
   if (status) {
@@ -281,8 +281,7 @@ void CampaignTelemetry::workerEvent(int slot, int attempt,
       }
     }
   } catch (const util::CheckError& err) {
-    humanLine(std::string("[campaign] dropping malformed worker event: ") +
-              err.what());
+    humanLine("[campaign] dropping malformed worker event: " + err.message());
     return;
   }
   events_.emit(e);

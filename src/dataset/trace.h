@@ -4,7 +4,7 @@
 // plus one edge delta per subsequent round.  Text parsers (text_format.h)
 // produce the intermediate TraceEvents form (edge activity intervals over
 // compacted node ids); compile() normalizes that into a CompiledTrace whose
-// per-round deltas feed Graph::applyDelta directly.  The compiled form is
+// per-round deltas feed net::applyDelta directly.  The compiled form is
 // what the binary cache (compiled_format.h) serializes and what
 // TraceAdversary replays, so everything downstream of compile() is
 // byte-for-byte independent of which on-disk format the trace came from.
@@ -45,7 +45,7 @@ struct TraceEvents {
 };
 
 /// Edge delta between two consecutive trace rounds.  Both lists are sorted
-/// by (a, b) and disjoint; applying them with Graph::applyDelta (or
+/// by (a, b) and disjoint; applying them with net::applyDelta (or
 /// applyPositionalPatch below) advances the edge list one round.
 struct RoundDelta {
   std::vector<net::Edge> removed;
@@ -110,7 +110,7 @@ std::uint64_t fnv1a64(std::string_view data);
 std::uint64_t fnv1a64(std::string_view data, std::uint64_t state);
 
 /// Applies one delta to an edge list by net::patchEdges, the positional-
-/// patch rule Graph::applyDelta runs too: removed slots are found by
+/// patch rule net::applyDelta runs too: removed slots are found by
 /// first match, paired with added edges in order, extra adds append,
 /// extra removal holes compact by a stable shift.  TraceAdversary seeks
 /// and serves topology() with it, so its full-topology path stays

@@ -174,20 +174,20 @@ Graph::Graph(NodeId num_nodes, std::vector<Edge> edges)
   UnionFind uf(block.first(n));
   // One pass validates each edge, counts both endpoints' degrees and
   // unites them.
-  adj_offsets_.assign(n + 1, 0);
+  bounds_.assign(n + 1, 0);
   component_count_ = num_nodes_;
   for (const Edge& e : edges_) {
     DYNET_CHECK(e.a >= 0 && e.a < num_nodes_ && e.b >= 0 && e.b < num_nodes_)
         << "edge (" << e.a << "," << e.b << ") out of range, n=" << num_nodes_;
     DYNET_CHECK(e.a != e.b) << "self-loop at " << e.a;
-    ++adj_offsets_[static_cast<std::size_t>(e.a) + 1];
-    ++adj_offsets_[static_cast<std::size_t>(e.b) + 1];
+    ++bounds_[static_cast<std::size_t>(e.a) + 1];
+    ++bounds_[static_cast<std::size_t>(e.b) + 1];
     if (uf.unite(e.a, e.b)) {
       --component_count_;
     }
   }
   for (std::size_t i = 1; i <= n; ++i) {
-    adj_offsets_[i] += adj_offsets_[i - 1];
+    bounds_[i] += bounds_[i - 1];
   }
   buildRows(block.subspan(n));
 }
@@ -211,17 +211,17 @@ void Graph::buildRows(std::span<std::int32_t> scratch) {
   const auto n = static_cast<std::size_t>(num_nodes_);
   const std::span<std::int32_t> cursor = scratch.first(n);
   const std::span<NodeId> bucket = scratch.subspan(n);
-  std::copy(adj_offsets_.begin(), adj_offsets_.end() - 1, cursor.begin());
+  std::copy(bounds_.begin(), bounds_.end() - 1, cursor.begin());
   for (const Edge& e : edges_) {
     bucket[static_cast<std::size_t>(cursor[e.a]++)] = e.b;
     bucket[static_cast<std::size_t>(cursor[e.b]++)] = e.a;
   }
-  std::copy(adj_offsets_.begin(), adj_offsets_.end() - 1, cursor.begin());
-  adj_list_.resize(bucket.size());
+  std::copy(bounds_.begin(), bounds_.end() - 1, cursor.begin());
+  list_.resize(bucket.size());
   for (NodeId v = 0; v < num_nodes_; ++v) {
-    const std::int32_t end = adj_offsets_[v + 1];
-    for (std::int32_t k = adj_offsets_[v]; k < end; ++k) {
-      adj_list_[static_cast<std::size_t>(cursor[bucket[k]]++)] = v;
+    const std::int32_t end = bounds_[v + 1];
+    for (std::int32_t k = bounds_[v]; k < end; ++k) {
+      list_[static_cast<std::size_t>(cursor[bucket[k]]++)] = v;
     }
   }
 }
@@ -242,24 +242,53 @@ bool Graph::hasEdge(NodeId a, NodeId b) const {
   return std::binary_search(ns.begin(), ns.end(), b);
 }
 
-GraphPtr Graph::applyDelta(std::span<const Edge> removed,
-                           std::span<const Edge> added,
-                           bool same_components) const {
+void Graph::checkAdded(std::span<const Edge> added) const {
   for (const Edge& e : added) {
     DYNET_CHECK(e.a >= 0 && e.a < num_nodes_ && e.b >= 0 && e.b < num_nodes_)
         << "added edge (" << e.a << "," << e.b << ") out of range, n="
         << num_nodes_;
     DYNET_CHECK(e.a != e.b) << "added self-loop at " << e.a;
   }
+}
+
+void Graph::removedMissing(const Edge& e) const {
+  DYNET_CHECK(false) << "removed edge (" << e.a << "," << e.b
+                     << ") not present";
+  std::abort();  // unreachable: DYNET_CHECK(false) throws
+}
+
+GraphPtr applyDelta(const GraphPtr& g, std::span<const Edge> removed,
+                    std::span<const Edge> added, bool same_components) {
+  DYNET_CHECK(g != nullptr) << "applyDelta on a null graph";
+  if (g.use_count() == 1) {
+    // use_count() is a relaxed load, so it orders nothing by itself.
+    // Taking and dropping a reference is an acquire-release update of the
+    // same count that another thread's release of its copy wrote, so
+    // every read made through that copy happens-before the writes below.
+    // (An acquire fence would do the same, but ThreadSanitizer does not
+    // model fences and reports the race this rules out.)
+    { const GraphPtr sync = g; }
+    // Graphs are made by std::make_shared<Graph>: the const is GraphPtr's,
+    // not the object's, so writing through the sole owner is defined.
+    const_cast<Graph&>(*g).patchInPlace(removed, added, same_components);
+    return g;
+  }
+  return g->patchedCopy(removed, added, same_components);
+}
+
+GraphPtr Graph::patchedCopy(std::span<const Edge> removed,
+                            std::span<const Edge> added,
+                            bool same_components) const {
+  checkAdded(added);
 
   // Patch the edge list with positional replacement so the resulting
   // sequence matches what a from-scratch rebuild in the same stable order
   // would emit (trace byte-identity depends on edges() order).
   std::vector<Edge> edges = edges_;
   const std::size_t missing = patchEdges(edges, removed, added);
-  DYNET_CHECK(missing == removed.size())
-      << "removed edge (" << removed[missing].a << "," << removed[missing].b
-      << ") not present";
+  if (missing != removed.size()) {
+    removedMissing(removed[missing]);
+  }
 
   // A delta touching a large fraction of the graph is cheaper to rebuild
   // (docs/ARCHITECTURE.md, "Graphs are born complete").
@@ -291,15 +320,24 @@ GraphPtr Graph::applyDelta(std::span<const Edge> removed,
     return std::tie(x.v, x.add, x.u) < std::tie(y.v, y.add, y.u);
   });
 
-  std::vector<std::int32_t>& offsets = result->adj_offsets_;
-  std::vector<NodeId>& list = result->adj_list_;
+  std::vector<std::int32_t>& offsets = result->bounds_;
+  std::vector<NodeId>& list = result->list_;
   offsets.reserve(static_cast<std::size_t>(num_nodes_) + 1);
   list.reserve(result->edges_.size() * 2);
-  // Untouched rows [from, to) keep their (sorted) slices verbatim: one bulk
-  // copy of the run, offsets shifted by the degree change so far.
+  // Untouched rows [from, to) keep their (sorted) slices verbatim.  Tight
+  // rows are one bulk copy of the run, offsets shifted by the degree
+  // change so far; open rows leave gaps, so they go one row at a time.
   const auto copy_run = [&](NodeId from, NodeId to) {
-    const auto begin = adj_offsets_.begin() + from;
-    const auto end = adj_offsets_.begin() + to;
+    if (row_shift_ != 0) {
+      for (NodeId v = from; v < to; ++v) {
+        offsets.push_back(static_cast<std::int32_t>(list.size()));
+        const std::span<const NodeId> row = neighbors(v);
+        list.insert(list.end(), row.begin(), row.end());
+      }
+      return;
+    }
+    const auto begin = bounds_.begin() + from;
+    const auto end = bounds_.begin() + to;
     const std::int32_t shift = static_cast<std::int32_t>(list.size()) - *begin;
     const std::size_t at = offsets.size();
     offsets.insert(offsets.end(), begin, end);
@@ -308,8 +346,7 @@ GraphPtr Graph::applyDelta(std::span<const Edge> removed,
         offsets[k] += shift;
       }
     }
-    list.insert(list.end(), adj_list_.begin() + *begin,
-                adj_list_.begin() + *end);
+    list.insert(list.end(), list_.begin() + *begin, list_.begin() + *end);
   };
   NodeId next = 0;
   for (std::size_t k = 0; k < edits.size();) {
@@ -359,6 +396,317 @@ GraphPtr Graph::applyDelta(std::span<const Edge> removed,
     result->countComponents();
   }
   return result;
+}
+
+namespace {
+
+/// Rows per block of an open layout.  A block's rows start out packed,
+/// with the block's free room after its last row: one place per row, more
+/// for high-degree rows, which gain entries faster.  A full row borrows a
+/// place from the nearest row with one to spare, looking up to a block's
+/// length away (Graph::makeRoom), so its block's room is always in reach.
+constexpr std::size_t kBlockRows = 64;
+
+std::size_t spareFor(std::size_t degree) { return 1 + degree / 8; }
+
+// Begins of an open layout for rows of the given degrees: packed within
+// each block of kBlockRows rows, with the block's spare room after it.
+// Returns the places the layout needs.
+template <typename DegreeOf>
+std::size_t layoutRows(std::size_t n, DegreeOf degree_of,
+                       std::span<std::int32_t> begin) {
+  std::size_t at = 0;
+  std::size_t spare = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::size_t degree = degree_of(v);
+    begin[v] = static_cast<std::int32_t>(at);
+    at += degree;
+    spare += spareFor(degree);
+    if (v % kBlockRows == kBlockRows - 1 || v + 1 == n) {
+      at += spare;
+      spare = 0;
+    }
+  }
+  return at;
+}
+
+}  // namespace
+
+// The open layout from a tight one: a block's rows stay packed, so each
+// block is one copy, and one pass over the edge slots appends each slot
+// to both endpoints' slot rows, so every slot row comes out ascending.
+// The tight offsets serve as that pass's cursors.
+void Graph::openRows() {
+  const auto n = static_cast<std::size_t>(num_nodes_);
+  std::vector<std::int32_t> bounds(2 * n);
+  const std::span<std::int32_t> begin(bounds.data() + n, n);
+  const std::size_t room = layoutRows(
+      n,
+      [&](std::size_t v) {
+        return static_cast<std::size_t>(bounds_[v + 1] - bounds_[v]);
+      },
+      begin);
+  std::vector<NodeId> list(room);
+  for (std::size_t first = 0; first < n; first += kBlockRows) {
+    const std::size_t last = std::min(n, first + kBlockRows);
+    std::copy(list_.begin() + bounds_[first], list_.begin() + bounds_[last],
+              list.begin() + begin[first]);
+  }
+  list_ = std::move(list);
+  slots_.resize(room);
+  // begin[] sits in the upper half of bounds: spread it into pairs from
+  // the front, where every pair lands at or below the begins it reads.
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::int32_t at = begin[v];
+    bounds[2 * v + 1] = at + (bounds_[v + 1] - bounds_[v]);
+    bounds[2 * v] = at;
+    bounds_[v] = at;
+  }
+  std::int32_t* const cursor = bounds_.data();
+  std::int32_t* const slots = slots_.data();
+  for (std::size_t j = 0; j < edges_.size(); ++j) {
+    const Edge e = edges_[j];
+    slots[cursor[e.a]++] = static_cast<std::int32_t>(j);
+    slots[cursor[e.b]++] = static_cast<std::int32_t>(j);
+  }
+  bounds_ = std::move(bounds);
+  row_shift_ = 1;
+}
+
+std::size_t Graph::rowLimit(std::size_t v) const {
+  return v + 1 < static_cast<std::size_t>(num_nodes_)
+             ? static_cast<std::size_t>(bounds_[2 * v + 2])
+             : list_.size();
+}
+
+// Moves rows [first, last] of an open graph `by` places (right when
+// positive), both arrays, keeping the gaps between them.
+void Graph::shiftRows(std::size_t first, std::size_t last, std::ptrdiff_t by) {
+  const auto from = static_cast<std::ptrdiff_t>(bounds_[2 * first]);
+  const auto to = static_cast<std::ptrdiff_t>(bounds_[2 * last + 1]);
+  for (auto* column : {&list_, &slots_}) {
+    const auto begin = column->begin();
+    if (by > 0) {
+      std::copy_backward(begin + from, begin + to, begin + to + by);
+    } else {
+      std::copy(begin + from, begin + to, begin + from + by);
+    }
+  }
+  for (std::size_t w = 2 * first; w <= 2 * last + 1; ++w) {
+    bounds_[w] += static_cast<std::int32_t>(by);
+  }
+}
+
+// Frees one place after full open row v: the rows between v and the
+// nearest row within a block's reach that has a place to spare move one
+// place over (right of v, rightwards; up to v, leftwards).  When no row in
+// reach has one, every row is laid out afresh first, which leaves a
+// block's spare room within reach of every row.
+void Graph::makeRoom(std::size_t v) {
+  const auto n = static_cast<std::size_t>(num_nodes_);
+  const auto spare = [&](std::size_t w) {
+    return rowLimit(w) > static_cast<std::size_t>(bounds_[2 * w + 1]);
+  };
+  for (int pass = 0; pass < 2; ++pass) {
+    if (spare(v)) {
+      return;  // the fresh layout gave v its block's spare room
+    }
+    for (std::size_t d = 1; d < kBlockRows; ++d) {
+      if (v + d < n && spare(v + d)) {
+        shiftRows(v + 1, v + d, 1);
+        return;
+      }
+      if (d <= v && spare(v - d)) {
+        shiftRows(v - d + 1, v, -1);
+        return;
+      }
+    }
+    relayout();
+  }
+  std::abort();  // unreachable: the fresh layout leaves room in reach
+}
+
+// Lays every row of an open graph out afresh, in place: the arrays grow
+// only when the rows need more room than they hold, one array at a time,
+// and the rows move within them.  Rows that move left go in ascending
+// order, then rows that move right in descending order, so no row lands
+// on one that has not moved yet and no second copy of the rows is made.
+void Graph::relayout() {
+  const auto n = static_cast<std::size_t>(num_nodes_);
+  std::vector<std::int32_t> begin(n);
+  const std::size_t room = layoutRows(
+      n,
+      [&](std::size_t v) {
+        return static_cast<std::size_t>(bounds_[2 * v + 1] - bounds_[2 * v]);
+      },
+      begin);
+  if (room > list_.size()) {
+    list_.reserve(room);
+    list_.resize(room);
+    slots_.reserve(room);
+    slots_.resize(room);
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    if (begin[v] < bounds_[2 * v]) {
+      shiftRows(v, v, begin[v] - bounds_[2 * v]);
+    }
+  }
+  for (std::size_t v = n; v-- > 0;) {
+    if (begin[v] > bounds_[2 * v]) {
+      shiftRows(v, v, begin[v] - bounds_[2 * v]);
+    }
+  }
+}
+
+// Removes neighbor u and slot `slot` from open row v, which holds both.
+void Graph::eraseEntry(NodeId v, NodeId u, std::int32_t slot) {
+  const auto row = static_cast<std::size_t>(v) * 2;
+  const auto begin = static_cast<std::ptrdiff_t>(bounds_[row]);
+  const auto end = static_cast<std::ptrdiff_t>(bounds_[row + 1]--);
+  const auto list = list_.begin();
+  const auto at = std::lower_bound(list + begin, list + end, u);
+  std::copy(at + 1, list + end, at);
+  const auto slots = slots_.begin();
+  const auto slot_at = std::lower_bound(slots + begin, slots + end, slot);
+  std::copy(slot_at + 1, slots + end, slot_at);
+}
+
+// Inserts neighbor u and slot `slot` into open row v, keeping both
+// ascending.
+void Graph::insertEntry(NodeId v, NodeId u, std::int32_t slot) {
+  const auto row = static_cast<std::size_t>(v) * 2;
+  if (static_cast<std::size_t>(bounds_[row + 1]) ==
+      rowLimit(static_cast<std::size_t>(v))) {
+    makeRoom(static_cast<std::size_t>(v));
+  }
+  const auto begin = static_cast<std::ptrdiff_t>(bounds_[row]);
+  const auto end = static_cast<std::ptrdiff_t>(bounds_[row + 1]++);
+  const auto list = list_.begin();
+  const auto at = std::upper_bound(list + begin, list + end, u);
+  std::copy_backward(at, list + end, list + end + 1);
+  *at = u;
+  const auto slots = slots_.begin();
+  const auto slot_at = std::lower_bound(slots + begin, slots + end, slot);
+  std::copy_backward(slot_at, slots + end, slots + end + 1);
+  *slot_at = slot;
+}
+
+// Everything that can fail runs before the first write: the added edges
+// are checked and every removed edge's slot is located, so a bad delta
+// leaves the graph's value as it was (the first call may still have laid
+// the rows out, which changes no accessor's result).
+void Graph::patchInPlace(std::span<const Edge> removed,
+                         std::span<const Edge> added, bool same_components) {
+  checkAdded(added);
+  if ((removed.size() + added.size()) * 2 > edges_.size() + 2) {
+    const std::size_t missing = patchEdges(edges_, removed, added);
+    if (missing != removed.size()) {
+      removedMissing(removed[missing]);
+    }
+    *this = Graph(num_nodes_, std::move(edges_));
+    return;
+  }
+  if (row_shift_ == 0) {
+    openRows();
+  }
+
+  // Locate: removed[i] takes the lowest slot holding exactly (a, b) that
+  // no lower equal removed index took (patchEdges' first-match rule).
+  // Row a's slots ascend, so removed[i] takes the match whose rank is the
+  // number of equal removed edges before it.
+  std::vector<std::size_t> order(removed.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+  }
+  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+    return std::tie(removed[x].a, removed[x].b, x) <
+           std::tie(removed[y].a, removed[y].b, y);
+  });
+  std::vector<std::int32_t> slot(removed.size());
+  std::vector<std::int32_t> rank(removed.size(), 0);
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    if (removed[order[k]] == removed[order[k - 1]]) {
+      rank[order[k]] = rank[order[k - 1]] + 1;
+    }
+  }
+  for (std::size_t i = 0; i < removed.size(); ++i) {
+    const Edge e = removed[i];
+    if (!(e.a >= 0 && e.a < num_nodes_ && e.b >= 0 && e.b < num_nodes_)) {
+      removedMissing(e);
+    }
+    const auto row = static_cast<std::size_t>(e.a) * 2;
+    const auto end = static_cast<std::size_t>(bounds_[row + 1]);
+    auto at = static_cast<std::size_t>(bounds_[row]);
+    for (std::int32_t skip = rank[i]; at < end; ++at) {
+      if (edges_[static_cast<std::size_t>(slots_[at])] == e && skip-- == 0) {
+        break;
+      }
+    }
+    if (at == end) {
+      removedMissing(e);
+    }
+    slot[i] = slots_[at];
+  }
+
+  const std::size_t paired = std::min(removed.size(), added.size());
+
+  // Write: the removed half-edges leave their rows, the edge list takes
+  // the positional patch, and the added half-edges enter their rows under
+  // their final slots, each row borrowing a place when it is full.
+  for (std::size_t i = 0; i < removed.size(); ++i) {
+    eraseEntry(removed[i].a, removed[i].b, slot[i]);
+    eraseEntry(removed[i].b, removed[i].a, slot[i]);
+  }
+  for (std::size_t i = 0; i < paired; ++i) {
+    edges_[static_cast<std::size_t>(slot[i])] = added[i];
+  }
+  for (std::size_t i = paired; i < added.size(); ++i) {
+    slot.push_back(static_cast<std::int32_t>(edges_.size()));
+    edges_.push_back(added[i]);
+  }
+  if (removed.size() > paired) {
+    // Extra removals close their holes by a stable shift, and every slot
+    // above a hole, in the rows and in the paired adds, moves down by the
+    // holes below it.
+    std::vector<std::int32_t> holes(
+        slot.begin() + static_cast<std::ptrdiff_t>(paired), slot.end());
+    std::sort(holes.begin(), holes.end());
+    std::size_t out = static_cast<std::size_t>(holes.front());
+    std::size_t next_hole = 0;
+    for (std::size_t j = out; j < edges_.size(); ++j) {
+      if (next_hole < holes.size() &&
+          j == static_cast<std::size_t>(holes[next_hole])) {
+        ++next_hole;
+        continue;
+      }
+      edges_[out++] = edges_[j];
+    }
+    edges_.resize(out);
+    const auto shifted = [&](std::int32_t s) {
+      return s - static_cast<std::int32_t>(
+                     std::lower_bound(holes.begin(), holes.end(), s) -
+                     holes.begin());
+    };
+    for (std::size_t v = 0; v < static_cast<std::size_t>(num_nodes_); ++v) {
+      for (std::int32_t k = bounds_[2 * v]; k < bounds_[2 * v + 1]; ++k) {
+        std::int32_t& s = slots_[static_cast<std::size_t>(k)];
+        s = shifted(s);
+      }
+    }
+    for (std::size_t i = 0; i < paired; ++i) {
+      slot[i] = shifted(slot[i]);
+    }
+  }
+  for (std::size_t i = 0; i < added.size(); ++i) {
+    const std::int32_t s = slot[i < paired ? i : removed.size() + i - paired];
+    insertEntry(added[i].a, added[i].b, s);
+    insertEntry(added[i].b, added[i].a, s);
+  }
+
+  // Components, by the rule of the copy path.
+  if (!(same_components || (removed.empty() && component_count_ == 1))) {
+    countComponents();
+  }
 }
 
 bool connectedOn(const Graph& g, std::span<const char> alive) {

@@ -1,19 +1,21 @@
 // Per-round topology representation.
 //
-// A Graph is the (undirected, simple) topology of one round.  It is born
-// complete: the constructor validates the edges and builds the CSR
-// adjacency (per-node lists sorted ascending, by a counting sort) and the
-// component count (by union-find) in two passes over the edges, so every
-// accessor is a plain read.  applyDelta() derives a new Graph from an
-// existing one by patching the edge list, the CSR rows and (when the
-// delta allows it) the component count instead of rebuilding, for
-// adversaries whose topology changes a few edges per round
-// (docs/ARCHITECTURE.md, "Graphs are born complete" and "Incremental
-// topology: delta-cache invariants").
+// A Graph is the (undirected) topology of one round.  It is born complete:
+// the constructor validates the edges and builds the CSR adjacency
+// (per-node lists sorted ascending, by a counting sort) and the component
+// count (by union-find) in two passes over the edges, so every accessor is
+// a plain read.  net::applyDelta() below turns a round's graph into the
+// next one for adversaries whose topology changes a few edges per round:
+// it patches a graph that only the caller holds in place, and derives a
+// new graph from any other (docs/ARCHITECTURE.md, "Graphs are born
+// complete" and "Incremental topology: delta-cache invariants").
 //
-// Thread-safety: a Graph never changes after construction, so a GraphPtr
-// may be shared freely across threads (Monte Carlo trial workers, the
-// parallel diameter solver) and across rounds and engines.
+// Thread-safety: a graph never changes while anyone else holds it.  Only
+// applyDelta writes to a Graph after construction, and only when the
+// GraphPtr it is handed is the sole owner, so a GraphPtr may be shared
+// freely across threads (Monte Carlo trial workers, the parallel diameter
+// solver) and across rounds and engines: every other holder sees a graph
+// that stays as it was.
 #pragma once
 
 #include <cstdint>
@@ -45,16 +47,17 @@ class Graph {
 
   /// Neighbors of v, sorted ascending.  The canonical ascending order lets
   /// delivery code that needs sender-sorted inboxes walk the list without
-  /// re-sorting.  Inline for the delivery loops; an out-of-range v throws
+  /// re-sorting.  Inline for the delivery loops, and the same two loads
+  /// for either row layout (see bounds_ below); an out-of-range v throws
   /// from a cold path (util/bitio.h describes the idiom).
   std::span<const NodeId> neighbors(NodeId v) const {
     if (!(v >= 0 && v < num_nodes_)) [[unlikely]] {
       neighborsFailed(v);
     }
-    const auto row = static_cast<std::size_t>(v);
-    const auto begin = static_cast<std::size_t>(adj_offsets_[row]);
-    const auto end = static_cast<std::size_t>(adj_offsets_[row + 1]);
-    return {adj_list_.data() + begin, end - begin};
+    const std::size_t at = static_cast<std::size_t>(v) << row_shift_;
+    const auto begin = static_cast<std::size_t>(bounds_[at]);
+    const auto end = static_cast<std::size_t>(bounds_[at + 1]);
+    return {list_.data() + begin, end - begin};
   }
 
   bool connected() const { return component_count_ == 1; }
@@ -63,48 +66,88 @@ class Graph {
   /// Number of connected components.
   int componentCount() const { return component_count_; }
 
-  /// New graph equal to this one with `removed` deleted and `added`
-  /// inserted, derived incrementally: the edge list is patched by
-  /// patchEdges() below (removed[i]'s slot is overwritten by added[i]
-  /// while both lists last, extras appended or compacted), so an adversary
-  /// whose rebuild emits edges in a stable order gets a byte-identical
-  /// edges() sequence from the delta path.  The CSR adjacency bulk-copies
-  /// every run of untouched rows and re-merges only the touched ones, and
-  /// the component count is carried over when no edge was removed from a
-  /// connected graph; a removal forces a full recount, and a delta larger
-  /// than half the edge count is rebuilt like a fresh graph.  Requires:
-  /// every removed edge present (exact (a,b) match), every added edge
-  /// valid and not already present.
-  ///
-  /// `same_components = true` is a caller assertion that the delta leaves
-  /// the component partition's *count* unchanged (e.g. a spanning-tree
-  /// adversary re-attaching subtrees: the result is a tree, hence still
-  /// connected).  It lets the component count carry across removals —
-  /// the dominant per-round cost for sparse deltas — and is NOT verified;
-  /// asserting it wrongly makes connected()/componentCount() lie.
-  GraphPtr applyDelta(std::span<const Edge> removed,
-                      std::span<const Edge> added,
-                      bool same_components = false) const;
-
  private:
-  // Tag for applyDelta's patch path, which knows the edges are good and
-  // fills in the rows and the component count itself before returning.
+  friend GraphPtr applyDelta(const GraphPtr& g, std::span<const Edge> removed,
+                             std::span<const Edge> added, bool same_components);
+
+  // Tag for the copy path, which knows the edges are good and fills in
+  // the rows and the component count itself before returning.
   struct Unvalidated {};
   Graph(NodeId num_nodes, std::vector<Edge> edges, Unvalidated);
 
   [[noreturn, gnu::cold, gnu::noinline]] void neighborsFailed(NodeId v) const;
   void buildRows(std::span<std::int32_t> scratch);
   void countComponents();
+  void checkAdded(std::span<const Edge> added) const;
+  [[noreturn, gnu::cold]] void removedMissing(const Edge& e) const;
+
+  // The two ways applyDelta derives the next round's graph.
+  GraphPtr patchedCopy(std::span<const Edge> removed,
+                       std::span<const Edge> added, bool same_components) const;
+  void patchInPlace(std::span<const Edge> removed, std::span<const Edge> added,
+                    bool same_components);
+
+  // The open layout behind patchInPlace.
+  void openRows();
+  std::size_t rowLimit(std::size_t v) const;
+  void shiftRows(std::size_t first, std::size_t last, std::ptrdiff_t by);
+  void makeRoom(std::size_t v);
+  void relayout();
+  void eraseEntry(NodeId v, NodeId u, std::int32_t slot);
+  void insertEntry(NodeId v, NodeId u, std::int32_t slot);
 
   NodeId num_nodes_;
   std::vector<Edge> edges_;
-  std::vector<std::int32_t> adj_offsets_;
-  std::vector<NodeId> adj_list_;
+  // Row bounds.  A tight graph (row_shift_ 0, every graph a constructor
+  // or the copy path builds) keeps n + 1 offsets: row v is list_[bounds_[v],
+  // bounds_[v + 1]).  An open graph (row_shift_ 1, laid out by the first
+  // in-place patch) keeps a {begin, end} pair per row, bounds_[2v] and
+  // bounds_[2v + 1], with free room up to the next row's begin (the last
+  // row's up to list_.size()).  Its edge-slot index is slots_: over the
+  // same range as v's neighbors, the edges() slots of v's edges, ascending.
+  unsigned row_shift_ = 0;
+  std::vector<std::int32_t> bounds_;
+  std::vector<NodeId> list_;
+  std::vector<std::int32_t> slots_;  // empty while tight
   int component_count_ = 0;
 };
 
-/// The positional-patch rule, the one implementation behind
-/// Graph::applyDelta and trace replay (dataset::applyPositionalPatch).
+/// The next round's graph: `g` with `removed` deleted and `added`
+/// inserted, by the positional-patch rule of patchEdges() below
+/// (removed[i]'s slot is overwritten by added[i] while both lists last,
+/// extras appended or compacted), so an adversary whose rebuild emits
+/// edges in a stable order gets a byte-identical edges() sequence from
+/// the delta path.  Requires every removed edge present (exact (a,b)
+/// match) and every added edge in range and not a self-loop; otherwise it
+/// throws, leaving `g`'s edges, rows and component count as they were.
+///
+/// Ownership decides the cost.  When `g` is the only reference to its
+/// graph, that graph is patched in place and `g` is returned: a removed
+/// edge is found through the edge-slot index (its first endpoint's list of
+/// edge slots) and every touched row is edited by a shift within it, so a
+/// round costs O(changed edges x degree).  The first such patch lays the
+/// rows and the index out once, in linear passes; a full row borrows a
+/// place from a nearby row, and only when none has one is every row
+/// re-spaced in place.  When anyone else holds the graph, it stays
+/// untouched and the result is a new, tight graph (no spare room, no
+/// index): the edge list is copied and patched, the CSR bulk-copies every
+/// run of untouched rows and re-merges only the touched ones.  Either way,
+/// a delta larger than half the edge count is rebuilt like a fresh graph.
+///
+/// The component count is carried over when no edge was removed from a
+/// connected graph; a removal forces a full recount.  `same_components =
+/// true` is a caller assertion that the delta leaves the component
+/// partition's *count* unchanged (e.g. a spanning-tree adversary
+/// re-attaching subtrees: the result is a tree, hence still connected).
+/// It lets the count carry across removals — the dominant per-round cost
+/// for sparse deltas — and is NOT verified; asserting it wrongly makes
+/// connected()/componentCount() lie.
+GraphPtr applyDelta(const GraphPtr& g, std::span<const Edge> removed,
+                    std::span<const Edge> added, bool same_components = false);
+
+/// The positional-patch rule on an edge vector, behind applyDelta's copy
+/// path and trace replay (dataset::applyPositionalPatch), and the
+/// reference the in-place path is tested against.
 /// Each removed[i] claims the first slot of `edges` equal to it (exact
 /// (a,b) match) that no removed[j], j < i, claimed; added[i] overwrites
 /// removed[i]'s slot while both lists last, extra adds append in order,

@@ -107,13 +107,22 @@ class FloodSoA final : public sim::SoAModel {
   // Non-holders draw no coins (exactly like FloodProcess, whose onRound
   // short-circuits before coins.coin()), so they skip the round-key hash
   // entirely; holders draw their single coin via the firstCoin shortcut.
+  // A node's Action is one of two values, {true, msg_} or Action{}, and
+  // the send column still says which one it holds (sim/soa_exec.h), so
+  // it is rewritten only when it changes: a saturated flood writes none.
   void computeNode(sim::RoundContext& ctx, sim::NodeId v,
                    std::uint64_t node_key) {
-    sim::Action& a = ctx.ws->actions[static_cast<std::size_t>(v)];
-    if (has_token_[static_cast<std::size_t>(v)] != 0 &&
+    const auto vi = static_cast<std::size_t>(v);
+    const bool send =
+        has_token_[vi] != 0 &&
         (mode_ == FloodMode::kDeterministic ||
          util::CoinStream::firstCoin(util::CoinStream::roundKey(
-             node_key, static_cast<std::uint64_t>(ctx.round))))) {
+             node_key, static_cast<std::uint64_t>(ctx.round))));
+    if (send == (ctx.ws->sending[vi] != 0)) {
+      return;
+    }
+    sim::Action& a = ctx.ws->actions[vi];
+    if (send) {
       a.send = true;
       a.msg = msg_;
     } else {

@@ -24,7 +24,7 @@ struct RoundObservation {
 struct TopologyUpdate {
   net::GraphPtr graph;
   /// True when `graph` was derived from the previous round's topology —
-  /// the same GraphPtr reused, or a Graph::applyDelta patch — rather than
+  /// the same GraphPtr reused, or a net::applyDelta patch — rather than
   /// built from scratch.  Feeds the topology/incremental_rounds metric.
   bool is_delta = false;
   // Best-effort delta size (0 for a same-graph reuse); observability only.
@@ -48,7 +48,11 @@ class Adversary {
   /// edges() sequence) to what topology() would have returned for the same
   /// round and observation, so runs stay byte-identical across the two
   /// paths (tests/fuzz_diff_test.cpp pins this for the zoo against
-  /// RebuildEveryRound below).
+  /// RebuildEveryRound below).  `prev` is lent: an adversary that holds
+  /// the same graph may drop its own reference, and when the caller's is
+  /// then the only one left, net::applyDelta patches that graph in place
+  /// (the engine replaces its `prev` with out.graph anyway).  A graph
+  /// anyone else still holds is never changed.
   virtual bool topologyUpdate(Round round, const RoundObservation& obs,
                               const net::GraphPtr& prev, TopologyUpdate& out) {
     (void)round;

@@ -6,7 +6,12 @@
 // next to their Action{} — and nowhere else.  Every delivery loop then
 // tests membership in those n bytes instead of striding the 48-byte Action
 // array; payloads are still read from ws.actions, and only for actual
-// senders.
+// senders.  So when a round's compute starts, sending[v] is last round's
+// actions[v].send (0 before round 1, when every Action is Action{}), and
+// a model whose nodes hold one of two actions can tell which one
+// actions[v] holds from that byte alone: FloodSoA, whose every send
+// carries its one token message, leaves an Action it would rewrite to
+// the same value untouched.
 //
 // Where the SoA path earns its keep against the object engine:
 //   * compute fuses send-side accounting into its one ascending walk, and
@@ -140,8 +145,10 @@ inline bool pullWalkWins(std::uint64_t n, std::uint64_t senders,
 
 /// computePhase body over a model providing
 ///   computeNode(RoundContext&, NodeId v, std::uint64_t node_key)
-/// which must fully assign ctx.ws->actions[v] (receivers included — a stale
-/// payload from an earlier round would break action-trace byte-identity)
+/// which must leave ctx.ws->actions[v] fully assigned (receivers included —
+/// a stale payload from an earlier round would break action-trace
+/// byte-identity; an Action already equal to this round's may stay as it
+/// is, see the send column above)
 /// and derive any coins it draws from the node key via
 /// util::CoinStream::roundKey / firstCoin / fromRoundKey, reproducing the
 /// object path's CoinStream::fromNodeKey(node_key, round) stream draw for

@@ -9,7 +9,7 @@ void checkFailed(const char* file, int line, const char* expr,
   if (!message.empty()) {
     out << " — " << message;
   }
-  throw CheckError(out.str());
+  throw CheckError(out.str(), message.empty() ? std::string(expr) : message);
 }
 
 }  // namespace dynet::util::detail

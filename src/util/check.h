@@ -9,13 +9,22 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace dynet::util {
 
-/// Exception thrown by DYNET_CHECK on violated invariants.
+/// Exception thrown by DYNET_CHECK on violated invariants.  what() carries
+/// the location prefix; message() is the bare text after it, which a
+/// rethrow that adds its own context passes on, so the prefix shows once.
 class CheckError : public std::logic_error {
  public:
-  explicit CheckError(const std::string& what) : std::logic_error(what) {}
+  CheckError(const std::string& what, std::string message)
+      : std::logic_error(what), message_(std::move(message)) {}
+
+  const std::string& message() const { return message_; }
+
+ private:
+  std::string message_;
 };
 
 namespace detail {

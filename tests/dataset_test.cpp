@@ -269,7 +269,7 @@ TEST(Compile, PositionalPatchMatchesGraphApplyDelta) {
     applyPositionalPatch(edges, d.removed, d.added, "trace",
                          static_cast<sim::Round>(i + 2));
     ASSERT_EQ(edges, want) << "diverged at delta " << i;
-    graph = graph->applyDelta(d.removed, d.added);
+    graph = net::applyDelta(graph, d.removed, d.added);
     const std::span<const net::Edge> got = graph->edges();
     ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
         << "diverged at delta " << i;

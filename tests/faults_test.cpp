@@ -627,7 +627,7 @@ TEST(RelaxedConnectivity, DisconnectedDeadNodeIsTolerated) {
   // Edge 0-1 plus an isolated node 2: the full graph is disconnected, but
   // once node 2 crashes the live subgraph {0,1} is connected, so the
   // relaxed invariant accepts it.
-  auto graph = std::make_shared<const net::Graph>(
+  auto graph = std::make_shared<net::Graph>(
       3, std::vector<net::Edge>{{0, 1}});
   ASSERT_FALSE(graph->connected());
   std::vector<std::unique_ptr<sim::Process>> processes;

@@ -14,7 +14,13 @@
 // a fixed master seed and runs each through all four combinations of
 // {SoA-capable factory constructor, delta-native adversary}, asserting
 // every combination matches the reference (objects, rebuild) artifacts
-// exactly.
+// exactly.  Those four legs record topologies, which gives every graph a
+// second holder, so delta-native adversaries patch copies.  A fifth leg
+// runs the shipping default recording nothing, so the same patches run in
+// place; it must match everything but the trace, which needs recording.
+// Every leg's adversary sits inside a decorator that hashes each graph it
+// hands the engine (edges and rows) without holding it, so the fifth leg
+// is also held to the reference round by round.
 //
 // Budget: the default config count keeps the test inside the tier-1 ctest
 // `--quick` budget (a few seconds).  Set DYNET_FUZZ_CONFIGS=<count> to
@@ -220,11 +226,67 @@ std::string describeConfig(const FuzzConfig& c, int index) {
   return out.str();
 }
 
+/// Forwards topology() and topologyUpdate() to the wrapped adversary and
+/// folds every graph it returns — edges() and each neighbors(v) row —
+/// into one hash per round.  It keeps no pointer, and forwards the lent
+/// `prev` as is, so a graph's holders are those of an undecorated run.
+/// It also counts the rounds whose changed graph is the lent `prev`
+/// object itself, i.e. patched in place.
+class HashingAdversary final : public Adversary {
+ public:
+  HashingAdversary(std::unique_ptr<Adversary> inner,
+                   std::vector<std::uint64_t>* hashes, int* in_place)
+      : inner_(std::move(inner)), hashes_(hashes), in_place_(in_place) {}
+
+  net::GraphPtr topology(Round round, const RoundObservation& obs) override {
+    net::GraphPtr g = inner_->topology(round, obs);
+    fold(*g);
+    return g;
+  }
+  bool topologyUpdate(Round round, const RoundObservation& obs,
+                      const net::GraphPtr& prev, TopologyUpdate& out) override {
+    if (!inner_->topologyUpdate(round, obs, prev, out)) {
+      return false;
+    }
+    if (out.graph != nullptr) {
+      fold(*out.graph);  // otherwise the engine falls back to topology()
+      if (out.graph == prev && out.edges_added + out.edges_removed > 0) {
+        ++*in_place_;
+      }
+    }
+    return true;
+  }
+  NodeId numNodes() const override { return inner_->numNodes(); }
+
+ private:
+  void fold(const net::Graph& g) {
+    std::uint64_t h = util::hashCombine(0x6772617068ULL, g.numEdges());
+    for (const net::Edge& e : g.edges()) {
+      h = util::hashCombine(h, (static_cast<std::uint64_t>(e.a) << 32) |
+                                   static_cast<std::uint32_t>(e.b));
+    }
+    for (NodeId v = 0; v < g.numNodes(); ++v) {
+      const auto row = g.neighbors(v);
+      h = util::hashCombine(h, row.size());
+      for (const NodeId u : row) {
+        h = util::hashCombine(h, static_cast<std::uint64_t>(u));
+      }
+    }
+    hashes_->push_back(h);
+  }
+
+  std::unique_ptr<Adversary> inner_;
+  std::vector<std::uint64_t>* hashes_;
+  int* in_place_;
+};
+
 struct TrialArtifacts {
   RunResult result;
   std::vector<std::uint64_t> digests;
-  std::string trace;
+  std::string trace;         // empty for an unrecorded run
   std::string metrics_json;  // reserved-prefix lines already stripped
+  std::vector<std::uint64_t> topology_hashes;  // one per round
+  int in_place_patches = 0;  // not compared: it differs by construction
 
   friend bool operator==(const TrialArtifacts& x, const TrialArtifacts& y) {
     return x.result.rounds_executed == y.result.rounds_executed &&
@@ -241,7 +303,8 @@ struct TrialArtifacts {
            x.result.messages_dropped == y.result.messages_dropped &&
            x.result.messages_corrupted == y.result.messages_corrupted &&
            x.digests == y.digests && x.trace == y.trace &&
-           x.metrics_json == y.metrics_json;
+           x.metrics_json == y.metrics_json &&
+           x.topology_hashes == y.topology_hashes;
   }
 };
 
@@ -265,13 +328,14 @@ std::string stripReservedMetrics(const std::string& json) {
   return out.str();
 }
 
-TrialArtifacts runConfig(const FuzzConfig& c, bool soa, bool deltas) {
+TrialArtifacts runConfig(const FuzzConfig& c, bool soa, bool deltas,
+                         bool record = true) {
   const std::unique_ptr<ProcessFactory> factory = makeFactory(c);
   obs::MetricsSink sink;
   EngineConfig config;
   config.max_rounds = c.rounds;
-  config.record_topologies = true;
-  config.record_actions = true;
+  config.record_topologies = record;
+  config.record_actions = record;
   config.stop_when_all_done = false;
   // Random crash schedules on random topologies routinely disconnect the
   // live subgraph; the fuzzer compares implementations on arbitrary
@@ -282,10 +346,14 @@ TrialArtifacts runConfig(const FuzzConfig& c, bool soa, bool deltas) {
   // the flag must be identical on both sides of every comparison.
   config.duplex = c.protocol >= 4;
   config.metrics = c.with_sink ? &sink : nullptr;
+  TrialArtifacts artifacts;
   std::unique_ptr<Adversary> adversary = makeAdversary(c);
   if (!deltas) {
     adversary = std::make_unique<RebuildEveryRound>(std::move(adversary));
   }
+  adversary = std::make_unique<HashingAdversary>(
+      std::move(adversary), &artifacts.topology_hashes,
+      &artifacts.in_place_patches);
   Engine engine =
       soa ? Engine(*factory, std::move(adversary), config, c.run_seed)
           : Engine(createProcesses(*factory, c.n), std::move(adversary),
@@ -295,14 +363,15 @@ TrialArtifacts runConfig(const FuzzConfig& c, bool soa, bool deltas) {
         faults::FaultPlan(c.n, c.fc, c.run_seed * 0x9E3779B97F4A7C15ULL + 0xFA),
         factory.get()));
   }
-  TrialArtifacts artifacts;
   artifacts.result = engine.run();
   for (NodeId v = 0; v < c.n; ++v) {
     artifacts.digests.push_back(engine.stateDigest(v));
   }
-  std::ostringstream trace;
-  writeTrace(trace, traceFromEngine(engine));
-  artifacts.trace = trace.str();
+  if (record) {
+    std::ostringstream trace;
+    writeTrace(trace, traceFromEngine(engine));
+    artifacts.trace = trace.str();
+  }
   if (c.with_sink) {
     std::ostringstream json;
     sink.registry.writeJson(json);
@@ -322,6 +391,8 @@ int configCount() {
 TEST(FuzzDiff, OptimizedPathsMatchLegacyByteForByte) {
   const std::uint64_t master_seed = 0xF02Dull;
   const int count = configCount();
+  int recorded_in_place = 0;
+  int unrecorded_in_place = 0;
   for (int i = 0; i < count; ++i) {
     const FuzzConfig c = sampleConfig(master_seed, i);
     const TrialArtifacts reference = runConfig(c, false, false);
@@ -335,11 +406,25 @@ TEST(FuzzDiff, OptimizedPathsMatchLegacyByteForByte) {
       EXPECT_TRUE(reference == other)
           << describeConfig(c, i) << " [soa=" << soa << " deltas=" << deltas
           << "]";
+      recorded_in_place += other.in_place_patches;
     }
+    // The fifth leg: the shipping default, recording nothing, so its
+    // delta-native patches run in place.
+    TrialArtifacts expected = reference;
+    expected.trace.clear();
+    const TrialArtifacts unrecorded =
+        runConfig(c, true, true, /*record=*/false);
+    EXPECT_TRUE(expected == unrecorded)
+        << describeConfig(c, i) << " [unrecorded]";
+    unrecorded_in_place += unrecorded.in_place_patches;
     if (HasFailure()) {
       break;  // one reproducible config is enough to debug
     }
   }
+  // A recorded graph has a second holder and is never patched in place;
+  // the unrecorded legs reach the in-place path.
+  EXPECT_EQ(recorded_in_place, 0);
+  EXPECT_GT(unrecorded_in_place, 0);
 }
 
 // The stripper itself is load-bearing for the comparisons above: pin that

@@ -7,6 +7,11 @@
 // digest of the serialized trace — are written as key=value lines and
 // compared byte-for-byte against `tests/golden/<name>.golden`.
 //
+// Each run whose adversary is delta-native runs a second time recording
+// nothing, so its graphs have no holder but the engine and the adversary
+// and are patched in place; that run must match every field but
+// trace_fnv1a, which only a recorded run has.
+//
 // Unlike the differential fuzz test (which compares two engine paths
 // against each other and so would miss a bug that breaks both the same
 // way), the corpus pins today's behaviour against the repository history:
@@ -84,8 +89,10 @@ std::string joined(const std::vector<T>& xs) {
 
 /// The canonical artifact rendering: stable key=value lines, one per
 /// field, so a golden mismatch reads as a field-level diff in gtest
-/// output rather than an opaque hash flip.
-std::string renderArtifacts(sim::Engine& engine, const sim::RunResult& r) {
+/// output rather than an opaque hash flip.  A run that records no
+/// topologies or actions has no trace, so it renders no trace_fnv1a.
+std::string renderArtifacts(sim::Engine& engine, const sim::RunResult& r,
+                            bool recorded) {
   std::ostringstream out;
   out << "rounds_executed=" << r.rounds_executed << "\n";
   out << "all_done=" << (r.all_done ? 1 : 0) << "\n";
@@ -105,17 +112,19 @@ std::string renderArtifacts(sim::Engine& engine, const sim::RunResult& r) {
     state = util::hashCombine(state, engine.stateDigest(v));
   }
   out << "state_digest=" << state << "\n";
-  std::ostringstream trace;
-  sim::writeTrace(trace, sim::traceFromEngine(engine));
-  out << "trace_fnv1a=" << fnv1a(trace.str()) << "\n";
+  if (recorded) {
+    std::ostringstream trace;
+    sim::writeTrace(trace, sim::traceFromEngine(engine));
+    out << "trace_fnv1a=" << fnv1a(trace.str()) << "\n";
+  }
   return out.str();
 }
 
-sim::EngineConfig canonicalConfig(sim::Round rounds) {
+sim::EngineConfig canonicalConfig(sim::Round rounds, bool record) {
   sim::EngineConfig config;
   config.max_rounds = rounds;
-  config.record_topologies = true;
-  config.record_actions = true;
+  config.record_topologies = record;
+  config.record_actions = record;
   config.stop_when_all_done = false;
   return config;
 }
@@ -124,12 +133,13 @@ std::string runCanonical(const sim::ProcessFactory& factory,
                          std::unique_ptr<sim::Adversary> adversary,
                          sim::Round rounds, std::uint64_t seed,
                          const faults::FaultConfig* fc = nullptr,
-                         bool duplex = false, bool anonymous = false) {
+                         bool duplex = false, bool anonymous = false,
+                         bool record = true) {
   const sim::NodeId n = adversary->numNodes();
   // Factory construction takes the shipping default path (the SoA engine
   // for factories with an SoA model), so the .golden files pin the SoA
   // engine against the repository history, not just the object path.
-  sim::EngineConfig config = canonicalConfig(rounds);
+  sim::EngineConfig config = canonicalConfig(rounds, record);
   config.duplex = duplex;
   config.anonymous = anonymous;
   sim::Engine engine(factory, std::move(adversary), config, seed);
@@ -138,7 +148,18 @@ std::string runCanonical(const sim::ProcessFactory& factory,
         faults::FaultPlan(n, *fc, seed ^ 0xFA), &factory));
   }
   const sim::RunResult r = engine.run();
-  return renderArtifacts(engine, r);
+  return renderArtifacts(engine, r, record);
+}
+
+/// The same canonical run recording nothing.  Then no one but the engine
+/// and the adversary holds a round's graph, so a delta-native adversary's
+/// patches run in place rather than on copies.
+std::string runUnrecorded(const sim::ProcessFactory& factory,
+                          std::unique_ptr<sim::Adversary> adversary,
+                          sim::Round rounds, std::uint64_t seed,
+                          bool duplex = false) {
+  return runCanonical(factory, std::move(adversary), rounds, seed, nullptr,
+                      duplex, /*anonymous=*/false, /*record=*/false);
 }
 
 /// Compares `rendered` against DYNET_GOLDEN_DIR/<name>.golden, or rewrites
@@ -162,6 +183,23 @@ void expectGolden(const std::string& name, const std::string& rendered) {
          "commit the diff";
 }
 
+/// Compares an unrecorded run's rendering against every line of
+/// DYNET_GOLDEN_DIR/<name>.golden except trace_fnv1a.
+void expectGoldenUnrecorded(const std::string& name,
+                            const std::string& rendered) {
+  const std::string path = std::string(DYNET_GOLDEN_DIR) + "/" + name + ".golden";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  std::string expected;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("trace_fnv1a=", 0) != 0) {
+      expected += line + "\n";
+    }
+  }
+  EXPECT_EQ(expected, rendered)
+      << "the unrecorded run drifted from " << path;
+}
+
 // ------------------------------------------------------------- protocols
 
 TEST(GoldenCorpus, FloodDeterministicOnEdgeChurn) {
@@ -171,6 +209,10 @@ TEST(GoldenCorpus, FloodDeterministicOnEdgeChurn) {
                runCanonical(factory,
                             std::make_unique<adv::EdgeChurnAdversary>(20, 2, 7),
                             /*rounds=*/48, /*seed=*/0xA001));
+  expectGoldenUnrecorded(
+      "flood_det_edge_churn",
+      runUnrecorded(factory, std::make_unique<adv::EdgeChurnAdversary>(20, 2, 7),
+                    /*rounds=*/48, /*seed=*/0xA001));
 }
 
 TEST(GoldenCorpus, FloodRandomizedOnRandomGraph) {
@@ -211,6 +253,10 @@ TEST(GoldenCorpus, CountingOnIntervalAdversary) {
                runCanonical(factory,
                             std::make_unique<adv::IntervalAdversary>(12, 6, 4),
                             /*rounds=*/60, /*seed=*/0xA005));
+  expectGoldenUnrecorded(
+      "counting_interval",
+      runUnrecorded(factory, std::make_unique<adv::IntervalAdversary>(12, 6, 4),
+                    /*rounds=*/60, /*seed=*/0xA005));
 }
 
 TEST(GoldenCorpus, HearFromNOnAnchoredStar) {
@@ -298,6 +344,12 @@ TEST(GoldenCorpus, DiamExactOnAchGadget) {
                    std::make_unique<adv::StaticAdversary>(gadget.graph()),
                    /*rounds=*/proto::DiamExactProcess::scheduleRounds(20) + 1,
                    /*seed=*/0xA00A, nullptr, /*duplex=*/true));
+  expectGoldenUnrecorded(
+      "diam_exact_ach_gadget",
+      runUnrecorded(factory,
+                    std::make_unique<adv::StaticAdversary>(gadget.graph()),
+                    /*rounds=*/proto::DiamExactProcess::scheduleRounds(20) + 1,
+                    /*seed=*/0xA00A, /*duplex=*/true));
 }
 
 TEST(GoldenCorpus, Diam2ApproxOnBkGadget) {
@@ -310,6 +362,12 @@ TEST(GoldenCorpus, Diam2ApproxOnBkGadget) {
                    std::make_unique<adv::StaticAdversary>(gadget.graph()),
                    /*rounds=*/proto::Diam2ApproxProcess::scheduleRounds(24) + 1,
                    /*seed=*/0xA00B, nullptr, /*duplex=*/true));
+  expectGoldenUnrecorded(
+      "diam_2approx_bk_gadget",
+      runUnrecorded(factory,
+                    std::make_unique<adv::StaticAdversary>(gadget.graph()),
+                    /*rounds=*/proto::Diam2ApproxProcess::scheduleRounds(24) + 1,
+                    /*seed=*/0xA00B, /*duplex=*/true));
 }
 
 TEST(GoldenCorpus, Diam32ApproxOnTorus) {
@@ -321,6 +379,13 @@ TEST(GoldenCorpus, Diam32ApproxOnTorus) {
           std::make_unique<adv::StaticAdversary>(net::makeTorus(4, 5)),
           /*rounds=*/proto::Diam32ApproxProcess::scheduleRounds(20) + 1,
           /*seed=*/0xA00C, nullptr, /*duplex=*/true));
+  expectGoldenUnrecorded(
+      "diam_32approx_torus",
+      runUnrecorded(
+          factory,
+          std::make_unique<adv::StaticAdversary>(net::makeTorus(4, 5)),
+          /*rounds=*/proto::Diam32ApproxProcess::scheduleRounds(20) + 1,
+          /*seed=*/0xA00C, /*duplex=*/true));
 }
 
 // ------------------------------------------------------ dataset replay
@@ -339,19 +404,27 @@ TEST(GoldenCorpus, TraceReplayFixture) {
   // dir stays pristine and the rendering exercises the parser every run.
   const dataset::CompiledTrace trace =
       dataset::compile(dataset::parseEventListFile(path));
-  std::ostringstream out;
-  out << "num_nodes=" << trace.num_nodes << "\n";
-  out << "num_rounds=" << trace.rounds << "\n";
-  out << "content_hash=" << dataset::contentHash(trace) << "\n";
+  std::ostringstream head;
+  head << "num_nodes=" << trace.num_nodes << "\n";
+  head << "num_rounds=" << trace.rounds << "\n";
+  head << "content_hash=" << dataset::contentHash(trace) << "\n";
   auto shared = std::make_shared<const dataset::CompiledTrace>(trace);
   adv::TraceReplayOptions options;
   options.policy = adv::TraceReplayOptions::EndPolicy::kMirror;
   proto::FloodFactory factory(0, 0x2a, 8, proto::FloodMode::kDeterministic,
                               /*halt_round=*/40);
-  out << runCanonical(factory,
-                      std::make_unique<adv::TraceAdversary>(shared, options),
-                      /*rounds=*/48, /*seed=*/0xA009);
-  expectGolden("trace_replay_fixture", out.str());
+  expectGolden(
+      "trace_replay_fixture",
+      head.str() +
+          runCanonical(factory,
+                       std::make_unique<adv::TraceAdversary>(shared, options),
+                       /*rounds=*/48, /*seed=*/0xA009));
+  expectGoldenUnrecorded(
+      "trace_replay_fixture",
+      head.str() +
+          runUnrecorded(factory,
+                        std::make_unique<adv::TraceAdversary>(shared, options),
+                        /*rounds=*/48, /*seed=*/0xA009));
 }
 
 // ------------------------------------------- lower-bound constructions

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/diameter.h"
@@ -205,12 +206,18 @@ TEST(PatchEdges, MatchesFirstMatchReferenceOnRandomDeltas) {
     ASSERT_EQ(patchEdges(got, d.removed, d.added), d.removed.size());
     ASSERT_EQ(got, want) << "trial " << trial;
 
-    // Graph::applyDelta: same edges() sequence, every CSR row equal to a
-    // from-scratch build, and the component-carry rule.
-    const auto graph = std::make_shared<Graph>(n, base);
+    // applyDelta: same edges() sequence, every CSR row equal to a
+    // from-scratch build, and the component-carry rule.  Odd trials keep a
+    // second reference to the base, so the patch takes the copy path and
+    // leaves the base alone; even trials hand over the only one, and the
+    // base is patched in place.
+    GraphPtr graph = std::make_shared<Graph>(n, base);
+    const int base_components = graph->componentCount();
+    const GraphPtr held = trial % 2 == 1 ? graph : nullptr;
     const bool same_components = rng.coin();
     const GraphPtr patched =
-        graph->applyDelta(d.removed, d.added, same_components);
+        applyDelta(graph, d.removed, d.added, same_components);
+    EXPECT_EQ(patched == graph, held == nullptr) << "trial " << trial;
     const std::span<const Edge> edges = patched->edges();
     ASSERT_TRUE(std::equal(edges.begin(), edges.end(), want.begin(), want.end()))
         << "trial " << trial;
@@ -235,12 +242,17 @@ TEST(PatchEdges, MatchesFirstMatchReferenceOnRandomDeltas) {
                                                : other_patches);
     const bool carry = !over_half &&
                        (same_components ||
-                        (d.removed.empty() && graph->componentCount() == 1));
+                        (d.removed.empty() && base_components == 1));
     // A carried count is the base's, asserted or not; otherwise it is
     // recomputed from the patched edges.
     EXPECT_EQ(patched->componentCount(),
-              carry ? graph->componentCount() : fresh.componentCount())
+              carry ? base_components : fresh.componentCount())
         << "trial " << trial;
+    if (held != nullptr) {
+      const std::span<const Edge> kept = held->edges();
+      EXPECT_TRUE(std::equal(kept.begin(), kept.end(), base.begin(), base.end()))
+          << "trial " << trial;
+    }
   }
   // Every branch of applyDelta ran: the over-half rebuild, CSR patches
   // that compact holes, empty deltas and the rest.
@@ -282,21 +294,44 @@ TEST(PatchEdges, MissingRemovalReportsFirstIndexAndLeavesEdgesUntouched) {
 }
 
 TEST(GraphApplyDelta, ErrorPathsFailLoudly) {
-  const auto g =
-      std::make_shared<Graph>(4, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}});
-  const auto apply = [&](const std::vector<Edge>& removed,
-                         const std::vector<Edge>& added) {
-    g->applyDelta(removed, added);
-  };
-  expectCheckError([&] { apply({{0, 2}}, {}); },
-                   "removed edge (0,2) not present");
-  expectCheckError([&] { apply({{1, 0}}, {}); },
-                   "removed edge (1,0) not present");
-  expectCheckError([&] { apply({}, {{0, 4}}); },
-                   "added edge (0,4) out of range, n=4");
-  expectCheckError([&] { apply({}, {{-1, 2}}); },
-                   "added edge (-1,2) out of range, n=4");
-  expectCheckError([&] { apply({}, {{3, 3}}); }, "added self-loop at 3");
+  // The same messages on the copy path (a second owner) and in place, and
+  // either way the graph comes back with its edges and rows unchanged.
+  const std::vector<Edge> base = {{0, 1}, {1, 2}, {2, 3}, {1, 3}};
+  for (const bool in_place : {false, true}) {
+    GraphPtr g = std::make_shared<Graph>(4, base);
+    const GraphPtr second = in_place ? nullptr : g;
+    const auto apply = [&](const std::vector<Edge>& removed,
+                           const std::vector<Edge>& added) {
+      applyDelta(g, removed, added);
+    };
+    expectCheckError([&] { apply({{0, 2}}, {}); },
+                     "removed edge (0,2) not present");
+    expectCheckError([&] { apply({{1, 0}}, {}); },
+                     "removed edge (1,0) not present");
+    expectCheckError([&] { apply({{1, 2}, {0, 3}}, {{0, 2}}); },
+                     "removed edge (0,3) not present");
+    expectCheckError([&] { apply({{1, 2}, {1, 2}}, {}); },
+                     "removed edge (1,2) not present");
+    expectCheckError([&] { apply({{5, 1}}, {}); },
+                     "removed edge (5,1) not present");
+    expectCheckError([&] { apply({{1, 2}}, {{0, 4}}); },
+                     "added edge (0,4) out of range, n=4");
+    expectCheckError([&] { apply({}, {{-1, 2}}); },
+                     "added edge (-1,2) out of range, n=4");
+    expectCheckError([&] { apply({{1, 2}}, {{3, 3}}); },
+                     "added self-loop at 3");
+    const std::span<const Edge> edges = g->edges();
+    EXPECT_TRUE(std::equal(edges.begin(), edges.end(), base.begin(), base.end()))
+        << "in_place=" << in_place;
+    const Graph fresh(4, base);
+    for (NodeId v = 0; v < 4; ++v) {
+      const auto row = g->neighbors(v);
+      const auto want = fresh.neighbors(v);
+      EXPECT_TRUE(std::equal(row.begin(), row.end(), want.begin(), want.end()))
+          << "in_place=" << in_place << " node " << v;
+    }
+    EXPECT_EQ(g->componentCount(), 1);
+  }
 }
 
 // ------------------------------------------------- born-complete build
@@ -448,6 +483,174 @@ TEST(GraphBuild, RowsAndComponentsMatchReferenceOnShuffledShapes) {
   }
   EXPECT_GE(live_connected, 100);
   EXPECT_GE(live_split, 100);
+}
+
+// ------------------------------------------------- in-place patch
+
+/// Holds `g` to its reference value: edges() equal to `edges`, every row
+/// equal to the sorted reference and the component count to BFS.
+void expectGraphIs(const Graph& g, NodeId n, const std::vector<Edge>& edges,
+                   const std::string& where) {
+  const std::span<const Edge> got = g.edges();
+  ASSERT_TRUE(std::equal(got.begin(), got.end(), edges.begin(), edges.end()))
+      << where;
+  const std::vector<std::vector<NodeId>> rows = referenceRows(n, edges);
+  for (NodeId v = 0; v < n; ++v) {
+    const auto row = g.neighbors(v);
+    const std::vector<NodeId>& want = rows[static_cast<std::size_t>(v)];
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), want.begin(), want.end()))
+        << where << " node " << v;
+  }
+  ASSERT_EQ(g.componentCount(),
+            bfsComponents(rows, std::vector<char>(rows.size(), 1)))
+      << where;
+}
+
+TEST(GraphApplyDelta, InPlaceChainsMatchPatchEdgesOnRandomMultigraphs) {
+  // One graph per chain takes every delta in place (the test holds its
+  // only reference), so the open layout, its slot index and its slack
+  // carry from patch to patch.  Hub deltas add many edges at one node and
+  // push its row past its slack; over-half deltas rebuild the graph tight,
+  // and the next patch lays it out again.
+  util::Rng rng(0x1d9e5);
+  const DeltaShape shapes[] = {DeltaShape::kPaired, DeltaShape::kAddHeavy,
+                               DeltaShape::kRemoveHeavy, DeltaShape::kEmpty,
+                               DeltaShape::kOverHalf};
+  int deltas = 0;
+  int moved_rows = 0;
+  int hub_deltas = 0;
+  for (int chain = 0; chain < 12; ++chain) {
+    const auto n = static_cast<NodeId>(chain % 4 == 3 ? 300 + rng.below(300)
+                                                       : 4 + rng.below(40));
+    std::vector<Edge> want =
+        randomEdges(rng, n, 2 + rng.below(3 * static_cast<std::uint64_t>(n)));
+    GraphPtr g = std::make_shared<Graph>(n, want);
+    for (int step = 0; step < 24; ++step, ++deltas) {
+      Delta d;
+      const bool hub = step % 3 == 2;
+      if (hub) {
+        // Paired removals, then adds that all touch node `center`, more
+        // than any row's slack, and fewer than half the edges.
+        d = randomDelta(rng, n, want, DeltaShape::kPaired);
+        const auto center =
+            static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(n)));
+        const std::size_t extra = std::min<std::size_t>(
+            8 + rng.below(8), want.size() / 4);
+        d.removed.resize(std::min(d.removed.size(), want.size() / 8));
+        d.added.clear();
+        while (d.added.size() < d.removed.size() + extra) {
+          const auto u =
+              static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(n)));
+          if (u != center) {
+            d.added.push_back(rng.coin() ? Edge{center, u} : Edge{u, center});
+          }
+        }
+        ++hub_deltas;
+      } else {
+        d = randomDelta(rng, n, want, shapes[rng.below(5)]);
+      }
+      std::vector<Edge> next = want;
+      ASSERT_EQ(patchEdges(next, d.removed, d.added), d.removed.size());
+      const std::vector<std::vector<NodeId>> rows = referenceRows(n, next);
+      const int components =
+          bfsComponents(rows, std::vector<char>(rows.size(), 1));
+      // Assert same_components only where it holds.
+      const bool same = components == g->componentCount() && rng.coin();
+      std::vector<const NodeId*> before;
+      for (NodeId v = 0; v < n; ++v) {
+        before.push_back(g->neighbors(v).data());
+      }
+      const Graph* const object = g.get();
+      const GraphPtr patched = applyDelta(g, d.removed, d.added, same);
+      ASSERT_EQ(patched.get(), object);
+      const std::string where =
+          "chain " + std::to_string(chain) + " step " + std::to_string(step);
+      expectGraphIs(*patched, n, next, where);
+      // Borrowing room or laying the rows out moves rows that no edge of
+      // the delta touched.
+      std::vector<char> touched(static_cast<std::size_t>(n), 0);
+      for (const std::vector<Edge>* list : {&d.removed, &d.added}) {
+        for (const Edge& e : *list) {
+          touched[static_cast<std::size_t>(e.a)] = 1;
+          touched[static_cast<std::size_t>(e.b)] = 1;
+        }
+      }
+      for (NodeId v = 0; v < n; ++v) {
+        if (touched[static_cast<std::size_t>(v)] == 0 &&
+            patched->neighbors(v).data() != before[static_cast<std::size_t>(v)]) {
+          ++moved_rows;
+          break;
+        }
+      }
+      want = std::move(next);
+    }
+  }
+  EXPECT_GE(deltas, 200);
+  EXPECT_GE(hub_deltas, 80);
+  // Every hub delta overflows its centre's row, which then borrows room
+  // (first layouts and re-layouts count here too).
+  EXPECT_GE(moved_rows, hub_deltas);
+}
+
+TEST(GraphApplyDelta, SecondOwnerGetsACopyAndKeepsItsGraph) {
+  // An open graph (patched in place once) and a tight one: with a second
+  // reference held, the result is a new object and the held graph keeps
+  // its edges and rows.
+  util::Rng rng(0x5ec0);
+  const NodeId n = 40;
+  const std::vector<Edge> base = randomEdges(rng, n, 90);
+  for (const bool open : {false, true}) {
+    GraphPtr g = std::make_shared<Graph>(n, base);
+    std::vector<Edge> want = base;
+    if (open) {
+      const Delta d = randomDelta(rng, n, want, DeltaShape::kPaired);
+      ASSERT_EQ(patchEdges(want, d.removed, d.added), d.removed.size());
+      ASSERT_EQ(applyDelta(g, d.removed, d.added), g);
+    }
+    const GraphPtr held = g;
+    const Delta d = randomDelta(rng, n, want, DeltaShape::kRemoveHeavy);
+    std::vector<Edge> next = want;
+    ASSERT_EQ(patchEdges(next, d.removed, d.added), d.removed.size());
+    const GraphPtr patched = applyDelta(g, d.removed, d.added);
+    EXPECT_NE(patched, g);
+    expectGraphIs(*held, n, want, open ? "held open" : "held tight");
+    expectGraphIs(*patched, n, next, open ? "copy of open" : "copy of tight");
+  }
+}
+
+TEST(GraphApplyDelta, CopyReleasedOnAnotherThreadThenPatchedInPlace) {
+  // A reader thread walks its copy of the graph, then drops it; once the
+  // caller's reference is the only one left, the patch runs in place.
+  // Under ThreadSanitizer this checks that the reader's walk
+  // happens-before the patch's writes.
+  const NodeId n = 64;
+  std::vector<Edge> want;
+  for (NodeId v = 1; v < n; ++v) {
+    want.push_back({v / 2, v});
+  }
+  for (int rep = 0; rep < 20; ++rep) {
+    GraphPtr g = std::make_shared<Graph>(n, want);
+    std::size_t walked = 0;
+    std::thread reader([copy = g, &walked]() mutable {
+      for (NodeId v = 0; v < copy->numNodes(); ++v) {
+        walked += copy->neighbors(v).size();
+      }
+      copy.reset();
+    });
+    while (g.use_count() != 1) {
+      std::this_thread::yield();
+    }
+    const Edge removed{static_cast<NodeId>(rep + 1) / 2, rep + 1};
+    const Edge added{0, rep + 1};
+    const GraphPtr patched = applyDelta(g, std::span(&removed, 1),
+                                        std::span(&added, 1), true);
+    reader.join();
+    EXPECT_EQ(walked, 2 * want.size());
+    EXPECT_EQ(patched, g);
+    ASSERT_EQ(patchEdges(want, std::span(&removed, 1), std::span(&added, 1)),
+              1u);
+    expectGraphIs(*patched, n, want, "rep " + std::to_string(rep));
+  }
 }
 
 TopologySeq repeat(GraphPtr g, int rounds) {

@@ -306,7 +306,7 @@ TEST(Engine, MidRunDisconnectionRejected) {
 }
 
 /// Delta-native: a 4-node path in round 1, the same graph in round 2, and
-/// in round 3 the path with its middle edge patched out by applyDelta —
+/// in round 3 the path with its middle edge patched out by net::applyDelta —
 /// without asserting same_components, so the result must recount.
 class DeltaSplitAdversary : public Adversary {
  public:
@@ -324,7 +324,7 @@ class DeltaSplitAdversary : public Adversary {
       out.is_delta = true;
     } else {
       const net::Edge middle{1, 2};
-      out.graph = prev->applyDelta(std::span(&middle, 1), {});
+      out.graph = net::applyDelta(prev, std::span(&middle, 1), {});
       out.is_delta = true;
       out.edges_removed = 1;
     }

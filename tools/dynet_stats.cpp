@@ -47,7 +47,8 @@ obs::Json loadMetrics(const std::string& path) {
     // writer, partial download) must point at file + byte offset, not
     // read as an anonymous parser error.
     DYNET_CHECK(false) << path << ": malformed metrics JSON ("
-                       << buffer.str().size() << " bytes read): " << e.what();
+                       << buffer.str().size()
+                       << " bytes read): " << e.message();
   }
   DYNET_CHECK(root.isObject() && root.has("dynet_metrics"))
       << path << " is not a dynet metrics.json file";
