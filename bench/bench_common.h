@@ -5,6 +5,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/shard_exec.h"
@@ -29,6 +30,26 @@ namespace dynet::bench {
 ///
 /// then pick sizes with `quick ? small : full`.
 inline bool quickMode(const util::Cli& cli) { return cli.flag("quick"); }
+
+/// Every bench's main: runs `run` and turns a util::CheckError escaping it
+/// (a bad flag such as `--workers 0`, a failed invariant) into
+/// "<program>: <message>" on stderr and exit status 1, the way dynet_cli
+/// and trace_to_dot report one, instead of an uncaught exception and
+/// SIGABRT.
+///
+///   int main(int argc, char** argv) {
+///     return dynet::bench::guardedMain(argc, argv, dynet::run);
+///   }
+inline int guardedMain(int argc, char** argv, int (*run)(int, char**)) {
+  try {
+    return run(argc, argv);
+  } catch (const util::CheckError& e) {
+    const std::string_view program = argc > 0 ? argv[0] : "bench";
+    std::cerr << program.substr(program.rfind('/') + 1) << ": "
+              << e.message() << "\n";
+    return 1;
+  }
+}
 
 /// The named adversary of the campaign zoo (campaign::makeAdversary, its
 /// single construction path) at size n with its default knobs.

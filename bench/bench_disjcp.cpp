@@ -7,6 +7,7 @@
 #include <iostream>
 #include <limits>
 
+#include "bench_common.h"
 #include "cc/channel.h"
 #include "cc/disjointness_cp.h"
 #include "cc/trivial_protocols.h"
@@ -110,4 +111,6 @@ int run(int argc, char** argv) {
 }  // namespace
 }  // namespace dynet
 
-int main(int argc, char** argv) { return dynet::run(argc, argv); }
+int main(int argc, char** argv) {
+  return dynet::bench::guardedMain(argc, argv, dynet::run);
+}

@@ -89,4 +89,6 @@ int run(int argc, char** argv) {
 }  // namespace
 }  // namespace dynet
 
-int main(int argc, char** argv) { return dynet::run(argc, argv); }
+int main(int argc, char** argv) {
+  return dynet::bench::guardedMain(argc, argv, dynet::run);
+}

@@ -21,10 +21,20 @@
 //                        state representation differs — per-node Process
 //                        objects (sim::createProcesses) vs the flat column
 //                        store (sim/soa.h).
+//   scale                one engine at a time, flood over 16-edge churn
+//                        (the repository benchmark's flood_large shape) at
+//                        n = 8192, 32768, 262144 and 10^6 for 128 rounds:
+//                        median and quartiles of ns per node-round over 7
+//                        repetitions, on the pool DYNET_THREADS gives this
+//                        process, with the node-range chunk count the
+//                        engine derived and a digest of each run's results.
+//                        Run it once per DYNET_THREADS setting and compare
+//                        the files (BENCH_scale.json).
 //
-// Every mode verifies the two legs agree metric for metric (exact summary
-// equality) before reporting — a mismatch means the new hot path changed
-// behaviour, and the bench exits 1.
+// Every comparison mode verifies the two legs agree metric for metric
+// (exact summary equality) before reporting — a mismatch means the new hot
+// path changed behaviour, and the bench exits 1.  The scale mode requires
+// every repetition of a size to end in the same digest.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -39,6 +49,7 @@
 #include "adversary/churn_adversaries.h"
 #include "adversary/static_adversaries.h"
 #include "bench_common.h"
+#include "campaign/spec.h"
 #include "cc/disjointness_cp.h"
 #include "lowerbound/composition.h"
 #include "protocols/max_flood.h"
@@ -174,12 +185,26 @@ struct CompareResult {
   double speedup = 0;
 };
 
+/// One size of the scale mode.
+struct ScaleResult {
+  sim::NodeId n = 0;
+  sim::Round rounds = 0;
+  int reps = 0;
+  double workers = 0;  // the engine's soa//workers gauge
+  // ns per node-round over the repetitions.
+  double q1 = 0;
+  double median = 0;
+  double q3 = 0;
+  std::uint64_t digest = 0;
+};
+
 struct ModeReport {
   std::string mode;
   std::string workload;
   std::string baseline_label;  // JSON key for the baseline leg's rate
   std::string new_label;       // JSON key for the new leg's rate
   std::vector<CompareResult> results;
+  std::vector<ScaleResult> scale;  // the scale mode's rows instead
 };
 
 /// RunResult → the four metrics every comparison aggregates.
@@ -359,6 +384,58 @@ CompareResult compareSoAVsObjects(sim::NodeId n, int trials, sim::Round rounds,
       options);
 }
 
+/// scale: `reps` timed runs of `rounds` steps of a fresh engine (built
+/// outside the timing) after one untimed run that reads the soa//workers
+/// gauge.  The digest folds the message and bit totals and every node's
+/// final state; every run of a size must reproduce it.
+ScaleResult runScale(sim::NodeId n, sim::Round rounds, int reps) {
+  campaign::ShardConfig shard;
+  shard.protocol = "flood";
+  shard.adversary = "edge_churn";
+  shard.churn = 16;
+  shard.n = n;
+  const std::uint64_t seed = 0x5CA1E;
+  ScaleResult out;
+  out.n = n;
+  out.rounds = rounds;
+  out.reps = reps;
+  util::Summary ns;
+  for (int rep = -1; rep < reps; ++rep) {
+    const std::unique_ptr<sim::ProcessFactory> factory =
+        campaign::makeProtocolFactory(shard, seed);
+    obs::MetricsSink sink;
+    sim::EngineConfig config;
+    config.max_rounds = rounds;
+    config.metrics = rep < 0 ? &sink : nullptr;
+    sim::Engine engine(*factory, campaign::makeAdversary(shard, seed), config,
+                       seed);
+    const double start = nowSeconds();
+    for (sim::Round r = 0; r < rounds; ++r) {
+      engine.step();
+    }
+    const double secs = nowSeconds() - start;
+    std::uint64_t digest = util::hashCombine(engine.result().messages_sent,
+                                             engine.result().bits_sent);
+    for (sim::NodeId v = 0; v < n; ++v) {
+      digest = util::hashCombine(digest, engine.stateDigest(v));
+    }
+    if (rep < 0) {
+      engine.finalizeMetrics();
+      out.workers = sink.registry.gauge("soa//workers")->value;
+      out.digest = digest;
+      continue;
+    }
+    DYNET_CHECK(digest == out.digest)
+        << "scale n=" << n << ": repetition " << rep << " digest differs";
+    ns.add(secs * 1e9 /
+           (static_cast<double>(n) * static_cast<double>(rounds)));
+  }
+  out.q1 = ns.percentile(0.25);
+  out.median = ns.median();
+  out.q3 = ns.percentile(0.75);
+  return out;
+}
+
 int runCompareModes(const std::vector<std::string>& modes, bool quick,
                     const std::string& json_path) {
   struct Config {
@@ -381,6 +458,17 @@ int runCompareModes(const std::vector<std::string>& modes, bool quick,
   for (const std::string& mode : modes) {
     ModeReport report;
     report.mode = mode;
+    if (mode == "scale") {
+      report.workload = "flood/edge_churn16";
+      const std::vector<sim::NodeId> sizes =
+          quick ? std::vector<sim::NodeId>{8192, 32768}
+                : std::vector<sim::NodeId>{8192, 32768, 262144, 1000000};
+      for (const sim::NodeId n : sizes) {
+        report.scale.push_back(runScale(n, quick ? 16 : 128, quick ? 3 : 7));
+      }
+      reports.push_back(std::move(report));
+      continue;
+    }
     const std::vector<Config>& configs =
         mode == "soa-vs-objects" ? soa_configs : base_configs;
     for (const Config& c : configs) {
@@ -425,6 +513,16 @@ int runCompareModes(const std::vector<std::string>& modes, bool quick,
     const ModeReport& report = reports[m];
     json << "    {\"mode\": \"" << report.mode << "\", \"workload\": \""
          << report.workload << "\", \"results\": [\n";
+    for (std::size_t i = 0; i < report.scale.size(); ++i) {
+      const ScaleResult& r = report.scale[i];
+      json << "      {\"n\": " << r.n << ", \"rounds\": " << r.rounds
+           << ", \"reps\": " << r.reps << ", \"workers\": " << r.workers
+           << ", \"ns_per_node_round_q1\": " << r.q1
+           << ", \"ns_per_node_round_median\": " << r.median
+           << ", \"ns_per_node_round_q3\": " << r.q3 << ", \"digest\": \""
+           << campaign::hashHex(r.digest) << "\"}"
+           << (i + 1 < report.scale.size() ? "," : "") << "\n";
+    }
     for (std::size_t i = 0; i < report.results.size(); ++i) {
       const CompareResult& r = report.results[i];
       json << "      {\"n\": " << r.n << ", \"trials\": " << r.trials
@@ -439,6 +537,13 @@ int runCompareModes(const std::vector<std::string>& modes, bool quick,
   json.close();
 
   for (const ModeReport& report : reports) {
+    for (const ScaleResult& r : report.scale) {
+      std::cout << report.mode << " n=" << r.n << " rounds=" << r.rounds
+                << " workers=" << r.workers << ": " << r.median
+                << " ns/node-round [" << r.q1 << ", " << r.q3 << "] over "
+                << r.reps << " reps, digest " << campaign::hashHex(r.digest)
+                << "\n";
+    }
     for (const CompareResult& r : report.results) {
       std::cout << report.mode << " n=" << r.n << " trials=" << r.trials
                 << " rounds=" << r.rounds << ": baseline "
@@ -451,16 +556,13 @@ int runCompareModes(const std::vector<std::string>& modes, bool quick,
   return 0;
 }
 
-}  // namespace
-}  // namespace dynet
-
 // Custom main instead of BENCHMARK_MAIN(): google-benchmark rejects flags
 // it does not know, but scripts/check.sh runs every bench with --quick.
 // Translate --quick into a short --benchmark_min_time before Initialize.
 // Positional mode arguments (`batch-vs-sequential`, `delta-vs-rebuild`,
-// `soa-vs-objects`, any combination, in order)
+// `soa-vs-objects`, `scale`, any combination, in order)
 // select the comparison modes instead of the google-benchmark suites.
-int main(int argc, char** argv) {
+int runMain(int argc, char** argv) {
   std::vector<char*> args;
   bool quick = false;
   std::vector<std::string> modes;
@@ -470,7 +572,7 @@ int main(int argc, char** argv) {
     if (arg == "--quick") {
       quick = true;
     } else if (arg == "batch-vs-sequential" || arg == "delta-vs-rebuild" ||
-               arg == "soa-vs-objects") {
+               arg == "soa-vs-objects" || arg == "scale") {
       modes.emplace_back(arg);
     } else if (arg.rfind("--json-out=", 0) == 0) {
       json_path = std::string(arg.substr(std::string_view("--json-out=").size()));
@@ -493,4 +595,11 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
+}
+
+}  // namespace
+}  // namespace dynet
+
+int main(int argc, char** argv) {
+  return dynet::bench::guardedMain(argc, argv, dynet::runMain);
 }

@@ -207,10 +207,5 @@ int run(int argc, char** argv) {
 }  // namespace dynet
 
 int main(int argc, char** argv) {
-  try {
-    return dynet::run(argc, argv);
-  } catch (const dynet::util::CheckError& e) {
-    std::cerr << "bench_trace_replay: " << e.what() << "\n";
-    return 1;
-  }
+  return dynet::bench::guardedMain(argc, argv, dynet::run);
 }

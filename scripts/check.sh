@@ -60,7 +60,7 @@ build/tools/dynet_stats --in "$obs_dir/bench_metrics.json" > /dev/null
 
 echo "=== engine perf smoke (all comparison modes, equality + speedup) ==="
 build/bench/bench_sim_perf --quick \
-  batch-vs-sequential delta-vs-rebuild soa-vs-objects \
+  batch-vs-sequential delta-vs-rebuild soa-vs-objects scale \
   --json-out="$obs_dir/BENCH_sim_perf.json"
 # Cross-shape diff: a bounded flood run on the SoA path against the leader
 # run on objects exercises dynet_stats' soa// execution-shape section.

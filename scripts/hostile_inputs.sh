@@ -21,7 +21,10 @@
 #     after a valid campaign_started (the error names the line, and the
 #     DYNET_CHECK location prefix appears once, not once per rethrow);
 #   * trace_to_dot --round 4294967297 on a one-round trace (the round is
-#     range-checked before it narrows, so it cannot wrap to round 1).
+#     range-checked before it narrows, so it cannot wrap to round 1);
+#   * bench_campaign --workers 0 and bench_gap --trials 0 (every bench main
+#     goes through bench::guardedMain, which reports a CheckError and exits
+#     1 instead of dying by SIGABRT).
 #
 # The inputs live in a temp dir that is removed on exit.
 set -euo pipefail
@@ -79,3 +82,5 @@ fi
 printf 'dynet-trace v1\nn 2\nr 1\ne 0 1\n' > "$dir/one.trace"
 expect_exit_1 "$build/tools/trace_to_dot" --in "$dir/one.trace" \
   --round 4294967297
+expect_exit_1 "$build/bench/bench_campaign" --workers 0
+expect_exit_1 "$build/bench/bench_gap" --trials 0

@@ -74,18 +74,21 @@ Histogram::Histogram(std::vector<double> upper_bounds)
   counts_.assign(upper_bounds_.size() + 1, 0);
 }
 
-void Histogram::observe(double x) {
+void Histogram::observe(double x, std::uint64_t times) {
+  if (times == 0) {
+    return;
+  }
   const auto it =
       std::lower_bound(upper_bounds_.begin(), upper_bounds_.end(), x);
-  ++counts_[static_cast<std::size_t>(it - upper_bounds_.begin())];
+  counts_[static_cast<std::size_t>(it - upper_bounds_.begin())] += times;
   if (count_ == 0 || x < min_) {
     min_ = x;
   }
   if (count_ == 0 || x > max_) {
     max_ = x;
   }
-  ++count_;
-  sum_ += x;
+  count_ += times;
+  sum_ += x * static_cast<double>(times);
 }
 
 void Histogram::merge(const Histogram& other) {
@@ -104,6 +107,14 @@ void Histogram::merge(const Histogram& other) {
     count_ += other.count_;
     sum_ += other.sum_;
   }
+}
+
+void Histogram::clear() {
+  std::fill(counts_.begin(), counts_.end(), 0);
+  count_ = 0;
+  sum_ = 0;
+  min_ = 0;
+  max_ = 0;
 }
 
 double Histogram::min() const {

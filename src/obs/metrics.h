@@ -52,12 +52,16 @@ class Histogram {
   /// lands in the first bucket with x <= bound, or in the overflow bucket.
   explicit Histogram(std::vector<double> upper_bounds);
 
-  void observe(double x);
+  /// Records `times` samples of value x (one sample by default).
+  void observe(double x, std::uint64_t times = 1);
 
   /// Adds `other`'s samples to this histogram.  Both must have identical
   /// bucket bounds (merging across threads that used the same bucket
   /// ladder, e.g. profBucketsUs); mismatched bounds throw.
   void merge(const Histogram& other);
+
+  /// Drops every sample; the bucket bounds stay.
+  void clear();
 
   const std::vector<double>& upperBounds() const { return upper_bounds_; }
   /// Size upperBounds().size() + 1; the last entry is the overflow bucket.

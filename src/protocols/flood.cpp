@@ -110,24 +110,25 @@ class FloodSoA final : public sim::SoAModel {
   // A node's Action is one of two values, {true, msg_} or Action{}, and
   // the send column still says which one it holds (sim/soa_exec.h), so
   // it is rewritten only when it changes: a saturated flood writes none.
-  void computeNode(sim::RoundContext& ctx, sim::NodeId v,
-                   std::uint64_t node_key) {
+  // Every send is msg_, so its size is known without reading the Action.
+  int computeNode(sim::RoundContext& ctx, sim::NodeId v,
+                  std::uint64_t node_key) {
     const auto vi = static_cast<std::size_t>(v);
     const bool send =
         has_token_[vi] != 0 &&
         (mode_ == FloodMode::kDeterministic ||
          util::CoinStream::firstCoin(util::CoinStream::roundKey(
              node_key, static_cast<std::uint64_t>(ctx.round))));
-    if (send == (ctx.ws->sending[vi] != 0)) {
-      return;
+    if (send != (ctx.ws->sending[vi] != 0)) {
+      sim::Action& a = ctx.ws->actions[vi];
+      if (send) {
+        a.send = true;
+        a.msg = msg_;
+      } else {
+        a = sim::Action{};
+      }
     }
-    sim::Action& a = ctx.ws->actions[vi];
-    if (send) {
-      a.send = true;
-      a.msg = msg_;
-    } else {
-      a = sim::Action{};
-    }
+    return send ? msg_.bitSize() : sim::kNoSend;
   }
 
   void onMessage(sim::RoundContext& ctx, sim::NodeId v, sim::NodeId /*u*/,

@@ -114,24 +114,26 @@ class MaxFloodSoA final : public sim::SoAModel {
 
   // Max-flood's only draw is the send coin, so the firstCoin shortcut
   // replaces the full CoinStream (one mix64 saved per node per round).
-  void computeNode(sim::RoundContext& ctx, sim::NodeId v,
-                   std::uint64_t node_key) {
+  // Every message is a key and a value at fixed widths.
+  int computeNode(sim::RoundContext& ctx, sim::NodeId v,
+                  std::uint64_t node_key) {
     const auto vi = static_cast<std::size_t>(v);
     sim::Action& a = ctx.ws->actions[vi];
-    if (util::CoinStream::firstCoin(util::CoinStream::roundKey(
+    if (!util::CoinStream::firstCoin(util::CoinStream::roundKey(
             node_key, static_cast<std::uint64_t>(ctx.round)))) {
-      if (dirty_[vi] != 0) {
-        msg_[vi] = sim::MessageBuilder()
-                       .put(best_key_[vi], key_bits_)
-                       .put(best_value_[vi], value_bits_)
-                       .build();
-        dirty_[vi] = 0;
-      }
-      a.send = true;
-      a.msg = msg_[vi];
-    } else {
       a = sim::Action{};
+      return sim::kNoSend;
     }
+    if (dirty_[vi] != 0) {
+      msg_[vi] = sim::MessageBuilder()
+                     .put(best_key_[vi], key_bits_)
+                     .put(best_value_[vi], value_bits_)
+                     .build();
+      dirty_[vi] = 0;
+    }
+    a.send = true;
+    a.msg = msg_[vi];
+    return key_bits_ + value_bits_;
   }
 
   void onMessage(sim::RoundContext& /*ctx*/, sim::NodeId v, sim::NodeId u,

@@ -1,12 +1,16 @@
 #include "sim/engine.h"
 
+#include <algorithm>
+
 #include "faults/fault_injector.h"
 #include "obs/prof.h"
 #include "obs/sink.h"
 #include "sim/phase.h"
 #include "sim/soa.h"
+#include "sim/soa_exec.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dynet::sim {
 
@@ -83,6 +87,42 @@ void Engine::init() {
         ->set(static_cast<double>(n_));
     config_.metrics->registry.gauge("engine/budget_bits")
         ->set(static_cast<double>(budget_bits_));
+  }
+  if (soa_ != nullptr) {
+    initChunks();
+  }
+}
+
+// Node-range chunks (sim/soa_exec.h): k = min(pool workers, n /
+// kNodesPerChunk), at least 1, cut at multiples of 64 nodes.  The pool is
+// asked for its size only when n allows a second chunk, and asking starts
+// no thread.
+void Engine::initChunks() {
+  std::size_t k = 1;
+  if (n_ >= 2 * kNodesPerChunk) {
+    k = std::min<std::size_t>(util::ThreadPool::shared().threadCount(),
+                              static_cast<std::size_t>(n_ / kNodesPerChunk));
+  }
+  const auto np = static_cast<std::size_t>(n_);
+  const std::size_t per = ((np + k - 1) / k + 63) & ~std::size_t{63};
+  for (std::size_t begin = 0; begin < np; begin += per) {
+    SoAChunk& chunk = ws_.chunks.emplace_back();
+    chunk.begin = static_cast<NodeId>(begin);
+    chunk.end = static_cast<NodeId>(std::min(np, begin + per));
+  }
+  ws_.soa_senders.resize(np);
+  if (obs_ == nullptr) {
+    return;
+  }
+  const std::size_t chunks = ws_.chunks.size();
+  if (chunks > 1) {
+    obs_->chunk_bits_per_send.assign(
+        chunks, obs::Histogram(obs_->bits_per_send->upperBounds()));
+  }
+  for (std::size_t c = 0; c < chunks; ++c) {
+    ws_.chunks[c].bits_per_send = chunks == 1
+                                      ? obs_->bits_per_send
+                                      : &obs_->chunk_bits_per_send[c];
   }
 }
 
@@ -182,12 +222,14 @@ void Engine::finalizeMetrics() {
   reg.gauge("engine/max_bits_per_node")
       ->set(static_cast<double>(result_.max_bits_per_node));
   // Execution-shape gauges (reserved soa// prefix, docs/OBSERVABILITY.md):
-  // which state representation ran and which way fault-free SoA delivery
-  // walked.  Allowed to differ between the object and SoA paths, exactly
+  // which state representation ran, which way fault-free SoA delivery
+  // walked, and how many node-range chunks its walks ran in (0 on
+  // objects).  Allowed to differ between the object and SoA paths, exactly
   // like topology/.
   reg.gauge("soa//active")->set(soa_ != nullptr ? 1.0 : 0.0);
   reg.gauge("soa//pull_rounds")
       ->set(static_cast<double>(ws_.soa_pull_rounds));
+  reg.gauge("soa//workers")->set(static_cast<double>(ws_.chunks.size()));
   obs::Series* node_bits = reg.series("node/bits_sent");
   obs::Series* node_done = reg.series("node/done_round");
   std::vector<std::pair<std::string, double>> exported;

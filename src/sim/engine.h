@@ -191,6 +191,8 @@ class Engine {
   /// Shared tail of both constructors; requires n_, processes_/soa_,
   /// adversary_, config_, seed_ to be settled.
   void init();
+  /// Cuts an SoA run into its node-range chunks (sim/soa_exec.h).
+  void initChunks();
 
   std::vector<std::unique_ptr<Process>> processes_;  // empty on the SoA path
   std::unique_ptr<SoAModel> soa_;  // null on the object path

@@ -124,22 +124,25 @@ void faultPhase(RoundContext& ctx) {
 }
 
 // Coins flip, each live node decides its action; crashed nodes decide
-// nothing and emit nothing.  accountSentAction (sim/soa_exec.h) is shared
-// with the SoA compute loops, which fuse it into their walk too.  Every
-// Action write is paired with its send-column byte (EngineWorkspace::sending),
-// which the delivery loops probe instead of the Action array.
+// nothing and emit nothing.  The object walk is the SoA walks' single
+// chunk: the same tallySend accounting (sim/soa_exec.h) into one
+// SendTally, folded once at the end.  Every Action write is paired with
+// its send-column byte (EngineWorkspace::sending), which the delivery
+// loops probe instead of the Action array.
 void computePhase(RoundContext& ctx) {
   EngineWorkspace& ws = *ctx.ws;
   RunResult& result = *ctx.result;
   if (ctx.soa != nullptr) {
-    // The model fills every action slot and accounts its sends in the same
-    // ascending walk (sim/soa_exec.h), so the counter updates and histogram
-    // observations land in the legacy order.
+    // The model fills every action slot and accounts its sends chunk by
+    // chunk (sim/soa_exec.h).
     ctx.soa->computeAll(ctx);
     closeSpan(ctx, "process_step");
     return;
   }
   auto& processes = *ctx.processes;
+  obs::Histogram* const bits_per_send =
+      ctx.obs != nullptr ? ctx.obs->bits_per_send : nullptr;
+  SendTally tally;
   for (NodeId v = 0; v < ctx.n; ++v) {
     const auto idx = static_cast<std::size_t>(v);
     if (ctx.faulty && ws.alive[idx] == 0) {
@@ -153,9 +156,12 @@ void computePhase(RoundContext& ctx) {
     const Action& a = ws.actions[idx];
     ws.sending[idx] = a.send ? 1 : 0;
     if (a.send) {
-      accountSentAction(ctx, result, v, a);
+      tallySend(ctx, result.bits_per_node.data(), tally, bits_per_send, v,
+                a.msg.bitSize());
     }
   }
+  flushSendSizes(tally, bits_per_send);
+  foldSends(result, tally);
   closeSpan(ctx, "process_step");
 }
 
@@ -297,14 +303,18 @@ void observePhase(RoundContext& ctx) {
   auto& processes = *ctx.processes;
   RunResult& result = *ctx.result;
   if (ctx.soa != nullptr) {
-    // The SoA models keep done in a byte column: scan it directly.
+    // The SoA models keep done in a byte column: scan it directly, chunk by
+    // chunk (sim/soa_exec.h).
     const char* const soa_done = ctx.soa->doneData();
-    for (NodeId v = 0; v < ctx.n; ++v) {
-      const auto idx = static_cast<std::size_t>(v);
-      if (result.done_round[idx] < 0 && soa_done[idx] != 0) {
-        result.done_round[idx] = ctx.round;
+    Round* const done_round = result.done_round.data();
+    forEachChunk(*ctx.ws, [&](const SoAChunk& chunk) {
+      for (NodeId v = chunk.begin; v < chunk.end; ++v) {
+        const auto idx = static_cast<std::size_t>(v);
+        if (done_round[idx] < 0 && soa_done[idx] != 0) {
+          done_round[idx] = ctx.round;
+        }
       }
-    }
+    });
   } else {
     for (NodeId v = 0; v < ctx.n; ++v) {
       const auto idx = static_cast<std::size_t>(v);

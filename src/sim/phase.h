@@ -32,6 +32,7 @@
 
 #include "net/diameter.h"
 #include "net/graph.h"
+#include "obs/metrics.h"
 #include "sim/engine.h"
 #include "sim/process.h"
 #include "sim/workspace.h"
@@ -43,9 +44,6 @@ class FaultInjector;
 namespace dynet::obs {
 struct MetricsSink;
 class TraceWriter;
-struct Counter;
-class Histogram;
-class Series;
 }  // namespace dynet::obs
 
 namespace dynet::sim {
@@ -70,6 +68,10 @@ struct EngineObs {
   // paths — docs/OBSERVABILITY.md).
   obs::Counter* topo_incremental;
   obs::Counter* topo_full;
+  /// Per-chunk bits_per_send observations of a run with more than one
+  /// node-range chunk (SoAChunk::bits_per_send), merged into
+  /// bits_per_send after every compute walk; empty otherwise.
+  std::vector<obs::Histogram> chunk_bits_per_send;
 
   explicit EngineObs(obs::MetricsSink* s);
 };

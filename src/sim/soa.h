@@ -22,6 +22,13 @@
 //     delivery may only touch *senders'* state, which the send-xor-receive
 //     model guarantees is not written during the phase — that is what lets
 //     delivery walk senders or receivers in either order (sim/soa_exec.h).
+//   * The per-node hooks (computeNode, onMessage, afterDeliver) write only
+//     node v's entries: from 2 * kNodesPerChunk nodes up the engine runs
+//     them as contiguous node-range chunks on several threads at once
+//     (sim/soa_exec.h "Node-range chunks"), so a hook that wrote another
+//     node's column, or any member shared by all nodes, would race.
+//     computeNode returns the bit size of the message node v sends, or
+//     kNoSend; the walk accounts the send from that value.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +52,8 @@ class SoAModel {
 
   /// computePhase body: fill ctx.ws->actions[v] for every node (crashed
   /// nodes get Action{}).  Implementations call soaComputeAll
-  /// (sim/soa_exec.h), which handles the live mask, per-node CoinStream
-  /// construction, and send accounting.
+  /// (sim/soa_exec.h), which handles the live mask, the node-range chunks,
+  /// and send accounting from computeNode's return value.
   virtual void computeAll(RoundContext& ctx) = 0;
 
   /// deliveryPhase body: deliver sender messages through the fault filter.

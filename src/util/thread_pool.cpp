@@ -7,20 +7,44 @@
 
 namespace dynet::util {
 
-ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { workerLoop(); });
+namespace {
+
+// One spin-wait iteration: tells the core this is a busy-wait loop, which
+// saves power and frees the sibling hyperthread.
+inline void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Spins until done() or kSpin has passed; true when done() came true.
+template <typename Done>
+bool spinUntil(Done&& done) {
+  const auto deadline = std::chrono::steady_clock::now() + ThreadPool::kSpin;
+  for (unsigned i = 1;; ++i) {
+    if (done()) {
+      return true;
+    }
+    cpuRelax();
+    if (i % 64 == 0 && std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
   }
 }
+
+}  // namespace
+
+ThreadPool::ThreadPool(unsigned threads)
+    : threads_(threads != 0
+                   ? threads
+                   : std::max(1u, std::thread::hardware_concurrency())) {}
 
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
+    stop_.store(true);
   }
   cv_.notify_all();
   for (auto& worker : workers_) {
@@ -28,70 +52,139 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::runShare(Batch& batch) {
+bool ThreadPool::work(Job& job) {
+  bool ran = false;
   while (true) {
-    const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= batch.n) {
-      break;
+    const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= job.n) {
+      return ran;
     }
+    ran = true;
     try {
-      batch.body(i);
+      job.call(job.body, i);
     } catch (...) {
-      std::lock_guard<std::mutex> lock(batch.mu);
-      if (!batch.error) {
-        batch.error = std::current_exception();
+      std::lock_guard<std::mutex> lock(job.error_mu);
+      if (!job.error || i < job.error_index) {
+        job.error = std::current_exception();
+        job.error_index = i;
       }
     }
-    if (batch.done.fetch_add(1, std::memory_order_acq_rel) + 1 == batch.n) {
-      std::lock_guard<std::mutex> lock(batch.mu);
-      batch.cv.notify_all();
+  }
+}
+
+bool ThreadPool::helpOnce() {
+  bool ran = false;
+  for (Slot& slot : slots_) {
+    if (slot.job.load(std::memory_order_relaxed) == nullptr) {
+      continue;
+    }
+    // Register before looking: a caller that cleared `job` after this
+    // increment waits for the decrement below (seq_cst on both sides).
+    slot.users.fetch_add(1);
+    Job* job = slot.job.load();
+    if (job != nullptr) {
+      ran = work(*job) || ran;
+    }
+    if (slot.users.fetch_sub(1) == 1) {
+      slot.users.notify_all();
     }
   }
+  return ran;
 }
 
 void ThreadPool::workerLoop() {
+  // True after running an index or waking: either way a job is likely
+  // to follow soon, so the worker spins before it blocks.  A woken worker
+  // that blocked again at once would never catch a job shorter than its
+  // wake-up time.
+  bool spin = false;
   while (true) {
-    std::shared_ptr<Batch> batch;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_ && queue_.empty()) {
-        return;
-      }
-      batch = queue_.front();
-      queue_.pop_front();
+    const std::uint64_t seen = epoch_.load();
+    if (stop_.load(std::memory_order_relaxed)) {
+      return;
     }
-    runShare(*batch);
+    if (helpOnce()) {
+      spin = true;
+      continue;
+    }
+    if (spin) {
+      spin = false;
+      spinning_.fetch_add(1);
+      spinUntil([&] {
+        return epoch_.load(std::memory_order_relaxed) != seen ||
+               stop_.load(std::memory_order_relaxed);
+      });
+      spinning_.fetch_sub(1);
+      continue;
+    }
+    std::unique_lock<std::mutex> lock(mu_);
+    sleeping_.fetch_add(1);
+    cv_.wait(lock, [&] { return stop_.load() || epoch_.load() != seen; });
+    sleeping_.fetch_sub(1);
+    spin = true;
   }
 }
 
-void ThreadPool::parallelFor(std::size_t n,
-                             const std::function<void(std::size_t)>& body) {
-  if (n == 0) {
-    return;
+ThreadPool::Slot* ThreadPool::publish(Job& job) {
+  for (Slot& slot : slots_) {
+    bool expected = false;
+    if (slot.taken.load(std::memory_order_relaxed) ||
+        !slot.taken.compare_exchange_strong(expected, true)) {
+      continue;
+    }
+    slot.job.store(&job);
+    epoch_.fetch_add(1);
+    // Wake sleepers only for the indices the spinning workers will not
+    // take.  A worker going to sleep registers in sleeping_ under mu_ and
+    // then rereads epoch_, so either it sees this publish or this reads
+    // its registration and the notify below (after taking mu_) reaches it.
+    const std::size_t helpers = std::min<std::size_t>(job.n - 1, threads_);
+    const std::size_t spinning = spinning_.load();
+    const std::size_t sleeping = sleeping_.load();
+    if (helpers > spinning && sleeping > 0) {
+      { std::lock_guard<std::mutex> lock(mu_); }
+      for (std::size_t w = std::min(helpers - spinning, sleeping); w > 0; --w) {
+        cv_.notify_one();
+      }
+    }
+    return &slot;
   }
-  auto batch = std::make_shared<Batch>();
-  batch->n = n;
-  batch->body = body;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Enqueue once per worker so all of them can join this batch; workers
-    // arriving after completion see next >= n and drop their reference.
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      queue_.push_back(batch);
+  return nullptr;  // every slot is taken: the caller runs the job alone
+}
+
+void ThreadPool::retire(Slot& slot) {
+  slot.job.store(nullptr);
+  // Workers still inside the job finish the indices they claimed; the
+  // caller has claimed all others.
+  if (!spinUntil([&] { return slot.users.load() == 0; })) {
+    for (std::uint32_t users = slot.users.load(); users != 0;
+         users = slot.users.load()) {
+      slot.users.wait(users);
     }
   }
-  cv_.notify_all();
-  // The calling thread participates too.
-  runShare(*batch);
-  {
-    std::unique_lock<std::mutex> lock(batch->mu);
-    batch->cv.wait(lock, [&batch] {
-      return batch->done.load(std::memory_order_acquire) == batch->n;
-    });
+  slot.taken.store(false, std::memory_order_release);
+}
+
+void ThreadPool::run(Job& job) {
+  if (job.n == 0) {
+    return;
   }
-  if (batch->error) {
-    std::rethrow_exception(batch->error);
+  Slot* slot = nullptr;
+  if (job.n > 1) {
+    std::call_once(started_, [this] {
+      workers_.reserve(threads_);
+      for (unsigned i = 0; i < threads_; ++i) {
+        workers_.emplace_back([this] { workerLoop(); });
+      }
+    });
+    slot = publish(job);
+  }
+  work(job);
+  if (slot != nullptr) {
+    retire(*slot);
+  }
+  if (job.error) {
+    std::rethrow_exception(job.error);
   }
 }
 

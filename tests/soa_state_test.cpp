@@ -19,13 +19,18 @@
 //   * delivery direction: fault-free rounds push or pull by the
 //     work rule of sim/soa_exec.h, on schedules with rounds on both sides
 //     of it and on its tie, and soa//pull_rounds counts the pulled rounds
-//     exactly; faulty rounds never take the push walk.
+//     exactly; faulty rounds never take the push walk;
+//   * node-range chunks: the same lockstep past two chunks' worth of
+//     nodes, clean, faulty and with a sink, the first error of a chunked
+//     walk, and chunked engines stepping on pool workers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "adversary/churn_adversaries.h"
@@ -37,8 +42,11 @@
 #include "obs/sink.h"
 #include "protocols/flood.h"
 #include "protocols/max_flood.h"
+#include "sim/batch.h"
 #include "sim/engine.h"
 #include "sim/soa_exec.h"
+#include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace dynet::sim {
 namespace {
@@ -129,6 +137,8 @@ struct LockstepSpec {
   /// Attached to the SoA engine, whose metrics are finalized after the
   /// last round.
   obs::MetricsSink* soa_sink = nullptr;
+  /// Attached to the object engine, finalized likewise.
+  obs::MetricsSink* object_sink = nullptr;
   /// Filled with every round's direction-rule class.
   DirectionTally* directions = nullptr;
 };
@@ -144,6 +154,7 @@ void runLockstep(const LockstepSpec& s) {
   object_cfg.check_connectivity = false;
   EngineConfig soa_cfg = object_cfg;
   soa_cfg.metrics = s.soa_sink;
+  object_cfg.metrics = s.object_sink;
   object_cfg.record_actions = s.directions != nullptr;
   object_cfg.record_topologies = s.directions != nullptr;
 
@@ -182,6 +193,9 @@ void runLockstep(const LockstepSpec& s) {
   if (s.soa_sink != nullptr) {
     soa_engine.finalizeMetrics();
   }
+  if (s.object_sink != nullptr) {
+    object_engine.finalizeMetrics();
+  }
   expectSameResult(object_engine.result(), soa_engine.result(),
                    "protocol " + std::to_string(s.protocol) + " adversary " +
                        std::to_string(s.adversary));
@@ -204,7 +218,9 @@ TEST(SoAState, PerRoundDigestLockstepAcrossProtocolsAndAdversaries) {
   }
 }
 
-TEST(SoAState, CrashMasksConsistentUnderFaultPlans) {
+/// Crash/restart plus drop/corrupt faults.  MaxFlood decodes arbitrary
+/// payloads, so mangled deliveries may arrive.
+faults::FaultConfig crashAndCorruptPlan() {
   faults::FaultConfig fc;
   fc.crash_fraction = 0.3;
   fc.crash_window = 16;
@@ -212,8 +228,12 @@ TEST(SoAState, CrashMasksConsistentUnderFaultPlans) {
   fc.restart_downtime = 6;
   fc.drop_prob = 0.15;
   fc.corrupt_prob = 0.1;
-  // MaxFlood decodes arbitrary payloads, so mangled deliveries may arrive.
   fc.deliver_corrupted = true;
+  return fc;
+}
+
+TEST(SoAState, CrashMasksConsistentUnderFaultPlans) {
+  const faults::FaultConfig fc = crashAndCorruptPlan();
   for (int adversary = 0; adversary < 3; ++adversary) {
     for (std::uint64_t seed : {0x61ull, 0x62ull, 0x63ull}) {
       LockstepSpec s;
@@ -395,6 +415,153 @@ TEST(SoAState, DropOnlyPlanNeverTakesThePushWalk) {
         << "adversary " << adversary;
     EXPECT_GT(sink.registry.counter("faults/messages_dropped")->value, 0u)
         << "adversary " << adversary;
+  }
+}
+
+// ------------------------------------------------------- node-range chunks
+
+/// Three chunks' worth of nodes and a ragged last chunk: k = min(pool
+/// workers, 3) chunks, so DYNET_THREADS=1 runs the same tests serially.
+constexpr NodeId kChunkedN = 3 * kNodesPerChunk + 37;
+
+/// The metrics JSON of a sink without the soa// execution-shape gauges,
+/// the only lines allowed to differ between the object and SoA paths.
+std::string withoutShapeGauges(const obs::MetricsSink& sink) {
+  std::istringstream json(sink.registry.toJson());
+  std::string out;
+  for (std::string line; std::getline(json, line);) {
+    if (line.find("\"soa//") == std::string::npos) {
+      out += line + "\n";
+    }
+  }
+  return out;
+}
+
+// The per-round lockstep past two chunks' worth of nodes, for every SoA
+// model over edge churn, the static ring and the rotating star: fault-free,
+// under crash/restart plus drop/corrupt faults, and with sinks on both
+// engines, whose metrics must agree except for soa//.
+TEST(SoAState, NodeRangeChunksLockstepAtLargeN) {
+  const faults::FaultConfig plan = crashAndCorruptPlan();
+  // FloodProcess rejects foreign tokens: flood's corrupted copies are
+  // caught by the link-layer CRC instead of delivered.
+  faults::FaultConfig flood_plan = plan;
+  flood_plan.deliver_corrupted = false;
+  const double workers =
+      std::min(util::ThreadPool::shared().threadCount(), 3u);
+  double pull_rounds = 0;
+  for (int protocol = 0; protocol < kProtocols; ++protocol) {
+    for (const int adversary : {1, 3, 0}) {
+      for (const std::string_view condition : {"clean", "faulty", "sink"}) {
+        obs::MetricsSink object_sink;
+        obs::MetricsSink soa_sink;
+        LockstepSpec s;
+        s.n = kChunkedN;
+        s.rounds = 16;
+        s.protocol = protocol;
+        s.adversary = adversary;
+        s.seed = 0xC0 + static_cast<std::uint64_t>(adversary);
+        if (condition == "faulty") {
+          s.fc = protocol == 2 ? &plan : &flood_plan;
+        }
+        if (condition == "sink") {
+          s.object_sink = &object_sink;
+          s.soa_sink = &soa_sink;
+        }
+        runLockstep(s);
+        if (HasFatalFailure()) {
+          return;
+        }
+        if (s.soa_sink == nullptr) {
+          continue;
+        }
+        EXPECT_EQ(withoutShapeGauges(object_sink), withoutShapeGauges(soa_sink))
+            << "protocol " << protocol << " adversary " << adversary;
+        EXPECT_DOUBLE_EQ(soa_sink.registry.gauge("soa//workers")->value,
+                         workers);
+        EXPECT_DOUBLE_EQ(object_sink.registry.gauge("soa//workers")->value, 0);
+        pull_rounds += soa_sink.registry.gauge("soa//pull_rounds")->value;
+      }
+    }
+  }
+  EXPECT_GT(pull_rounds, 0) << "no fault-free round took the chunked pull walk";
+}
+
+// A chunked walk rethrows the lowest chunk's error, which is the first one a
+// serial walk meets: flood's round 1 on a star centred on the source hands
+// every other node the token, corrupted on about one delivery in a hundred,
+// in every chunk, and both engines must throw the same foreign token.
+TEST(SoAState, ChunkedWalkThrowsTheSerialWalksFirstError) {
+  const NodeId n = kChunkedN;
+  const proto::FloodFactory factory(0, 0x5eed5eed5eed5eedULL, 64,
+                                    proto::FloodMode::kDeterministic, 0);
+  faults::FaultConfig fc;
+  fc.corrupt_prob = 0.01;
+  fc.deliver_corrupted = true;
+  const faults::FaultPlan plan(n, fc, 0xE7);
+  NodeId last_corrupted = 0;
+  for (NodeId v = 1; v < n; ++v) {
+    if (plan.deliveryFate(0, v, 1) == faults::FaultPlan::Fate::kCorrupt) {
+      last_corrupted = v;
+    }
+  }
+  ASSERT_GE(last_corrupted, 2 * kNodesPerChunk)
+      << "no corrupted delivery in the last chunk: the test is vacuous";
+  const auto firstError = [&](bool soa) {
+    EngineConfig cfg;
+    cfg.max_rounds = 4;
+    cfg.stop_when_all_done = false;
+    auto adversary = std::make_unique<adv::RotatingStarAdversary>(n);
+    Engine engine = soa ? Engine(factory, std::move(adversary), cfg, 0xE7)
+                        : Engine(createProcesses(factory, n),
+                                 std::move(adversary), cfg, 0xE7);
+    EXPECT_EQ(engine.soaActive(), soa);
+    engine.setFaultInjector(
+        std::make_shared<const faults::FaultInjector>(plan, &factory));
+    try {
+      engine.step();
+    } catch (const util::CheckError& e) {
+      return e.message();
+    }
+    return std::string("no error");
+  };
+  const std::string expected = firstError(false);
+  EXPECT_NE(expected.find("foreign token"), std::string::npos) << expected;
+  EXPECT_EQ(firstError(true), expected);
+}
+
+// Engines built and stepped inside BatchRunner trials run their chunks on
+// the same shared pool their trial runs on; whatever no idle worker claims,
+// the trial's thread runs itself.  Each trial's result must equal the same
+// run on process objects, stepped on this thread.
+TEST(SoAState, ChunkedEnginesInsideBatchTrialsMatchSerialRuns) {
+  const std::unique_ptr<ProcessFactory> factory =
+      makeProtocol(2, kChunkedN, 12);
+  const auto trial = [&](std::uint64_t seed, bool soa) {
+    EngineConfig cfg;
+    cfg.max_rounds = 12;
+    cfg.stop_when_all_done = false;
+    auto adversary = makeAdversary(1, kChunkedN, seed);
+    Engine engine = soa ? Engine(*factory, std::move(adversary), cfg, seed)
+                        : Engine(createProcesses(*factory, kChunkedN),
+                                 std::move(adversary), cfg, seed);
+    return engine.run();
+  };
+  constexpr std::uint64_t kTrials = 6;
+  std::vector<std::uint64_t> seeds;  // BatchRunner's seed for trial i
+  for (std::uint64_t i = 0; i < kTrials; ++i) {
+    seeds.push_back(util::hashCombine(0xBA7C, i));
+  }
+  std::vector<RunResult> nested(kTrials);
+  BatchRunner().run(static_cast<int>(kTrials), 0xBA7C,
+                    [&](std::uint64_t seed, TrialRecorder&) {
+                      const auto i = std::find(seeds.begin(), seeds.end(),
+                                               seed) - seeds.begin();
+                      nested[static_cast<std::size_t>(i)] = trial(seed, true);
+                    });
+  for (std::size_t i = 0; i < kTrials; ++i) {
+    expectSameResult(trial(seeds[i], false), nested[i],
+                     "trial " + std::to_string(i));
   }
 }
 

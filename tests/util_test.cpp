@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -428,6 +430,42 @@ TEST(ThreadPool, ReusableAfterException) {
     std::atomic<int> count{0};
     pool.parallelFor(200, [&](std::size_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 200);
+  }
+}
+
+TEST(ThreadPool, NestedParallelForFromAWorker) {
+  // A body that calls parallelFor on its own pool (a BatchRunner trial
+  // whose engine runs node-range chunks) finishes even while every worker
+  // is busy with the outer call: each caller runs what nobody claims.
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(8 * 16);
+  pool.parallelFor(8, [&](std::size_t i) {
+    pool.parallelFor(16,
+                     [&](std::size_t j) { hits[i * 16 + j].fetch_add(1); });
+  });
+  for (const auto& h : hits) {
+    EXPECT_EQ(h.load(), 1);
+  }
+}
+
+TEST(ThreadPool, LowestFailingIndexWins) {
+  // The rethrown exception is the lowest failing index's — the one a
+  // serial loop throws first — even when higher indices fail sooner.
+  ThreadPool pool(4);
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    try {
+      pool.parallelFor(4, [](std::size_t i) {
+        if (i == 1) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+        if (i >= 1) {
+          throw std::runtime_error(std::to_string(i));
+        }
+      });
+      ADD_FAILURE() << "nothing thrown";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "1");
+    }
   }
 }
 
