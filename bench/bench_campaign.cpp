@@ -5,19 +5,16 @@
 //
 //   * raw        — campaign::runShard over each shard in the calling
 //                  thread, no checkpointing (the floor),
-//   * inprocess  — the full scheduler with telemetry off: claim loop,
-//                  atomic commit per shard, report merge,
-//   * +telemetry — the same run with the event stream and scheduler
-//                  profile enabled (the default configuration),
+//   * inprocess  — the full scheduler: claim loop, the event stream with
+//                  one fdatasync'd shard_committed record per shard, the
+//                  scheduler profile and the report merge,
 //   * subprocess — supervised dynet_cli --worker processes (adds spawn +
 //                  JSONL round trips; needs --worker-cmd, else skipped).
 //
-// The interesting numbers are inprocess vs raw — the price of crash safety
-// when nothing crashes — and +telemetry vs inprocess — the price of
-// observability, targeted at < 2% on realistic shard sizes (event appends
-// are fixed per transition, so tiny --quick shards overstate the ratio).
-// Resume cost is shown separately: a second run over a fully committed
-// checkpoint should do no simulation at all.
+// The interesting number is inprocess vs raw — the price of crash safety
+// when nothing crashes (fixed per shard, so tiny --quick shards overstate
+// the ratio).  Resume cost is shown separately: a second run over a fully
+// committed checkpoint folds events.jsonl and does no simulation at all.
 //
 // Honors the --quick contract of bench_common.h (CI smoke-runs this).
 #include <chrono>
@@ -90,44 +87,20 @@ int run(int argc, char** argv) {
   campaign::CampaignOptions options;
   options.checkpoint_dir = freshDir("bench_campaign_inproc");
   options.workers = workers;
-  options.telemetry = false;
-  double inproc_seconds = 0;
   {
     const auto t0 = std::chrono::steady_clock::now();
     const campaign::CampaignOutcome outcome =
         campaign::runCampaign(spec, options);
-    inproc_seconds = secondsSince(t0);
+    const double s = secondsSince(t0);
     DYNET_CHECK(outcome.fullCoverage()) << "bench campaign failed";
     table.row()
         .cell("inprocess")
-        .cell(inproc_seconds, 3)
-        .cell(inproc_seconds * 1e3 / static_cast<double>(trials), 3)
-        .cell(raw_seconds > 0 ? inproc_seconds / raw_seconds : 0, 2);
-  }
-  {
-    // Same scheduler with the event stream + scheduler profile on.
-    campaign::CampaignOptions with;
-    with.checkpoint_dir = freshDir("bench_campaign_telemetry");
-    with.workers = workers;
-    const auto t0 = std::chrono::steady_clock::now();
-    const campaign::CampaignOutcome outcome =
-        campaign::runCampaign(spec, with);
-    const double s = secondsSince(t0);
-    DYNET_CHECK(outcome.fullCoverage()) << "telemetry bench campaign failed";
-    table.row()
-        .cell("+telemetry")
         .cell(s, 3)
         .cell(s * 1e3 / static_cast<double>(trials), 3)
         .cell(raw_seconds > 0 ? s / raw_seconds : 0, 2);
-    if (inproc_seconds > 0) {
-      std::cout << "telemetry overhead vs inprocess: "
-                << (s / inproc_seconds - 1.0) * 100.0
-                << "% (target < 2% at real shard sizes)\n";
-    }
-    std::filesystem::remove_all(with.checkpoint_dir);
   }
   {
-    // Resume over a complete checkpoint: pure skip + report merge.
+    // Resume over a complete checkpoint: fold, skip, report merge.
     const auto t0 = std::chrono::steady_clock::now();
     const campaign::CampaignOutcome outcome =
         campaign::runCampaign(spec, options);

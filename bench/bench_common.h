@@ -141,11 +141,9 @@ class ObsSession {
 /// members build through sim::createProcesses instead.
 inline sim::Engine makeEngine(const sim::ProcessFactory& factory,
                               std::unique_ptr<sim::Adversary> adversary,
-                              sim::Round max_rounds, std::uint64_t seed,
-                              bool record = false) {
+                              sim::Round max_rounds, std::uint64_t seed) {
   sim::EngineConfig config;
   config.max_rounds = max_rounds;
-  config.record_topologies = record;
   return sim::Engine(factory, std::move(adversary), config, seed);
 }
 

@@ -19,6 +19,13 @@ CLI="${1:-build/tools/dynet_cli}"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
+# Distinct shards with a shard_committed record in a checkpoint's
+# events.jsonl: the stream is the only place a result is kept.
+committed_shards() {
+  { grep -s '"type":"shard_committed"' "$1/events.jsonl" || true; } \
+    | sed 's/.*"shard":"\([0-9a-f]*\)".*/\1/' | sort -u | wc -l
+}
+
 cat > "$work/spec.json" <<'EOF'
 {
   "name": "smoke",
@@ -38,7 +45,7 @@ echo "=== deterministic partial run (--shard-limit) ==="
 "$CLI" --campaign "$work/spec.json" --checkpoint "$work/resume" \
   --shard-limit 5 && rc=0 || rc=$?
 [[ "$rc" -eq 3 ]] || { echo "expected exit 3 from partial run, got $rc" >&2; exit 1; }
-committed_before=$(ls "$work/resume/shards" | wc -l)
+committed_before=$(committed_shards "$work/resume")
 [[ "$committed_before" -ge 5 ]] || { echo "partial run committed too few shards" >&2; exit 1; }
 
 echo "=== SIGKILL mid-flight ==="
@@ -53,7 +60,7 @@ victim=$!
 sleep 0.7
 kill -KILL -- "-$victim" 2>/dev/null || true
 wait "$victim" 2>/dev/null || true
-survivors=$(ls "$work/killed/shards" 2>/dev/null | wc -l || echo 0)
+survivors=$(committed_shards "$work/killed")
 echo "shards committed before the kill: $survivors"
 
 echo "=== resume both checkpoints ==="

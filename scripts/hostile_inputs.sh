@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Hostile-input smoke: each tool must reject a hostile input with a located
 # error and exit status 1, never die by a signal or an uncaught exception.
+# The one exception is a shard too large for memory: it costs the shard,
+# not the campaign, so that campaign exits 3 (incomplete) with a report.
 #
 #   bash scripts/hostile_inputs.sh [BUILD_DIR]    (default: build)
 #
@@ -24,7 +26,15 @@
 #     range-checked before it narrows, so it cannot wrap to round 1);
 #   * bench_campaign --workers 0 and bench_gap --trials 0 (every bench main
 #     goes through bench::guardedMain, which reports a CheckError and exits
-#     1 instead of dying by SIGABRT).
+#     1 instead of dying by SIGABRT);
+#   * a campaign resume whose events.jsonl has a garbage line after its
+#     records (the fold names the line; the stream is left as it was);
+#   * a campaign resume into a checkpoint with the pre-journal shards/
+#     directory (refused, naming the directory);
+#   * an in-process campaign whose spec has "nodes": [2000000000], under
+#     `ulimit -v 2000000` (each attempt's std::bad_alloc is a strike, the
+#     shard is quarantined with the error, the report is written and the
+#     exit status is 3).  Never run that input without the ulimit.
 #
 # The inputs live in a temp dir that is removed on exit.
 set -euo pipefail
@@ -50,15 +60,24 @@ cat > "$dir/events/events.jsonl" <<'EVENTS'
 garbage
 EVENTS
 
-expect_exit_1() {
-  local status=0
+expect_exit() {
+  local want=$1 status=0
+  shift
   "$@" > "$dir/out.txt" 2>&1 || status=$?
-  if [[ $status -ne 1 ]]; then
-    echo "hostile input: '$*' exited $status, expected 1" >&2
+  if [[ $status -ne $want ]]; then
+    echo "hostile input: '$*' exited $status, expected $want" >&2
     cat "$dir/out.txt" >&2
     exit 1
   fi
-  echo "rejected (exit 1): $(tail -n 1 "$dir/out.txt")"
+  echo "rejected (exit $want): $(tail -n 1 "$dir/out.txt")"
+}
+expect_exit_1() { expect_exit 1 "$@"; }
+expect_output() {
+  grep -q "$1" "$dir/out.txt" || {
+    echo "hostile input: the output does not name '$1'" >&2
+    cat "$dir/out.txt" >&2
+    exit 1
+  }
 }
 expect_exit_1 "$build/tools/dynet_stats" --in "$dir/deep.json"
 expect_exit_1 "$build/tools/dynet_cli" --campaign "$dir/nodes.json" \
@@ -84,3 +103,44 @@ expect_exit_1 "$build/tools/trace_to_dot" --in "$dir/one.trace" \
   --round 4294967297
 expect_exit_1 "$build/bench/bench_campaign" --workers 0
 expect_exit_1 "$build/bench/bench_gap" --trials 0
+
+cat > "$dir/small.json" <<'SPEC'
+{"protocols": ["flood"], "adversaries": ["static_path"], "nodes": [8],
+ "seeds": {"count": 4, "per_shard": 1}, "max_rounds": 64}
+SPEC
+status=0
+"$build/tools/dynet_cli" --campaign "$dir/small.json" \
+  --checkpoint "$dir/garbage" --shard-limit 1 > /dev/null 2>&1 || status=$?
+[[ $status -eq 3 ]] || {
+  echo "hostile input: the partial campaign exited $status, expected 3" >&2
+  exit 1
+}
+echo garbage >> "$dir/garbage/events.jsonl"
+lines=$(wc -l < "$dir/garbage/events.jsonl")
+cp "$dir/garbage/events.jsonl" "$dir/garbage-events.before"
+expect_exit_1 "$build/tools/dynet_cli" --campaign "$dir/small.json" \
+  --checkpoint "$dir/garbage"
+expect_output "event line $lines: "
+cmp -s "$dir/garbage/events.jsonl" "$dir/garbage-events.before" || {
+  echo "hostile input: the refused resume changed events.jsonl" >&2
+  exit 1
+}
+mkdir -p "$dir/prejournal/shards"
+expect_exit_1 "$build/tools/dynet_cli" --campaign "$dir/small.json" \
+  --checkpoint "$dir/prejournal"
+expect_output "$dir/prejournal/shards"
+
+cat > "$dir/huge.json" <<'SPEC'
+{"protocols": ["flood"], "adversaries": ["static_path"],
+ "nodes": [2000000000], "seeds": {"count": 1}, "max_rounds": 1}
+SPEC
+(
+  ulimit -v 2000000
+  expect_exit 3 "$build/tools/dynet_cli" --campaign "$dir/huge.json" \
+    --checkpoint "$dir/huge"
+)
+expect_output "QUARANTINED after 3 attempts: std::bad_alloc"
+test -s "$dir/huge/report.json" || {
+  echo "hostile input: the bad_alloc campaign wrote no report" >&2
+  exit 1
+}

@@ -4,8 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -42,9 +44,8 @@ bool isEventLine(const std::string& line) {
 
 /// One attempt's outcome, feeding the retry/quarantine ladder.
 struct Attempt {
-  bool ok = false;
-  std::string result_json;  // valid when ok
-  std::string error;        // human-readable strike reason when !ok
+  std::optional<ShardResult> result;  // set when the attempt succeeded
+  std::string error;  // human-readable strike reason otherwise
 };
 
 /// In-process sabotage: the hooks break the WORKER in subprocess mode; with
@@ -72,42 +73,33 @@ Attempt attemptInProcess(const ShardConfig& shard) {
   Attempt a;
   try {
     applySabotageInProcess(shard);
-    a.result_json = runShard(shard).toJson();
-    a.ok = true;
-  } catch (const util::CheckError& e) {
+    a.result = runShard(shard);
+  } catch (const std::exception& e) {
+    // A CheckError, or a std::bad_alloc from a shard larger than memory:
+    // either costs the attempt, never the campaign.
     a.error = e.what();
   }
   return a;
 }
 
-/// One persistent worker per supervisor thread, respawned on demand.  With
-/// telemetry attached the worker runs with `--emit-events` and a piped
-/// stderr: event lines on stdout are re-emitted into the campaign stream,
-/// stderr is drained and re-printed whole-line through the single writer,
-/// and worker lifecycle (spawn/exit) is recorded.
+/// One persistent worker per supervisor thread, respawned on demand.  Event
+/// lines on its stdout are re-emitted into the campaign stream, its stderr
+/// is drained and re-printed whole-line through the single writer, and
+/// worker lifecycle (spawn/exit) is recorded.
 class WorkerSlot {
  public:
-  WorkerSlot(std::string cmd, int slot, CampaignTelemetry* telemetry)
+  WorkerSlot(std::string cmd, int slot, CampaignTelemetry& telemetry)
       : cmd_(std::move(cmd)), slot_(slot), telemetry_(telemetry) {}
 
   Attempt run(const ShardConfig& shard, int timeout_ms, int attempt,
-              obs::MetricsRegistry* prof) {
+              obs::MetricsRegistry& prof) {
     Attempt a;
     if (!worker_) {
       const Clock::time_point spawn_start = Clock::now();
-      std::vector<std::string> argv = {cmd_, "--worker"};
-      if (telemetry_ != nullptr) {
-        argv.push_back("--emit-events");
-      }
-      worker_.emplace(
-          util::Subprocess::spawn(argv, /*pipe_stderr=*/telemetry_ != nullptr));
+      worker_.emplace(util::Subprocess::spawn({cmd_, "--worker"}));
       const double spawn_us = elapsedUs(spawn_start);
-      if (prof != nullptr) {
-        obs::recordProfSample(*prof, "campaign//worker_spawn", spawn_us);
-      }
-      if (telemetry_ != nullptr) {
-        telemetry_->workerSpawned(slot_, worker_->pid(), spawn_us / 1000.0);
-      }
+      obs::recordProfSample(prof, "campaign//worker_spawn", spawn_us);
+      telemetry_.workerSpawned(slot_, worker_->pid(), spawn_us / 1000.0);
     }
     const pid_t pid = worker_->pid();
     if (!worker_->writeLine(shard.canonicalJson())) {
@@ -118,7 +110,6 @@ class WorkerSlot {
       a.error = "worker died before accepting shard (exit status " +
                 std::to_string(status) + ")";
       noteExit(pid, status, "died between shards");
-      worker_.reset();
       return a;
     }
     // Event lines may precede the result line, so the deadline spans the
@@ -136,12 +127,15 @@ class WorkerSlot {
       switch (worker_->readLine(&line, remaining_ms)) {
         case util::Subprocess::ReadStatus::kLine:
           forwardStderr();
-          if (telemetry_ != nullptr && isEventLine(line)) {
-            telemetry_->workerEvent(slot_, attempt, line);
+          if (isEventLine(line)) {
+            telemetry_.workerEvent(slot_, attempt, line);
             continue;
           }
-          a.ok = true;
-          a.result_json = std::move(line);
+          try {
+            a.result = ShardResult::parseJson(line);
+          } catch (const util::CheckError& e) {
+            a.error = "malformed result line: " + e.message();
+          }
           return a;
         case util::Subprocess::ReadStatus::kTimeout: {
           worker_->kill();
@@ -150,7 +144,6 @@ class WorkerSlot {
           a.error = "timeout after " + std::to_string(timeout_ms) +
                     "ms (worker killed)";
           noteExit(pid, status, "timeout");
-          worker_.reset();
           return a;
         }
         case util::Subprocess::ReadStatus::kEof: {
@@ -165,7 +158,6 @@ class WorkerSlot {
           msg << " before producing a result";
           a.error = msg.str();
           noteExit(pid, status, "exited before result");
-          worker_.reset();
           return a;
         }
       }
@@ -174,50 +166,39 @@ class WorkerSlot {
 
  private:
   void forwardStderr() {
-    if (telemetry_ == nullptr || !worker_) {
-      return;
-    }
     std::vector<std::string> lines;
     worker_->drainStderrLines(&lines);
     for (const std::string& l : lines) {
-      telemetry_->workerStderr(slot_, l);
+      telemetry_.workerStderr(slot_, l);
     }
   }
 
+  /// Records the exit of the reaped worker and drops it, so the next
+  /// attempt spawns a fresh one.
   void noteExit(pid_t pid, int status, const std::string& reason) {
-    if (telemetry_ != nullptr) {
-      telemetry_->workerExited(slot_, pid, status, reason);
-    }
+    telemetry_.workerExited(slot_, pid, status, reason);
+    worker_.reset();
   }
 
   std::string cmd_;
   int slot_ = 0;
-  CampaignTelemetry* telemetry_ = nullptr;
+  CampaignTelemetry& telemetry_;
   std::optional<util::Subprocess> worker_;
 };
 
-/// Parses + sanity-checks a worker/in-process result line against the shard
-/// it was supposed to answer for.  A mismatched hash means the worker went
-/// off the rails — treat it as a failed attempt, not a committed lie.
-bool validateResult(const ShardConfig& shard, const std::string& json_line,
-                    std::string* error) {
-  try {
-    const ShardResult result = ShardResult::parseJson(json_line);
-    if (result.hash != shard.hash()) {
-      *error = "result hash " + result.hash + " does not match shard " +
-               shard.hash();
-      return false;
-    }
-    if (result.trials != shard.trials) {
-      *error = "result carries " + std::to_string(result.trials) +
-               " trials, shard wants " + std::to_string(shard.trials);
-      return false;
-    }
-    return true;
-  } catch (const util::CheckError& e) {
-    *error = "malformed result line: " + e.message();
-    return false;
+/// Why `result` cannot answer for `shard`, or "" when it can.  A mismatched
+/// hash means the worker went off the rails: a failed attempt, not a
+/// committed lie.
+std::string mismatch(const ShardConfig& shard, const ShardResult& result) {
+  if (result.hash != shard.hash()) {
+    return "result hash " + result.hash + " does not match shard " +
+           shard.hash();
   }
+  if (result.trials != shard.trials) {
+    return "result carries " + std::to_string(result.trials) +
+           " trials, shard wants " + std::to_string(shard.trials);
+  }
+  return "";
 }
 
 struct SharedState {
@@ -228,17 +209,15 @@ struct SharedState {
   std::atomic<std::size_t> quarantined{0};
   std::atomic<std::size_t> failed_attempts{0};
   std::atomic<bool> stop{false};
-  CampaignTelemetry* telemetry = nullptr;  // null when telemetry is off
   Clock::time_point run_start;
 };
 
 void supervise(SharedState& state, const CampaignSpec& spec,
-               const CampaignOptions& options, CheckpointStore& store,
-               int slot_id, obs::MetricsRegistry* prof) {
-  CampaignTelemetry* telemetry = state.telemetry;
+               const CampaignOptions& options, CampaignTelemetry& telemetry,
+               int slot_id, obs::MetricsRegistry& prof) {
   // In-process shard execution inherits this scope, so engine-level
   // DYNET_PROF timers land beside the campaign//<stage> samples.
-  obs::ProfScope prof_scope(prof);
+  obs::ProfScope prof_scope(&prof);
   std::optional<WorkerSlot> slot;
   if (options.subprocess) {
     slot.emplace(options.worker_cmd, slot_id, telemetry);
@@ -254,16 +233,9 @@ void supervise(SharedState& state, const CampaignSpec& spec,
     }
     const ShardConfig& shard = (*state.shards)[state.pending[i]];
     const std::string hash = shard.hash();
-    const double queue_wait_us =
-        telemetry != nullptr || prof != nullptr
-            ? elapsedUs(state.run_start)
-            : 0;
-    if (prof != nullptr) {
-      obs::recordProfSample(*prof, "campaign//queue_wait", queue_wait_us);
-    }
-    if (telemetry != nullptr) {
-      telemetry->shardClaimed(hash, state.pending[i], queue_wait_us / 1000.0);
-    }
+    const double queue_wait_us = elapsedUs(state.run_start);
+    obs::recordProfSample(prof, "campaign//queue_wait", queue_wait_us);
+    telemetry.shardClaimed(hash, state.pending[i], queue_wait_us / 1000.0);
     const RetryPolicy& retry = spec.retry;
     std::string last_error;
     bool committed = false;
@@ -272,47 +244,34 @@ void supervise(SharedState& state, const CampaignSpec& spec,
         std::this_thread::sleep_for(
             std::chrono::milliseconds(retry.backoffDelayMs(attempt - 1)));
       }
-      if (telemetry != nullptr) {
-        telemetry->attemptStarted(hash, attempt);
-        if (!slot) {
-          telemetry->execStarted(hash, attempt, "inprocess", slot_id);
-        }
+      telemetry.attemptStarted(hash, attempt);
+      if (!slot) {
+        telemetry.execStarted(hash, attempt, "inprocess", slot_id);
       }
       const std::uint64_t engine_us_before =
-          prof != nullptr ? counterValue(*prof, "prof/engine/run/total_us")
-                          : 0;
+          counterValue(prof, "prof/engine/run/total_us");
       const Clock::time_point exec_start = Clock::now();
       Attempt a = slot ? slot->run(shard, retry.timeout_ms, attempt, prof)
                        : attemptInProcess(shard);
       const double exec_us = elapsedUs(exec_start);
-      if (prof != nullptr) {
-        obs::recordProfSample(*prof, "campaign//execute", exec_us);
+      obs::recordProfSample(prof, "campaign//execute", exec_us);
+      if (!slot) {
+        const auto engine_us = static_cast<double>(
+            counterValue(prof, "prof/engine/run/total_us") - engine_us_before);
+        telemetry.execFinished(hash, attempt, "inprocess", slot_id,
+                               exec_us / 1000.0, engine_us, shard.trials);
       }
-      if (telemetry != nullptr && !slot) {
-        const double engine_us =
-            prof != nullptr
-                ? static_cast<double>(
-                      counterValue(*prof, "prof/engine/run/total_us") -
-                      engine_us_before)
-                : -1;
-        telemetry->execFinished(hash, attempt, "inprocess", slot_id,
-                                exec_us / 1000.0, engine_us, shard.trials);
+      if (a.result) {
+        a.error = mismatch(shard, *a.result);
       }
-      if (a.ok && !validateResult(shard, a.result_json, &a.error)) {
-        a.ok = false;
-      }
-      if (a.ok) {
+      if (a.result && a.error.empty()) {
+        // Durable before the shard is counted, printed or merged.
         const Clock::time_point commit_start = Clock::now();
-        store.commitResult(hash, a.result_json);
-        if (prof != nullptr) {
-          obs::recordProfSample(*prof, "campaign//commit",
-                                elapsedUs(commit_start));
-        }
+        telemetry.shardCommitted(hash, attempt, *a.result);
+        obs::recordProfSample(prof, "campaign//commit",
+                              elapsedUs(commit_start));
         state.committed_new.fetch_add(1, std::memory_order_relaxed);
         committed = true;
-        if (telemetry != nullptr) {
-          telemetry->shardCommitted(hash, attempt, shard.trials);
-        }
         if (options.verbose) {
           std::ostringstream line;
           line << "[campaign] " << hash << " ok (" << shard.protocol << "/"
@@ -324,21 +283,16 @@ void supervise(SharedState& state, const CampaignSpec& spec,
       }
       state.failed_attempts.fetch_add(1, std::memory_order_relaxed);
       last_error = a.error;
-      if (telemetry != nullptr) {
-        telemetry->attemptFailed(hash, attempt, retry.max_attempts, a.error,
-                                 retry.backoffDelayMs(attempt));
-      }
+      telemetry.attemptFailed(hash, attempt, retry.max_attempts, a.error,
+                              retry.backoffDelayMs(attempt));
       std::ostringstream line;
       line << "[campaign] " << hash << " attempt " << attempt << "/"
            << retry.max_attempts << " failed: " << a.error;
       humanLine(line.str());
     }
     if (!committed) {
-      store.quarantine(hash, last_error, retry.max_attempts);
+      telemetry.shardQuarantined(hash, retry.max_attempts, last_error);
       state.quarantined.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry != nullptr) {
-        telemetry->shardQuarantined(hash, retry.max_attempts, last_error);
-      }
       std::ostringstream line;
       line << "[campaign] " << hash << " QUARANTINED after "
            << retry.max_attempts << " attempts: " << last_error;
@@ -384,55 +338,68 @@ CampaignOutcome runCampaign(const CampaignSpec& spec,
     store.writeFile("spec.json", spec_id.str());
   }
 
+  // Each shard's outcome so far is its last durable record; the fold skips
+  // a torn tail, which opening the writer below then truncates.
+  const std::map<std::string, ShardRecord> records = store.fold().shards;
+  // The campaign id is the hash of the same identity string the spec guard
+  // compares, so every resume of one checkpoint dir correlates under one id.
+  CampaignTelemetry telemetry(store, spec.name,
+                              hashHex(fnv1a64(spec_id.str())), shards.size(),
+                              options.workers, options.subprocess);
+
   CampaignOutcome outcome;
   outcome.shards_total = shards.size();
-
   SharedState state;
   state.shards = &shards;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const std::string hash = shards[i].hash();
-    if (store.hasResult(hash)) {
+    const auto it = records.find(hash);
+    const ShardRecord::State last =
+        it == records.end() ? ShardRecord::State::kRequeued : it->second.state;
+    if (last == ShardRecord::State::kCommitted) {
       ++outcome.completed_prior;
       continue;
     }
-    if (store.isQuarantined(hash)) {
-      if (options.retry_quarantined) {
-        store.clearQuarantine(hash);
-      } else {
+    if (last == ShardRecord::State::kQuarantined) {
+      if (!options.retry_quarantined) {
         ++outcome.quarantined;
         continue;
       }
+      telemetry.shardRequeued(hash);
     }
     state.pending.push_back(i);
   }
-
-  // The campaign id is the hash of the same identity string the spec guard
-  // compares, so every resume of one checkpoint dir correlates under one id.
-  std::optional<CampaignTelemetry> telemetry;
-  if (options.telemetry) {
-    telemetry.emplace(store, spec.name, hashHex(fnv1a64(spec_id.str())),
-                      shards.size(), options.workers, options.subprocess);
-    telemetry->campaignStarted(outcome.completed_prior, outcome.quarantined,
-                               state.pending.size());
-    state.telemetry = &*telemetry;
-  }
+  telemetry.campaignStarted(outcome.completed_prior, outcome.quarantined,
+                            state.pending.size());
   state.run_start = Clock::now();
 
-  std::vector<obs::MetricsRegistry> prof_regs(
-      options.telemetry ? options.workers : 0);
+  std::vector<obs::MetricsRegistry> prof_regs(options.workers);
   if (!state.pending.empty()) {
     const unsigned worker_count = std::min<unsigned>(
         options.workers, static_cast<unsigned>(state.pending.size()));
+    std::vector<std::exception_ptr> failures(worker_count);
     std::vector<std::thread> threads;
     threads.reserve(worker_count);
     for (unsigned w = 0; w < worker_count; ++w) {
       threads.emplace_back([&, w] {
-        supervise(state, spec, options, store, static_cast<int>(w),
-                  options.telemetry ? &prof_regs[w] : nullptr);
+        try {
+          supervise(state, spec, options, telemetry, static_cast<int>(w),
+                    prof_regs[w]);
+        } catch (...) {
+          // A stream write or sync, or a worker spawn, failed: stop the
+          // other supervisors and rethrow once they have joined.
+          failures[w] = std::current_exception();
+          state.stop.store(true, std::memory_order_relaxed);
+        }
       });
     }
     for (std::thread& t : threads) {
       t.join();
+    }
+    for (const std::exception_ptr& failure : failures) {
+      if (failure) {
+        std::rethrow_exception(failure);
+      }
     }
   }
 
@@ -446,18 +413,15 @@ CampaignOutcome runCampaign(const CampaignSpec& spec,
   const ReportInfo report_info = writeReport(spec, store, report);
   store.writeFile("report.json", report.str());
 
-  if (telemetry) {
-    obs::MetricsRegistry merged;
-    for (const obs::MetricsRegistry& r : prof_regs) {
-      merged.mergeFrom(r);
-    }
-    obs::recordProfSample(merged, "campaign//run",
-                          elapsedUs(state.run_start));
-    telemetry->writeSchedulerProfile(merged);
-    telemetry->campaignFinished(outcome.completed(), outcome.quarantined,
-                                outcome.failed_attempts, report_info.trials,
-                                outcome.stopped_early);
+  obs::MetricsRegistry merged;
+  for (const obs::MetricsRegistry& r : prof_regs) {
+    merged.mergeFrom(r);
   }
+  obs::recordProfSample(merged, "campaign//run", elapsedUs(state.run_start));
+  telemetry.writeSchedulerProfile(merged);
+  telemetry.campaignFinished(outcome.completed(), outcome.quarantined,
+                             outcome.failed_attempts, report_info.trials,
+                             outcome.stopped_early);
   return outcome;
 }
 
@@ -465,21 +429,24 @@ ReportInfo writeReport(const CampaignSpec& spec, const CheckpointStore& store,
                        std::ostream& out) {
   ReportInfo info;
   obs::MetricsRegistry registry;
+  const std::map<std::string, ShardRecord> records = store.fold().shards;
   // Merge in expansion order: the report's bytes depend only on which
   // shards have committed results, never on execution order or worker
   // count — the kill-and-resume byte-identity guarantee lives here.
   const std::vector<ShardConfig> shards = spec.expandShards();
   info.shards_total = shards.size();
   for (const ShardConfig& shard : shards) {
-    const std::string hash = shard.hash();
-    if (store.isQuarantined(hash)) {
-      ++info.shards_quarantined;
-    }
-    const std::optional<std::string> text = store.loadResult(hash);
-    if (!text) {
+    const auto it = records.find(shard.hash());
+    if (it == records.end()) {
       continue;
     }
-    const ShardResult result = ShardResult::parseJson(*text);
+    if (it->second.state == ShardRecord::State::kQuarantined) {
+      ++info.shards_quarantined;
+    }
+    if (it->second.state != ShardRecord::State::kCommitted) {
+      continue;
+    }
+    const ShardResult& result = it->second.result;
     ++info.shards_covered;
     info.trials += static_cast<std::size_t>(result.trials);
     for (const auto& [name, samples] : result.metrics) {

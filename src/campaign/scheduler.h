@@ -1,12 +1,13 @@
 // The campaign scheduler: work-sharing shard execution with worker
 // supervision, checkpoint/resume, and retry/timeout/backoff.
 //
-// runCampaign expands the spec into shards, drops every shard that already
-// has a committed result or quarantine marker in the checkpoint directory
-// (that single check IS crash recovery — results commit atomically, so a
-// SIGKILL'd campaign lost at most the shards that were in flight), then
-// lets `workers` supervisor threads claim the remainder from a shared
-// atomic cursor.  Each supervisor executes its shard either
+// runCampaign expands the spec into shards, drops every shard whose last
+// durable record in the checkpoint's events.jsonl is a commit or a
+// quarantine (that single fold IS crash recovery — a record is fdatasync'd
+// before the shard counts, so a SIGKILL'd campaign lost at most the shards
+// that were in flight), then lets `workers` supervisor threads claim the
+// remainder from a shared atomic cursor.  Each supervisor executes its
+// shard either
 //
 //   * in-process (default): directly through campaign::runShard — no
 //     isolation, but no spawn cost; a thrown attempt failure still goes
@@ -20,9 +21,11 @@
 // Failed attempts retry after capped exponential backoff
 // (RetryPolicy::backoffDelayMs); after max_attempts strikes the shard is
 // QUARANTINED — recorded, skipped by future resumes, and reported as
-// missing coverage — and the campaign keeps going.  Graceful degradation
-// over aborting is the design center: a 10k-shard sweep with one
-// pathological cell still delivers 9,999 shards of data.
+// missing coverage — and the campaign keeps going.  An in-process attempt
+// that throws any std::exception (a CheckError, or a std::bad_alloc from a
+// shard too large for memory) is a strike like a worker crash.  Graceful
+// degradation over aborting is the design center: a 10k-shard sweep with
+// one pathological cell still delivers 9,999 shards of data.
 #pragma once
 
 #include <cstddef>
@@ -46,17 +49,11 @@ struct CampaignOptions {
   /// shards; 0 = run to completion.  Deterministic partial campaigns for
   /// the kill-and-resume smoke tests and incremental budgeted runs.
   int shard_limit = 0;
-  /// Clear quarantine markers first and try those shards again.
+  /// Requeue quarantined shards (a durable shard_requeued record each)
+  /// and try them again.
   bool retry_quarantined = false;
   /// Per-shard progress lines on stderr.
   bool verbose = false;
-  /// Campaign telemetry (src/campaign/telemetry.h): events.jsonl (which
-  /// `--campaign-status` folds) and scheduler_profile.json in the
-  /// checkpoint dir, worker stderr piped through humanLine, and
-  /// `--emit-events` passed to subprocess workers.  Off leaves the
-  /// checkpoint directory and all observable behavior byte-identical to a
-  /// pre-telemetry build.
-  bool telemetry = true;
 };
 
 struct CampaignOutcome {
@@ -76,8 +73,9 @@ struct CampaignOutcome {
 };
 
 /// Runs (or resumes) the campaign against its checkpoint directory, then
-/// rewrites `<dir>/report.json`.  Throws util::CheckError when the
-/// directory already belongs to a different spec.
+/// rewrites `<dir>/report.json` and `<dir>/scheduler_profile.json`.  Throws
+/// util::CheckError when the directory already belongs to a different spec
+/// or its events.jsonl holds a malformed line.
 CampaignOutcome runCampaign(const CampaignSpec& spec,
                             const CampaignOptions& options);
 
@@ -89,11 +87,12 @@ struct ReportInfo {
   std::size_t trials = 0;
 };
 
-/// Merges every committed shard result (in spec expansion order — the
-/// output is independent of execution order, worker count, and how many
-/// times the campaign was interrupted) into a metrics.json-schema report
-/// that dynet_stats can summarize and diff.  Per-trial samples land in
-/// `trial/<metric>` series; coverage in `campaign/...` counters/gauges.
+/// Merges every committed shard result of the store's events.jsonl (in spec
+/// expansion order — the output is independent of execution order, worker
+/// count, and how many times the campaign was interrupted) into a
+/// metrics.json-schema report that dynet_stats can summarize and diff.
+/// Per-trial samples land in `trial/<metric>` series; coverage in
+/// `campaign/...` counters/gauges.
 ReportInfo writeReport(const CampaignSpec& spec, const CheckpointStore& store,
                        std::ostream& out);
 

@@ -247,7 +247,10 @@ std::string ShardResult::toJson() const {
 }
 
 ShardResult ShardResult::parseJson(const std::string& text) {
-  const obs::Json root = obs::Json::parse(text);
+  return fromJson(obs::Json::parse(text));
+}
+
+ShardResult ShardResult::fromJson(const obs::Json& root) {
   DYNET_CHECK(root.isObject() && root.has("dynet_shard"))
       << "not a shard result";
   ShardResult result;

@@ -22,6 +22,7 @@
 #include "sim/process.h"
 
 namespace dynet::obs {
+class Json;
 class MetricsRegistry;
 }  // namespace dynet::obs
 
@@ -56,9 +57,10 @@ struct ShardResult {
 
   /// Single-line JSON (`{"dynet_shard":1,...}`) with deterministic key
   /// order and round-trippable numbers — the exact bytes a worker prints
-  /// and the checkpoint store commits.
+  /// and a shard_committed record carries as its `result`.
   std::string toJson() const;
   static ShardResult parseJson(const std::string& text);
+  static ShardResult fromJson(const obs::Json& root);
 };
 
 /// Runs every trial of the shard (sequentially, one engine per trial) and

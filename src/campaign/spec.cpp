@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "campaign/shard_exec.h"
+#include "dataset/trace.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -200,12 +201,7 @@ double realField(const obs::Json& value, const std::string& key, double lo,
 }
 
 std::uint64_t fnv1a64(std::string_view data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return dataset::fnv1a64(data);
 }
 
 std::string hashHex(std::uint64_t h) {

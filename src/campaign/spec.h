@@ -32,8 +32,8 @@ class Json;
 namespace dynet::campaign {
 
 /// 64-bit FNV-1a — the content-address hash for shard configs (also used
-/// by the golden-corpus trace digests; offset/prime per the reference
-/// parameters).
+/// by the golden-corpus trace digests); dataset::fnv1a64 under the
+/// campaign layer's name.
 std::uint64_t fnv1a64(std::string_view data);
 
 /// Lower-case 16-hex-digit rendering of a 64-bit hash.

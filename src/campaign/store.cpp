@@ -21,39 +21,26 @@ CheckpointStore::CheckpointStore(std::string dir) : dir_(std::move(dir)) {
   fs::create_directories(dir_, ec);
   DYNET_CHECK(!ec && fs::is_directory(dir_))
       << "cannot create checkpoint dir " << dir_ << ": " << ec.message();
-  for (const char* sub : {"shards", "quarantine", "tmp"}) {
-    fs::create_directories(fs::path(dir_) / sub, ec);
-    DYNET_CHECK(!ec) << "cannot create " << dir_ << "/" << sub << ": "
-                     << ec.message();
-  }
+  const fs::path legacy = fs::path(dir_) / "shards";
+  DYNET_CHECK(!fs::exists(legacy))
+      << "checkpoint dir " << dir_ << " holds " << legacy.string()
+      << " from the pre-journal layout, whose results live outside "
+         "events.jsonl; rerun the campaign into a fresh directory";
 }
 
-std::string CheckpointStore::resultPath(const std::string& hash) const {
-  return (fs::path(dir_) / "shards" / (hash + ".json")).string();
+EventFold CheckpointStore::fold() const {
+  std::ifstream in(fs::path(dir_) / "events.jsonl");
+  return in.good() ? foldEvents(in) : EventFold{};
 }
 
-std::string CheckpointStore::quarantinePath(const std::string& hash) const {
-  return (fs::path(dir_) / "quarantine" / (hash + ".json")).string();
-}
-
-bool CheckpointStore::hasResult(const std::string& hash) const {
-  return fs::exists(resultPath(hash));
-}
-
-bool CheckpointStore::isQuarantined(const std::string& hash) const {
-  return fs::exists(quarantinePath(hash));
-}
-
-void CheckpointStore::atomicWrite(const std::string& final_path,
-                                  const std::string& contents) {
-  // Unique staging name per (pid, target): concurrent supervisor threads
-  // never commit the same hash, and a concurrent campaign process staging
-  // the same shard writes identical bytes — either rename winning is fine.
+void CheckpointStore::writeFile(const std::string& filename,
+                                const std::string& contents) {
+  // Staged beside its target under a per-process name: a concurrent
+  // campaign process writing the same file writes identical bytes, so
+  // either rename winning is fine.
+  const std::string final_path = (fs::path(dir_) / filename).string();
   const std::string tmp_path =
-      (fs::path(dir_) / "tmp" /
-       (fs::path(final_path).filename().string() + "." +
-        std::to_string(::getpid())))
-          .string();
+      final_path + ".tmp." + std::to_string(::getpid());
   const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   DYNET_CHECK(fd >= 0) << "cannot open " << tmp_path << ": "
                        << std::strerror(errno);
@@ -72,8 +59,7 @@ void CheckpointStore::atomicWrite(const std::string& final_path,
     }
     written += static_cast<std::size_t>(n);
   }
-  // fsync before rename: a committed file must never be seen torn, even
-  // across a power cut — the rename is the commit point, so a failed flush
+  // fsync before rename: the rename is the commit point, so a failed flush
   // or close must not reach it.
   const int synced = ::fsync(fd);
   const int sync_errno = errno;
@@ -87,50 +73,6 @@ void CheckpointStore::atomicWrite(const std::string& final_path,
   fs::rename(tmp_path, final_path, ec);
   DYNET_CHECK(!ec) << "rename " << tmp_path << " -> " << final_path << ": "
                    << ec.message();
-}
-
-void CheckpointStore::commitResult(const std::string& hash,
-                                   const std::string& json_line) {
-  atomicWrite(resultPath(hash), json_line + "\n");
-}
-
-std::optional<std::string> CheckpointStore::loadResult(
-    const std::string& hash) const {
-  std::ifstream in(resultPath(hash));
-  if (!in.good()) {
-    return std::nullopt;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-void CheckpointStore::quarantine(const std::string& hash,
-                                 const std::string& reason, int attempts) {
-  std::ostringstream out;
-  out << "{\"hash\":\"" << hash << "\",\"attempts\":" << attempts
-      << ",\"reason\":\"";
-  for (const char c : reason) {  // keep the marker parseable
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (c == '\n') {
-      out << "\\n";
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out << c;
-    }
-  }
-  out << "\"}\n";
-  atomicWrite(quarantinePath(hash), out.str());
-}
-
-void CheckpointStore::clearQuarantine(const std::string& hash) {
-  std::error_code ec;
-  fs::remove(quarantinePath(hash), ec);
-}
-
-void CheckpointStore::writeFile(const std::string& filename,
-                                const std::string& contents) {
-  atomicWrite((fs::path(dir_) / filename).string(), contents);
 }
 
 std::optional<std::string> CheckpointStore::readFile(

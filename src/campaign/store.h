@@ -1,55 +1,48 @@
-// Crash-safe checkpoint directory for campaign shards.
+// The campaign's checkpoint directory.
 //
-// Layout under the campaign's checkpoint directory:
+// Layout under the checkpoint directory, and nothing else:
 //
 //   spec.json               the spec this directory answers for (guard
 //                           against resuming into a foreign checkpoint)
-//   shards/<hash>.json      one committed ShardResult line per shard
-//   quarantine/<hash>.json  shards given up on after max_attempts strikes
-//   tmp/                    staging for atomic commits
+//   events.jsonl            append-only event stream (campaign/telemetry.h):
+//                           the one durable record of every shard outcome
+//                           and of the campaign's live status
 //   report.json             merged report (rewritten after every run)
-//   scheduler_profile.json  telemetry: where supervisor time went
-//   events.jsonl            telemetry: append-only event stream, the one
-//                           record of live status (campaign/telemetry.h)
+//   scheduler_profile.json  where supervisor time went
 //
-// Every file but events.jsonl is committed via write-to-temp + fsync +
-// rename, so a SIGKILL at any instant leaves either no file or a complete
-// one — never a torn result a resume would trust.  A resumed campaign simply skips every
-// hash that already has a committed result (or a quarantine marker), which
-// is the whole recovery story: no journal, no locks, no sequence numbers.
+// A shard's outcome is the last of its durable records in events.jsonl:
+// shard_committed (which carries the result), shard_quarantined or
+// shard_requeued.  The campaign's one EventWriter fdatasyncs each of them
+// before the scheduler counts, prints or reports the shard, and a SIGKILL
+// can tear only the final line, which every reader skips.  So a resumed
+// campaign runs exactly the shards whose last record is not a commit or a
+// quarantine.  The other files are written whole: staged beside their
+// target, fsync'd, then renamed into place.
+//
+// The store only reads events.jsonl, so a CheckpointStore may fold a
+// directory whose campaign is still running.
 #pragma once
 
 #include <optional>
 #include <string>
-#include <vector>
+
+#include "campaign/telemetry.h"
 
 namespace dynet::campaign {
 
 class CheckpointStore {
  public:
-  /// Opens (creating if needed) the checkpoint directory and its
-  /// subdirectories.  Throws util::CheckError when the path exists but is
-  /// not a directory.
+  /// Opens (creating if needed) the checkpoint directory.  Throws
+  /// util::CheckError when the path exists but is not a directory, or when
+  /// it holds the shards/ directory of the pre-journal layout, whose
+  /// results this store does not read.
   explicit CheckpointStore(std::string dir);
 
   const std::string& dir() const { return dir_; }
 
-  bool hasResult(const std::string& hash) const;
-  bool isQuarantined(const std::string& hash) const;
-
-  /// Atomically commits one shard result (a single JSON line).  Last
-  /// writer wins; results are deterministic so duplicate commits are
-  /// byte-identical anyway.
-  void commitResult(const std::string& hash, const std::string& json_line);
-
-  /// Committed result text, or nullopt when the shard has none.
-  std::optional<std::string> loadResult(const std::string& hash) const;
-
-  /// Atomically records that a shard was given up on.
-  void quarantine(const std::string& hash, const std::string& reason,
-                  int attempts);
-  /// Removes a quarantine marker (the --retry-quarantined path).
-  void clearQuarantine(const std::string& hash);
+  /// Folds `<dir>/events.jsonl` (an empty fold when there is none).
+  /// Throws a CheckError naming the line of a malformed record.
+  EventFold fold() const;
 
   /// Atomic write of a top-level file (spec.json, report.json,
   /// scheduler_profile.json).
@@ -57,12 +50,6 @@ class CheckpointStore {
   std::optional<std::string> readFile(const std::string& filename) const;
 
  private:
-  std::string resultPath(const std::string& hash) const;
-  std::string quarantinePath(const std::string& hash) const;
-  /// write-temp + fsync + rename into place.
-  void atomicWrite(const std::string& final_path,
-                   const std::string& contents);
-
   std::string dir_;
 };
 

@@ -84,10 +84,30 @@ void apply(CampaignStatus& s, const std::string& type, const obs::Json& e) {
   }
 }
 
+/// Applies one durable record: the last one for a hash is its outcome.
+void recordOutcome(std::map<std::string, ShardRecord>& shards,
+                   const std::string& type, const obs::Json& e) {
+  const std::string& hash = e.at("shard").str();
+  ShardRecord outcome;
+  if (type == "shard_committed") {
+    outcome.state = ShardRecord::State::kCommitted;
+    outcome.result = ShardResult::fromJson(e.at("result"));
+    DYNET_CHECK(outcome.result.hash == hash)
+        << "result hash " << outcome.result.hash << " does not match shard "
+        << hash;
+  } else if (type == "shard_quarantined") {
+    outcome.state = ShardRecord::State::kQuarantined;
+    outcome.attempts = attemptOf(e, "attempts");
+    outcome.error = e.at("error").str();
+  }
+  shards[hash] = std::move(outcome);
+}
+
 }  // namespace
 
-std::optional<CampaignStatus> foldStatus(std::istream& in) {
-  std::optional<CampaignStatus> status;
+EventFold foldEvents(std::istream& in) {
+  EventFold fold;
+  std::optional<CampaignStatus>& status = fold.status;
   std::string line;
   // A last line without its newline is a torn tail, as EventWriter treats
   // it: getline then stops at the end of the stream.
@@ -96,6 +116,10 @@ std::optional<CampaignStatus> foldStatus(std::istream& in) {
     try {
       const obs::Json e = obs::Json::parse(line);
       const std::string& type = e.at("type").str();
+      if (type == "shard_committed" || type == "shard_quarantined" ||
+          type == "shard_requeued") {
+        recordOutcome(fold.shards, type, e);
+      }
       if (type == "campaign_started") {
         // Each run starts over; its record credits the prior runs.
         const auto started_ms = static_cast<std::int64_t>(count(e, "ts_ms"));
@@ -124,7 +148,7 @@ std::optional<CampaignStatus> foldStatus(std::istream& in) {
       status->retrying += shard.state == "retrying" ? 1 : 0;
     }
   }
-  return status;
+  return fold;
 }
 
 CampaignTelemetry::CampaignTelemetry(CheckpointStore& store,
@@ -232,19 +256,24 @@ void CampaignTelemetry::attemptFailed(const std::string& hash, int attempt,
 }
 
 void CampaignTelemetry::shardCommitted(const std::string& hash, int attempt,
-                                       int trials) {
-  events_.emit(event("shard_committed")
-                   .str("shard", hash)
-                   .num("attempt", attempt)
-                   .num("trials", trials));
+                                       const ShardResult& result) {
+  events_.emitDurable(event("shard_committed")
+                          .str("shard", hash)
+                          .num("attempt", attempt)
+                          .num("trials", result.trials)
+                          .raw("result", result.toJson()));
 }
 
 void CampaignTelemetry::shardQuarantined(const std::string& hash, int attempts,
                                          const std::string& error) {
-  events_.emit(event("shard_quarantined")
-                   .str("shard", hash)
-                   .num("attempts", attempts)
-                   .str("error", error));
+  events_.emitDurable(event("shard_quarantined")
+                          .str("shard", hash)
+                          .num("attempts", attempts)
+                          .str("error", error));
+}
+
+void CampaignTelemetry::shardRequeued(const std::string& hash) {
+  events_.emitDurable(event("shard_requeued").str("shard", hash));
 }
 
 void CampaignTelemetry::workerSpawned(int slot, pid_t pid, double spawn_ms) {
@@ -270,7 +299,11 @@ void CampaignTelemetry::workerEvent(int slot, int attempt,
     const obs::Json parsed = obs::Json::parse(line);
     DYNET_CHECK(parsed.isObject() && parsed.has("type"))
         << "worker event line without a type";
-    e = event(parsed.at("type").str());
+    const std::string& type = parsed.at("type").str();
+    // The durable records are the supervisor's alone.
+    DYNET_CHECK(type == "shard_exec_started" || type == "shard_exec_finished")
+        << "a worker may not emit '" << type << "' events";
+    e = event(type);
     if (parsed.has("shard")) {
       e.str("shard", parsed.at("shard").str());
     }
@@ -281,7 +314,7 @@ void CampaignTelemetry::workerEvent(int slot, int attempt,
       }
     }
   } catch (const util::CheckError& err) {
-    humanLine("[campaign] dropping malformed worker event: " + err.message());
+    humanLine("[campaign] dropping worker event: " + err.message());
     return;
   }
   events_.emit(e);

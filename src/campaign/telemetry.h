@@ -1,9 +1,8 @@
-// Campaign telemetry: a structured event stream, the live status folded
-// from it, and scheduler self-profiling, layered beside (never inside) the
-// checkpoint store's determinism contracts.
+// Campaign telemetry: the event stream that is a campaign's durable record,
+// the live status and shard outcomes folded from it, and scheduler
+// self-profiling.
 //
-// Two artifacts land in the campaign's checkpoint directory when telemetry
-// is enabled (CampaignOptions::telemetry, the default):
+// Two artifacts land in the campaign's checkpoint directory:
 //
 //   events.jsonl            append-only typed event stream (obs::EventWriter:
 //                           O_APPEND + whole-line writes, torn tail repaired
@@ -13,22 +12,26 @@
 //                           any prof/ timers from in-process execution),
 //                           diffable with dynet_stats
 //
-// The stream is the only copy of the campaign's live state: foldStatus
-// replays it into counts and an attention map on request, which is what
-// `dynet_cli --campaign-status` renders.  Each CampaignTelemetry method is
-// one emit, ordered by the EventWriter's own lock.
+// Three records are durable: shard_committed (carrying the shard's result),
+// shard_quarantined and shard_requeued are fdatasync'd before their emit
+// returns, and the last of them for a shard hash is that shard's outcome.
+// Resume and the report merge read those outcomes from foldEvents; the
+// other records are unsynced progress.  The same fold replays the stream
+// into counts and an attention map, which is what `dynet_cli
+// --campaign-status` renders.  Each CampaignTelemetry method is one emit,
+// ordered by the EventWriter's own lock.
 //
 // Correlation chain: every event carries the campaign id (the hex FNV-1a of
 // the spec identity — the same string the spec.json guard compares), shard
 // events carry the shard's content hash, and attempt-scoped events carry
-// the 1-based attempt number.  Worker subprocesses emit their own
-// shard_exec_* events over the stdout JSON-lines protocol; the supervisor
-// re-emits them here with slot/attempt context so one stream covers
-// in-process and subprocess execution identically.
+// the 1-based attempt number.  Worker subprocesses report shard_exec_*
+// events over the stdout JSON-lines protocol; the supervisor re-emits those
+// two types here with slot/attempt context, so one stream covers in-process
+// and subprocess execution identically, and only the supervisor writes a
+// durable record.
 //
-// report.json stays byte-identical with telemetry on or off: nothing here
-// touches it.  The folded status's terminal counts match the merged report;
-// its timestamps and rates are wall-clock (docs/OBSERVABILITY.md).
+// The folded status's terminal counts match the merged report; its
+// timestamps and rates are wall-clock (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstddef>
@@ -39,6 +42,7 @@
 #include <string>
 #include <sys/types.h>
 
+#include "campaign/shard_exec.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 
@@ -82,11 +86,29 @@ struct CampaignStatus {
   std::map<std::string, Shard> attention;  // by shard hash
 };
 
-/// Folds an events.jsonl stream into the status of its last campaign run:
-/// nullopt when the stream holds no campaign_started record.  A final line
-/// without a newline is a torn tail and is skipped; a malformed complete
-/// line throws a CheckError naming its 1-based line number.
-std::optional<CampaignStatus> foldStatus(std::istream& in);
+/// A shard's outcome: its last durable record in the stream.  A requeued
+/// shard is pending, as one without a record is.
+struct ShardRecord {
+  enum class State { kCommitted, kQuarantined, kRequeued };
+  State state = State::kRequeued;
+  ShardResult result;  // kCommitted: the committed result
+  int attempts = 0;    // kQuarantined: strikes spent
+  std::string error;   // kQuarantined: the last strike's reason
+};
+
+/// One pass over an events.jsonl stream.
+struct EventFold {
+  /// The status of the last campaign run: nullopt when the stream holds no
+  /// campaign_started record.
+  std::optional<CampaignStatus> status;
+  /// Every shard with a durable record, by hash, across all runs.
+  std::map<std::string, ShardRecord> shards;
+};
+
+/// Folds an events.jsonl stream.  A final line without a newline is a torn
+/// tail and is skipped; a malformed complete line throws a CheckError
+/// naming its 1-based line number.
+EventFold foldEvents(std::istream& in);
 
 class CampaignTelemetry {
  public:
@@ -120,17 +142,22 @@ class CampaignTelemetry {
                     double engine_us, int trials);
   void attemptFailed(const std::string& hash, int attempt, int max_attempts,
                      const std::string& error, int backoff_ms);
-  void shardCommitted(const std::string& hash, int attempt, int trials);
+  /// The three durable records: each returns once its line is fdatasync'd.
+  void shardCommitted(const std::string& hash, int attempt,
+                      const ShardResult& result);
   void shardQuarantined(const std::string& hash, int attempts,
                         const std::string& error);
+  /// A quarantined shard put back in the queue (--retry-quarantined).
+  void shardRequeued(const std::string& hash);
 
   // -- worker lifecycle ---------------------------------------------------
   void workerSpawned(int slot, pid_t pid, double spawn_ms);
   void workerExited(int slot, pid_t pid, int status,
                     const std::string& reason);
   /// Re-emits one worker-emitted event line (a stdout line starting with
-  /// `{"dynet_event"`) with campaign/slot/attempt context attached.
-  /// Malformed lines are surfaced via humanLine instead of thrown.
+  /// `{"dynet_event"`) with campaign/slot/attempt context attached.  Only
+  /// shard_exec_started and shard_exec_finished are taken from a worker;
+  /// any other type, and a malformed line, is dropped through humanLine.
   void workerEvent(int slot, int attempt, const std::string& line);
   /// One complete line drained from a worker's piped stderr: re-printed
   /// through humanLine and recorded as a worker_stderr event.

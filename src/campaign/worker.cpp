@@ -53,7 +53,7 @@ void applySabotage(const ShardConfig& shard) {
 
 }  // namespace
 
-int workerMain(std::istream& in, std::ostream& out, bool emit_events) {
+int workerMain(std::istream& in, std::ostream& out) {
   std::string line;
   std::uint64_t seq = 0;
   while (std::getline(in, line)) {
@@ -65,11 +65,6 @@ int workerMain(std::istream& in, std::ostream& out, bool emit_events) {
     // supervisor turns it into a strike.
     const ShardConfig shard = parseShardConfig(obs::Json::parse(line));
     applySabotage(shard);
-    if (!emit_events) {
-      const ShardResult result = runShard(shard);
-      out << result.toJson() << "\n" << std::flush;
-      continue;
-    }
     const std::string hash = shard.hash();
     out << obs::Event("shard_exec_started").str("shard", hash).serialize(seq++)
         << "\n"

@@ -3,7 +3,9 @@
 //
 // Protocol (JSON lines over stdin/stdout):
 //   parent -> worker : one canonical shard-config JSON object per line
-//   worker -> parent : one ShardResult JSON line per shard, flushed
+//   worker -> parent : per shard, a shard_exec_started event line, a
+//                      shard_exec_finished event line (exec_ms / engine_us /
+//                      trials), then one ShardResult JSON line, each flushed
 //   parent closes stdin (EOF) -> worker exits 0
 //
 // The worker is deliberately dumb: no retries, no checkpointing, no
@@ -14,16 +16,11 @@
 // "crash_once") are honored here so tests can exercise the supervision
 // ladder with real processes.
 //
-// With `emit_events` (the supervisor passes `--emit-events` when campaign
-// telemetry is on) the worker interleaves structured event lines — JSON
-// objects starting with `{"dynet_event"` — into its stdout stream:
-// shard_exec_started before running a shard and shard_exec_finished (with
-// exec_ms / engine_us / trials) after, each flushed immediately.  The
-// supervisor recognizes the prefix, re-emits the events into the
-// campaign's events.jsonl with slot/attempt context, and still treats the
-// first non-event line as the shard result — so the result protocol is
-// unchanged and pre-telemetry supervisors keep working against workers
-// that never see the flag.
+// Event lines are JSON objects starting with `{"dynet_event"`.  The
+// supervisor recognizes the prefix, re-emits those two event types into the
+// campaign's events.jsonl with slot/attempt context, and treats the first
+// non-event line as the shard result.  Committing that result is the
+// supervisor's job alone.
 #pragma once
 
 #include <iosfwd>
@@ -31,6 +28,6 @@
 namespace dynet::campaign {
 
 /// Runs the worker loop until EOF on `in`.  Returns the process exit code.
-int workerMain(std::istream& in, std::ostream& out, bool emit_events = false);
+int workerMain(std::istream& in, std::ostream& out);
 
 }  // namespace dynet::campaign

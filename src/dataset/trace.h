@@ -102,10 +102,10 @@ CompiledTrace compile(const TraceEvents& events);
 CompiledTrace randomTrace(net::NodeId n, sim::Round rounds, int churn,
                           std::uint64_t seed);
 
-/// FNV-1a 64 over raw bytes (same constants as campaign::fnv1a64; the
-/// dataset layer carries its own copy so campaign can depend on dataset,
-/// not the other way around).  The seeded overload continues a chain, for
-/// hashing multi-file sources in canonical order.
+/// FNV-1a 64 over raw bytes, the one implementation (campaign::fnv1a64
+/// calls it, so campaign depends on dataset, not the other way around).
+/// The seeded overload continues a chain, for hashing multi-file sources
+/// in canonical order.
 std::uint64_t fnv1a64(std::string_view data);
 std::uint64_t fnv1a64(std::string_view data, std::uint64_t state);
 

@@ -80,10 +80,9 @@ ReductionResult runCFloodReduction(const cc::Instance& inst,
   result.horizon = network.horizon();
   result.num_nodes = network.numNodes();
 
-  // Reference execution with full traces.
+  // Reference execution with its action trace, which runLockstep reads.
   sim::EngineConfig config;
   config.max_rounds = network.horizon();
-  config.record_topologies = true;
   config.record_actions = true;
   config.stop_when_all_done = false;
   sim::Engine reference(sim::createProcesses(oracle, network.numNodes()),
@@ -140,7 +139,6 @@ ReductionResult runConsensusReduction(const cc::Instance& inst,
 
   sim::EngineConfig config;
   config.max_rounds = network.horizon();
-  config.record_topologies = true;
   config.record_actions = true;
   config.stop_when_all_done = false;
   sim::Engine reference(sim::createProcesses(oracle, network.numNodes()),

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <sys/stat.h>
 #include <unistd.h>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -63,6 +64,11 @@ Event& Event::num(const std::string& key, double value) {
 
 Event& Event::boolean(const std::string& key, bool value) {
   fields_.emplace_back(key, value ? "true" : "false");
+  return *this;
+}
+
+Event& Event::raw(const std::string& key, std::string json) {
+  fields_.emplace_back(key, std::move(json));
   return *this;
 }
 
@@ -134,6 +140,15 @@ std::uint64_t EventWriter::emit(const Event& event) {
     }
     DYNET_CHECK(n >= 0) << "write event stream: " << std::strerror(errno);
     written += static_cast<std::size_t>(n);
+  }
+  return seq;
+}
+
+std::uint64_t EventWriter::emitDurable(const Event& event) {
+  const std::uint64_t seq = emit(event);
+  if (fd_ >= 0) {
+    DYNET_CHECK(::fdatasync(fd_) == 0)
+        << "fdatasync event stream: " << std::strerror(errno);
   }
   return seq;
 }

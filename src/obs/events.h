@@ -15,7 +15,9 @@
 // for append repairs exactly that case — the file is truncated back to the
 // last complete line and `seq` continues from the surviving record count,
 // which is what keeps an interrupted-and-resumed campaign's stream
-// contiguous.  emit() is thread-safe (one mutex, whole-line writes).
+// contiguous.  emit() is thread-safe (one mutex, whole-line writes);
+// emitDurable() also fdatasyncs before it returns, for the records a
+// campaign resumes from.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +38,8 @@ class Event {
   Event& str(const std::string& key, const std::string& value);
   Event& num(const std::string& key, double value);
   Event& boolean(const std::string& key, bool value);
+  /// A value that is already one rendered single-line JSON value.
+  Event& raw(const std::string& key, std::string json);
 
   const std::string& type() const { return type_; }
 
@@ -69,6 +73,11 @@ class EventWriter {
   /// Serializes and appends one record; returns the sequence number it got.
   /// Thread-safe.
   std::uint64_t emit(const Event& event);
+  /// emit(), then fdatasync: the record (and every one before it) is on
+  /// disk when this returns.  The sync runs outside the lock, so other
+  /// threads keep appending meanwhile.  Throws util::CheckError when the
+  /// sync fails.
+  std::uint64_t emitDurable(const Event& event);
 
   /// Records written by this writer plus lines inherited from the file.
   std::uint64_t nextSeq() const { return seq_; }

@@ -24,7 +24,6 @@ class Json {
 
   Type type() const { return type_; }
   bool isObject() const { return type_ == Type::kObject; }
-  bool isArray() const { return type_ == Type::kArray; }
   bool isNumber() const { return type_ == Type::kNumber; }
   bool isString() const { return type_ == Type::kString; }
 

@@ -40,7 +40,6 @@ class CFloodFactory : public sim::ProcessFactory {
                                        sim::NodeId num_nodes) const override;
 
   sim::NodeId source() const { return source_; }
-  sim::Round waitRounds() const { return wait_rounds_; }
 
  private:
   sim::NodeId source_;

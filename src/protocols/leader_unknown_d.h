@@ -125,7 +125,6 @@ class LeaderElectProcess : public sim::Process {
       std::vector<std::pair<std::string, double>>& out) const override;
 
   std::uint64_t leaderKey() const { return leader_; }
-  std::uint64_t lockedBy() const { return locked_by_; }
   int declaredInPhase() const { return declared_phase_; }
 
   // Instrumentation for ablation benches.

@@ -58,8 +58,6 @@ class MaxFloodFactory : public sim::ProcessFactory {
   std::unique_ptr<sim::SoAModel> createSoA(
       sim::NodeId num_nodes) const override;
 
-  sim::Round totalRounds() const { return total_rounds_; }
-
  private:
   std::vector<std::uint64_t> values_;
   int value_bits_;

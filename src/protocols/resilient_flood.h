@@ -60,11 +60,6 @@ class ResilientFloodProcess : public sim::Process {
   bool hasToken() const { return has_token_; }
   /// Round at whose end the token arrived (0 for the source; -1 if absent).
   sim::Round tokenRound() const { return token_round_; }
-  /// Deliveries discarded for failing checksum verification.
-  int corruptRejected() const { return corrupt_rejected_; }
-  /// Token transmissions so far; every one past the first is a
-  /// retransmission paid to outlast drops and crashes.
-  int tokenTransmissions() const { return token_transmissions_; }
 
  private:
   sim::NodeId node_;
@@ -75,8 +70,8 @@ class ResilientFloodProcess : public sim::Process {
   int cooldown_ = 0;      // rounds until the next send attempt
   int quiet_listens_ = 0; // consecutive request-free listen rounds
   bool quiescent_ = false;
-  int corrupt_rejected_ = 0;
-  int token_transmissions_ = 0;
+  int corrupt_rejected_ = 0;     // deliveries failing checksum verification
+  int token_transmissions_ = 0;  // all past the first are retransmissions
 };
 
 class ResilientFloodFactory : public sim::ProcessFactory {

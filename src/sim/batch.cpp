@@ -10,6 +10,9 @@ TrialSummary BatchRunner::run(int trials, std::uint64_t base_seed,
                               const BatchTrialFn& body,
                               TrialSamples* samples) {
   DYNET_CHECK(trials >= 1) << "trials=" << trials;
+  DYNET_CHECK(options_.threads <= 1)
+      << "BatchOptions::threads = " << options_.threads
+      << ": use 0 (the shared pool) or 1 (inline)";
   const auto n = static_cast<std::size_t>(trials);
   // Trial i writes records[i] alone, so no slot is shared between threads.
   std::vector<std::map<std::string, double>> records(n);
@@ -22,11 +25,8 @@ TrialSummary BatchRunner::run(int trials, std::uint64_t base_seed,
     for (std::size_t i = 0; i < n; ++i) {
       run_trial(i);
     }
-  } else if (options_.threads == 0) {
-    util::ThreadPool::shared().parallelFor(n, run_trial);
   } else {
-    util::ThreadPool pool(options_.threads);
-    pool.parallelFor(n, run_trial);
+    util::ThreadPool::shared().parallelFor(n, run_trial);
   }
 
   // Merge in trial order: per metric, samples land in the Summary in the

@@ -59,7 +59,8 @@ struct BatchOptions {
   /// 0 = the process-wide util::ThreadPool::shared() (respects the
   /// DYNET_THREADS env override); 1 = run every trial inline on the
   /// calling thread (sequential, useful for tests and for bodies that
-  /// attach a MetricsSink); k > 1 = a dedicated pool of k threads.
+  /// attach a MetricsSink).  Any other value is a CheckError: trials share
+  /// the one pool that bounds the process's threads.
   unsigned threads = 0;
 };
 

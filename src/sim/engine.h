@@ -59,7 +59,7 @@ struct EngineConfig {
   /// in the inbox span onDeliver receives — ports are stable within a
   /// round, unrelated across rounds.  Off (the default) is byte-
   /// identical to pre-anonymous behavior: the flag is never read outside
-  /// delivery (pinned by tests/anon_test.cpp, --no-telemetry pattern).
+  /// delivery (pinned by tests/anon_test.cpp).
   /// Anonymous runs force the object process path (SoA models index state
   /// by real node id).
   bool anonymous = false;

@@ -23,53 +23,38 @@ void closeFd(int& fd) {
 
 }  // namespace
 
-Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
-                             bool pipe_stderr) {
+Subprocess Subprocess::spawn(const std::vector<std::string>& argv) {
   DYNET_CHECK(!argv.empty()) << "empty argv";
-  int to_child[2];   // parent writes -> child stdin
-  int from_child[2]; // child stdout -> parent reads
-  int err_child[2] = {-1, -1};  // child stderr -> parent reads (optional)
-  DYNET_CHECK(::pipe(to_child) == 0) << "pipe: " << std::strerror(errno);
-  if (::pipe(from_child) != 0) {
-    const int err = errno;
-    ::close(to_child[0]);
-    ::close(to_child[1]);
-    DYNET_CHECK(false) << "pipe: " << std::strerror(err);
-  }
-  if (pipe_stderr && ::pipe(err_child) != 0) {
-    const int err = errno;
-    ::close(to_child[0]);
-    ::close(to_child[1]);
-    ::close(from_child[0]);
-    ::close(from_child[1]);
-    DYNET_CHECK(false) << "pipe: " << std::strerror(err);
+  // [0] = child stdin (parent writes), [1] = stdout, [2] = stderr.
+  int pipes[3][2];
+  for (int i = 0; i < 3; ++i) {
+    if (::pipe(pipes[i]) != 0) {
+      const int err = errno;
+      for (int j = 0; j < i; ++j) {
+        ::close(pipes[j][0]);
+        ::close(pipes[j][1]);
+      }
+      DYNET_CHECK(false) << "pipe: " << std::strerror(err);
+    }
   }
   const pid_t pid = ::fork();
   if (pid < 0) {
     const int err = errno;
-    ::close(to_child[0]);
-    ::close(to_child[1]);
-    ::close(from_child[0]);
-    ::close(from_child[1]);
-    if (pipe_stderr) {
-      ::close(err_child[0]);
-      ::close(err_child[1]);
+    for (auto& p : pipes) {
+      ::close(p[0]);
+      ::close(p[1]);
     }
     DYNET_CHECK(false) << "fork: " << std::strerror(err);
   }
   if (pid == 0) {
-    // Child: wire the pipe ends onto stdin/stdout, drop everything else.
-    ::dup2(to_child[0], STDIN_FILENO);
-    ::dup2(from_child[1], STDOUT_FILENO);
-    if (pipe_stderr) {
-      ::dup2(err_child[1], STDERR_FILENO);
-      ::close(err_child[0]);
-      ::close(err_child[1]);
+    // Child: wire the pipe ends onto stdin/stdout/stderr, drop the rest.
+    ::dup2(pipes[0][0], STDIN_FILENO);
+    ::dup2(pipes[1][1], STDOUT_FILENO);
+    ::dup2(pipes[2][1], STDERR_FILENO);
+    for (auto& p : pipes) {
+      ::close(p[0]);
+      ::close(p[1]);
     }
-    ::close(to_child[0]);
-    ::close(to_child[1]);
-    ::close(from_child[0]);
-    ::close(from_child[1]);
     std::vector<char*> args;
     args.reserve(argv.size() + 1);
     for (const std::string& a : argv) {
@@ -82,14 +67,12 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
   }
   Subprocess p;
   p.pid_ = pid;
-  p.stdin_fd_ = to_child[1];
-  p.stdout_fd_ = from_child[0];
-  ::close(to_child[0]);
-  ::close(from_child[1]);
-  if (pipe_stderr) {
-    p.stderr_fd_ = err_child[0];
-    ::close(err_child[1]);
-  }
+  p.stdin_fd_ = pipes[0][1];
+  p.stdout_fd_ = pipes[1][0];
+  p.stderr_fd_ = pipes[2][0];
+  ::close(pipes[0][0]);
+  ::close(pipes[1][1]);
+  ::close(pipes[2][1]);
   return p;
 }
 
@@ -239,8 +222,6 @@ void Subprocess::kill() {
     ::kill(pid_, SIGKILL);
   }
 }
-
-void Subprocess::closeStdin() { closeFd(stdin_fd_); }
 
 int Subprocess::wait() {
   if (reaped_ || pid_ <= 0) {

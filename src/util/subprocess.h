@@ -4,9 +4,9 @@
 // (`dynet_cli --worker`) speaking JSON-lines over stdin/stdout, so a worker
 // that segfaults, aborts on a DYNET_CHECK, or wedges in an infinite loop
 // costs one shard attempt instead of the whole sweep.  Subprocess is the
-// minimal supervision primitive behind that: fork/exec with both standard
-// streams piped, deadline-bounded line reads (poll on the read end), and
-// kill-then-reap teardown.
+// minimal supervision primitive behind that: fork/exec with all three
+// standard streams piped, deadline-bounded line reads (poll on the read
+// end), and kill-then-reap teardown.
 //
 // Reads are buffered internally; writeLine/readLine are not thread-safe —
 // one supervisor thread owns one Subprocess.
@@ -21,17 +21,14 @@ namespace dynet::util {
 class Subprocess {
  public:
   /// Spawns argv[0] with `argv` as its argument vector (argv[0] is the
-  /// executable path; no shell, no PATH search).  stdin/stdout are piped;
-  /// by default stderr passes through to the parent's stderr so worker
-  /// diagnostics stay visible.  With `pipe_stderr` the child's stderr is
-  /// piped too (drain it via drainStderrLines) so a supervisor can re-emit
-  /// complete lines through a single writer instead of letting children
-  /// interleave mid-line — the caller then owns keeping the pipe drained
-  /// (readLine drains it opportunistically while waiting on stdout).
-  /// Throws util::CheckError when the pipes or fork fail; an exec failure
-  /// surfaces as immediate child exit 127.
-  static Subprocess spawn(const std::vector<std::string>& argv,
-                          bool pipe_stderr = false);
+  /// executable path; no shell, no PATH search).  stdin, stdout and stderr
+  /// are piped.  Drain stderr via drainStderrLines, so a supervisor can
+  /// re-emit complete lines through a single writer instead of letting
+  /// children interleave mid-line — the caller owns keeping the pipe
+  /// drained (readLine drains it opportunistically while waiting on
+  /// stdout).  Throws util::CheckError when the pipes or fork fail; an exec
+  /// failure surfaces as immediate child exit 127.
+  static Subprocess spawn(const std::vector<std::string>& argv);
 
   Subprocess(Subprocess&& other) noexcept;
   Subprocess& operator=(Subprocess&&) = delete;
@@ -55,23 +52,18 @@ class Subprocess {
 
   /// Reads one '\n'-terminated line from the child's stdout, waiting at
   /// most `timeout_ms` (< 0 = wait forever).  On kTimeout the child is
-  /// still running and the partial data stays buffered.  When stderr is
-  /// piped it is drained into the internal buffer while waiting, so a
-  /// chatty child can't fill the pipe and deadlock against us.
+  /// still running and the partial data stays buffered.  Stderr is drained
+  /// into the internal buffer while waiting, so a chatty child can't fill
+  /// the pipe and deadlock against us.
   ReadStatus readLine(std::string* out, int timeout_ms);
 
   /// Moves every complete stderr line received so far into `out`
   /// (newlines stripped).  Non-blocking; partial trailing data stays
-  /// buffered until its newline arrives or the child exits.  No-op unless
-  /// spawned with pipe_stderr.
+  /// buffered until its newline arrives or the child exits.
   void drainStderrLines(std::vector<std::string>* out);
 
   /// SIGKILLs the child (no-op if already reaped).
   void kill();
-
-  /// Closes the child's stdin (EOF for a read loop) without touching
-  /// stdout; a well-behaved worker exits on its own afterwards.
-  void closeStdin();
 
   /// Reaps the child, blocking until it exits.  Returns the exit code for
   /// a normal exit, or -signal when the child died on a signal.  Idempotent
@@ -86,7 +78,7 @@ class Subprocess {
   pid_t pid_ = -1;
   int stdin_fd_ = -1;
   int stdout_fd_ = -1;
-  int stderr_fd_ = -1;      // -1 unless spawned with pipe_stderr
+  int stderr_fd_ = -1;      // -1 once the child closed its stderr
   std::string buffer_;        // stdout bytes past the last returned line
   std::string stderr_buffer_;  // stderr bytes past the last drained line
   bool reaped_ = false;

@@ -1,6 +1,7 @@
 // Campaign-layer coverage: spec parsing and shard expansion, content
-// addressing, the crash-safe checkpoint store, retry/backoff policy math,
-// and full campaign runs in both execution modes.
+// addressing, the durable records of the checkpoint's events.jsonl,
+// retry/backoff policy math, and full campaign runs in both execution
+// modes.
 //
 // The supervision ladder is exercised with REAL subprocess workers (the
 // dynet_cli binary from the build tree, via DYNET_TOOLS_DIR) and the
@@ -11,9 +12,11 @@
 // uninterrupted) are the determinism contract of docs/CAMPAIGNS.md.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -294,26 +297,53 @@ TEST(RetryPolicy, BackoffDoublesAndCaps) {
   EXPECT_THROW(retry.backoffDelayMs(0), util::CheckError);
 }
 
-TEST(CheckpointStore, CommitLoadQuarantineRoundTrip) {
-  CheckpointStore store(freshDir("campaign_store"));
-  EXPECT_FALSE(store.hasResult("aa"));
-  store.commitResult("aa", "{\"x\":1}");
-  EXPECT_TRUE(store.hasResult("aa"));
-  EXPECT_EQ(store.loadResult("aa").value(), "{\"x\":1}\n");
-  EXPECT_FALSE(store.loadResult("bb").has_value());
-  // Commits stage through tmp/ and rename into place; nothing may linger.
-  EXPECT_TRUE(fs::is_empty(fs::path(store.dir()) / "tmp"));
+ShardResult sampleResult(const std::string& hash) {
+  ShardResult result;
+  result.hash = hash;
+  result.trials = 2;
+  result.metrics["rounds"] = {7, 9.5};
+  result.metrics["all_done"] = {1, 1};
+  return result;
+}
 
-  EXPECT_FALSE(store.isQuarantined("cc"));
-  store.quarantine("cc", "died: \"segv\"\nrepeatedly", 3);
-  EXPECT_TRUE(store.isQuarantined("cc"));
-  // The marker must be parseable JSON despite quotes/newlines in the reason.
-  const obs::Json marker =
-      obs::Json::parse(store.readFile("quarantine/cc.json").value());
-  EXPECT_EQ(marker.at("hash").str(), "cc");
-  EXPECT_EQ(marker.at("attempts").number(), 3);
-  store.clearQuarantine("cc");
-  EXPECT_FALSE(store.isQuarantined("cc"));
+TEST(CheckpointStore, CommitLoadQuarantineRoundTrip) {
+  // A shard's outcome is the last of its durable records in events.jsonl.
+  CheckpointStore store(freshDir("campaign_store"));
+  EXPECT_TRUE(store.fold().shards.empty());  // no stream yet
+  const std::string reason = "died: \"segv\"\nrepeatedly";
+  {
+    CampaignTelemetry journal(store, "t", "c", 4, 1, false);
+    journal.shardCommitted("aa", 1, sampleResult("aa"));
+    journal.shardQuarantined("cc", 3, reason);
+    journal.shardQuarantined("dd", 2, "boom");
+    journal.shardRequeued("dd");
+  }
+  const std::map<std::string, ShardRecord> shards = store.fold().shards;
+  ASSERT_EQ(shards.size(), 3u);
+  EXPECT_EQ(shards.at("aa").state, ShardRecord::State::kCommitted);
+  EXPECT_EQ(shards.at("aa").result.toJson(), sampleResult("aa").toJson());
+  // The reason survives its quotes and newline.
+  EXPECT_EQ(shards.at("cc").state, ShardRecord::State::kQuarantined);
+  EXPECT_EQ(shards.at("cc").error, reason);
+  EXPECT_EQ(shards.at("cc").attempts, 3);
+  // A requeued shard is pending again: neither committed nor quarantined.
+  EXPECT_EQ(shards.at("dd").state, ShardRecord::State::kRequeued);
+  EXPECT_FALSE(shards.count("bb"));
+
+  // A committed record whose result answers for another shard is refused.
+  {
+    CampaignTelemetry journal(store, "t", "c", 4, 1, false);
+    journal.shardCommitted("bb", 1, sampleResult("aa"));
+  }
+  try {
+    store.fold();
+    ADD_FAILURE() << "folded a result under the wrong shard";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("event line 5: result hash aa does "
+                                         "not match shard bb"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ShardExec, ResultJsonRoundTrips) {
@@ -526,6 +556,22 @@ TEST(Campaign, InProcessSabotageQuarantinesAndDegrades) {
 
 std::string workerCmd() { return std::string(DYNET_TOOLS_DIR) + "/dynet_cli"; }
 
+/// Each shard_committed record's `result` payload, by shard, as written.
+std::map<std::string, std::string> committedResults(const std::string& dir) {
+  std::map<std::string, std::string> results;
+  std::ifstream in(dir + "/events.jsonl");
+  std::string line;
+  while (std::getline(in, line)) {
+    const obs::Json e = obs::Json::parse(line);
+    if (e.at("type").str() == "shard_committed") {
+      // `result` is the record's last field.
+      const std::size_t at = line.find("\"result\":") + 9;
+      results[e.at("shard").str()] = line.substr(at, line.size() - 1 - at);
+    }
+  }
+  return results;
+}
+
 TEST(Campaign, SubprocessModeMatchesInProcessByteForByte) {
   const CampaignSpec spec = CampaignSpec::parse(smallSpecText());
   CampaignOptions inproc;
@@ -543,6 +589,11 @@ TEST(Campaign, SubprocessModeMatchesInProcessByteForByte) {
                                       << outcome.failed_attempts;
   EXPECT_EQ(reportOf(inproc.checkpoint_dir),
             reportOf(subproc.checkpoint_dir));
+  // So are the result payloads of the durable records.
+  const std::map<std::string, std::string> results =
+      committedResults(inproc.checkpoint_dir);
+  EXPECT_EQ(results.size(), 8u);
+  EXPECT_EQ(results, committedResults(subproc.checkpoint_dir));
 }
 
 TEST(Campaign, CrashingWorkerIsQuarantinedCampaignCompletes) {
@@ -620,6 +671,211 @@ TEST(Campaign, FlakyWorkerSucceedsOnRetry) {
   fs::remove(marker);
 }
 
+// ---------------------------------------------------------- durable records
+
+std::string readText(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+std::set<std::string> listing(const std::string& dir) {
+  std::set<std::string> names;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    names.insert(entry.path().filename().string());
+  }
+  return names;
+}
+
+/// The shard hash of every complete `type` record in an events.jsonl text.
+std::vector<std::string> recordShards(const std::string& text,
+                                      const std::string& type) {
+  std::vector<std::string> hashes;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line) && !lines.eof()) {
+    const obs::Json e = obs::Json::parse(line);
+    if (e.at("type").str() == type) {
+      hashes.push_back(e.at("shard").str());
+    }
+  }
+  return hashes;
+}
+
+TEST(CheckpointStore, RunLeavesExactlyTheFourFiles) {
+  const std::set<std::string> expected = {"spec.json", "events.jsonl",
+                                          "report.json",
+                                          "scheduler_profile.json"};
+  const CampaignSpec spec = CampaignSpec::parse(smallSpecText());
+  CampaignOptions options;
+  options.checkpoint_dir = freshDir("campaign_layout");
+  options.workers = 2;
+  options.shard_limit = 3;
+  ASSERT_TRUE(runCampaign(spec, options).stopped_early);
+  EXPECT_EQ(listing(options.checkpoint_dir), expected);
+  options.shard_limit = 0;
+  ASSERT_TRUE(runCampaign(spec, options).fullCoverage());
+  EXPECT_EQ(listing(options.checkpoint_dir), expected);  // no status.json
+
+  // A subprocess run that quarantines, then requeues, keeps the layout.
+  CampaignSpec sabotaged = spec;
+  sabotaged.protocols = {"flood"};
+  sabotaged.adversaries = {"static_path"};
+  sabotaged.retry.max_attempts = 1;
+  ShardFault crash;
+  crash.name = "crash";
+  crash.sabotage = "crash";
+  sabotaged.faults = {ShardFault{}, crash};
+  CampaignOptions subproc;
+  subproc.checkpoint_dir = freshDir("campaign_layout_subproc");
+  subproc.subprocess = true;
+  subproc.worker_cmd = workerCmd();
+  EXPECT_EQ(runCampaign(sabotaged, subproc).quarantined, 2u);
+  EXPECT_EQ(listing(subproc.checkpoint_dir), expected);
+  subproc.retry_quarantined = true;
+  EXPECT_EQ(runCampaign(sabotaged, subproc).quarantined, 2u);
+  EXPECT_EQ(listing(subproc.checkpoint_dir), expected);
+  EXPECT_EQ(recordShards(readText(subproc.checkpoint_dir + "/events.jsonl"),
+                         "shard_requeued")
+                .size(),
+            2u);
+}
+
+TEST(CheckpointStore, RefusesPreJournalShardsDirectory) {
+  const CampaignSpec spec = CampaignSpec::parse(smallSpecText());
+  CampaignOptions options;
+  options.checkpoint_dir = freshDir("campaign_prejournal");
+  fs::create_directories(options.checkpoint_dir + "/shards");
+  try {
+    runCampaign(spec, options);
+    ADD_FAILURE() << "resumed into a pre-journal checkpoint";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(options.checkpoint_dir + "/shards"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(fs::exists(options.checkpoint_dir + "/events.jsonl"));
+}
+
+TEST(Campaign, ResumeAfterTornCommitRerunsExactlyThatShard) {
+  const CampaignSpec spec = CampaignSpec::parse(smallSpecText());
+  CampaignOptions uninterrupted;
+  uninterrupted.checkpoint_dir = freshDir("campaign_torn_reference");
+  ASSERT_TRUE(runCampaign(spec, uninterrupted).fullCoverage());
+
+  CampaignOptions options;
+  options.checkpoint_dir = freshDir("campaign_torn_commit");
+  options.shard_limit = 3;
+  ASSERT_TRUE(runCampaign(spec, options).stopped_early);
+  // Cut the stream inside its last shard_committed line, as a SIGKILL
+  // during that write would.
+  const std::string path = options.checkpoint_dir + "/events.jsonl";
+  const std::string text = readText(path);
+  const std::size_t last = text.rfind("\"type\":\"shard_committed\"");
+  ASSERT_NE(last, std::string::npos);
+  const std::vector<std::string> committed =
+      recordShards(text, "shard_committed");
+  ASSERT_EQ(committed.size(), 3u);
+  fs::resize_file(path, last + 10);
+  const std::string torn = committed.back();
+
+  options.shard_limit = 0;
+  const CampaignOutcome resumed = runCampaign(spec, options);
+  EXPECT_EQ(resumed.completed_prior, 2u);
+  EXPECT_EQ(resumed.completed_new, 6u);
+  EXPECT_TRUE(resumed.fullCoverage());
+  // The resume claimed the torn shard and neither of the intact ones.
+  const std::string after = readText(path);
+  const std::size_t resume_start =
+      after.rfind('\n', after.rfind("\"type\":\"campaign_started\"")) + 1;
+  const std::vector<std::string> claimed =
+      recordShards(after.substr(resume_start), "shard_claimed");
+  const std::set<std::string> claimed_set(claimed.begin(), claimed.end());
+  EXPECT_EQ(claimed.size(), 6u);
+  EXPECT_TRUE(claimed_set.count(torn));
+  EXPECT_FALSE(claimed_set.count(committed[0]));
+  EXPECT_FALSE(claimed_set.count(committed[1]));
+  EXPECT_EQ(reportOf(options.checkpoint_dir),
+            reportOf(uninterrupted.checkpoint_dir));
+}
+
+TEST(Campaign, GarbageEventLineFailsTheResume) {
+  const CampaignSpec spec = CampaignSpec::parse(smallSpecText());
+  CampaignOptions options;
+  options.checkpoint_dir = freshDir("campaign_garbage_line");
+  options.shard_limit = 2;
+  ASSERT_TRUE(runCampaign(spec, options).stopped_early);
+  const std::string path = options.checkpoint_dir + "/events.jsonl";
+  std::string text = readText(path);
+  const auto lines = std::count(text.begin(), text.end(), '\n');
+  text += "garbage\n";
+  std::ofstream(path) << text;
+  const std::string where = "event line " + std::to_string(lines + 1) + ": ";
+  for (const bool report_only : {false, true}) {
+    try {
+      if (report_only) {
+        std::ostringstream out;
+        writeReport(spec, CheckpointStore(options.checkpoint_dir), out);
+      } else {
+        runCampaign(spec, options);
+      }
+      ADD_FAILURE() << "folded a garbage line";
+    } catch (const util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(readText(path), text);  // the failed resume wrote nothing
+}
+
+TEST(Campaign, WorkerCannotCommitAShard) {
+  // A worker that prints a well-formed shard_committed record and exits 1:
+  // only the supervisor writes durable records, so the shard is
+  // quarantined and the stream holds no commit for it.
+  CampaignSpec spec = CampaignSpec::parse(smallSpecText());
+  spec.protocols = {"flood"};
+  spec.adversaries = {"static_path"};
+  spec.seed_count = 1;
+  spec.seeds_per_shard = 1;
+  spec.retry.max_attempts = 2;
+  spec.retry.backoff_ms = 1;
+  spec.retry.backoff_max_ms = 2;
+  spec.retry.timeout_ms = 30'000;
+  const ShardConfig shard = spec.expandShards().at(0);
+  ShardResult forged = sampleResult(shard.hash());
+  forged.trials = shard.trials;
+  forged.metrics = {{"rounds", {1}}};
+  const std::string line = obs::Event("shard_committed")
+                               .str("shard", shard.hash())
+                               .num("attempt", 1)
+                               .num("trials", shard.trials)
+                               .raw("result", forged.toJson())
+                               .serialize(0);
+  const std::string script = testsupport::testDir() + "forging_worker.sh";
+  {
+    std::ofstream out(script);
+    out << "#!/bin/sh\nread shard\nprintf '%s\\n' '" << line << "'\nexit 1\n";
+  }
+  fs::permissions(script, fs::perms::owner_all);
+  CampaignOptions options;
+  options.checkpoint_dir = freshDir("campaign_forging_worker");
+  options.subprocess = true;
+  options.worker_cmd = script;
+  const CampaignOutcome outcome = runCampaign(spec, options);
+  EXPECT_EQ(outcome.completed_new, 0u);
+  EXPECT_EQ(outcome.quarantined, 1u);
+  EXPECT_EQ(outcome.failed_attempts, 2u);
+  const std::string events = readText(options.checkpoint_dir + "/events.jsonl");
+  EXPECT_TRUE(recordShards(events, "shard_committed").empty());
+  EXPECT_EQ(CheckpointStore(options.checkpoint_dir)
+                .fold()
+                .shards.at(shard.hash())
+                .state,
+            ShardRecord::State::kQuarantined);
+  fs::remove(script);
+}
+
 // ---------------------------------------------------------------- telemetry
 
 std::vector<obs::Json> readEvents(const std::string& dir) {
@@ -636,7 +892,7 @@ std::vector<obs::Json> readEvents(const std::string& dir) {
 CampaignStatus readStatus(const std::string& dir) {
   std::ifstream in(dir + "/events.jsonl");
   EXPECT_TRUE(in.good()) << "no events.jsonl in " << dir;
-  const std::optional<CampaignStatus> status = foldStatus(in);
+  const std::optional<CampaignStatus> status = foldEvents(in).status;
   EXPECT_TRUE(status.has_value()) << "no campaign_started in " << dir;
   return status.value_or(CampaignStatus{});
 }
@@ -839,28 +1095,6 @@ TEST(Telemetry, FlakyShardAttemptHistorySurvivesInStatus) {
   EXPECT_EQ(attention.at(hash).attempts, 2);
 }
 
-TEST(Telemetry, OffLeavesNoArtifactsAndIdenticalReport) {
-  const CampaignSpec spec = CampaignSpec::parse(smallSpecText());
-  CampaignOptions with;
-  with.checkpoint_dir = freshDir("telemetry_on");
-  ASSERT_TRUE(runCampaign(spec, with).fullCoverage());
-
-  CampaignOptions without;
-  without.checkpoint_dir = freshDir("telemetry_off");
-  without.telemetry = false;
-  ASSERT_TRUE(runCampaign(spec, without).fullCoverage());
-
-  EXPECT_FALSE(fs::exists(without.checkpoint_dir + "/events.jsonl"));
-  EXPECT_FALSE(fs::exists(without.checkpoint_dir + "/status.json"));
-  // With telemetry on, the status lives in events.jsonl alone.
-  EXPECT_TRUE(fs::exists(with.checkpoint_dir + "/events.jsonl"));
-  EXPECT_FALSE(fs::exists(with.checkpoint_dir + "/status.json"));
-  EXPECT_FALSE(
-      fs::exists(without.checkpoint_dir + "/scheduler_profile.json"));
-  EXPECT_EQ(reportOf(with.checkpoint_dir),
-            reportOf(without.checkpoint_dir));
-}
-
 // The fold of a synthetic stream: a stopped-early run, then a resume with a
 // flaky shard, a quarantined one, one still running and a torn tail.
 TEST(Telemetry, FoldStatusReplaysTheLastRunOfTheStream) {
@@ -889,7 +1123,13 @@ TEST(Telemetry, FoldStatusReplaysTheLastRunOfTheStream) {
   started(0, 5);
   add(shardEvent("shard_claimed", "a").num("index", 0));
   add(shardEvent("attempt_started", "a").num("attempt", 1));
-  add(shardEvent("shard_committed", "a").num("attempt", 1).num("trials", 2));
+  const auto committed = [&](const std::string& h, int attempt) {
+    add(shardEvent("shard_committed", h)
+            .num("attempt", attempt)
+            .num("trials", 2)
+            .raw("result", sampleResult(h).toJson()));
+  };
+  committed("a", 1);
   add(obs::Event("campaign_finished")
           .str("campaign", "c")
           .num("completed", 1)
@@ -909,7 +1149,7 @@ TEST(Telemetry, FoldStatusReplaysTheLastRunOfTheStream) {
   const std::string retrying_prefix = text;
   add(shardEvent("attempt_started", "b").num("attempt", 2));
   add(shardEvent("shard_exec_finished", "b").num("attempt", 2));
-  add(shardEvent("shard_committed", "b").num("attempt", 2).num("trials", 2));
+  committed("b", 2);
   add(shardEvent("shard_claimed", "c").num("index", 2));
   add(shardEvent("attempt_started", "c").num("attempt", 1));
   add(shardEvent("attempt_failed", "c")
@@ -923,7 +1163,8 @@ TEST(Telemetry, FoldStatusReplaysTheLastRunOfTheStream) {
   text += R"({"dynet_event":1,"seq":99,"ts_ms":99999,"type":"shard_comm)";
 
   std::istringstream in(text);
-  const std::optional<CampaignStatus> s = foldStatus(in);
+  const EventFold fold = foldEvents(in);
+  const std::optional<CampaignStatus>& s = fold.status;
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(s->campaign, "c");
   EXPECT_EQ(s->name, "fold");
@@ -947,10 +1188,16 @@ TEST(Telemetry, FoldStatusReplaysTheLastRunOfTheStream) {
   EXPECT_EQ(s->attention.at("c").last_error, "boom");
   EXPECT_EQ(s->attention.at("d").state, "running");
   EXPECT_EQ(s->attention.at("d").attempts, 1);
+  // The outcomes span both runs; d has no durable record yet.
+  ASSERT_EQ(fold.shards.size(), 3u);
+  EXPECT_EQ(fold.shards.at("a").state, ShardRecord::State::kCommitted);
+  EXPECT_EQ(fold.shards.at("b").result.toJson(), sampleResult("b").toJson());
+  EXPECT_EQ(fold.shards.at("c").state, ShardRecord::State::kQuarantined);
+  EXPECT_EQ(fold.shards.at("c").error, "boom");
 
   // Between its attempts, b is retrying.
   std::istringstream prefix(retrying_prefix);
-  const std::optional<CampaignStatus> mid = foldStatus(prefix);
+  const std::optional<CampaignStatus> mid = foldEvents(prefix).status;
   ASSERT_TRUE(mid.has_value());
   EXPECT_EQ(mid->running, 0u);
   EXPECT_EQ(mid->retrying, 1u);
@@ -960,9 +1207,9 @@ TEST(Telemetry, FoldStatusReplaysTheLastRunOfTheStream) {
   // No campaign_started: nothing to fold.
   std::istringstream headless(shardEvent("shard_claimed", "a").serialize(0) +
                               "\n");
-  EXPECT_FALSE(foldStatus(headless).has_value());
+  EXPECT_FALSE(foldEvents(headless).status.has_value());
   std::istringstream empty("");
-  EXPECT_FALSE(foldStatus(empty).has_value());
+  EXPECT_FALSE(foldEvents(empty).status.has_value());
 
   // A malformed complete line, and a count no size_t holds, throw with the
   // 1-based line number.
@@ -970,7 +1217,7 @@ TEST(Telemetry, FoldStatusReplaysTheLastRunOfTheStream) {
                           const std::string& expected) {
     std::istringstream bad(stream);
     try {
-      foldStatus(bad);
+      foldEvents(bad);
       ADD_FAILURE() << "folded " << stream;
     } catch (const util::CheckError& e) {
       const std::string what = e.what();
@@ -1018,7 +1265,7 @@ TEST(Worker, EmitEventsInterleavesEventLinesWithResults) {
   shard.max_rounds = 1000;
   std::istringstream in(shard.canonicalJson() + "\n");
   std::ostringstream out;
-  EXPECT_EQ(workerMain(in, out, /*emit_events=*/true), 0);
+  EXPECT_EQ(workerMain(in, out), 0);
   std::istringstream lines(out.str());
   std::string line;
   std::vector<std::string> kinds;
@@ -1050,6 +1297,9 @@ TEST(Worker, RunsShardsFromStreamUntilEof) {
   std::string line;
   int count = 0;
   while (std::getline(lines, line)) {
+    if (line.rfind("{\"dynet_event\"", 0) == 0) {
+      continue;
+    }
     const ShardResult result = ShardResult::parseJson(line);
     EXPECT_EQ(result.hash, shard.hash());
     ++count;

@@ -597,7 +597,6 @@ TEST(TraceCampaign, ReplayIsByteIdenticalAcrossCheckpointResume) {
                           bool expect_resume_noop) -> std::string {
     campaign::CampaignOptions options;
     options.checkpoint_dir = dir;
-    options.telemetry = false;
     const campaign::CampaignOutcome outcome =
         campaign::runCampaign(spec, options);
     EXPECT_TRUE(outcome.fullCoverage());

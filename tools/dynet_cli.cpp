@@ -10,11 +10,10 @@
 //   $ dynet_cli --campaign spec.json --checkpoint dir [--workers N]
 //               [--isolation inprocess|subprocess] [--report out.json]
 //               [--shard-limit N] [--retry-quarantined] [--verbose]
-//               [--no-telemetry]
 //   $ dynet_cli --campaign-report dir          # re-merge + summarize
 //   $ dynet_cli --campaign-status dir          # fold events.jsonl once
 //   $ dynet_cli --campaign-watch dir [--interval-ms N]   # poll until done
-//   $ dynet_cli --worker [--emit-events]       # internal: shard worker loop
+//   $ dynet_cli --worker                       # internal: shard worker loop
 //
 //   $ dynet_cli --trace-info data.events [--trace-bucket W] [--no-trace-cache]
 //   $ dynet_cli --trace-compile data.events [--out data.dtc]
@@ -130,11 +129,10 @@ int renderCampaignStatus(const std::string& dir, bool* running_out) {
   }
   std::ifstream in(dir + "/events.jsonl");
   const std::optional<campaign::CampaignStatus> folded =
-      in.good() ? campaign::foldStatus(in) : std::nullopt;
+      in.good() ? campaign::foldEvents(in).status : std::nullopt;
   if (!folded) {
     std::cerr << "no campaign events in " << dir
-              << "/events.jsonl (campaign never started there, or ran with "
-                 "--no-telemetry)\n";
+              << "/events.jsonl (campaign never started there)\n";
     return 1;
   }
   const campaign::CampaignStatus& s = *folded;
@@ -270,7 +268,6 @@ int runCampaignMode(util::Cli& cli, const std::string& spec_path) {
   options.shard_limit = intFlag(cli, "shard-limit", 0, 0);
   options.retry_quarantined = cli.flag("retry-quarantined");
   options.verbose = cli.flag("verbose");
-  options.telemetry = !cli.flag("no-telemetry");
   const std::string report_path = cli.str("report", "");
   cli.rejectUnknown();
 
@@ -321,9 +318,8 @@ int runCampaignReportMode(util::Cli& cli, const std::string& checkpoint_dir) {
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
   if (cli.flag("worker")) {
-    const bool emit_events = cli.flag("emit-events");
     cli.rejectUnknown();
-    return campaign::workerMain(std::cin, std::cout, emit_events);
+    return campaign::workerMain(std::cin, std::cout);
   }
   if (cli.has("trace-info")) {
     return runTraceInfoMode(cli, cli.str("trace-info", ""));
