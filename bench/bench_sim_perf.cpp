@@ -19,8 +19,8 @@
 //                        wrapped in sim::RebuildEveryRound.
 //   soa-vs-objects       single-core BatchRunner vs BatchRunner, only the
 //                        state representation differs — per-node Process
-//                        objects (sim::createProcesses) vs the flat column
-//                        store (sim/soa.h).
+//                        objects (sim::createProcesses) vs flood's flat
+//                        column store (sim/soa.h).
 //   scale                one engine at a time, flood over 16-edge churn
 //                        (the repository benchmark's flood_large shape) at
 //                        n = 8192, 32768, 262144 and 10^6 for 128 rounds:
@@ -31,10 +31,12 @@
 //                        Run it once per DYNET_THREADS setting and compare
 //                        the files (BENCH_scale.json).
 //
-// Every comparison mode verifies the two legs agree metric for metric
-// (exact summary equality) before reporting — a mismatch means the new hot
-// path changed behaviour, and the bench exits 1.  The scale mode requires
-// every repetition of a size to end in the same digest.
+// Every comparison mode runs randomized flood and verifies the two legs
+// agree metric for metric (exact summary equality) before reporting — a
+// mismatch means the new hot path changed behaviour, and the bench exits
+// 1, as it does when a leg that should run flood's SoA model runs on
+// objects.  The scale mode requires every repetition of a size to end in
+// the same digest.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -52,7 +54,7 @@
 #include "campaign/spec.h"
 #include "cc/disjointness_cp.h"
 #include "lowerbound/composition.h"
-#include "protocols/max_flood.h"
+#include "protocols/flood.h"
 #include "protocols/oracles.h"
 #include "sim/batch.h"
 #include "util/rng.h"
@@ -62,24 +64,26 @@
 namespace dynet {
 namespace {
 
-void BM_EngineMaxFlood(benchmark::State& state) {
+void BM_EngineFlood(benchmark::State& state) {
   const auto n = static_cast<sim::NodeId>(state.range(0));
-  std::vector<std::uint64_t> values(static_cast<std::size_t>(n), 1);
+  constexpr sim::Round kRounds = 256;
+  // Randomized flood, done only past the horizon.
+  const proto::FloodFactory factory(0, 0x2a, 8, proto::FloodMode::kRandomized,
+                                    kRounds + 1);
   std::int64_t node_rounds = 0;
   for (auto _ : state) {
-    proto::MaxFloodFactory factory(values, 8, 1 << 20);
     auto engine = bench::makeEngine(
-        factory, bench::makeAdversary("rotating_star", n, 42), 256, 7);
-    for (int r = 0; r < 256; ++r) {
+        factory, bench::makeAdversary("rotating_star", n, 42), kRounds, 7);
+    for (sim::Round r = 0; r < kRounds; ++r) {
       engine.step();
     }
-    node_rounds += 256 * n;
+    node_rounds += kRounds * n;
     benchmark::DoNotOptimize(engine.result().bits_sent);
   }
   state.counters["node_rounds/s"] = benchmark::Counter(
       static_cast<double>(node_rounds), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_EngineMaxFlood)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_EngineFlood)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_EngineRandomTree(benchmark::State& state) {
   const auto n = static_cast<sim::NodeId>(state.range(0));
@@ -139,18 +143,20 @@ double nowSeconds() {
       .count();
 }
 
-/// The workload both runners execute: MaxFlood on a rotating star (the
-/// Θ(N)-causal-diameter adversary, so runs go the full horizon).  The
-/// caller supplies the adversary so the two runners can differ in *how*
+/// The workload every comparison mode executes: randomized flood from node
+/// 0, done only past the horizon, so every trial runs all `rounds` rounds.
+/// The caller supplies the adversary so the two legs can differ in *how*
 /// the topologies are produced while the topology values stay identical,
 /// and `objects` pins the per-node Process path so the legs can differ in
-/// *how* rounds execute while the results stay identical.
+/// *how* rounds execute while the results stay identical.  Otherwise the
+/// engine must run flood's SoA model: on objects, soa-vs-objects would time
+/// objects against objects and still pass its equality check.
 sim::RunResult runWorkloadTrial(sim::NodeId n, sim::Round rounds,
                                 std::uint64_t seed,
                                 std::unique_ptr<sim::Adversary> adversary,
                                 bool objects = false) {
-  std::vector<std::uint64_t> values(static_cast<std::size_t>(n), 1);
-  proto::MaxFloodFactory factory(values, 8, 1 << 20);
+  const proto::FloodFactory factory(0, 0x2a, 8, proto::FloodMode::kRandomized,
+                                    rounds + 1);
   if (objects) {
     sim::EngineConfig config;
     config.max_rounds = rounds;
@@ -158,7 +164,11 @@ sim::RunResult runWorkloadTrial(sim::NodeId n, sim::Round rounds,
                        config, seed)
         .run();
   }
-  return bench::makeEngine(factory, std::move(adversary), rounds, seed).run();
+  sim::Engine engine =
+      bench::makeEngine(factory, std::move(adversary), rounds, seed);
+  DYNET_CHECK(engine.soaActive())
+      << "flood's factory engine runs on objects, not its SoA model";
+  return engine.run();
 }
 
 /// One full period of the rotating star's topology sequence, built once.
@@ -477,19 +487,19 @@ int runCompareModes(const std::vector<std::string>& modes, bool quick,
       runWorkloadTrial(c.n, c.rounds, 0xBEEF,
                        bench::makeAdversary("rotating_star", c.n, 42));
       if (mode == "batch-vs-sequential") {
-        report.workload = "max_flood/rotating_star";
+        report.workload = "flood/rotating_star";
         report.baseline_label = "sequential_trials_per_sec";
         report.new_label = "batch_trials_per_sec";
         report.results.push_back(
             compareBatchVsSequential(c.n, c.trials, c.rounds, 0x51A7));
       } else if (mode == "delta-vs-rebuild") {
-        report.workload = "max_flood/edge_churn4";
+        report.workload = "flood/edge_churn4";
         report.baseline_label = "rebuild_trials_per_sec";
         report.new_label = "delta_trials_per_sec";
         report.results.push_back(
             compareDeltaVsRebuild(c.n, c.trials, c.rounds, 0x51A7));
       } else if (mode == "soa-vs-objects") {
-        report.workload = "max_flood/rotating_star";
+        report.workload = "flood/rotating_star";
         report.baseline_label = "objects_trials_per_sec";
         report.new_label = "soa_trials_per_sec";
         const std::vector<net::GraphPtr> stars = rotatingStarCycle(c.n);

@@ -2,10 +2,11 @@
 # Kill-and-resume smoke test for the campaign runner (docs/CAMPAIGNS.md).
 #
 # 1. Run a campaign to completion -> reference report A.
-# 2. Run the same spec in a fresh checkpoint dir and SIGKILL the whole
-#    process group mid-flight (plus a deterministic --shard-limit partial
-#    run, in case the full sweep finishes before the kill lands).
-# 3. Resume from the survivor checkpoint -> report B.
+# 2. Stop the same spec early twice, each in a fresh checkpoint dir: a
+#    deterministic --shard-limit partial run, and a run whose whole process
+#    group is SIGKILLed as soon as its first shard commits (between 1 and
+#    23 of the 24 shards must survive).
+# 3. Resume from the survivor checkpoints -> report B.
 # 4. Assert A and B are byte-identical and that the resume actually
 #    skipped previously committed shards.
 #
@@ -49,19 +50,26 @@ committed_before=$(committed_shards "$work/resume")
 [[ "$committed_before" -ge 5 ]] || { echo "partial run committed too few shards" >&2; exit 1; }
 
 echo "=== SIGKILL mid-flight ==="
-# Fresh dir; kill the campaign while it works.  If the sweep happens to
-# finish before the kill lands, that is fine — the resume below must then
-# be a no-op with an identical report, which is still the property under
-# test.  The deterministic --shard-limit leg above always exercises a true
-# partial checkpoint.
+# Fresh dir; kill the campaign's process group as soon as its event stream
+# holds a committed shard (polled every 10 ms, for at most 30 s), so the
+# resume below starts from a partial checkpoint; a fixed delay can outlast
+# the whole sweep on a fast host.
 setsid "$CLI" --campaign "$work/spec.json" --checkpoint "$work/killed" \
   --workers 2 --isolation subprocess >/dev/null 2>&1 &
 victim=$!
-sleep 0.7
+deadline=$((SECONDS + 30))
+while (( SECONDS < deadline )) && kill -0 "$victim" 2>/dev/null; do
+  grep -qs '"type":"shard_committed"' "$work/killed/events.jsonl" && break
+  sleep 0.01
+done
 kill -KILL -- "-$victim" 2>/dev/null || true
 wait "$victim" 2>/dev/null || true
 survivors=$(committed_shards "$work/killed")
 echo "shards committed before the kill: $survivors"
+[[ "$survivors" -ge 1 && "$survivors" -le 23 ]] || {
+  echo "the kill left $survivors of 24 shards committed, not a partial run" >&2
+  exit 1
+}
 
 echo "=== resume both checkpoints ==="
 "$CLI" --campaign "$work/spec.json" --checkpoint "$work/resume" --workers 4

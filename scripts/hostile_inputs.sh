@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Hostile-input smoke: each tool must reject a hostile input with a located
 # error and exit status 1, never die by a signal or an uncaught exception.
-# The one exception is a shard too large for memory: it costs the shard,
-# not the campaign, so that campaign exits 3 (incomplete) with a report.
+# The one exception is a campaign shard too large for memory: it costs the
+# shard, not the campaign, so that campaign exits 3 (incomplete) with a
+# report.
 #
 #   bash scripts/hostile_inputs.sh [BUILD_DIR]    (default: build)
 #
@@ -31,10 +32,23 @@
 #     records (the fold names the line; the stream is left as it was);
 #   * a campaign resume into a checkpoint with the pre-journal shards/
 #     directory (refused, naming the directory);
+#   * dynet_cli --trace-info on the event list `0 1e15 a b`, and on `0 1 a
+#     b` / `5 6 b c` with --trace-bucket 1e-300 (a bucketed round is
+#     range-checked before it narrows to int, so it cannot wrap below the
+#     round cap; the error names the line);
+#   * dynet_cli --c 0 (every real flag is finite and inside the range the
+#     campaign spec reader gives its key; the error names the flag);
 #   * an in-process campaign whose spec has "nodes": [2000000000], under
 #     `ulimit -v 2000000` (each attempt's std::bad_alloc is a strike, the
 #     shard is quarantined with the error, the report is written and the
-#     exit status is 3).  Never run that input without the ulimit.
+#     exit status is 3);
+#   * dynet_cli --nodes 2000000000 on a static ring, and trace_to_dot on a
+#     trace whose header is `n 2000000000`, each under `ulimit -v 2000000`
+#     (running out of memory is an error naming --nodes, or the trace line
+#     and n, with exit status 1).
+#
+# Never run the last three inputs without the ulimit: uncapped, they would
+# ask for far more memory than a host has.
 #
 # The inputs live in a temp dir that is removed on exit.
 set -euo pipefail
@@ -73,7 +87,7 @@ expect_exit() {
 }
 expect_exit_1() { expect_exit 1 "$@"; }
 expect_output() {
-  grep -q "$1" "$dir/out.txt" || {
+  grep -q -e "$1" "$dir/out.txt" || {
     echo "hostile input: the output does not name '$1'" >&2
     cat "$dir/out.txt" >&2
     exit 1
@@ -103,6 +117,17 @@ expect_exit_1 "$build/tools/trace_to_dot" --in "$dir/one.trace" \
   --round 4294967297
 expect_exit_1 "$build/bench/bench_campaign" --workers 0
 expect_exit_1 "$build/bench/bench_gap" --trials 0
+printf '0 1e15 a b\n' > "$dir/wide.events"
+expect_exit_1 "$build/tools/dynet_cli" --trace-info "$dir/wide.events" \
+  --no-trace-cache
+expect_output "wide.events:1: event maps to round 1e+15 > 5000000"
+printf '0 1 a b\n5 6 b c\n' > "$dir/fine.events"
+expect_exit_1 "$build/tools/dynet_cli" --trace-info "$dir/fine.events" \
+  --no-trace-cache --trace-bucket 1e-300
+expect_output "fine.events:1: event maps to round 1e+300 > 5000000"
+expect_exit_1 "$build/tools/dynet_cli" --protocol leader_unknown_d \
+  --nodes 8 --c 0
+expect_output "--c=0 is not a finite number in (0, 0.333333]"
 
 cat > "$dir/small.json" <<'SPEC'
 {"protocols": ["flood"], "adversaries": ["static_path"], "nodes": [8],
@@ -144,3 +169,15 @@ test -s "$dir/huge/report.json" || {
   echo "hostile input: the bad_alloc campaign wrote no report" >&2
   exit 1
 }
+(
+  ulimit -v 2000000
+  expect_exit_1 "$build/tools/dynet_cli" --protocol flood \
+    --adversary static_ring --nodes 2000000000 --max-rounds 1
+)
+expect_output "--nodes=2000000000: out of memory"
+printf 'dynet-trace v1\nn 2000000000\nr 1\ne 0 1\n' > "$dir/huge.trace"
+(
+  ulimit -v 2000000
+  expect_exit_1 "$build/tools/trace_to_dot" --in "$dir/huge.trace"
+)
+expect_output "trace line 2 'n 2000000000': out of memory"

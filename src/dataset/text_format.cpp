@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <map>
 #include <ostream>
 #include <set>
@@ -237,20 +238,23 @@ TraceEvents parseEventList(std::istream& in, const std::string& name,
   events.bucket = options.bucket;
   events.intervals.reserve(records.size());
   for (const Record& rec : records) {
+    // A round stays a double until it is known to fit: past INT32_MAX the
+    // narrowing cast would be undefined.  t_min <= start <= end, so the
+    // first round lies in [1, last].
     const auto bucketOf = [&](double t) {
-      return static_cast<sim::Round>(
-          std::floor((t - t_min) / options.bucket)) + 1;
+      return std::floor((t - t_min) / options.bucket) + 1;
     };
+    const double last = bucketOf(rec.end);
+    DYNET_CHECK(last <= kMaxRounds)
+        << name << ":" << rec.line << ": event maps to round "
+        << std::setprecision(15) << last << " > " << kMaxRounds
+        << "; raw time span too wide for bucket width " << options.bucket
+        << " (pass a larger --trace-bucket)";
     EdgeInterval iv;
     iv.edge = rec.u < rec.v ? net::Edge{rec.u, rec.v}
                             : net::Edge{rec.v, rec.u};
-    iv.first = bucketOf(rec.start);
-    iv.last = bucketOf(rec.end);
-    DYNET_CHECK(iv.last <= kMaxRounds)
-        << name << ":" << rec.line << ": event maps to round " << iv.last
-        << " > " << kMaxRounds
-        << "; raw time span too wide for bucket width " << options.bucket
-        << " (pass a larger --trace-bucket)";
+    iv.first = static_cast<sim::Round>(bucketOf(rec.start));
+    iv.last = static_cast<sim::Round>(last);
     events.intervals.push_back(iv);
     events.rounds = std::max(events.rounds, iv.last);
   }

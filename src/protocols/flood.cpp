@@ -131,8 +131,8 @@ class FloodSoA final : public sim::SoAModel {
     return send ? msg_.bitSize() : sim::kNoSend;
   }
 
-  void onMessage(sim::RoundContext& ctx, sim::NodeId v, sim::NodeId /*u*/,
-                 const sim::Message& msg, bool /*pristine*/) {
+  void onMessage(sim::RoundContext& ctx, sim::NodeId v,
+                 const sim::Message& msg) {
     const auto vi = static_cast<std::size_t>(v);
     if (has_token_[vi] != 0) {
       return;  // only the first message is ever decoded
@@ -144,7 +144,7 @@ class FloodSoA final : public sim::SoAModel {
     token_round_[vi] = ctx.round;
   }
 
-  void afterDeliver(sim::RoundContext& ctx, sim::NodeId v, bool /*sent*/) {
+  void afterDeliver(sim::RoundContext& ctx, sim::NodeId v) {
     if (halt_round_ > 0 && ctx.round >= halt_round_) {
       done_[static_cast<std::size_t>(v)] = 1;
     }

@@ -52,11 +52,6 @@ class MaxFloodFactory : public sim::ProcessFactory {
 
   std::unique_ptr<sim::Process> create(sim::NodeId node,
                                        sim::NodeId num_nodes) const override;
-  /// Structure-of-arrays execution (sim/soa.h): best_key / best_value /
-  /// done as flat columns with a per-node encoded-message cache;
-  /// byte-identical to the object path.
-  std::unique_ptr<sim::SoAModel> createSoA(
-      sim::NodeId num_nodes) const override;
 
  private:
   std::vector<std::uint64_t> values_;

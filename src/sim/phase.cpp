@@ -283,9 +283,7 @@ void deliveryPhase(RoundContext& ctx) {
           continue;
         }
         filterDelivery(ctx, u, v, actions[ui].msg, tally,
-                       [&ws](const Message& msg, bool /*pristine*/) {
-                         ws.inbox.push_back(msg);
-                       });
+                       [&ws](const Message& msg) { ws.inbox.push_back(msg); });
       }
       if (ctx.config->anonymous) {
         anonShuffle(ws.inbox, ctx, v);

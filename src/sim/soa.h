@@ -4,29 +4,36 @@
 // the per-node virtual dispatch and pointer-chasing layout dominate the
 // round loop (allocation is not the hot path — data layout is).  The SoA
 // path keeps protocol state in flat per-field arrays instead: one SoAModel
-// per engine owns its columns like `has_token[n]` or `best_key[n]` as plain
-// std::vector members, sized and initialized by ProcessFactory::createSoA.
+// per engine owns its columns like `has_token[n]` as plain std::vector
+// members, sized and initialized by ProcessFactory::createSoA.
 //
 // Contract (docs/ARCHITECTURE.md "SoA state store"):
-//   * A protocol opts in by overriding ProcessFactory::createSoA.  The
-//     engine's factory constructor runs the model whenever the run is
-//     neither anonymous nor duplex; the default returns null, which makes
-//     it fall back to the object path.  The object path itself is
-//     sim::createProcesses plus the process-vector constructor.
+//   * A protocol opts in by overriding ProcessFactory::createSoA; flood
+//     (protocols/flood.cpp), the protocol of the large-n benchmark
+//     workload, is the only one that does.  A model is a second copy of
+//     its protocol that every evidence layer below must hold
+//     byte-identical, so a protocol that no benchmark workload runs at
+//     scale stays on objects.  The engine's factory constructor runs the
+//     model whenever the run is neither anonymous nor duplex; the default
+//     returns null, which makes it fall back to the object path.  The
+//     object path itself is sim::createProcesses plus the process-vector
+//     constructor.
 //   * The SoA execution of a protocol must be byte-identical to its object
 //     execution: same actions, same RunResult, same stateDigest per node,
 //     same exported metrics.  tests/soa_state_test.cpp locksteps the two
 //     representations round by round; tests/fuzz_diff_test.cpp and the
 //     golden corpus pin the full artifact bytes.
-//   * Columns are plain vectors indexed by node: any cross-node read during
-//     delivery may only touch *senders'* state, which the send-xor-receive
+//   * Columns are plain vectors indexed by node.  The delivery hooks see a
+//     receiver and a message payload, never the sender: the walks' only
+//     cross-node read is a sender's Action, which the send-xor-receive
 //     model guarantees is not written during the phase — that is what lets
 //     delivery walk senders or receivers in either order (sim/soa_exec.h).
-//   * The per-node hooks (computeNode, onMessage, afterDeliver) write only
-//     node v's entries: from 2 * kNodesPerChunk nodes up the engine runs
-//     them as contiguous node-range chunks on several threads at once
-//     (sim/soa_exec.h "Node-range chunks"), so a hook that wrote another
-//     node's column, or any member shared by all nodes, would race.
+//   * The per-node hooks (computeNode, onMessage, afterDeliver) read and
+//     write only node v's column entries: from 2 * kNodesPerChunk nodes up
+//     the engine runs them as contiguous node-range chunks on several
+//     threads at once (sim/soa_exec.h "Node-range chunks"), so a hook that
+//     touched another node's entries, or wrote any member shared by all
+//     nodes, would race.
 //     computeNode returns the bit size of the message node v sends, or
 //     kNoSend; the walk accounts the send from that value.
 #pragma once
@@ -78,7 +85,7 @@ class SoAModel {
   /// Mirror of Process::exportMetrics; must append the same (key, value)
   /// pairs the object path would for node v.
   virtual void exportMetrics(
-      NodeId v, std::vector<std::pair<std::string, double>>& out) const;
+      NodeId v, std::vector<std::pair<std::string, double>>& out) const = 0;
 };
 
 }  // namespace dynet::sim

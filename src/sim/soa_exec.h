@@ -1,4 +1,4 @@
-// Compute / delivery loops shared by every SoAModel.
+// Compute / delivery loops of the SoA path (sim/soa.h).
 //
 // Send column.  Every compute walk (both walks of soaComputeAll and the
 // object computePhase) writes EngineWorkspace::sending[v] — 1 iff
@@ -35,9 +35,9 @@
 //     object path: push is the loop interchange of pull with the outer
 //     loop ascending in sender id, so any fixed receiver still sees its
 //     messages in ascending sender order (exactly the pull order: sorted
-//     neighbor lists filtered by send), and cross-node reads in either
-//     direction touch only frozen sender state (send-xor-receive).  Push
-//     replaces the per-node afterDeliver tail by the model's
+//     neighbor lists filtered by send), and the only cross-node read in
+//     either direction, a sender's Action, is frozen (send-xor-receive).
+//     Push replaces the per-node afterDeliver tail by the model's
 //     afterDeliverAllClean bulk hook, sound because every live node gets
 //     the hook in a fault-free round and no model hook reads what it
 //     writes; pull is the receiver-major loop faulty rounds also run,
@@ -56,9 +56,10 @@
 //     RunResult columns, plus its own SoAChunk; with 64-node bounds,
 //     neighbouring nodes' bytes stay on one thread, and two chunks can
 //     share at most the one cache line of a column at their bound;
-//   * cross-node reads touch only senders' frozen state — actions[u] and
-//     the model's columns of a sender u, which no delivery hook writes
-//     (send-xor-receive; SoA runs are never duplex);
+//   * the only cross-node reads are a neighbour u's send byte and, for a
+//     sender, actions[u], which no delivery hook writes (send-xor-receive;
+//     SoA runs are never duplex); a hook is handed node v and a payload,
+//     never the sender;
 //   * per-chunk results are merged in chunk order after the walk: the
 //     sender runs, read in chunk order, are the round's ascending senders;
 //     message, bit and fault counts are summed; the running
@@ -164,10 +165,10 @@ inline void foldSends(RunResult& result, const SendTally& tally) {
 
 /// Receive-side fault filter shared by the object and SoA delivery loops:
 /// draws the fate of sender u's message to receiver v, counts it into
-/// `tally`, and calls deliver(payload, pristine) with what v receives — the
-/// message itself, or its corrupted copy (pristine = false) when the plan
-/// delivers corrupted payloads.  A dropped message, or a corrupted one the
-/// link-layer CRC catches, reaches v not at all.
+/// `tally`, and calls deliver(payload) with what v receives — the message
+/// itself, or its corrupted copy when the plan delivers corrupted payloads.
+/// A dropped message, or a corrupted one the link-layer CRC catches, reaches
+/// v not at all.
 template <typename Deliver>
 void filterDelivery(const RoundContext& ctx, NodeId u, NodeId v,
                     const Message& msg, FaultTally& tally, Deliver&& deliver) {
@@ -178,11 +179,11 @@ void filterDelivery(const RoundContext& ctx, NodeId u, NodeId v,
     case faults::FaultPlan::Fate::kCorrupt:
       ++tally.corrupted;
       if (ctx.injector->plan().config().deliver_corrupted) {
-        deliver(ctx.injector->corrupted(msg, u, v, ctx.round), false);
+        deliver(ctx.injector->corrupted(msg, u, v, ctx.round));
       }
       return;
     case faults::FaultPlan::Fate::kDeliver:
-      deliver(msg, true);
+      deliver(msg);
       return;
   }
 }
@@ -295,11 +296,13 @@ void soaComputeAll(RoundContext& ctx, Model& model) {
 }
 
 /// deliveryPhase body over a model providing
-///   onMessage(RoundContext&, NodeId v, NodeId u, const Message&, bool
-///             pristine)   — one delivered message, ascending sender order;
-///                           pristine is false only for corrupted copies
-///   afterDeliver(RoundContext&, NodeId v, bool sent)
-///                         — end-of-delivery hook (the tail of onDeliver)
+///   onMessage(RoundContext&, NodeId v, const Message&)
+///                         — one message delivered to receiver v, in
+///                           ascending sender order (a corrupted copy when
+///                           the fault plan delivers corrupted payloads)
+///   afterDeliver(RoundContext&, NodeId v)
+///                         — end-of-delivery hook of every live node,
+///                           sender or receiver (the tail of onDeliver)
 ///   afterDeliverAllClean(RoundContext&)
 ///                         — bulk equivalent of calling afterDeliver on
 ///                           every node after all messages landed; used only
@@ -307,9 +310,9 @@ void soaComputeAll(RoundContext& ctx, Model& model) {
 ///                           every node is live.  Models whose afterDeliver
 ///                           depends on per-node interleaving with onMessage
 ///                           must not take the push walk.
-/// onMessage and afterDeliver may write only receiver v's state and read a
-/// sender u's (header comment, node-range chunks).  Crashed nodes get
-/// neither call, exactly like the object path.
+/// onMessage and afterDeliver may read and write only node v's state
+/// (header comment, node-range chunks).  Crashed nodes get neither call,
+/// exactly like the object path.
 template <typename Model>
 void soaDeliverAll(RoundContext& ctx, Model& model) {
   EngineWorkspace& ws = *ctx.ws;
@@ -336,7 +339,7 @@ void soaDeliverAll(RoundContext& ctx, Model& model) {
           const Message& msg = actions[static_cast<std::size_t>(u)].msg;
           for (const NodeId v : g.neighbors(u)) {
             if (sending[static_cast<std::size_t>(v)] == 0) {
-              model.onMessage(ctx, v, u, msg, /*pristine=*/true);
+              model.onMessage(ctx, v, msg);
             }
           }
         }
@@ -354,7 +357,7 @@ void soaDeliverAll(RoundContext& ctx, Model& model) {
         continue;  // crashed: no delivery
       }
       if (sending[vi] != 0) {
-        model.afterDeliver(ctx, v, true);
+        model.afterDeliver(ctx, v);
         continue;
       }
       for (const NodeId u : g.neighbors(v)) {
@@ -363,15 +366,14 @@ void soaDeliverAll(RoundContext& ctx, Model& model) {
           continue;
         }
         if (!ctx.faulty) {
-          model.onMessage(ctx, v, u, actions[ui].msg, /*pristine=*/true);
+          model.onMessage(ctx, v, actions[ui].msg);
           continue;
         }
-        filterDelivery(ctx, u, v, actions[ui].msg, tally,
-                       [&](const Message& msg, bool pristine) {
-                         model.onMessage(ctx, v, u, msg, pristine);
-                       });
+        filterDelivery(
+            ctx, u, v, actions[ui].msg, tally,
+            [&](const Message& msg) { model.onMessage(ctx, v, msg); });
       }
-      model.afterDeliver(ctx, v, false);
+      model.afterDeliver(ctx, v);
     }
     chunk.faults = tally;
   });

@@ -5,6 +5,7 @@
 #include <iomanip>
 #include <istream>
 #include <limits>
+#include <new>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -86,6 +87,22 @@ Trace readTrace(std::istream& in) {
   bool in_round = false;
   bool have_actions = false;
 
+  // Runs `allocate`, which builds rows of n entries: n passed its range
+  // check but may still be too large for memory, which is then an error
+  // naming the line and n instead of a bare std::bad_alloc.
+  const auto guardAlloc = [&](auto&& allocate) {
+    try {
+      allocate();
+    } catch (const std::bad_alloc&) {
+      DYNET_CHECK(false) << where() << "out of memory for a round of n = "
+                         << trace.num_nodes << " nodes";
+    }
+  };
+  const auto resetRows = [&] {
+    actions.assign(static_cast<std::size_t>(trace.num_nodes), Action{});
+    listed.assign(static_cast<std::size_t>(trace.num_nodes), false);
+  };
+
   // An action trace lists every node exactly once in every round, so
   // trace.actions is empty or holds one entry per round.
   auto flushRound = [&] {
@@ -106,8 +123,7 @@ Trace readTrace(std::istream& in) {
           << missing - listed.begin();
       trace.actions.push_back(actions);
     }
-    actions.assign(static_cast<std::size_t>(trace.num_nodes), Action{});
-    listed.assign(static_cast<std::size_t>(trace.num_nodes), false);
+    resetRows();
   };
 
   std::vector<std::string_view> fields;
@@ -147,15 +163,14 @@ Trace readTrace(std::istream& in) {
           fields[1], 1, std::numeric_limits<NodeId>::max());
       DYNET_CHECK(n.has_value()) << where() << "bad node count";
       trace.num_nodes = *n;
-      actions.assign(static_cast<std::size_t>(trace.num_nodes), Action{});
-      listed.assign(static_cast<std::size_t>(trace.num_nodes), false);
+      guardAlloc(resetRows);
     } else if (tag == "r") {
       arity(2);
       DYNET_CHECK(trace.num_nodes > 0) << where() << "round before 'n'";
       const std::optional<Round> r =
           parseField<Round>(fields[1], 1, std::numeric_limits<Round>::max());
       DYNET_CHECK(r.has_value()) << where() << "bad round number";
-      flushRound();
+      guardAlloc(flushRound);
       DYNET_CHECK(*r == static_cast<Round>(trace.topologies.size()) + 1)
           << where() << "non-contiguous round (expected "
           << trace.topologies.size() + 1 << ")";
@@ -216,7 +231,7 @@ Trace readTrace(std::istream& in) {
       DYNET_CHECK(false) << where() << "unknown trace tag '" << tag << "'";
     }
   }
-  flushRound();
+  guardAlloc(flushRound);
   DYNET_CHECK(!trace.topologies.empty()) << "trace has no rounds";
   return trace;
 }

@@ -1,6 +1,7 @@
 #include "util/cli.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/check.h"
@@ -53,7 +54,8 @@ std::int64_t Cli::integer(const std::string& name, std::int64_t def,
   return value;
 }
 
-double Cli::real(const std::string& name, double def) const {
+double Cli::real(const std::string& name, double def, double lo, double hi,
+                 bool open_lo) const {
   queried_[name] = true;
   const auto it = values_.find(name);
   if (it == values_.end()) {
@@ -64,6 +66,10 @@ double Cli::real(const std::string& name, double def) const {
   const double value = std::strtod(text.c_str(), &end);
   DYNET_CHECK(!text.empty() && *end == '\0')
       << "--" << name << "='" << text << "' is not a number";
+  DYNET_CHECK(std::isfinite(value) && (open_lo ? value > lo : value >= lo) &&
+              value <= hi)
+      << "--" << name << "=" << text << " is not a finite number in "
+      << (open_lo ? "(" : "[") << lo << ", " << hi << "]";
   return value;
 }
 

@@ -25,7 +25,13 @@ class Cli {
       const std::string& name, std::int64_t def,
       std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
       std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
-  double real(const std::string& name, double def) const;
+  /// The real flag `name`, or `def` when absent; a value that is not
+  /// finite or lies outside [lo, hi] ((lo, hi] when `open_lo`) fails with a
+  /// CheckError naming the flag and the value.
+  double real(const std::string& name, double def,
+              double lo = std::numeric_limits<double>::lowest(),
+              double hi = std::numeric_limits<double>::max(),
+              bool open_lo = false) const;
   bool flag(const std::string& name, bool def = false) const;
 
   /// Call after all lookups: aborts on flags that were never queried.

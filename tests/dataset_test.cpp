@@ -119,6 +119,13 @@ TEST(EventList, MalformedInputsFailWithLineNumbers) {
   expectLoudFailure([] { parseText("5 2 a b\n"); }, "before it starts");
   // Self-loop.
   expectLoudFailure([] { parseText("0 3 a a\n"); }, "self-loop");
+  // A round past INT32_MAX, from a wide span or a tiny bucket: it is
+  // range-checked before it narrows to int, where it could wrap below the
+  // round cap.
+  expectLoudFailure([] { parseText("0 1e15 a b\n"); },
+                    "test.events:1: event maps to round 1e+15 > 5000000");
+  expectLoudFailure([] { parseText("0 1 a b\n5 6 b c\n", 1e-300); },
+                    "test.events:1: event maps to round 1e+300");
   // Empty dataset.
   expectLoudFailure([] { parseText("# nothing\n"); }, "test.events");
 }

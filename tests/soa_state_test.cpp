@@ -1,10 +1,13 @@
 // Structure-of-arrays state store: differential pins against the object
 // path.
 //
-// Four layers of evidence that the SoA path (the factory constructor over a
-// protocol with an SoA model) changes HOW the engine executes a round,
-// never WHAT it computes.  The reference is the object path: the same
-// factory through sim::createProcesses and the process-vector constructor.
+// Five layers of evidence that the SoA path (the factory constructor over
+// flood, the one protocol with an SoA model, in both flood modes) changes
+// HOW the engine executes a round, never WHAT it computes.  The reference
+// is the object path: the same factory through sim::createProcesses and the
+// process-vector constructor.  FloodProcess rejects a foreign token, so
+// the lockstep fault plans have the link-layer CRC drop corrupted copies;
+// only the first-error test delivers one, to make a walk throw.
 //
 //   * per-round lockstep: object and SoA engines stepped side by side must
 //     agree on every node's stateDigest / done / output after EVERY round,
@@ -41,7 +44,6 @@
 #include "net/graph.h"
 #include "obs/sink.h"
 #include "protocols/flood.h"
-#include "protocols/max_flood.h"
 #include "sim/batch.h"
 #include "sim/engine.h"
 #include "sim/soa_exec.h"
@@ -51,29 +53,16 @@
 namespace dynet::sim {
 namespace {
 
-std::unique_ptr<ProcessFactory> makeProtocol(int kind, NodeId n,
-                                             Round rounds) {
-  switch (kind) {
-    case 0:
-      return std::make_unique<proto::FloodFactory>(
-          0, 0x2a, 8, proto::FloodMode::kDeterministic, rounds / 2);
-    case 1:
-      return std::make_unique<proto::FloodFactory>(
-          0, 0x2a, 8, proto::FloodMode::kRandomized, rounds / 2);
-    default: {
-      std::vector<std::uint64_t> values;
-      for (NodeId v = 0; v < n; ++v) {
-        values.push_back(static_cast<std::uint64_t>((v * 37 + 11) % 100));
-      }
-      return std::make_unique<proto::MaxFloodFactory>(std::move(values), 8,
-                                                      rounds);
-    }
-  }
+/// Protocol 0 is deterministic flood, 1 randomized flood.
+std::unique_ptr<ProcessFactory> makeProtocol(int kind, Round rounds) {
+  return std::make_unique<proto::FloodFactory>(
+      0, 0x2a, 8,
+      kind == 0 ? proto::FloodMode::kDeterministic
+                : proto::FloodMode::kRandomized,
+      rounds / 2);
 }
 
-/// Protocols with an SoA model: 0 flood (deterministic), 1 flood
-/// (randomized), 2 max_flood.
-constexpr int kProtocols = 3;
+constexpr int kProtocols = 2;
 
 std::unique_ptr<Adversary> makeAdversary(int kind, NodeId n,
                                          std::uint64_t seed) {
@@ -147,7 +136,7 @@ struct LockstepSpec {
 /// on the first round where any node's digest / done / output diverges.
 void runLockstep(const LockstepSpec& s) {
   const std::unique_ptr<ProcessFactory> factory =
-      makeProtocol(s.protocol, s.n, s.rounds);
+      makeProtocol(s.protocol, s.rounds);
   EngineConfig object_cfg;
   object_cfg.max_rounds = s.rounds;
   object_cfg.stop_when_all_done = false;
@@ -218,8 +207,8 @@ TEST(SoAState, PerRoundDigestLockstepAcrossProtocolsAndAdversaries) {
   }
 }
 
-/// Crash/restart plus drop/corrupt faults.  MaxFlood decodes arbitrary
-/// payloads, so mangled deliveries may arrive.
+/// Crash/restart plus drop/corrupt faults, the corrupted copies caught by
+/// the link-layer CRC.
 faults::FaultConfig crashAndCorruptPlan() {
   faults::FaultConfig fc;
   fc.crash_fraction = 0.3;
@@ -228,7 +217,6 @@ faults::FaultConfig crashAndCorruptPlan() {
   fc.restart_downtime = 6;
   fc.drop_prob = 0.15;
   fc.corrupt_prob = 0.1;
-  fc.deliver_corrupted = true;
   return fc;
 }
 
@@ -237,7 +225,7 @@ TEST(SoAState, CrashMasksConsistentUnderFaultPlans) {
   for (int adversary = 0; adversary < 3; ++adversary) {
     for (std::uint64_t seed : {0x61ull, 0x62ull, 0x63ull}) {
       LockstepSpec s;
-      s.protocol = 2;  // max_flood
+      s.protocol = 1;  // randomized flood
       s.adversary = adversary;
       s.seed = seed;
       s.fc = &fc;
@@ -247,14 +235,12 @@ TEST(SoAState, CrashMasksConsistentUnderFaultPlans) {
       }
     }
   }
-  // Flood under crash/restart (but pristine payloads: FloodProcess rejects
-  // foreign tokens): locksteps FloodSoA::resetNode, which hands the source
-  // back its token and every other node its token-less round-0 state, in
-  // both flood modes.
+  // Crash/restart alone: locksteps FloodSoA::resetNode, which hands the
+  // source back its token and every other node its token-less round-0
+  // state, in both flood modes.
   faults::FaultConfig crash_only = fc;
   crash_only.drop_prob = 0;
   crash_only.corrupt_prob = 0;
-  crash_only.deliver_corrupted = false;
   for (const int protocol : {0, 1}) {
     LockstepSpec s;
     s.protocol = protocol;
@@ -275,7 +261,7 @@ TEST(SoAState, CrashMasksConsistentUnderFaultPlans) {
 TEST(SoAState, NoLivenessFaultPlansAreByteIdentical) {
   const NodeId n = 14;
   const Round rounds = 40;
-  const std::unique_ptr<ProcessFactory> factory = makeProtocol(2, n, rounds);
+  const std::unique_ptr<ProcessFactory> factory = makeProtocol(1, rounds);
   const auto run = [&](const faults::FaultConfig* fc, bool soa) {
     EngineConfig cfg;
     cfg.max_rounds = rounds;
@@ -300,7 +286,6 @@ TEST(SoAState, NoLivenessFaultPlansAreByteIdentical) {
   faults::FaultConfig drop_only;
   drop_only.drop_prob = 0.2;
   drop_only.corrupt_prob = 0.1;
-  drop_only.deliver_corrupted = true;
 
   const auto clean = run(nullptr, true);
   for (const bool soa : {false, true}) {
@@ -399,7 +384,7 @@ TEST(SoAState, DropOnlyPlanNeverTakesThePushWalk) {
     LockstepSpec s;
     s.n = 12;
     s.rounds = 48;
-    s.protocol = 2;  // max_flood
+    s.protocol = 1;  // randomized flood
     s.adversary = adversary;
     s.seed = 0x93;
     s.fc = &drop_only;
@@ -437,16 +422,12 @@ std::string withoutShapeGauges(const obs::MetricsSink& sink) {
   return out;
 }
 
-// The per-round lockstep past two chunks' worth of nodes, for every SoA
-// model over edge churn, the static ring and the rotating star: fault-free,
+// The per-round lockstep past two chunks' worth of nodes, in both flood
+// modes over edge churn, the static ring and the rotating star: fault-free,
 // under crash/restart plus drop/corrupt faults, and with sinks on both
 // engines, whose metrics must agree except for soa//.
 TEST(SoAState, NodeRangeChunksLockstepAtLargeN) {
   const faults::FaultConfig plan = crashAndCorruptPlan();
-  // FloodProcess rejects foreign tokens: flood's corrupted copies are
-  // caught by the link-layer CRC instead of delivered.
-  faults::FaultConfig flood_plan = plan;
-  flood_plan.deliver_corrupted = false;
   const double workers =
       std::min(util::ThreadPool::shared().threadCount(), 3u);
   double pull_rounds = 0;
@@ -462,7 +443,7 @@ TEST(SoAState, NodeRangeChunksLockstepAtLargeN) {
         s.adversary = adversary;
         s.seed = 0xC0 + static_cast<std::uint64_t>(adversary);
         if (condition == "faulty") {
-          s.fc = protocol == 2 ? &plan : &flood_plan;
+          s.fc = &plan;
         }
         if (condition == "sink") {
           s.object_sink = &object_sink;
@@ -535,8 +516,7 @@ TEST(SoAState, ChunkedWalkThrowsTheSerialWalksFirstError) {
 // the trial's thread runs itself.  Each trial's result must equal the same
 // run on process objects, stepped on this thread.
 TEST(SoAState, ChunkedEnginesInsideBatchTrialsMatchSerialRuns) {
-  const std::unique_ptr<ProcessFactory> factory =
-      makeProtocol(2, kChunkedN, 12);
+  const std::unique_ptr<ProcessFactory> factory = makeProtocol(1, 12);
   const auto trial = [&](std::uint64_t seed, bool soa) {
     EngineConfig cfg;
     cfg.max_rounds = 12;

@@ -380,6 +380,44 @@ TEST(Cli, RealAcceptsDecimalAndExponentForms) {
   EXPECT_THROW(cliReal(""), CheckError);
 }
 
+// A real flag is finite and inside its range, closed or open below: the
+// protocol zoo reads a non-positive p or n_estimate as unset, so nan or 0
+// must fail at the flag instead of running on a default.
+TEST(Cli, RealRejectsValuesOutsideItsRangeNamingFlagAndValue) {
+  const auto real = [](const std::string& value, bool open_lo) {
+    const std::string arg = "--c=" + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    return Cli(2, const_cast<char**>(argv))
+        .real("c", 0.25, 0, 1.0 / 3.0, open_lo);
+  };
+  EXPECT_DOUBLE_EQ(real("0", false), 0);
+  EXPECT_DOUBLE_EQ(real("1e-300", true), 1e-300);
+  EXPECT_DOUBLE_EQ(real("0.3333", true), 0.3333);
+  for (const bool open_lo : {false, true}) {
+    for (const std::string bad :
+         {"-0.1", "0.34", "nan", "inf", "-inf", "1e999"}) {
+      try {
+        real(bad, open_lo);
+        FAIL() << "expected CheckError for '" << bad << "'";
+      } catch (const CheckError& e) {
+        const std::string range = open_lo ? "(0, 0.333333]" : "[0, 0.333333]";
+        EXPECT_NE(std::string(e.what()).find(
+                      "--c=" + bad + " is not a finite number in " + range),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  EXPECT_THROW(real("0", true), CheckError);
+  // The default is returned as given; without a range only a non-finite
+  // value fails.
+  const char* argv[] = {"prog"};
+  EXPECT_DOUBLE_EQ(Cli(1, const_cast<char**>(argv)).real("c", 7, 0, 1), 7);
+  EXPECT_DOUBLE_EQ(cliReal("-1e300"), -1e300);
+  EXPECT_THROW(cliReal("nan"), CheckError);
+  EXPECT_THROW(cliReal("-inf"), CheckError);
+}
+
 TEST(Cli, UnknownFlagRejected) {
   const char* argv[] = {"prog", "--typo=1"};
   Cli cli(2, const_cast<char**>(argv));

@@ -40,6 +40,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -69,6 +70,12 @@ int intFlag(const util::Cli& cli, const std::string& name, int def,
             std::int64_t lo = std::numeric_limits<int>::min()) {
   return static_cast<int>(
       cli.integer(name, def, lo, std::numeric_limits<int>::max()));
+}
+
+/// --trace-bucket, in the range the shard-config reader takes.
+double traceBucket(const util::Cli& cli) {
+  return cli.real("trace-bucket", 1.0, 0, std::numeric_limits<double>::max(),
+                  /*open_lo=*/true);
 }
 
 void printNameList(std::ostream& out, const std::string& label,
@@ -201,7 +208,7 @@ int runCampaignStatusMode(const std::string& dir, bool watch,
 
 int runTraceInfoMode(util::Cli& cli, const std::string& path) {
   dataset::LoadOptions options;
-  options.bucket = cli.real("trace-bucket", 1.0);
+  options.bucket = traceBucket(cli);
   options.use_cache = !cli.flag("no-trace-cache");
   options.write_cache = options.use_cache;
   cli.rejectUnknown();
@@ -233,7 +240,7 @@ int runTraceInfoMode(util::Cli& cli, const std::string& path) {
 int runTraceCompileMode(util::Cli& cli, const std::string& path) {
   const std::string out_path = cli.str("out", path + ".dtc");
   dataset::LoadOptions options;
-  options.bucket = cli.real("trace-bucket", 1.0);
+  options.bucket = traceBucket(cli);
   // Always recompile from the source; --trace-compile exists to (re)write
   // the cache, so trusting an existing sidecar would defeat the point.
   options.use_cache = false;
@@ -360,11 +367,15 @@ int run(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cli.integer("seed", 1));
   shard.diameter = intFlag(cli, "diameter", 8);
   shard.k = intFlag(cli, "k", 0);
-  shard.p = cli.real("p", 0);
+  shard.p = cli.real("p", 0, 0, 1);
   shard.interval = intFlag(cli, "interval", 8);
   shard.churn = intFlag(cli, "churn", 2);
-  shard.n_estimate = cli.real("n-estimate", 0);
-  shard.c = cli.real("c", 0.25);
+  shard.n_estimate =
+      cli.real("n-estimate", 0, 0, std::numeric_limits<double>::max());
+  DYNET_CHECK(shard.n_estimate == 0 || shard.n_estimate >= 1)
+      << "--n-estimate=" << shard.n_estimate
+      << " is neither 0 (the 1.1 n default) nor at least 1";
+  shard.c = cli.real("c", 0.25, 0, 1.0 / 3.0, /*open_lo=*/true);
   shard.max_rounds = intFlag(cli, "max-rounds", 20'000'000, 1);
   // Dataset replay knobs (--trace is taken by the simulation-trace dump, so
   // the dataset path flag is --trace-path).
@@ -372,7 +383,7 @@ int run(int argc, char** argv) {
   shard.trace_policy = cli.str("trace-policy", "wrap");
   shard.trace_offset = cli.flag("trace-offset-seeded");
   shard.trace_spine = !cli.flag("no-trace-spine");
-  shard.trace_bucket = cli.real("trace-bucket", 1.0);
+  shard.trace_bucket = traceBucket(cli);
   shard.anonymous = cli.flag("anonymous");
   // Distance-hardness gadget knobs (--adversary ach_gadget | bk_gadget).
   shard.gadget_width = intFlag(cli, "gadget-width", 0, 0);
@@ -413,33 +424,40 @@ int run(int argc, char** argv) {
         << shard.adversary << "')";
   }
 
-  std::unique_ptr<sim::ProcessFactory> factory =
-      campaign::makeProtocolFactory(shard, seed);
-  auto adversary = campaign::makeAdversary(shard, seed);
-  cli.rejectUnknown();
-
   // Observability plumbing: one sink for engine metrics and DYNET_PROF
   // timers, one trace writer shared by the Chrome/JSONL outputs.
   const bool want_metrics = !metrics_path.empty();
   const bool want_spans = !chrome_path.empty() || !jsonl_path.empty();
   obs::TraceWriter trace_writer;
   obs::MetricsSink sink;
-  if (want_spans) {
-    sink.trace = &trace_writer;
-  }
   std::unique_ptr<obs::ProfScope> prof;
-  if (want_metrics) {
-    prof = std::make_unique<obs::ProfScope>(&sink.registry);
+  std::unique_ptr<sim::ProcessFactory> factory;
+  std::optional<sim::Engine> engine;
+  sim::RunResult result;
+  // Building and running allocate per node, past every range check: a node
+  // count too large for memory is an error naming the flag, not a crash.
+  try {
+    factory = campaign::makeProtocolFactory(shard, seed);
+    auto adversary = campaign::makeAdversary(shard, seed);
+    cli.rejectUnknown();
+    if (want_spans) {
+      sink.trace = &trace_writer;
+    }
+    if (want_metrics) {
+      prof = std::make_unique<obs::ProfScope>(&sink.registry);
+    }
+    sim::EngineConfig config = campaign::makeEngineConfig(shard);
+    config.record_topologies = true;
+    config.record_actions = !trace_path.empty();
+    if (want_metrics || want_spans) {
+      config.metrics = &sink;
+    }
+    engine.emplace(*factory, std::move(adversary), config, seed);
+    result = engine->run();
+  } catch (const std::bad_alloc&) {
+    DYNET_CHECK(false) << "--nodes=" << shard.n
+                       << ": out of memory building or running the run";
   }
-
-  sim::EngineConfig config = campaign::makeEngineConfig(shard);
-  config.record_topologies = true;
-  config.record_actions = !trace_path.empty();
-  if (want_metrics || want_spans) {
-    config.metrics = &sink;
-  }
-  sim::Engine engine(*factory, std::move(adversary), config, seed);
-  const auto result = engine.run();
 
   const sim::NodeId n = shard.n;
   util::Table table({"metric", "value"});
@@ -452,26 +470,26 @@ int run(int argc, char** argv) {
   table.row().cell("bits").cell(result.bits_sent);
   table.row().cell("max bits/node").cell(result.max_bits_per_node);
   const int max_start = std::max(
-      0, std::min<int>(8, static_cast<int>(engine.topologies().size()) - n));
-  const int realized = net::dynamicDiameter(engine.topologies(), max_start);
+      0, std::min<int>(8, static_cast<int>(engine->topologies().size()) - n));
+  const int realized = net::dynamicDiameter(engine->topologies(), max_start);
   table.row().cell("realized diameter").cell(realized);
   if (realized > 0 && result.all_done_round > 0) {
     table.row().cell("flooding rounds").cell(
         static_cast<double>(result.all_done_round) / realized, 2);
   }
-  if (engine.topologies().size() >= 2) {
+  if (engine->topologies().size() >= 2) {
     table.row().cell("mean edge Jaccard").cell(
-        net::meanConsecutiveJaccard(engine.topologies()), 3);
+        net::meanConsecutiveJaccard(engine->topologies()), 3);
   }
   if (result.all_done && n > 0) {
-    table.row().cell("output[node 0]").cell(engine.nodeOutput(0));
+    table.row().cell("output[node 0]").cell(engine->nodeOutput(0));
   }
   std::cout << table.toString();
 
   if (!trace_path.empty()) {
     std::ofstream out(trace_path);
     DYNET_CHECK(out.good()) << "cannot open " << trace_path;
-    sim::writeTrace(out, sim::traceFromEngine(engine));
+    sim::writeTrace(out, sim::traceFromEngine(*engine));
     std::cout << "trace written to " << trace_path << "\n";
   }
   prof.reset();  // flush prof timers before the registry is exported
