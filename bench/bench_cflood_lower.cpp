@@ -9,7 +9,6 @@
 //     simulation argument, set against the Ω(n/q²) DISJOINTNESSCP bound,
 //   * exact cross-validation of both parties' simulations (Lemma 5).
 #include <iostream>
-#include <limits>
 
 #include "bench_common.h"
 #include "lowerbound/reduction.h"
@@ -26,10 +25,8 @@ using sim::Round;
 
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const int n_groups = static_cast<int>(
-      cli.integer("n", 2, 1, std::numeric_limits<int>::max()));
-  const int wait_rounds = static_cast<int>(
-      cli.integer("oracle_wait", 12, 0, std::numeric_limits<int>::max()));
+  const int n_groups = cli.intFlag("n", 2, 1);
+  const int wait_rounds = cli.intFlag("oracle_wait", 12, 0);
   const bool quick = cli.flag("quick");
   bench::ObsSession obs(cli);
   cli.rejectUnknown();
@@ -130,5 +127,5 @@ int run(int argc, char** argv) {
 }  // namespace dynet
 
 int main(int argc, char** argv) {
-  return dynet::bench::guardedMain(argc, argv, dynet::run);
+  return dynet::util::guardedMain(argc, argv, dynet::run);
 }

@@ -9,7 +9,6 @@
 // spectrum — the paper's complexities are about *knowledge of D*, not
 // about churn itself.
 #include <iostream>
-#include <limits>
 
 #include "adversary/churn_adversaries.h"
 #include "adversary/dynamic_adversaries.h"
@@ -72,9 +71,7 @@ ChurnPoint measure(NodeId n, const MakeAdv& make, std::uint64_t seed) {
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const bool quick = bench::quickMode(cli);
-  const auto n = static_cast<NodeId>(
-      cli.integer("nodes", quick ? 64 : 128, 2,
-                  std::numeric_limits<int>::max()));
+  const NodeId n = cli.intFlag("nodes", quick ? 64 : 128, 2);
   cli.rejectUnknown();
   std::cout << "Churn sweep — known-D LEADERELECT across the churn spectrum "
                "(N = " << n << ")\n\n";
@@ -143,5 +140,5 @@ int run(int argc, char** argv) {
 }  // namespace dynet
 
 int main(int argc, char** argv) {
-  return dynet::bench::guardedMain(argc, argv, dynet::run);
+  return dynet::util::guardedMain(argc, argv, dynet::run);
 }

@@ -11,7 +11,6 @@
 // on DISJ=0, the N' validity for both network sizes, the communication
 // envelope, and simulation consistency.
 #include <iostream>
-#include <limits>
 
 #include "bench_common.h"
 #include "lowerbound/reduction.h"
@@ -28,10 +27,8 @@ using sim::Round;
 
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const int n_groups = static_cast<int>(
-      cli.integer("n", 2, 1, std::numeric_limits<int>::max()));
-  const int oracle_rounds = static_cast<int>(
-      cli.integer("oracle_rounds", 10, 0, std::numeric_limits<int>::max()));
+  const int n_groups = cli.intFlag("n", 2, 1);
+  const int oracle_rounds = cli.intFlag("oracle_rounds", 10, 0);
   const bool quick = cli.flag("quick");
   cli.rejectUnknown();
 
@@ -116,5 +113,5 @@ int run(int argc, char** argv) {
 }  // namespace dynet
 
 int main(int argc, char** argv) {
-  return dynet::bench::guardedMain(argc, argv, dynet::run);
+  return dynet::util::guardedMain(argc, argv, dynet::run);
 }

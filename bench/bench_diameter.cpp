@@ -22,7 +22,6 @@
 // BENCH_diameter.json (--json-out=PATH to override, "" to skip).
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -153,8 +152,7 @@ Row runOne(const std::string& protocol, const Instance& inst, sim::NodeId n,
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const bool quick = bench::quickMode(cli);
-  const int stretch = static_cast<int>(
-      cli.integer("stretch", 2, 0, std::numeric_limits<int>::max()));
+  const int stretch = cli.intFlag("stretch", 2, 0);
   const auto seed = static_cast<std::uint64_t>(cli.integer("seed", 42));
   const std::string json_path = cli.str("json-out", "BENCH_diameter.json");
   cli.rejectUnknown();
@@ -234,5 +232,5 @@ int run(int argc, char** argv) {
 }  // namespace dynet
 
 int main(int argc, char** argv) {
-  return dynet::bench::guardedMain(argc, argv, dynet::run);
+  return dynet::util::guardedMain(argc, argv, dynet::run);
 }

@@ -5,7 +5,6 @@
 // formula.  Also prints the parameter map Theorem 6 uses (q = 120s+1,
 // n = (N-4)/(3q)) so the reduction arithmetic is visible.
 #include <iostream>
-#include <limits>
 
 #include "bench_common.h"
 #include "cc/channel.h"
@@ -22,9 +21,7 @@ namespace {
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const bool quick = cli.flag("quick");
-  const int trials = static_cast<int>(
-      cli.integer("trials", quick ? 5 : 20, 1,
-                  std::numeric_limits<int>::max()));
+  const int trials = cli.intFlag("trials", quick ? 5 : 20, 1);
   cli.rejectUnknown();
 
   std::cout << "E8 — DISJOINTNESSCP communication (Theorem 1 from [4])\n\n";
@@ -112,5 +109,5 @@ int run(int argc, char** argv) {
 }  // namespace dynet
 
 int main(int argc, char** argv) {
-  return dynet::bench::guardedMain(argc, argv, dynet::run);
+  return dynet::util::guardedMain(argc, argv, dynet::run);
 }

@@ -15,7 +15,6 @@
 // baseline: it is cheaper than ResilientFlood when nothing fails and
 // useless the moment deliveries start disappearing (it never re-sends).
 #include <iostream>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -248,11 +247,8 @@ void instrumentedRun(bench::ObsSession& obs, NodeId n, std::uint64_t seed) {
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const bool quick = cli.flag("quick");
-  const int trials = static_cast<int>(
-      cli.integer("trials", quick ? 5 : 20, 1,
-                  std::numeric_limits<int>::max()));
-  const NodeId n = static_cast<NodeId>(
-      cli.integer("n", 64, 2, std::numeric_limits<int>::max()));
+  const int trials = cli.intFlag("trials", quick ? 5 : 20, 1);
+  const NodeId n = cli.intFlag("n", 64, 2);
   bench::ObsSession obs(cli);
   cli.rejectUnknown();
 
@@ -296,5 +292,5 @@ int run(int argc, char** argv) {
 }  // namespace dynet
 
 int main(int argc, char** argv) {
-  return dynet::bench::guardedMain(argc, argv, dynet::run);
+  return dynet::util::guardedMain(argc, argv, dynet::run);
 }

@@ -11,7 +11,6 @@
 // The shape to see: column 1 and the envelope diverge exponentially (in
 // the exponent of N); column 2 stays polylog and crosses below column 3.
 #include <iostream>
-#include <limits>
 
 #include "bench_common.h"
 #include "protocols/consensus_known_d.h"
@@ -64,8 +63,7 @@ double unknownDFloodingRounds(NodeId n, int diameter, int trials,
 
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const int trials = static_cast<int>(
-      cli.integer("trials", 3, 1, std::numeric_limits<int>::max()));
+  const int trials = cli.intFlag("trials", 3, 1);
   const bool quick = cli.flag("quick");
   cli.rejectUnknown();
 
@@ -115,5 +113,5 @@ int run(int argc, char** argv) {
 }  // namespace dynet
 
 int main(int argc, char** argv) {
-  return dynet::bench::guardedMain(argc, argv, dynet::run);
+  return dynet::util::guardedMain(argc, argv, dynet::run);
 }

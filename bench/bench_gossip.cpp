@@ -6,7 +6,6 @@
 // known-D round budget, and the pessimistic D:=N budget — the waste factor
 // is the concrete cost the paper's question is about.
 #include <iostream>
-#include <limits>
 
 #include "bench_common.h"
 #include "protocols/gossip.h"
@@ -24,8 +23,7 @@ using sim::Round;
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const bool quick = bench::quickMode(cli);
-  const int trials = static_cast<int>(
-      cli.integer("trials", quick ? 2 : 3, 1, std::numeric_limits<int>::max()));
+  const int trials = cli.intFlag("trials", quick ? 2 : 3, 1);
   cli.rejectUnknown();
   std::cout << "k-token gossip — completion vs known-D budget vs pessimistic "
                "D := N budget\n\n";
@@ -90,5 +88,5 @@ int run(int argc, char** argv) {
 }  // namespace dynet
 
 int main(int argc, char** argv) {
-  return dynet::bench::guardedMain(argc, argv, dynet::run);
+  return dynet::util::guardedMain(argc, argv, dynet::run);
 }

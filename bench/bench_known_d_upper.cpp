@@ -6,7 +6,6 @@
 // diameter D, hands it to the protocol, and reports rounds, flooding
 // rounds (rounds / D), and correctness over Monte Carlo trials.
 #include <iostream>
-#include <limits>
 
 #include "bench_common.h"
 #include "protocols/cflood.h"
@@ -133,8 +132,7 @@ Row runProblem(const std::string& problem, const std::string& adv_name,
 
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const int trials = static_cast<int>(
-      cli.integer("trials", 4, 1, std::numeric_limits<int>::max()));
+  const int trials = cli.intFlag("trials", 4, 1);
   const bool quick = cli.flag("quick");
   cli.rejectUnknown();
 
@@ -189,5 +187,5 @@ int run(int argc, char** argv) {
 }  // namespace dynet
 
 int main(int argc, char** argv) {
-  return dynet::bench::guardedMain(argc, argv, dynet::run);
+  return dynet::util::guardedMain(argc, argv, dynet::run);
 }

@@ -5,7 +5,6 @@
 // declared, and correctness over Monte Carlo trials; plus a c-sweep showing
 // the accuracy/cost trade (k grows as c shrinks).
 #include <iostream>
-#include <limits>
 
 #include "bench_common.h"
 #include "protocols/leader_unknown_d.h"
@@ -83,8 +82,7 @@ void instrumentedRun(bench::ObsSession& obs, NodeId n, int trials_seed) {
 
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const int trials = static_cast<int>(
-      cli.integer("trials", 3, 1, std::numeric_limits<int>::max()));
+  const int trials = cli.intFlag("trials", 3, 1);
   const bool quick = cli.flag("quick");
   bench::ObsSession obs(cli);
   cli.rejectUnknown();
@@ -167,5 +165,5 @@ int run(int argc, char** argv) {
 }  // namespace dynet
 
 int main(int argc, char** argv) {
-  return dynet::bench::guardedMain(argc, argv, dynet::run);
+  return dynet::util::guardedMain(argc, argv, dynet::run);
 }

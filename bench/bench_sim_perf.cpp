@@ -1,12 +1,34 @@
-// E9 — infrastructure throughput (google-benchmark): round-engine
-// node-rounds/sec across adversaries, dynamic-diameter solves, and the
-// Γ/Λ adversary edge generation that dominates reduction runs.
+// E9 — infrastructure throughput: the round engine, the dynamic-diameter
+// solver and the Γ/Λ topology builder behind the paper's experiments, and
+// pairwise comparisons of engine configurations.
 //
-// A second, non-google-benchmark family of modes compares engine
-// configurations pairwise (invoked as `bench_sim_perf [--quick] MODE...`,
-// any subset; results for all requested modes land in one
-// BENCH_sim_perf.json, override with --json-out=PATH):
+//   bench_sim_perf [--quick] [--json-out=PATH] [MODE...]
 //
+// With no MODE it runs throughput and the three comparison modes, the rows
+// of the committed BENCH_sim_perf.json; `scale` runs only when named (its
+// study lives in BENCH_scale.json).  Every requested mode lands in one JSON
+// file, BENCH_sim_perf.json in the working directory unless --json-out=PATH.
+// --quick runs every mode at its smallest sizes.
+//
+//   throughput           four suites, each size timed over one untimed and
+//                        7 timed repetitions (median and quartiles):
+//                          engine_flood        randomized flood on the
+//                            rotating star (flood's SoA model), 256 rounds,
+//                            n = 256, 1024, 4096: node-rounds/s;
+//                          engine_random_tree  a random babbler on objects
+//                            over a fresh random tree every round, 128
+//                            rounds, n = 256, 1024: node-rounds/s;
+//                          dynamic_diameter    the all-sources dynamic
+//                            diameter over 9 start rounds (one pool index
+//                            each) of 3n shuffled-path rounds, n = 256,
+//                            1024: ms per solve;
+//                          gamma_lambda        topologies of the Γ+Λ
+//                            reference adversary of a q = 61 and 241
+//                            CFLOOD network, 1024 per repetition cycling
+//                            its horizon: µs per topology.
+//                        An engine repetition builds and runs a fresh
+//                        engine; the diameter's rounds and the network are
+//                        built once per size, outside the timing.
 //   batch-vs-sequential  trials/sec of the historical sequential loop
 //                        (per-round topology rebuild, map-merged metrics,
 //                        one thread) against sim::BatchRunner on the
@@ -37,13 +59,14 @@
 // 1, as it does when a leg that should run flood's SoA model runs on
 // objects.  The scale mode requires every repetition of a size to end in
 // the same digest.
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,84 +87,44 @@
 namespace dynet {
 namespace {
 
-void BM_EngineFlood(benchmark::State& state) {
-  const auto n = static_cast<sim::NodeId>(state.range(0));
-  constexpr sim::Round kRounds = 256;
-  // Randomized flood, done only past the horizon.
-  const proto::FloodFactory factory(0, 0x2a, 8, proto::FloodMode::kRandomized,
-                                    kRounds + 1);
-  std::int64_t node_rounds = 0;
-  for (auto _ : state) {
-    auto engine = bench::makeEngine(
-        factory, bench::makeAdversary("rotating_star", n, 42), kRounds, 7);
-    for (sim::Round r = 0; r < kRounds; ++r) {
-      engine.step();
-    }
-    node_rounds += kRounds * n;
-    benchmark::DoNotOptimize(engine.result().bits_sent);
-  }
-  state.counters["node_rounds/s"] = benchmark::Counter(
-      static_cast<double>(node_rounds), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_EngineFlood)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_EngineRandomTree(benchmark::State& state) {
-  const auto n = static_cast<sim::NodeId>(state.range(0));
-  std::int64_t node_rounds = 0;
-  for (auto _ : state) {
-    proto::RandomBabblerFactory factory(24);
-    auto engine = bench::makeEngine(
-        factory, bench::makeAdversary("random_tree", n, 42), 128, 7);
-    for (int r = 0; r < 128; ++r) {
-      engine.step();
-    }
-    node_rounds += 128 * n;
-    benchmark::DoNotOptimize(engine.result().bits_sent);
-  }
-  state.counters["node_rounds/s"] = benchmark::Counter(
-      static_cast<double>(node_rounds), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_EngineRandomTree)->Arg(256)->Arg(1024);
-
-void BM_DynamicDiameter(benchmark::State& state) {
-  const auto n = static_cast<sim::NodeId>(state.range(0));
-  auto adversary = bench::makeAdversary("shuffle_path", n, 9);
-  net::TopologySeq topologies;
-  std::vector<sim::Action> receiving(static_cast<std::size_t>(n));
-  for (sim::Round r = 1; r <= 3 * n; ++r) {
-    topologies.push_back(adversary->topology(r, {receiving}));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::dynamicDiameter(topologies, 8));
-  }
-}
-BENCHMARK(BM_DynamicDiameter)->Arg(256)->Arg(1024);
-
-void BM_GammaLambdaTopology(benchmark::State& state) {
-  const int q = static_cast<int>(state.range(0));
-  util::Rng rng(4);
-  const cc::Instance inst = cc::randomInstance(2, q, rng, 0);
-  const lb::CFloodNetwork network(inst);
-  auto adversary = network.referenceAdversary();
-  std::vector<sim::Action> receiving(
-      static_cast<std::size_t>(network.numNodes()));
-  sim::Round r = 1;
-  for (auto _ : state) {
-    auto g = adversary->topology(r % network.horizon() + 1, {receiving});
-    benchmark::DoNotOptimize(g->numEdges());
-    ++r;
-  }
-  state.counters["nodes"] = network.numNodes();
-}
-BENCHMARK(BM_GammaLambdaTopology)->Arg(61)->Arg(241);
-
-// ------------------------------------------------- batch-vs-sequential mode
-
-double nowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
+/// Seconds `body()` takes.
+template <typename Body>
+double timed(Body body) {
+  const auto start = std::chrono::steady_clock::now();
+  body();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
 }
+
+/// Median and quartiles of a per-repetition figure.
+struct Spread {
+  double q1 = 0;
+  double median = 0;
+  double q3 = 0;
+};
+
+/// Calls `rep(i)` once untimed (i = -1: first allocations, code paging)
+/// and then for i = 0 .. reps - 1, and returns the median and quartiles of
+/// the figures the timed calls return.
+template <typename Rep>
+Spread overReps(int reps, Rep rep) {
+  util::Summary figures;
+  for (int i = -1; i < reps; ++i) {
+    const double figure = rep(i);
+    if (i >= 0) {
+      figures.add(figure);
+    }
+  }
+  return {figures.percentile(0.25), figures.median(),
+          figures.percentile(0.75)};
+}
+
+/// One mode's part of the JSON file.
+struct ModeReport {
+  std::string mode;
+  std::string workload;           // omitted when each row names its own
+  std::vector<std::string> rows;  // one JSON object per result
+};
 
 /// The workload every comparison mode executes: randomized flood from node
 /// 0, done only past the horizon, so every trial runs all `rounds` rounds.
@@ -171,6 +154,94 @@ sim::RunResult runWorkloadTrial(sim::NodeId n, sim::Round rounds,
   return engine.run();
 }
 
+// ---------------------------------------------------------- throughput mode
+
+/// throughput: the four suites of the header, the first size of each under
+/// --quick, with 3 timed repetitions instead of 7.
+ModeReport runThroughput(bool quick) {
+  const int reps = quick ? 3 : 7;
+  const auto sizes = [&](std::vector<int> all) {
+    all.resize(quick ? 1 : all.size());
+    return all;
+  };
+  ModeReport report{"throughput", "", {}};
+  const auto add = [&](const std::string& suite, const std::string& workload,
+                       std::int64_t n, std::int64_t rounds,
+                       const std::string& unit, const Spread& s) {
+    std::ostringstream row;
+    row << "{\"suite\": \"" << suite << "\", \"workload\": \"" << workload
+        << "\", \"n\": " << n << ", \"rounds\": " << rounds
+        << ", \"reps\": " << reps << ", \"unit\": \"" << unit
+        << "\", \"q1\": " << s.q1 << ", \"median\": " << s.median
+        << ", \"q3\": " << s.q3 << "}";
+    report.rows.push_back(row.str());
+    std::cout << "throughput " << suite << " n=" << n << ": " << s.median
+              << " " << unit << " [" << s.q1 << ", " << s.q3 << "] over "
+              << reps << " reps\n";
+  };
+
+  constexpr sim::Round kFloodRounds = 256;
+  for (const sim::NodeId n : sizes({256, 1024, 4096})) {
+    add("engine_flood", "flood/rotating_star", n, kFloodRounds,
+        "node_rounds_per_sec", overReps(reps, [&](int) {
+          return n * kFloodRounds / timed([&] {
+                   runWorkloadTrial(
+                       n, kFloodRounds, 7,
+                       bench::makeAdversary("rotating_star", n, 42));
+                 });
+        }));
+  }
+  constexpr sim::Round kTreeRounds = 128;
+  const proto::RandomBabblerFactory babbler(24);
+  for (const sim::NodeId n : sizes({256, 1024})) {
+    add("engine_random_tree", "babbler/random_tree", n, kTreeRounds,
+        "node_rounds_per_sec", overReps(reps, [&](int) {
+          return n * kTreeRounds / timed([&] {
+                   bench::makeEngine(babbler,
+                                     bench::makeAdversary("random_tree", n, 42),
+                                     kTreeRounds, 7)
+                       .run();
+                 });
+        }));
+  }
+  for (const sim::NodeId n : sizes({256, 1024})) {
+    auto adversary = bench::makeAdversary("shuffle_path", n, 9);
+    net::TopologySeq topologies;
+    std::vector<sim::Action> receiving(static_cast<std::size_t>(n));
+    for (sim::Round r = 1; r <= 3 * n; ++r) {
+      topologies.push_back(adversary->topology(r, {receiving}));
+    }
+    add("dynamic_diameter", "shuffle_path", n, 3 * n, "ms_per_solve",
+        overReps(reps, [&](int) {
+          return 1e3 * timed([&] {
+                   DYNET_CHECK(net::dynamicDiameter(topologies, 8) > 0);
+                 });
+        }));
+  }
+  constexpr int kTopologies = 1024;
+  for (const int q : sizes({61, 241})) {
+    util::Rng rng(4);
+    const cc::Instance inst = cc::randomInstance(2, q, rng, 0);
+    const lb::CFloodNetwork network(inst);
+    auto adversary = network.referenceAdversary();
+    std::vector<sim::Action> receiving(
+        static_cast<std::size_t>(network.numNodes()));
+    add("gamma_lambda", "cflood_reference/q" + std::to_string(q),
+        network.numNodes(), kTopologies, "us_per_topology",
+        overReps(reps, [&](int) {
+          return 1e6 / kTopologies * timed([&] {
+                   for (int i = 0; i < kTopologies; ++i) {
+                     adversary->topology(i % network.horizon() + 1,
+                                         {receiving});
+                   }
+                 });
+        }));
+  }
+  return report;
+}
+
+// ------------------------------------------------------- comparison modes
+
 /// One full period of the rotating star's topology sequence, built once.
 /// RotatingStarAdversary rebuilds makeStar(n, (round-1) % n) from scratch
 /// every round of every trial; a PeriodicAdversary over this cycle yields
@@ -185,37 +256,6 @@ std::vector<net::GraphPtr> rotatingStarCycle(sim::NodeId n) {
   }
   return stars;
 }
-
-struct CompareResult {
-  sim::NodeId n = 0;
-  int trials = 0;
-  sim::Round rounds = 0;
-  double baseline_trials_per_sec = 0;
-  double new_trials_per_sec = 0;
-  double speedup = 0;
-};
-
-/// One size of the scale mode.
-struct ScaleResult {
-  sim::NodeId n = 0;
-  sim::Round rounds = 0;
-  int reps = 0;
-  double workers = 0;  // the engine's soa//workers gauge
-  // ns per node-round over the repetitions.
-  double q1 = 0;
-  double median = 0;
-  double q3 = 0;
-  std::uint64_t digest = 0;
-};
-
-struct ModeReport {
-  std::string mode;
-  std::string workload;
-  std::string baseline_label;  // JSON key for the baseline leg's rate
-  std::string new_label;       // JSON key for the new leg's rate
-  std::vector<CompareResult> results;
-  std::vector<ScaleResult> scale;  // the scale mode's rows instead
-};
 
 /// RunResult → the four metrics every comparison aggregates.
 std::map<std::string, double> trialMetrics(const sim::RunResult& r) {
@@ -251,67 +291,62 @@ void requireEqualSummaries(const std::map<std::string, util::Summary>& a,
 /// decorrelate slow machine-wide drift.
 constexpr int kReps = 3;
 
-CompareResult compareBatchVsSequential(sim::NodeId n, int trials,
-                                       sim::Round rounds,
-                                       std::uint64_t base_seed) {
-  double seq_secs = 0;
-  double batch_secs = 0;
+/// Seconds of the fastest rep of the baseline leg [0] and the new leg [1].
+using LegSeconds = std::array<double, 2>;
+
+void keepFastest(LegSeconds& best, int rep, int leg, double secs) {
+  if (rep == 0 || secs < best[leg]) {
+    best[leg] = secs;
+  }
+}
+
+LegSeconds compareBatchVsSequential(sim::NodeId n, int trials,
+                                    sim::Round rounds,
+                                    std::uint64_t base_seed) {
+  LegSeconds best{};
   std::map<std::string, util::Summary> sequential;
   std::map<std::string, util::Summary> batch_metrics;
   for (int rep = 0; rep < kReps; ++rep) {
     // Baseline: the pre-BatchRunner shape — one thread, a fresh Engine per
     // trial, per-round topology construction, and a fresh metric map per
     // trial, merged map-by-map.
-    const double seq_start = nowSeconds();
     std::map<std::string, util::Summary> seq;
-    for (int i = 0; i < trials; ++i) {
-      const sim::RunResult r = runWorkloadTrial(
-          n, rounds, util::hashCombine(base_seed, static_cast<std::size_t>(i)),
-          std::make_unique<sim::RebuildEveryRound>(
-              bench::makeAdversary("rotating_star", n, 42)));
-      for (const auto& [name, value] : trialMetrics(r)) {
-        seq[name].add(value);
+    keepFastest(best, rep, 0, timed([&] {
+      for (int i = 0; i < trials; ++i) {
+        const sim::RunResult r = runWorkloadTrial(
+            n, rounds,
+            util::hashCombine(base_seed, static_cast<std::size_t>(i)),
+            std::make_unique<sim::RebuildEveryRound>(
+                bench::makeAdversary("rotating_star", n, 42)));
+        for (const auto& [name, value] : trialMetrics(r)) {
+          seq[name].add(value);
+        }
       }
-    }
-    const double seq_rep = nowSeconds() - seq_start;
+    }));
 
     sim::BatchRunner runner;
     // Topology construction is part of what the batch path amortizes
     // away, but it should not be *timed into* a trials/sec figure that
     // claims to measure the round engine: hoist it.
     const std::vector<net::GraphPtr> stars = rotatingStarCycle(n);
-    const double batch_start = nowSeconds();
-    const sim::TrialSummary batch = runner.run(
-        trials, base_seed,
-        [&](std::uint64_t seed, sim::TrialRecorder& rec) {
-          const sim::RunResult r = runWorkloadTrial(
-              n, rounds, seed, std::make_unique<adv::PeriodicAdversary>(stars));
-          for (const auto& [name, value] : trialMetrics(r)) {
-            rec.set(name, value);
-          }
-        });
-    const double batch_rep = nowSeconds() - batch_start;
-
-    if (rep == 0 || seq_rep < seq_secs) {
-      seq_secs = seq_rep;
-    }
-    if (rep == 0 || batch_rep < batch_secs) {
-      batch_secs = batch_rep;
-    }
+    keepFastest(best, rep, 1, timed([&] {
+      batch_metrics =
+          runner
+              .run(trials, base_seed,
+                   [&](std::uint64_t seed, sim::TrialRecorder& rec) {
+                     const sim::RunResult r = runWorkloadTrial(
+                         n, rounds, seed,
+                         std::make_unique<adv::PeriodicAdversary>(stars));
+                     for (const auto& [name, value] : trialMetrics(r)) {
+                       rec.set(name, value);
+                     }
+                   })
+              .metrics;
+    }));
     sequential = std::move(seq);
-    batch_metrics = batch.metrics;
   }
-
   requireEqualSummaries(sequential, batch_metrics, "batch-vs-sequential");
-
-  CompareResult out;
-  out.n = n;
-  out.trials = trials;
-  out.rounds = rounds;
-  out.baseline_trials_per_sec = trials / seq_secs;
-  out.new_trials_per_sec = trials / batch_secs;
-  out.speedup = seq_secs / batch_secs;
-  return out;
+  return best;
 }
 
 /// Shared shape for the two single-toggle comparisons: run `trials` via
@@ -319,50 +354,40 @@ CompareResult compareBatchVsSequential(sim::NodeId n, int trials,
 /// exact agreement.  `body(seed, leg)` runs one trial for leg 0 (baseline)
 /// or 1 (new path).
 template <typename Body>
-CompareResult compareToggle(sim::NodeId n, int trials, sim::Round rounds,
-                            std::uint64_t base_seed, const std::string& mode,
-                            Body body, sim::BatchOptions options = {}) {
+LegSeconds compareToggle(int trials, std::uint64_t base_seed,
+                         const std::string& mode, Body body,
+                         sim::BatchOptions options = {}) {
   std::map<std::string, util::Summary> legs[2];
-  double secs[2] = {0, 0};
+  LegSeconds best{};
   for (int rep = 0; rep < kReps; ++rep) {
     for (int leg = 0; leg < 2; ++leg) {
       sim::BatchRunner runner(options);
-      const double start = nowSeconds();
-      const sim::TrialSummary summary = runner.run(
-          trials, base_seed, [&](std::uint64_t seed, sim::TrialRecorder& rec) {
-            for (const auto& [name, value] : trialMetrics(body(seed, leg))) {
-              rec.set(name, value);
-            }
-          });
-      const double rep_secs = nowSeconds() - start;
-      if (rep == 0 || rep_secs < secs[leg]) {
-        secs[leg] = rep_secs;
-      }
-      legs[leg] = summary.metrics;
+      keepFastest(best, rep, leg, timed([&] {
+        legs[leg] =
+            runner
+                .run(trials, base_seed,
+                     [&](std::uint64_t seed, sim::TrialRecorder& rec) {
+                       for (const auto& [name, value] :
+                            trialMetrics(body(seed, leg))) {
+                         rec.set(name, value);
+                       }
+                     })
+                .metrics;
+      }));
     }
   }
-
   requireEqualSummaries(legs[0], legs[1], mode);
-
-  CompareResult out;
-  out.n = n;
-  out.trials = trials;
-  out.rounds = rounds;
-  out.baseline_trials_per_sec = trials / secs[0];
-  out.new_trials_per_sec = trials / secs[1];
-  out.speedup = secs[0] / secs[1];
-  return out;
+  return best;
 }
 
 /// delta-vs-rebuild: identical delivery on both legs, only the topology
 /// pipeline differs — EdgeChurn rebuilding its spanning tree from scratch
 /// every round vs. patching the previous Graph with applyDelta.  Churn 4
 /// edges/round so the delta is genuinely sparse.
-CompareResult compareDeltaVsRebuild(sim::NodeId n, int trials,
-                                    sim::Round rounds,
-                                    std::uint64_t base_seed) {
+LegSeconds compareDeltaVsRebuild(sim::NodeId n, int trials, sim::Round rounds,
+                                 std::uint64_t base_seed) {
   return compareToggle(
-      n, trials, rounds, base_seed, "delta-vs-rebuild",
+      trials, base_seed, "delta-vs-rebuild",
       [&](std::uint64_t seed, int leg) {
         std::unique_ptr<sim::Adversary> churn =
             std::make_unique<adv::EdgeChurnAdversary>(n, /*churn_edges=*/4,
@@ -379,13 +404,13 @@ CompareResult compareDeltaVsRebuild(sim::NodeId n, int trials,
 /// per-node Process objects vs the flat column store.  Single-core
 /// (threads = 1): the acceptance criterion measures per-engine round
 /// throughput, not cross-trial parallelism.
-CompareResult compareSoAVsObjects(sim::NodeId n, int trials, sim::Round rounds,
-                                  std::uint64_t base_seed,
-                                  const std::vector<net::GraphPtr>& stars) {
+LegSeconds compareSoAVsObjects(sim::NodeId n, int trials, sim::Round rounds,
+                               std::uint64_t base_seed) {
+  const std::vector<net::GraphPtr> stars = rotatingStarCycle(n);
   sim::BatchOptions options;
   options.threads = 1;
   return compareToggle(
-      n, trials, rounds, base_seed, "soa-vs-objects",
+      trials, base_seed, "soa-vs-objects",
       [&](std::uint64_t seed, int leg) {
         return runWorkloadTrial(n, rounds, seed,
                                 std::make_unique<adv::PeriodicAdversary>(stars),
@@ -394,123 +419,159 @@ CompareResult compareSoAVsObjects(sim::NodeId n, int trials, sim::Round rounds,
       options);
 }
 
-/// scale: `reps` timed runs of `rounds` steps of a fresh engine (built
-/// outside the timing) after one untimed run that reads the soa//workers
-/// gauge.  The digest folds the message and bit totals and every node's
-/// final state; every run of a size must reproduce it.
-ScaleResult runScale(sim::NodeId n, sim::Round rounds, int reps) {
-  campaign::ShardConfig shard;
-  shard.protocol = "flood";
-  shard.adversary = "edge_churn";
-  shard.churn = 16;
-  shard.n = n;
-  const std::uint64_t seed = 0x5CA1E;
-  ScaleResult out;
-  out.n = n;
-  out.rounds = rounds;
-  out.reps = reps;
-  util::Summary ns;
-  for (int rep = -1; rep < reps; ++rep) {
-    const std::unique_ptr<sim::ProcessFactory> factory =
-        campaign::makeProtocolFactory(shard, seed);
-    obs::MetricsSink sink;
-    sim::EngineConfig config;
-    config.max_rounds = rounds;
-    config.metrics = rep < 0 ? &sink : nullptr;
-    sim::Engine engine(*factory, campaign::makeAdversary(shard, seed), config,
-                       seed);
-    const double start = nowSeconds();
-    for (sim::Round r = 0; r < rounds; ++r) {
-      engine.step();
-    }
-    const double secs = nowSeconds() - start;
-    std::uint64_t digest = util::hashCombine(engine.result().messages_sent,
-                                             engine.result().bits_sent);
-    for (sim::NodeId v = 0; v < n; ++v) {
-      digest = util::hashCombine(digest, engine.stateDigest(v));
-    }
-    if (rep < 0) {
-      engine.finalizeMetrics();
-      out.workers = sink.registry.gauge("soa//workers")->value;
-      out.digest = digest;
-      continue;
-    }
-    DYNET_CHECK(digest == out.digest)
-        << "scale n=" << n << ": repetition " << rep << " digest differs";
-    ns.add(secs * 1e9 /
-           (static_cast<double>(n) * static_cast<double>(rounds)));
-  }
-  out.q1 = ns.percentile(0.25);
-  out.median = ns.median();
-  out.q3 = ns.percentile(0.75);
-  return out;
-}
-
-int runCompareModes(const std::vector<std::string>& modes, bool quick,
-                    const std::string& json_path) {
+/// One comparison mode over its grid: a JSON row and a stdout line per
+/// size.
+ModeReport runCompare(const std::string& mode, bool quick) {
   struct Config {
     sim::NodeId n;
     int trials;
     sim::Round rounds;
   };
-  const std::vector<Config> base_configs =
+  std::vector<Config> configs =
       quick ? std::vector<Config>{{256, 64, 96}}
             : std::vector<Config>{{256, 256, 128}, {1024, 96, 128}};
   // The SoA acceptance criterion is stated at n = 4096 (data layout only
   // starts to dominate once the working set leaves L2), so that mode's
   // full run adds a large-N point on top of the shared grid.
-  std::vector<Config> soa_configs = base_configs;
-  if (!quick) {
-    soa_configs.push_back({4096, 24, 96});
+  if (mode == "soa-vs-objects" && !quick) {
+    configs.push_back({4096, 24, 96});
+  }
+  ModeReport report{mode, "flood/rotating_star", {}};
+  std::string labels[2] = {"objects", "soa"};
+  if (mode == "batch-vs-sequential") {
+    labels[0] = "sequential";
+    labels[1] = "batch";
+  } else if (mode == "delta-vs-rebuild") {
+    report.workload = "flood/edge_churn4";
+    labels[0] = "rebuild";
+    labels[1] = "delta";
+  }
+  for (const Config& c : configs) {
+    // Warm-up trial outside the timed regions (first allocations, code
+    // paging) so both paths are measured steady-state.
+    runWorkloadTrial(c.n, c.rounds, 0xBEEF,
+                     bench::makeAdversary("rotating_star", c.n, 42));
+    const LegSeconds secs =
+        mode == "batch-vs-sequential"
+            ? compareBatchVsSequential(c.n, c.trials, c.rounds, 0x51A7)
+        : mode == "delta-vs-rebuild"
+            ? compareDeltaVsRebuild(c.n, c.trials, c.rounds, 0x51A7)
+            : compareSoAVsObjects(c.n, c.trials, c.rounds, 0x51A7);
+    const double rate[2] = {c.trials / secs[0], c.trials / secs[1]};
+    std::ostringstream row;
+    row << "{\"n\": " << c.n << ", \"trials\": " << c.trials
+        << ", \"rounds\": " << c.rounds << ", \"" << labels[0]
+        << "_trials_per_sec\": " << rate[0] << ", \"" << labels[1]
+        << "_trials_per_sec\": " << rate[1]
+        << ", \"speedup\": " << secs[0] / secs[1] << "}";
+    report.rows.push_back(row.str());
+    std::cout << mode << " n=" << c.n << " trials=" << c.trials
+              << " rounds=" << c.rounds << ": baseline " << rate[0]
+              << " trials/s, new " << rate[1] << " trials/s, speedup "
+              << secs[0] / secs[1] << "x\n";
+  }
+  return report;
+}
+
+// --------------------------------------------------------------- scale mode
+
+/// scale: per size, `reps` timed runs of `rounds` steps of a fresh engine
+/// (built outside the timing) after one untimed run that reads the
+/// soa//workers gauge.  The digest folds the message and bit totals and
+/// every node's final state; every run of a size must reproduce it.
+ModeReport runScale(bool quick) {
+  const sim::Round rounds = quick ? 16 : 128;
+  const int reps = quick ? 3 : 7;
+  const std::vector<sim::NodeId> sizes =
+      quick ? std::vector<sim::NodeId>{8192, 32768}
+            : std::vector<sim::NodeId>{8192, 32768, 262144, 1000000};
+  ModeReport report{"scale", "flood/edge_churn16", {}};
+  for (const sim::NodeId n : sizes) {
+    campaign::ShardConfig shard;
+    shard.protocol = "flood";
+    shard.adversary = "edge_churn";
+    shard.churn = 16;
+    shard.n = n;
+    const std::uint64_t seed = 0x5CA1E;
+    double workers = 0;  // the engine's soa//workers gauge
+    std::uint64_t digest = 0;
+    const Spread ns = overReps(reps, [&](int rep) {
+      const std::unique_ptr<sim::ProcessFactory> factory =
+          campaign::makeProtocolFactory(shard, seed);
+      obs::MetricsSink sink;
+      sim::EngineConfig config;
+      config.max_rounds = rounds;
+      config.metrics = rep < 0 ? &sink : nullptr;
+      sim::Engine engine(*factory, campaign::makeAdversary(shard, seed),
+                         config, seed);
+      const double secs = timed([&] {
+        for (sim::Round r = 0; r < rounds; ++r) {
+          engine.step();
+        }
+      });
+      std::uint64_t run = util::hashCombine(engine.result().messages_sent,
+                                            engine.result().bits_sent);
+      for (sim::NodeId v = 0; v < n; ++v) {
+        run = util::hashCombine(run, engine.stateDigest(v));
+      }
+      if (rep < 0) {
+        engine.finalizeMetrics();
+        workers = sink.registry.gauge("soa//workers")->value;
+        digest = run;
+      }
+      DYNET_CHECK(run == digest)
+          << "scale n=" << n << ": repetition " << rep << " digest differs";
+      return secs * 1e9 /
+             (static_cast<double>(n) * static_cast<double>(rounds));
+    });
+    std::ostringstream row;
+    row << "{\"n\": " << n << ", \"rounds\": " << rounds
+        << ", \"reps\": " << reps << ", \"workers\": " << workers
+        << ", \"ns_per_node_round_q1\": " << ns.q1
+        << ", \"ns_per_node_round_median\": " << ns.median
+        << ", \"ns_per_node_round_q3\": " << ns.q3 << ", \"digest\": \""
+        << campaign::hashHex(digest) << "\"}";
+    report.rows.push_back(row.str());
+    std::cout << "scale n=" << n << " rounds=" << rounds
+              << " workers=" << workers << ": " << ns.median
+              << " ns/node-round [" << ns.q1 << ", " << ns.q3 << "] over "
+              << reps << " reps, digest " << campaign::hashHex(digest)
+              << "\n";
+  }
+  return report;
+}
+
+int runMain(int argc, char** argv) {
+  const std::vector<std::string> all_modes = {
+      "throughput", "batch-vs-sequential", "delta-vs-rebuild",
+      "soa-vs-objects", "scale"};
+  bool quick = false;
+  std::vector<std::string> modes;
+  std::string json_path = "BENCH_sim_perf.json";
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg(argv[i]);
+    if (arg == "--quick") {
+      quick = true;
+    } else if (arg.rfind("--json-out=", 0) == 0) {
+      json_path = arg.substr(std::string_view("--json-out=").size());
+    } else {
+      DYNET_CHECK(std::find(all_modes.begin(), all_modes.end(), arg) !=
+                  all_modes.end())
+          << "unknown argument '" << arg
+          << "' (modes: throughput, batch-vs-sequential, delta-vs-rebuild, "
+             "soa-vs-objects, scale)";
+      modes.push_back(arg);
+    }
+  }
+  if (modes.empty()) {
+    modes.assign(all_modes.begin(), all_modes.end() - 1);  // all but scale
   }
 
   std::vector<ModeReport> reports;
   for (const std::string& mode : modes) {
-    ModeReport report;
-    report.mode = mode;
-    if (mode == "scale") {
-      report.workload = "flood/edge_churn16";
-      const std::vector<sim::NodeId> sizes =
-          quick ? std::vector<sim::NodeId>{8192, 32768}
-                : std::vector<sim::NodeId>{8192, 32768, 262144, 1000000};
-      for (const sim::NodeId n : sizes) {
-        report.scale.push_back(runScale(n, quick ? 16 : 128, quick ? 3 : 7));
-      }
-      reports.push_back(std::move(report));
-      continue;
-    }
-    const std::vector<Config>& configs =
-        mode == "soa-vs-objects" ? soa_configs : base_configs;
-    for (const Config& c : configs) {
-      // Warm-up trial outside the timed regions (first allocations, code
-      // paging) so both paths are measured steady-state.
-      runWorkloadTrial(c.n, c.rounds, 0xBEEF,
-                       bench::makeAdversary("rotating_star", c.n, 42));
-      if (mode == "batch-vs-sequential") {
-        report.workload = "flood/rotating_star";
-        report.baseline_label = "sequential_trials_per_sec";
-        report.new_label = "batch_trials_per_sec";
-        report.results.push_back(
-            compareBatchVsSequential(c.n, c.trials, c.rounds, 0x51A7));
-      } else if (mode == "delta-vs-rebuild") {
-        report.workload = "flood/edge_churn4";
-        report.baseline_label = "rebuild_trials_per_sec";
-        report.new_label = "delta_trials_per_sec";
-        report.results.push_back(
-            compareDeltaVsRebuild(c.n, c.trials, c.rounds, 0x51A7));
-      } else if (mode == "soa-vs-objects") {
-        report.workload = "flood/rotating_star";
-        report.baseline_label = "objects_trials_per_sec";
-        report.new_label = "soa_trials_per_sec";
-        const std::vector<net::GraphPtr> stars = rotatingStarCycle(c.n);
-        report.results.push_back(
-            compareSoAVsObjects(c.n, c.trials, c.rounds, 0x51A7, stars));
-      } else {
-        std::cerr << "unknown mode " << mode << "\n";
-        return 2;
-      }
-    }
-    reports.push_back(std::move(report));
+    reports.push_back(mode == "throughput" ? runThroughput(quick)
+                      : mode == "scale"    ? runScale(quick)
+                                           : runCompare(mode, quick));
   }
 
   std::ofstream json(json_path);
@@ -521,89 +582,20 @@ int runCompareModes(const std::vector<std::string>& modes, bool quick,
        << ",\n  \"modes\": [\n";
   for (std::size_t m = 0; m < reports.size(); ++m) {
     const ModeReport& report = reports[m];
-    json << "    {\"mode\": \"" << report.mode << "\", \"workload\": \""
-         << report.workload << "\", \"results\": [\n";
-    for (std::size_t i = 0; i < report.scale.size(); ++i) {
-      const ScaleResult& r = report.scale[i];
-      json << "      {\"n\": " << r.n << ", \"rounds\": " << r.rounds
-           << ", \"reps\": " << r.reps << ", \"workers\": " << r.workers
-           << ", \"ns_per_node_round_q1\": " << r.q1
-           << ", \"ns_per_node_round_median\": " << r.median
-           << ", \"ns_per_node_round_q3\": " << r.q3 << ", \"digest\": \""
-           << campaign::hashHex(r.digest) << "\"}"
-           << (i + 1 < report.scale.size() ? "," : "") << "\n";
+    json << "    {\"mode\": \"" << report.mode << "\", ";
+    if (!report.workload.empty()) {
+      json << "\"workload\": \"" << report.workload << "\", ";
     }
-    for (std::size_t i = 0; i < report.results.size(); ++i) {
-      const CompareResult& r = report.results[i];
-      json << "      {\"n\": " << r.n << ", \"trials\": " << r.trials
-           << ", \"rounds\": " << r.rounds << ", \"" << report.baseline_label
-           << "\": " << r.baseline_trials_per_sec << ", \"" << report.new_label
-           << "\": " << r.new_trials_per_sec << ", \"speedup\": " << r.speedup
-           << "}" << (i + 1 < report.results.size() ? "," : "") << "\n";
+    json << "\"results\": [\n";
+    for (std::size_t i = 0; i < report.rows.size(); ++i) {
+      json << "      " << report.rows[i]
+           << (i + 1 < report.rows.size() ? "," : "") << "\n";
     }
     json << "    ]}" << (m + 1 < reports.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
   json.close();
-
-  for (const ModeReport& report : reports) {
-    for (const ScaleResult& r : report.scale) {
-      std::cout << report.mode << " n=" << r.n << " rounds=" << r.rounds
-                << " workers=" << r.workers << ": " << r.median
-                << " ns/node-round [" << r.q1 << ", " << r.q3 << "] over "
-                << r.reps << " reps, digest " << campaign::hashHex(r.digest)
-                << "\n";
-    }
-    for (const CompareResult& r : report.results) {
-      std::cout << report.mode << " n=" << r.n << " trials=" << r.trials
-                << " rounds=" << r.rounds << ": baseline "
-                << r.baseline_trials_per_sec << " trials/s, new "
-                << r.new_trials_per_sec << " trials/s, speedup " << r.speedup
-                << "x\n";
-    }
-  }
   std::cout << "results written to " << json_path << "\n";
-  return 0;
-}
-
-// Custom main instead of BENCHMARK_MAIN(): google-benchmark rejects flags
-// it does not know, but scripts/check.sh runs every bench with --quick.
-// Translate --quick into a short --benchmark_min_time before Initialize.
-// Positional mode arguments (`batch-vs-sequential`, `delta-vs-rebuild`,
-// `soa-vs-objects`, `scale`, any combination, in order)
-// select the comparison modes instead of the google-benchmark suites.
-int runMain(int argc, char** argv) {
-  std::vector<char*> args;
-  bool quick = false;
-  std::vector<std::string> modes;
-  std::string json_path = "BENCH_sim_perf.json";
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "batch-vs-sequential" || arg == "delta-vs-rebuild" ||
-               arg == "soa-vs-objects" || arg == "scale") {
-      modes.emplace_back(arg);
-    } else if (arg.rfind("--json-out=", 0) == 0) {
-      json_path = std::string(arg.substr(std::string_view("--json-out=").size()));
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  if (!modes.empty()) {
-    return dynet::runCompareModes(modes, quick, json_path);
-  }
-  static char min_time[] = "--benchmark_min_time=0.02";
-  if (quick) {
-    args.push_back(min_time);
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }
 
@@ -611,5 +603,5 @@ int runMain(int argc, char** argv) {
 }  // namespace dynet
 
 int main(int argc, char** argv) {
-  return dynet::bench::guardedMain(argc, argv, dynet::runMain);
+  return dynet::util::guardedMain(argc, argv, dynet::runMain);
 }

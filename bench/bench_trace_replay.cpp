@@ -22,7 +22,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <string>
 
@@ -85,16 +84,10 @@ ReplayDigest replay(std::shared_ptr<const dataset::CompiledTrace> trace,
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const bool quick = bench::quickMode(cli);
-  const auto n = static_cast<sim::NodeId>(
-      cli.integer("nodes", quick ? 64 : 256, 2,
-                  std::numeric_limits<int>::max()));
-  const auto rounds = static_cast<sim::Round>(
-      cli.integer("rounds", quick ? 256 : 4096, 1,
-                  std::numeric_limits<int>::max()));
-  const int churn = static_cast<int>(
-      cli.integer("churn", 4, 0, std::numeric_limits<int>::max()));
-  const int reps = static_cast<int>(
-      cli.integer("reps", quick ? 3 : 10, 1, std::numeric_limits<int>::max()));
+  const sim::NodeId n = cli.intFlag("nodes", quick ? 64 : 256, 2);
+  const sim::Round rounds = cli.intFlag("rounds", quick ? 256 : 4096, 1);
+  const int churn = cli.intFlag("churn", 4, 0);
+  const int reps = cli.intFlag("reps", quick ? 3 : 10, 1);
   const auto seed = static_cast<std::uint64_t>(cli.integer("seed", 42));
   const std::string json_path =
       cli.str("json-out", "BENCH_trace_replay.json");
@@ -207,5 +200,5 @@ int run(int argc, char** argv) {
 }  // namespace dynet
 
 int main(int argc, char** argv) {
-  return dynet::bench::guardedMain(argc, argv, dynet::run);
+  return dynet::util::guardedMain(argc, argv, dynet::run);
 }

@@ -14,12 +14,16 @@
 #include "sim/engine.h"
 #include "util/cli.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace dynet;
   util::Cli cli(argc, argv);
-  const auto n = static_cast<sim::NodeId>(cli.integer("nodes", 96));
-  const int diameter = static_cast<int>(cli.integer("diameter", 8));
-  const int k = static_cast<int>(cli.integer("k", 128));
+  // The ranges RandomTreeAdversary (n >= 2), the round schedules
+  // (D >= 1) and CountingProcess (1 <= k < 2^10) check.
+  const sim::NodeId n = cli.intFlag("nodes", 96, 2);
+  const int diameter = cli.intFlag("diameter", 8, 1);
+  const int k = cli.intFlag("k", 128, 1, 1023);
   const auto seed = static_cast<std::uint64_t>(cli.integer("seed", 9));
   cli.rejectUnknown();
 
@@ -88,4 +92,10 @@ int main(int argc, char** argv) {
             << "§7 protocol needs to elect a leader without knowing D — see\n"
             << "leader_election_demo)\n";
   return worst_rel_err < 1.0 / 3.0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dynet::util::guardedMain(argc, argv, run);
 }

@@ -23,10 +23,13 @@
 #include "sim/engine.h"
 #include "util/cli.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace dynet;
   util::Cli cli(argc, argv);
-  const auto n = static_cast<sim::NodeId>(cli.integer("nodes", 96));
+  // EdgeChurnAdversary and RandomTreeAdversary take n >= 2.
+  const sim::NodeId n = cli.intFlag("nodes", 96, 2);
   const auto seed = static_cast<std::uint64_t>(cli.integer("seed", 11));
   cli.rejectUnknown();
 
@@ -95,4 +98,10 @@ int main(int argc, char** argv) {
                "would need\nΩ((N/log N)^{1/4}) flooding rounds (Theorem 7); "
                "with it, the cost is\npolylog — the paper's headline.\n";
   return agreement ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dynet::util::guardedMain(argc, argv, run);
 }

@@ -16,10 +16,13 @@
 #include "sim/engine.h"
 #include "util/cli.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace dynet;
   util::Cli cli(argc, argv);
-  const auto n = static_cast<sim::NodeId>(cli.integer("nodes", 64));
+  // Every adversary of the demo takes n >= 2.
+  const sim::NodeId n = cli.intFlag("nodes", 64, 2);
   const std::string adv_name = cli.str("adversary", "random_tree");
   const double skew = cli.real("estimate-skew", 1.1);
   const double c = cli.real("c", 0.25);
@@ -96,4 +99,10 @@ int main(int argc, char** argv) {
   std::cout << "\n(the pessimistic D := N approach would spend "
             << proto::knownDRounds(n, n) << " rounds regardless of D)\n";
   return agreement ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dynet::util::guardedMain(argc, argv, run);
 }

@@ -10,6 +10,7 @@
 //   4. compute the realized dynamic diameter from the recorded topologies
 //      and check the flooding-completes-within-D guarantee.
 #include <iostream>
+#include <limits>
 
 #include "adversary/dynamic_adversaries.h"
 #include "net/diameter.h"
@@ -18,10 +19,14 @@
 #include "sim/engine.h"
 #include "util/cli.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace dynet;
   util::Cli cli(argc, argv);
-  const auto n = static_cast<sim::NodeId>(cli.integer("nodes", 32));
+  // RandomTreeAdversary takes n >= 2, and the round budget 4n must fit.
+  const sim::NodeId n =
+      cli.intFlag("nodes", 32, 2, std::numeric_limits<sim::Round>::max() / 4);
   const auto seed = static_cast<std::uint64_t>(cli.integer("seed", 7));
   cli.rejectUnknown();
 
@@ -68,4 +73,10 @@ int main(int argc, char** argv) {
                       "the model guarantees.\n"
                     : "unexpected: flooding exceeded the causal bound!\n");
   return completed > 0 && completed <= diameter ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dynet::util::guardedMain(argc, argv, run);
 }

@@ -16,12 +16,15 @@
 #include "util/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace dynet;
   util::Cli cli(argc, argv);
-  const int q = static_cast<int>(cli.integer("q", 61));
-  const int groups = static_cast<int>(cli.integer("n", 2));
-  const int disj = static_cast<int>(cli.integer("disj", 0));
+  // The ranges cc::randomInstance checks (q must also be odd).
+  const int q = cli.intFlag("q", 61, 3);
+  const int groups = cli.intFlag("n", 2, 1);
+  const int disj = cli.intFlag("disj", 0, 0, 1);
   const auto seed = static_cast<std::uint64_t>(cli.integer("seed", 5));
   cli.rejectUnknown();
 
@@ -85,4 +88,10 @@ int main(int argc, char** argv) {
             << "* a correct oracle would have to run past the horizon, and\n"
             << "  that is exactly the Ω((N/log N)^{1/4}) cost of Theorem 6.\n";
   return result.simulation_consistent ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dynet::util::guardedMain(argc, argv, run);
 }

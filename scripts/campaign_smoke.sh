@@ -9,6 +9,8 @@
 # 3. Resume from the survivor checkpoints -> report B.
 # 4. Assert A and B are byte-identical and that the resume actually
 #    skipped previously committed shards.
+# 5. Assert the copies that --report (beside a run) and --campaign-report
+#    --spec (a re-merge) write equal report A.
 #
 # Usage: scripts/campaign_smoke.sh [path/to/dynet_cli]
 set -euo pipefail
@@ -40,7 +42,7 @@ EOF
 
 echo "=== uninterrupted reference run ==="
 "$CLI" --campaign "$work/spec.json" --checkpoint "$work/ref" --workers 4 \
-  --isolation subprocess
+  --isolation subprocess --report "$work/ref-copy.json"
 
 echo "=== deterministic partial run (--shard-limit) ==="
 "$CLI" --campaign "$work/spec.json" --checkpoint "$work/resume" \
@@ -78,6 +80,11 @@ echo "=== resume both checkpoints ==="
 
 echo "=== byte-identity ==="
 cmp "$work/ref/report.json" "$work/resume/report.json"
+cmp "$work/ref/report.json" "$work/killed/report.json"
+cmp "$work/ref/report.json" "$work/ref-copy.json"
+"$CLI" --campaign-report "$work/killed" --spec "$work/spec.json" \
+  --report "$work/remerged.json" > /dev/null
+cmp "$work/ref/report.json" "$work/remerged.json"
 cmp "$work/ref/report.json" "$work/killed/report.json"
 
 # The resumed runs must have credited prior work rather than redoing it.

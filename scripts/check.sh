@@ -58,8 +58,8 @@ build/bench/bench_faults --quick --metrics-out "$obs_dir/bench_metrics.json" \
   > /dev/null
 build/tools/dynet_stats --in "$obs_dir/bench_metrics.json" > /dev/null
 
-echo "=== engine perf smoke (all comparison modes, equality + speedup) ==="
-build/bench/bench_sim_perf --quick \
+echo "=== engine perf smoke (throughput + all comparison modes, equality + speedup) ==="
+build/bench/bench_sim_perf --quick throughput \
   batch-vs-sequential delta-vs-rebuild soa-vs-objects scale \
   --json-out="$obs_dir/BENCH_sim_perf.json"
 # Cross-shape diff: a bounded flood run on the SoA path against the leader

@@ -25,9 +25,12 @@
 #     DYNET_CHECK location prefix appears once, not once per rethrow);
 #   * trace_to_dot --round 4294967297 on a one-round trace (the round is
 #     range-checked before it narrows, so it cannot wrap to round 1);
-#   * bench_campaign --workers 0 and bench_gap --trials 0 (every bench main
-#     goes through bench::guardedMain, which reports a CheckError and exits
-#     1 instead of dying by SIGABRT);
+#   * bench_campaign --workers 0 and bench_gap --trials 0 (every bench and
+#     example main goes through util::guardedMain, which reports a
+#     CheckError and exits 1 instead of dying by SIGABRT);
+#   * leader_election_demo --nodes 4294967298 and aggregation_demo --k 0
+#     (an example's integer flags are range-checked, with the range the
+#     library checks, before they narrow; the error names the flag);
 #   * a campaign resume whose events.jsonl has a garbage line after its
 #     records (the fold names the line; the stream is left as it was);
 #   * a campaign resume into a checkpoint with the pre-journal shards/
@@ -117,6 +120,10 @@ expect_exit_1 "$build/tools/trace_to_dot" --in "$dir/one.trace" \
   --round 4294967297
 expect_exit_1 "$build/bench/bench_campaign" --workers 0
 expect_exit_1 "$build/bench/bench_gap" --trials 0
+expect_exit_1 "$build/examples/leader_election_demo" --nodes 4294967298
+expect_output "--nodes=4294967298 is outside"
+expect_exit_1 "$build/examples/aggregation_demo" --k 0
+expect_output "--k=0 is outside \[1, 1023\]"
 printf '0 1e15 a b\n' > "$dir/wide.events"
 expect_exit_1 "$build/tools/dynet_cli" --trace-info "$dir/wide.events" \
   --no-trace-cache

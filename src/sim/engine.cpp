@@ -70,6 +70,7 @@ void Engine::init() {
   DYNET_CHECK(budget_bits_ <= Message::kCapacityBits)
       << "budget " << budget_bits_ << " exceeds message capacity";
   const auto np = static_cast<std::size_t>(n_);
+  trace_.num_nodes = n_;
   result_.done_round.assign(np, -1);
   result_.bits_per_node.assign(np, 0);
   ws_.actions.resize(np);
@@ -187,8 +188,6 @@ bool Engine::step() {
   ctx.injector = injector_.get();
   ctx.ws = &ws_;
   ctx.result = &result_;
-  ctx.topologies = &topologies_;
-  ctx.action_trace = &actions_;
   ctx.obs = obs_.get();
   ctx.seed = seed_;
   ctx.budget_bits = budget_bits_;
@@ -205,6 +204,13 @@ bool Engine::step() {
   faultPhase(ctx);
   computePhase(ctx);
   adversaryPhase(ctx);
+  // Recording sees the round's final topology and the actions it carries.
+  if (config_.record_topologies) {
+    trace_.topologies.push_back(ctx.topology);
+  }
+  if (config_.record_actions) {
+    trace_.actions.push_back(ws_.actions);
+  }
   deliveryPhase(ctx);
   observePhase(ctx);
   return true;

@@ -6,10 +6,10 @@
 // for the distance-computation suite; off by default.)
 // Each round is five phase calls of sim/phase.h (fault → compute →
 // adversary → delivery → observe); cross-cutting layers (fault injection,
-// observability, trace recording) live in their own phases instead of
-// inline special cases.  Optionally records full traces (topologies,
-// actions, deliveries derived on demand) for diameter computation and
-// reduction cross-validation.
+// observability) live in their own phases instead of inline special
+// cases.  Optionally records one full trace (topologies after the adversary
+// phase, actions; deliveries derived on demand) for diameter computation,
+// reduction cross-validation and sim::writeTrace.
 //
 // Per-run scratch lives in the engine's own EngineWorkspace
 // (sim/workspace.h), created with the engine and destroyed with it.
@@ -23,6 +23,7 @@
 #include "net/graph.h"
 #include "sim/adversary.h"
 #include "sim/process.h"
+#include "sim/trace.h"
 #include "sim/workspace.h"
 
 namespace dynet::faults {
@@ -171,12 +172,15 @@ class Engine {
   std::uint64_t stateDigest(NodeId v) const;
   bool allDone() const;
 
-  /// Recorded per-round topologies (config.record_topologies); index i holds
-  /// round i+1, matching net::TopologySeq conventions.
-  const net::TopologySeq& topologies() const { return topologies_; }
-
-  /// Recorded actions (config.record_actions); [round-1][node].
-  const std::vector<std::vector<Action>>& actionTrace() const { return actions_; }
+  /// The recorded run: per-round topologies (config.record_topologies;
+  /// index i holds round i+1, matching net::TopologySeq conventions) and
+  /// actions (config.record_actions; [round-1][node]), ready for
+  /// sim::writeTrace.  Empty fields were not recorded.
+  const Trace& trace() const { return trace_; }
+  const net::TopologySeq& topologies() const { return trace_.topologies; }
+  const std::vector<std::vector<Action>>& actionTrace() const {
+    return trace_.actions;
+  }
 
   const RunResult& result() const { return result_; }
   int budgetBits() const { return budget_bits_; }
@@ -207,8 +211,7 @@ class Engine {
 
   EngineWorkspace ws_;  // per-run scratch
 
-  net::TopologySeq topologies_;
-  std::vector<std::vector<Action>> actions_;
+  Trace trace_;  // what config_.record_topologies / record_actions keep
   RunResult result_;
 };
 

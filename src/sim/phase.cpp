@@ -199,12 +199,6 @@ void adversaryPhase(RoundContext& ctx) {
           << g->componentCount() << " components)";
     }
   }
-  if (ctx.config->record_topologies) {
-    ctx.topologies->push_back(g);
-  }
-  if (ctx.config->record_actions) {
-    ctx.action_trace->push_back(ctx.ws->actions);
-  }
   if (obs::TraceWriter* tracer = tracerOf(ctx); tracer != nullptr) {
     const double now = tracer->nowUs();
     tracer->span("adversary_pick", ctx.span_start, now,

@@ -14,11 +14,13 @@
 // structure (paper §2, docs/MODEL.md): the adversary acts *after* the coins
 // flip, so adversaryPhase necessarily runs after computePhase.  Keeping
 // each phase in its own function keeps cross-cutting concerns (faults,
-// observability, trace recording) out of each other's code paths.
+// observability) out of each other's code paths.  Trace recording is the
+// engine's: Engine::step() keeps the round's topology and actions between
+// adversaryPhase and deliveryPhase.
 //
 // RoundContext contract (docs/ARCHITECTURE.md):
 //   * Wiring fields (processes, adversary, config, injector, workspace,
-//     result, recorders, obs) point at the engine's members and are stable
+//     result, obs) point at the engine's members and are stable
 //     for the whole run; phases never reseat them.
 //   * Per-round fields (round, faulty, topology, *_before, span_start) are
 //     reset by Engine::step() before the phases run; a phase may only rely
@@ -89,8 +91,6 @@ struct RoundContext {
   const faults::FaultInjector* injector = nullptr;  // null in clean runs
   EngineWorkspace* ws = nullptr;
   RunResult* result = nullptr;
-  net::TopologySeq* topologies = nullptr;  // record_topologies target
-  std::vector<std::vector<Action>>* action_trace = nullptr;  // record_actions
   EngineObs* obs = nullptr;  // null without a sink
   std::uint64_t seed = 0;
   int budget_bits = 0;

@@ -12,7 +12,6 @@
 #include <string_view>
 
 #include "obs/prof.h"
-#include "sim/engine.h"
 #include "util/check.h"
 
 namespace dynet::sim {
@@ -20,6 +19,9 @@ namespace dynet::sim {
 void writeTrace(std::ostream& out, const Trace& trace) {
   DYNET_PROF("sim/write_trace");
   DYNET_CHECK(trace.num_nodes >= 1) << "empty trace";
+  DYNET_CHECK(trace.rounds() >= 1)
+      << "trace has no rounds (an engine records them with "
+         "record_topologies)";
   DYNET_CHECK(trace.actions.empty() ||
               trace.actions.size() == trace.topologies.size())
       << "actions/topologies length mismatch";
@@ -233,16 +235,6 @@ Trace readTrace(std::istream& in) {
   }
   guardAlloc(flushRound);
   DYNET_CHECK(!trace.topologies.empty()) << "trace has no rounds";
-  return trace;
-}
-
-Trace traceFromEngine(const Engine& engine) {
-  Trace trace;
-  trace.num_nodes = engine.numNodes();
-  trace.topologies = engine.topologies();
-  trace.actions = engine.actionTrace();
-  DYNET_CHECK(!trace.topologies.empty())
-      << "engine was not run with record_topologies";
   return trace;
 }
 

@@ -32,14 +32,12 @@ struct Trace {
   Round rounds() const { return static_cast<Round>(topologies.size()); }
 };
 
-/// Serializes a trace.  `actions` may be empty (topology-only traces).
+/// Serializes a trace of at least one round (an engine's, Engine::trace(),
+/// needs record_topologies).  `actions` may be empty (topology-only
+/// traces).
 void writeTrace(std::ostream& out, const Trace& trace);
 
 /// Parses a trace; throws util::CheckError on malformed input.
 Trace readTrace(std::istream& in);
-
-/// Convenience: collect the trace out of an engine run with recording on.
-class Engine;
-Trace traceFromEngine(const Engine& engine);
 
 }  // namespace dynet::sim

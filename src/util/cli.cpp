@@ -3,6 +3,8 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <iostream>
+#include <string_view>
 
 #include "util/check.h"
 
@@ -86,6 +88,17 @@ void Cli::rejectUnknown() const {
   for (const auto& [name, value] : values_) {
     DYNET_CHECK(queried_.count(name) > 0) << "unknown flag --" << name;
     (void)value;
+  }
+}
+
+int guardedMain(int argc, char** argv, int (*run)(int, char**)) {
+  try {
+    return run(argc, argv);
+  } catch (const CheckError& e) {
+    const std::string_view program = argc > 0 ? argv[0] : "dynet";
+    std::cerr << program.substr(program.rfind('/') + 1) << ": "
+              << e.message() << "\n";
+    return 1;
   }
 }
 

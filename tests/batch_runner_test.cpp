@@ -94,7 +94,7 @@ TrialArtifacts runFloodTrial(NodeId n, std::uint64_t seed,
     artifacts.digests.push_back(engine.process(v).stateDigest());
   }
   std::ostringstream trace;
-  writeTrace(trace, traceFromEngine(engine));
+  writeTrace(trace, engine.trace());
   artifacts.trace = trace.str();
   if (with_sink) {
     std::ostringstream json;

@@ -4,12 +4,17 @@
 // trips an internal [FAIL] check fails here, not at paper-reproduction
 // time.
 //
-// The bench directory is injected by CMake as DYNET_BENCH_DIR.
+// The bench directory is injected by CMake as DYNET_BENCH_DIR.  Each bench
+// runs inside its test's own scratch directory (testsupport::testDir()), so
+// the BENCH_*.json a bench writes into its working directory stays private
+// to one test under `ctest -j`.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+
+#include "test_support.h"
 
 namespace {
 
@@ -30,11 +35,15 @@ TEST_P(BenchSmoke, RunsCleanInQuickMode) {
   }
   // Every bench supports --quick (see bench/bench_common.h); a non-zero
   // exit here means the bench crashed or broke the --quick contract.
-  EXPECT_EQ(runQuiet(binary + " --quick"), 0) << binary;
+  EXPECT_EQ(runQuiet("cd " + dynet::testsupport::testDir() + " && " + binary +
+                     " --quick"),
+            0)
+      << binary;
 }
 
-// bench_sim_perf (google-benchmark) and the heavier sweeps are exercised
-// by the top-level bench run; here we cover the fast table generators.
+// The heavier sweeps are exercised by the top-level bench run; here we
+// cover the fast table generators and bench_sim_perf's quick legs (every
+// comparison exits 1 unless its two legs agree).
 INSTANTIATE_TEST_SUITE_P(Quick, BenchSmoke,
                          ::testing::Values("bench_fig1_gamma",
                                            "bench_fig2_fig3_lambda",
@@ -44,6 +53,7 @@ INSTANTIATE_TEST_SUITE_P(Quick, BenchSmoke,
                                            "bench_ablation_cascade",
                                            "bench_dual_graph",
                                            "bench_churn",
-                                           "bench_faults"));
+                                           "bench_faults",
+                                           "bench_sim_perf"));
 
 }  // namespace

@@ -598,9 +598,9 @@ TEST(RestartRegression, RestartMidRunMatchesRebuildPathExactly) {
         << "node " << v;
   }
   std::ostringstream want_trace;
-  sim::writeTrace(want_trace, sim::traceFromEngine(*reference));
+  sim::writeTrace(want_trace, reference->trace());
   std::ostringstream got_trace;
-  sim::writeTrace(got_trace, sim::traceFromEngine(*engine));
+  sim::writeTrace(got_trace, engine->trace());
   EXPECT_EQ(got_trace.str(), want_trace.str());
 }
 

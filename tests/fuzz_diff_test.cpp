@@ -369,7 +369,7 @@ TrialArtifacts runConfig(const FuzzConfig& c, bool soa, bool deltas,
   }
   if (record) {
     std::ostringstream trace;
-    writeTrace(trace, traceFromEngine(engine));
+    writeTrace(trace, engine.trace());
     artifacts.trace = trace.str();
   }
   if (c.with_sink) {

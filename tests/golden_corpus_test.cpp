@@ -114,7 +114,7 @@ std::string renderArtifacts(sim::Engine& engine, const sim::RunResult& r,
   out << "state_digest=" << state << "\n";
   if (recorded) {
     std::ostringstream trace;
-    sim::writeTrace(trace, sim::traceFromEngine(engine));
+    sim::writeTrace(trace, engine.trace());
     out << "trace_fnv1a=" << fnv1a(trace.str()) << "\n";
   }
   return out.str();

@@ -433,8 +433,8 @@ TEST(EngineObs, NullSinkRunIsByteIdenticalToSinkRun) {
   }
   std::ostringstream trace_with;
   std::ostringstream trace_without;
-  sim::writeTrace(trace_with, sim::traceFromEngine(*with.engine));
-  sim::writeTrace(trace_without, sim::traceFromEngine(*without.engine));
+  sim::writeTrace(trace_with, with.engine->trace());
+  sim::writeTrace(trace_without, without.engine->trace());
   EXPECT_EQ(trace_with.str(), trace_without.str());
 }
 

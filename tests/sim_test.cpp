@@ -489,7 +489,7 @@ TEST(Engine, RebuildEveryRoundIsTheFullBuildReference) {
     Run out;
     out.result = engine.run();
     std::ostringstream trace;
-    writeTrace(trace, traceFromEngine(engine));
+    writeTrace(trace, engine.trace());
     out.trace = trace.str();
     out.incremental =
         sink.registry.counter("topology/incremental_rounds")->value;

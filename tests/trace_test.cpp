@@ -32,7 +32,7 @@ Trace recordedRun(NodeId n, Round rounds, std::uint64_t seed) {
                 std::make_unique<adv::RandomTreeAdversary>(n, seed), config,
                 seed);
   engine.run();
-  return traceFromEngine(engine);
+  return engine.trace();
 }
 
 TEST(Trace, RoundTripPreservesEverything) {
@@ -216,7 +216,7 @@ TEST(Trace, FaultInjectedRunRoundTrips) {
   ASSERT_GT(result.crashes, 0u);
   ASSERT_GT(result.restarts, 0u);
 
-  const Trace original = traceFromEngine(engine);
+  const Trace& original = engine.trace();
   std::stringstream buffer;
   writeTrace(buffer, original);
   const Trace parsed = readTrace(buffer);
@@ -243,7 +243,8 @@ TEST(Trace, EngineWithoutRecordingRejected) {
   Engine engine(std::move(ps),
                 std::make_unique<adv::RandomTreeAdversary>(2, 1), config, 1);
   engine.run();
-  EXPECT_THROW(traceFromEngine(engine), util::CheckError);
+  std::ostringstream out;
+  EXPECT_THROW(writeTrace(out, engine.trace()), util::CheckError);
 }
 
 }  // namespace

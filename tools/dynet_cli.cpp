@@ -65,13 +65,6 @@
 namespace dynet {
 namespace {
 
-/// The integer flag `name` in [lo, INT_MAX], or `def` when absent.
-int intFlag(const util::Cli& cli, const std::string& name, int def,
-            std::int64_t lo = std::numeric_limits<int>::min()) {
-  return static_cast<int>(
-      cli.integer(name, def, lo, std::numeric_limits<int>::max()));
-}
-
 /// --trace-bucket, in the range the shard-config reader takes.
 double traceBucket(const util::Cli& cli) {
   return cli.real("trace-bucket", 1.0, 0, std::numeric_limits<double>::max(),
@@ -272,7 +265,7 @@ int runCampaignMode(util::Cli& cli, const std::string& spec_path) {
   if (options.subprocess && options.worker_cmd.empty()) {
     options.worker_cmd = selfExecutable();
   }
-  options.shard_limit = intFlag(cli, "shard-limit", 0, 0);
+  options.shard_limit = cli.intFlag("shard-limit", 0, 0);
   options.retry_quarantined = cli.flag("retry-quarantined");
   options.verbose = cli.flag("verbose");
   const std::string report_path = cli.str("report", "");
@@ -282,10 +275,14 @@ int runCampaignMode(util::Cli& cli, const std::string& spec_path) {
   const campaign::CampaignOutcome outcome =
       campaign::runCampaign(spec, options);
   if (!report_path.empty()) {
+    // A copy of the report.json runCampaign just wrote.
+    const std::optional<std::string> report =
+        campaign::CheckpointStore(options.checkpoint_dir)
+            .readFile("report.json");
+    DYNET_CHECK(report) << "no report.json in " << options.checkpoint_dir;
     std::ofstream out(report_path);
     DYNET_CHECK(out.good()) << "cannot open " << report_path;
-    campaign::CheckpointStore store(options.checkpoint_dir);
-    campaign::writeReport(spec, store, out);
+    out << *report;
   }
   printCampaignSummary(outcome, options.checkpoint_dir);
   return outcome.fullCoverage() ? 0 : 3;
@@ -347,7 +344,7 @@ int run(int argc, char** argv) {
   }
   if (cli.has("campaign-watch")) {
     const std::string dir = cli.str("campaign-watch", "");
-    const int interval_ms = intFlag(cli, "interval-ms", 1000, 1);
+    const int interval_ms = cli.intFlag("interval-ms", 1000, 1);
     cli.rejectUnknown();
     return runCampaignStatusMode(dir, /*watch=*/true, interval_ms);
   }
@@ -363,20 +360,20 @@ int run(int argc, char** argv) {
   shard.protocol = cli.str("protocol", "leader_unknown_d");
   shard.adversary = cli.str("adversary", "random_tree");
   // Each knob takes the range the shard-config reader takes.
-  shard.n = intFlag(cli, "nodes", 64, 2);
+  shard.n = cli.intFlag("nodes", 64, 2);
   const auto seed = static_cast<std::uint64_t>(cli.integer("seed", 1));
-  shard.diameter = intFlag(cli, "diameter", 8);
-  shard.k = intFlag(cli, "k", 0);
+  shard.diameter = cli.intFlag("diameter", 8);
+  shard.k = cli.intFlag("k", 0);
   shard.p = cli.real("p", 0, 0, 1);
-  shard.interval = intFlag(cli, "interval", 8);
-  shard.churn = intFlag(cli, "churn", 2);
+  shard.interval = cli.intFlag("interval", 8);
+  shard.churn = cli.intFlag("churn", 2);
   shard.n_estimate =
       cli.real("n-estimate", 0, 0, std::numeric_limits<double>::max());
   DYNET_CHECK(shard.n_estimate == 0 || shard.n_estimate >= 1)
       << "--n-estimate=" << shard.n_estimate
       << " is neither 0 (the 1.1 n default) nor at least 1";
   shard.c = cli.real("c", 0.25, 0, 1.0 / 3.0, /*open_lo=*/true);
-  shard.max_rounds = intFlag(cli, "max-rounds", 20'000'000, 1);
+  shard.max_rounds = cli.intFlag("max-rounds", 20'000'000, 1);
   // Dataset replay knobs (--trace is taken by the simulation-trace dump, so
   // the dataset path flag is --trace-path).
   shard.trace = cli.str("trace-path", "");
@@ -386,8 +383,8 @@ int run(int argc, char** argv) {
   shard.trace_bucket = traceBucket(cli);
   shard.anonymous = cli.flag("anonymous");
   // Distance-hardness gadget knobs (--adversary ach_gadget | bk_gadget).
-  shard.gadget_width = intFlag(cli, "gadget-width", 0, 0);
-  shard.stretch = intFlag(cli, "stretch", 0, 0);
+  shard.gadget_width = cli.intFlag("gadget-width", 0, 0);
+  shard.stretch = cli.intFlag("stretch", 0, 0);
   shard.gadget_intersect = cli.flag("gadget-intersect");
   const std::string trace_path = cli.str("trace", "");
   const std::string metrics_path = cli.str("metrics-out", "");
@@ -489,7 +486,7 @@ int run(int argc, char** argv) {
   if (!trace_path.empty()) {
     std::ofstream out(trace_path);
     DYNET_CHECK(out.good()) << "cannot open " << trace_path;
-    sim::writeTrace(out, sim::traceFromEngine(*engine));
+    sim::writeTrace(out, engine->trace());
     std::cout << "trace written to " << trace_path << "\n";
   }
   prof.reset();  // flush prof timers before the registry is exported

@@ -8,7 +8,6 @@
 // of the DOT sequence shows the send/receive pattern alongside the churn.
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <sstream>
 
 #include "sim/trace.h"
@@ -45,8 +44,7 @@ void emitRound(std::ostream& out, const sim::Trace& trace, sim::Round round) {
 int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const std::string in_path = cli.str("in", "");
-  const auto round = static_cast<sim::Round>(
-      cli.integer("round", 1, 1, std::numeric_limits<int>::max()));
+  const sim::Round round = cli.intFlag("round", 1, 1);
   const bool all = cli.flag("all");
   const std::string out_prefix = cli.str("out-prefix", "round");
   cli.rejectUnknown();
